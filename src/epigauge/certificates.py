@@ -22,8 +22,10 @@ certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .core import (
     TAU,
@@ -32,7 +34,10 @@ from .core import (
     GaugeBound,
     Point,
     Provenance,
+    ball_mask,
+    eval_rows,
     in_closed_ball,
+    norms,
 )
 from .errors import (
     CertificateViolationError,
@@ -61,6 +66,21 @@ _VALIDATION_POINTS = 16  # per-axis resolution of the construction-time sanity g
 
 def _validation_step(radius: float) -> float:
     return radius / _VALIDATION_POINTS
+
+
+def _check_not_crossed(lower: Func, upper: Func, X: np.ndarray, what: str) -> None:
+    """Raise on the first row of ``X`` (lattice order) where ``lower >
+    upper``, or where evaluating ``lower`` then ``upper`` raises."""
+    (lo, hi), stop, error = eval_rows((lower, upper), X)
+    crossed = np.flatnonzero(lo[:stop] > hi[:stop])
+    if crossed.size:
+        i = crossed[0]
+        raise CertificateViolationError(
+            f"{what} inconsistent: lower={float(lo[i])!r} > upper={float(hi[i])!r} "
+            f"at {Point(tuple(X[i].tolist()))}"
+        )
+    if error is not None:
+        raise error
 
 
 @dataclass(frozen=True)
@@ -97,13 +117,8 @@ class EnvelopeCert:
                     f"envelope {f.label or '<unnamed>'}"
                 )
         grid = Grid(self.lower.dim, self.region_radius, _validation_step(self.region_radius))
-        for p in grid.points():
-            lo = self.lower(p)
-            hi = self.upper(p)
-            if lo > hi:
-                raise CertificateViolationError(
-                    f"envelope certificate inconsistent: lower={lo!r} > upper={hi!r} at {p}"
-                )
+        for X in grid.blocks():
+            _check_not_crossed(self.lower, self.upper, X, "envelope certificate")
 
     @property
     def dim(self) -> int:
@@ -136,14 +151,9 @@ class LocalCert:
                 )
         step = _validation_step(self.radius)
         offsets = Grid(self.center.dim, self.radius, step)
-        for off in offsets.points():
-            p = Point(tuple(c + o for c, o in zip(self.center.coords, off.coords)))
-            lo = self.lower(p)
-            hi = self.upper(p)
-            if lo > hi:
-                raise CertificateViolationError(
-                    f"local certificate inconsistent: lower={lo!r} > upper={hi!r} at {p}"
-                )
+        center = np.asarray(self.center.coords)
+        for off in offsets.blocks():
+            _check_not_crossed(self.lower, self.upper, center + off, "local certificate")
 
     def is_active(self, x: Point) -> bool:
         """Closed-ball membership: boundary points count as covered."""
@@ -175,18 +185,67 @@ class Cover:
 class ToleranceField:
     """A certified pointwise bound ``eta(x, t) >= 0`` on the vertical
     discrepancy over the cylinder.  Negative values found during a scan are
-    a certificate violation, not data to be clamped."""
+    a certificate violation, not data to be clamped.
+
+    ``batch``, when present, maps base points ``X`` (``(n, dim)``) and
+    levels ``T`` (``(L,)``) to an array broadcastable to ``(n, L)`` that
+    agrees with ``eta`` bit for bit; the ``constant`` and ``radial_affine``
+    constructors supply it.  Without it, scans call ``eta`` cell by cell.
+    """
 
     eta: Callable[[Point, float], float]
     cylinder: Cylinder
     dim: int = 1
     grid_exact: bool = False
+    batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not callable(self.eta):
             raise PreconditionError("eta must be callable")
+        if self.batch is not None and not callable(self.batch):
+            raise PreconditionError("batch must be callable")
         if not (isinstance(self.dim, int) and self.dim >= 1):
             raise PreconditionError(f"dim must be an integer >= 1, got {self.dim!r}")
+
+    @classmethod
+    def constant(cls, value: float, cylinder: Cylinder, dim: int = 1,
+                 grid_exact: bool = False) -> "ToleranceField":
+        """``eta(x, t) = value``."""
+        value = float(value)
+        return cls(eta=lambda p, t, _v=value: _v, cylinder=cylinder, dim=dim,
+                   grid_exact=grid_exact,
+                   batch=lambda X, T, _v=value: np.full((len(X), 1), _v))
+
+    @classmethod
+    def radial_affine(cls, base: float, slope: float, cylinder: Cylinder, dim: int = 1,
+                      grid_exact: bool = False) -> "ToleranceField":
+        """``eta(x, t) = base + slope * ||x|| / R`` with ``R`` the cylinder's
+        base radius."""
+        base, slope, R = float(base), float(slope), cylinder.R
+        return cls(eta=lambda p, t, _b=base, _s=slope, _R=R: _b + _s * (p.norm() / _R),
+                   cylinder=cylinder, dim=dim, grid_exact=grid_exact,
+                   batch=lambda X, T, _b=base, _s=slope, _R=R:
+                       (_b + _s * (norms(X) / _R))[:, None])
+
+    def _cells(self, X: np.ndarray, levels: Sequence[float]) -> np.ndarray:
+        """``eta`` on the cells ``X x levels`` as an ``(n, L)`` array.
+        Without ``batch``, cells are evaluated in lattice order and every
+        cell from the first raising one on is NaN."""
+        shape = (len(X), len(levels))
+        if self.batch is not None:
+            with np.errstate(all="ignore"):
+                V = self.batch(X, np.asarray(levels, dtype=np.float64))
+            return np.broadcast_to(np.asarray(V, dtype=np.float64), shape)
+        out = np.full(shape, np.nan)
+        for i, row in enumerate(X.tolist()):
+            p = Point(tuple(row))
+            for j, t in enumerate(levels):
+                try:
+                    out[i, j] = float(self.eta(p, t))
+                except Exception:  # the scan replays this cell and raises
+                    return out
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +274,21 @@ def envelope_width_bound(cert: EnvelopeCert, cyl: Cylinder, grid_step: float) ->
         )
     grid = Grid(cert.dim, cyl.R, grid_step)
     width = 0.0
-    for p in grid.points():
-        w = cert.upper(p) - cert.lower(p)
-        if w < 0:
+    for X in grid.blocks():
+        (hi, lo), stop, error = eval_rows((cert.upper, cert.lower), X)
+        w = hi[:stop] - lo[:stop]
+        negative = np.flatnonzero(w < 0)
+        if negative.size:
+            i = negative[0]
             raise CertificateViolationError(
-                f"envelope width negative ({w!r}) at {p}: certificate inconsistent"
+                f"envelope width negative ({float(w[i])!r}) at "
+                f"{Point(tuple(X[i].tolist()))}: certificate inconsistent"
             )
-        if w > width:
-            width = w
+        if error is not None:
+            raise error
+        wm = float(w.max())
+        if wm > width:
+            width = wm
     return GaugeBound(
         delta=width,
         cylinder=cyl,
@@ -265,13 +331,14 @@ def validate_bracketing(cert: EnvelopeCert, candidate: Func, cyl: Cylinder,
     grid = Grid(cert.dim, cyl.R, grid_step)
     failures = []
     checked = 0
-    for p in grid.points():
-        lo = cert.lower(p)
-        hi = cert.upper(p)
-        v = candidate(p)
-        checked += 1
-        if not (lo <= v <= hi):
-            failures.append((p, lo, v, hi))
+    for X in grid.blocks():
+        (lo, hi, v), _, error = eval_rows((cert.lower, cert.upper, candidate), X)
+        if error is not None:
+            raise error
+        checked += len(X)
+        for i in np.flatnonzero(~((lo <= v) & (v <= hi))).tolist():
+            failures.append((Point(tuple(X[i].tolist())), float(lo[i]), float(v[i]),
+                             float(hi[i])))
     return BracketingReport(failures=tuple(failures), points_checked=checked,
                             grid_step=grid_step)
 
@@ -313,6 +380,30 @@ class AggregatedEnvelope:
             )
         return lo, hi
 
+    def _rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``evaluate`` at every row of ``X`` as ``(lower, upper)`` arrays,
+        NaN wherever ``evaluate`` raises: masked max / min over the active
+        certificates, taking the first extremum in certificate order as
+        ``max`` / ``min`` do."""
+        n = len(X)
+        lo, hi = np.full(n, np.nan), np.full(n, np.nan)
+        covered, failed = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        for c in self.cover.certs:
+            idx = np.flatnonzero(ball_mask(X, c.radius, c.center))
+            if not idx.size:
+                continue
+            Y = X[idx]
+            cl, cu = c.lower._rows(Y), c.upper._rows(Y)
+            failed[idx] |= ~(np.isfinite(cl) & np.isfinite(cu))
+            first = ~covered[idx]
+            lo[idx] = np.where(first | (cl > lo[idx]), cl, lo[idx])
+            hi[idx] = np.where(first | (cu < hi[idx]), cu, hi[idx])
+            covered[idx] = True
+        bad = failed | ~covered | (lo > hi)
+        lo[bad] = np.nan
+        hi[bad] = np.nan
+        return lo, hi
+
     def lower(self, x: Point) -> float:
         return self.evaluate(x)[0]
 
@@ -327,8 +418,10 @@ class AggregatedEnvelope:
         or a later scan.
         """
         dim = self.cover.dim
-        lower = Func(lambda p: self.evaluate(p)[0], region_radius, dim, "cover-aggregated lower")
-        upper = Func(lambda p: self.evaluate(p)[1], region_radius, dim, "cover-aggregated upper")
+        lower = Func(lambda p: self.evaluate(p)[0], region_radius, dim, "cover-aggregated lower",
+                     batch=lambda X: self._rows(X)[0])
+        upper = Func(lambda p: self.evaluate(p)[1], region_radius, dim, "cover-aggregated upper",
+                     batch=lambda X: self._rows(X)[1])
         return EnvelopeCert(region_radius=region_radius, lower=lower, upper=upper,
                             grid_exact=grid_exact)
 
@@ -355,17 +448,26 @@ def gauge_from_tolerance_field(tf: ToleranceField, grid_step_x: float,
     """
     grid = Grid(tf.dim, tf.cylinder.R, grid_step_x)
     lgrid = LevelGrid(tf.cylinder.M, grid_step_t)
+    levels = lgrid.values
     best = 0.0
-    for p in grid.points():
-        for t in lgrid.values:
+    for X in grid.blocks(cells_per_point=len(levels)):
+        V = tf._cells(X, levels)
+        bad = np.flatnonzero(~(np.isfinite(V) & (V >= 0.0)))
+        if bad.size:  # replay through eta, in lattice order
+            V = np.array(V)
+        for k in bad.tolist():
+            i, j = divmod(k, len(levels))
+            p, t = Point(tuple(X[i].tolist())), levels[j]
             v = float(tf.eta(p, t))
             if not math.isfinite(v) or v < 0:
                 raise CertificateViolationError(
                     f"tolerance field returned {v!r} at ({p}, t={t!r}); "
                     f"a vertical tolerance must be finite and >= 0"
                 )
-            if v > best:
-                best = v
+            V[i, j] = v
+        vm = float(V.max())
+        if vm > best:
+            best = vm
     return GaugeBound(
         delta=best,
         cylinder=tf.cylinder,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import math
 import re
@@ -339,7 +340,7 @@ def _build_function(name: str, entries: dict[str, tuple[str, int]], dim: int,
         names = _parse_names(v, path, lineno, "terms")
         func = Func.sum_of(*(built[n] for n in names), label=name)
     if "domain_radius" in entries:
-        func = Func(func.eval, domain_radius, func.dim, name)
+        func = dataclasses.replace(func, domain_radius=domain_radius, label=name)
     return func
 
 
@@ -528,14 +529,11 @@ def parse_problem_text(text: str, path: str = "<spec>") -> ProblemSpec:
             value = _float_of(m, "value", path)
             if value < 0:
                 raise SpecParseError("tolerance value must be >= 0", path, m["value"][1])
-            eta = lambda p, t, _v=value: _v  # noqa: E731
+            tolerance = ToleranceField.constant(value, cylinder, dimension, grid_exact)
         else:  # radial_affine: base + slope * ||x|| / R
-            base = _float_of(m, "base", path)
-            slope = _float_of(m, "slope", path)
-            R = cylinder.R
-            eta = lambda p, t, _b=base, _s=slope, _R=R: _b + _s * (p.norm() / _R)  # noqa: E731
-        tolerance = ToleranceField(eta=eta, cylinder=cylinder, dim=dimension,
-                                   grid_exact=grid_exact)
+            tolerance = ToleranceField.radial_affine(
+                _float_of(m, "base", path), _float_of(m, "slope", path), cylinder,
+                dimension, grid_exact)
 
     # Growth
     growth = None
@@ -918,12 +916,10 @@ def _demo_impossibility(args) -> list[_Property]:
     # finite differences divide evaluation rounding by the step, so the step
     # must not be tiny for the TAU band on the slope to be meaningful.
     slope_grid = Grid(1, args.R, args.R / 100.0)
-    pts = [p.coords[0] for p in slope_grid.points()]
-    vals = [pair.g(p) for p in slope_grid.points()]
-    max_slope = max(
-        (abs(vb - va) / (xb - xa)
-         for (xa, va), (xb, vb) in zip(zip(pts, vals), zip(pts[1:], vals[1:]))),
-        default=0.0)
+    xs = np.concatenate(list(slope_grid.blocks()))
+    vals = pair.g.values(xs)
+    slopes = np.abs(vals[1:] - vals[:-1]) / (xs[1:, 0] - xs[:-1, 0])
+    max_slope = float(slopes.max()) if slopes.size else 0.0
     lip = pair.lipschitz_bound()
 
     return [
@@ -951,12 +947,11 @@ def _demo_sharpness(args):
     worst = 0.0
     for row in sweep.rows:
         family = build_sharpness_pair(args.mu, row.delta)
-        xs = rng.uniform(-sweep.radius, sweep.radius, size=1000)
-        for x in xs:
-            diff = family.f(Point.of(float(x))) - family.g(Point.of(float(x)))
-            worst = max(worst, diff - row.delta, -diff)
-            if diff < 0.0 or diff > row.delta + TAU:
-                sandwich_ok = False
+        xs = rng.uniform(-sweep.radius, sweep.radius, size=(1000, 1))
+        diff = family.f.values(xs) - family.g.values(xs)
+        worst = max(worst, float(np.max(diff - row.delta)), float(np.max(-diff)))
+        if np.any((diff < 0.0) | (diff > row.delta + TAU)):
+            sandwich_ok = False
     props.append(_Property(
         "pointwise_sandwich", sandwich_ok,
         f"0 <= f-g <= delta + tau at 1000 random points per delta "
@@ -1029,7 +1024,7 @@ def cmd_sweep(args) -> int:
     if mu is None:
         raise PreconditionError("pass --mu or --spec with a growth block")
     if args.deltas is not None:
-        deltas = sorted(float(d) for d in args.deltas.split(","))
+        deltas = sorted(args.deltas)
     else:
         deltas = [float(d) for d in np.logspace(math.log10(args.delta_min),
                                                 math.log10(args.delta_max),
@@ -1051,8 +1046,32 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end in exit code 2 with a single stderr line."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _positive_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return x
+
+
+def _positive_floats(text: str) -> list[float]:
+    return [_positive_float(part) for part in text.split(",")]
+
+
+_THREADS_HELP = "accepted for compatibility; has no effect (scans run as numpy blocks)"
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="epigauge",
         description="Certified perturbation gauges, displacement certificates, "
                     "and brute-force oracle checks.",
@@ -1066,9 +1085,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="base lattice step (overrides the [grid] section)")
         p.add_argument("--level-step", type=float, default=None, dest="level_step",
                        help="level lattice step (overrides the [grid] section)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for lattice scans (results are "
-                            "bit-identical for any value)")
+        p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
         p.add_argument("--out", default=None, help="write output to this file")
 
     p_gauge = sub.add_parser("gauge", help="evaluate certificate blocks and oracle "
@@ -1088,8 +1105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--M", type=float, default=2.0)
     p_demo.add_argument("--A", type=float, default=5.0)
     p_demo.add_argument("--mu", type=float, default=2.0)
-    p_demo.add_argument("--delta-min", type=float, default=1e-4, dest="delta_min")
-    p_demo.add_argument("--delta-max", type=float, default=1e-2, dest="delta_max")
+    p_demo.add_argument("--delta-min", type=_positive_float, default=1e-4, dest="delta_min")
+    p_demo.add_argument("--delta-max", type=_positive_float, default=1e-2, dest="delta_max")
     p_demo.add_argument("--num-deltas", type=int, default=6, dest="num_deltas")
     p_demo.add_argument("--queries", type=lambda s: [float(x) for x in s.split(",")],
                         default=[-0.5, 0.5],
@@ -1098,7 +1115,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="bump peak (default: auto-search)")
     p_demo.add_argument("--grid-step", type=float, default=1e-4, dest="grid_step")
     p_demo.add_argument("--level-step", type=float, default=0.05, dest="level_step")
-    p_demo.add_argument("--threads", type=int, default=1)
+    p_demo.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_demo.add_argument("--csv", action="store_true",
                         help="emit the sweep table as CSV to stdout (sharpness)")
     p_demo.add_argument("--out", default=None, help="write CSV to this file")
@@ -1109,13 +1126,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--spec", default=None,
                          help="problem file with a growth block (provides mu)")
     p_sweep.add_argument("--mu", type=float, default=None)
-    p_sweep.add_argument("--deltas", default=None,
+    p_sweep.add_argument("--deltas", type=_positive_floats, default=None,
                          help="comma-separated drop sizes (overrides the log range)")
-    p_sweep.add_argument("--delta-min", type=float, default=1e-5, dest="delta_min")
-    p_sweep.add_argument("--delta-max", type=float, default=1e-2, dest="delta_max")
+    p_sweep.add_argument("--delta-min", type=_positive_float, default=1e-5, dest="delta_min")
+    p_sweep.add_argument("--delta-max", type=_positive_float, default=1e-2, dest="delta_max")
     p_sweep.add_argument("--num-deltas", type=int, default=8, dest="num_deltas")
     p_sweep.add_argument("--grid-step", type=float, default=2e-5, dest="grid_step")
-    p_sweep.add_argument("--threads", type=int, default=1)
+    p_sweep.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 

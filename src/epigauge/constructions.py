@@ -30,9 +30,9 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .core import ClosedBall, FinitePointSet, Func, Point, in_closed_ball
+from .core import ClosedBall, FinitePointSet, Func, Point, in_closed_ball, norms
 from .errors import ConstructionError, PreconditionError
-from .oracle import Grid, dist_to_set, grid_argmin
+from .oracle import Grid, dist_to_set, dist_to_set_rows, grid_argmin
 from .stability import GrowthCert
 
 __all__ = [
@@ -177,10 +177,16 @@ def _auto_peak(R: float, queries: Sequence[Point], search_step: float) -> Point:
     grid = Grid(dim, R, search_step)
     best_key: Optional[tuple[float, float]] = None
     best_p: Optional[Point] = None
-    for p in grid.points():
-        key = (_min_query_distance(p, queries), -p.norm())
-        if best_key is None or key > best_key or (key == best_key and p < best_p):
-            best_key, best_p = key, p
+    for X in grid.blocks():
+        clearance = dist_to_set_rows(X, FinitePointSet(tuple(queries)))
+        neg_norm = -norms(X)
+        # Lexicographic max of (clearance, -norm); the first such point in
+        # lattice order is the lexicographically smallest.
+        top = np.flatnonzero(clearance == clearance.max())
+        i = top[np.argmax(neg_norm[top])]
+        key = (float(clearance[i]), float(neg_norm[i]))
+        if best_key is None or key > best_key:
+            best_key, best_p = key, Point(tuple(X[i].tolist()))
     assert best_key is not None and best_p is not None
     if best_key[0] <= 0.0:
         raise ConstructionError(
@@ -315,7 +321,10 @@ def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float,
     for delta in deltas_t:
         family = build_sharpness_pair(mu, delta)
         result = grid_argmin(family.g, grid, threads=threads)
-        extreme = max(result.points, key=lambda p: (dist_to_set(p, target), p.coords))
+        ties = np.array([p.coords for p in result.points])
+        dist = dist_to_set_rows(ties, target)
+        far = np.flatnonzero(dist == dist.max())
+        extreme = result.points[far[np.argmax(ties[far, 0])]]
         d = dist_to_set(extreme, target)
         rows.append(SweepRow(
             delta=delta,

@@ -17,6 +17,17 @@ This module holds the vocabulary everything else builds on:
 - ``FinitePointSet`` / ``ClosedBall``: minimizer-set representations with
   exact distance formulas.
 
+Array path
+----------
+``Func.values`` evaluates a function on every row of an ``(n, dim)``
+float64 array.  The family constructors give each ``Func`` a numpy batch
+evaluator that repeats the scalar arithmetic operation for operation, so
+the two paths agree bit for bit; arbitrary user callables are evaluated
+point by point.  ``eval_rows`` is the shared scan primitive: it evaluates
+several functions on a block of lattice points and reports the first
+point, in lattice order, at which the point-by-point loop would raise,
+together with that loop's own exception.
+
 Numerical discipline
 --------------------
 Everything is plain 64-bit floating point.  Exact claims about exactly
@@ -30,8 +41,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import DomainError, EvaluationError, PreconditionError
 
@@ -51,6 +64,11 @@ __all__ = [
     "gauge_from_value_bound",
     "discrepancy_profile",
     "in_closed_ball",
+    "lattice_point",
+    "norms",
+    "distances",
+    "ball_mask",
+    "eval_rows",
 ]
 
 TAU: float = 1e-12
@@ -82,6 +100,11 @@ def pos_part(r: float) -> float:
     """
     r = _require_finite(r, "r")
     return r if r > 0.0 else 0.0
+
+
+def _pos_part_rows(r: np.ndarray) -> np.ndarray:
+    """``pos_part`` on an array; NaN where ``pos_part`` would raise."""
+    return np.where(np.isfinite(r), np.where(r > 0.0, r, 0.0), np.nan)
 
 
 def vertical_distance(f_value: float, t: float) -> float:
@@ -156,15 +179,30 @@ class Point:
         return len(self.coords)
 
     def norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self.coords))
+        s = 0.0
+        for c in self.coords:
+            s += c * c
+        return math.sqrt(s)
 
     def dist(self, other: "Point") -> float:
         if other.dim != self.dim:
             raise DomainError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return math.sqrt(sum((a - b) ** 2 for a, b in zip(self.coords, other.coords)))
+        s = 0.0
+        for a, b in zip(self.coords, other.coords):
+            d = a - b
+            s += d * d
+        return math.sqrt(s)
 
     def __str__(self) -> str:
         return "(" + ", ".join(repr(c) for c in self.coords) + ")"
+
+
+def lattice_point(coords: tuple[float, ...]) -> Point:
+    """A ``Point`` from a tuple of finite Python floats (a row of a lattice
+    block), without re-validating it."""
+    p = object.__new__(Point)
+    object.__setattr__(p, "coords", coords)
+    return p
 
 
 def in_closed_ball(point: Point, radius: float, center: Point | None = None) -> bool:
@@ -180,6 +218,39 @@ def in_closed_ball(point: Point, radius: float, center: Point | None = None) -> 
     if math.isinf(radius):
         return True
     d = point.norm() if center is None else point.dist(center)
+    return d <= radius * (1.0 + TAU) + TAU
+
+
+# Row-wise twins of ``Point.norm`` / ``Point.dist`` / ``in_closed_ball``: the
+# squares are summed in coordinate order, exactly as the scalar loops do.
+
+
+def _sum_squares(X: np.ndarray) -> np.ndarray:
+    s = X[:, 0] * X[:, 0]
+    for k in range(1, X.shape[1]):
+        s = s + X[:, k] * X[:, k]
+    return s
+
+
+def norms(X: np.ndarray) -> np.ndarray:
+    """``Point.norm`` of every row of ``X``."""
+    return np.sqrt(_sum_squares(X))
+
+
+def distances(X: np.ndarray, center: Point) -> np.ndarray:
+    """``Point.dist(center)`` of every row of ``X``."""
+    if X.shape[1] != center.dim:
+        raise DomainError(f"dimension mismatch: {X.shape[1]} vs {center.dim}")
+    return norms(X - np.asarray(center.coords))
+
+
+def ball_mask(X: np.ndarray, radius: float, center: Point | None = None) -> np.ndarray:
+    """``in_closed_ball`` of every row of ``X``."""
+    if radius < 0:
+        return np.zeros(len(X), dtype=bool)
+    if math.isinf(radius):
+        return np.ones(len(X), dtype=bool)
+    d = norms(X) if center is None else distances(X, center)
     return d <= radius * (1.0 + TAU) + TAU
 
 
@@ -199,6 +270,12 @@ class Func:
     raises ``DomainError`` rather than extrapolating, because downstream
     certificates are only meaningful on certified regions.
 
+    ``batch``, when present, computes ``eval`` on every row of an
+    ``(n, dim)`` float64 array and must agree with it bit for bit wherever
+    its result is finite; a non-finite entry only means "ask ``eval``".
+    The family constructors supply it.  Without it, ``values`` calls the
+    function point by point.
+
     Instances are immutable and safe to share across threads.
     """
 
@@ -206,10 +283,14 @@ class Func:
     domain_radius: float = math.inf
     dim: int = 1
     label: str = ""
+    batch: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not callable(self.eval):
             raise PreconditionError("eval must be callable")
+        if self.batch is not None and not callable(self.batch):
+            raise PreconditionError("batch must be callable")
         if not (self.domain_radius > 0):
             raise PreconditionError(f"domain_radius must be > 0, got {self.domain_radius!r}")
         if not (isinstance(self.dim, int) and self.dim >= 1):
@@ -234,13 +315,42 @@ class Func:
             )
         return value
 
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """The function at every row of the ``(n, dim)`` float64 array
+        ``X``: bit-identical to calling it on each row in order, and
+        raising what that loop raises first (domain, finiteness and
+        ``pos_part`` checks included)."""
+        (v,), _, error = eval_rows((self,), X)
+        if error is not None:
+            raise error
+        return v
+
+    def _rows(self, X: np.ndarray) -> np.ndarray:
+        """The function at every row of ``X``, NaN wherever a call raises
+        (or, after a failed call of a function without ``batch``, at every
+        later row)."""
+        out = np.full(len(X), np.nan)
+        if X.shape[1] != self.dim:
+            return out
+        if self.batch is None:
+            for i, row in enumerate(X.tolist()):
+                try:
+                    out[i] = self(Point(tuple(row)))
+                except Exception:  # eval_rows replays this row and raises
+                    break
+            return out
+        v = np.asarray(self.batch(X), dtype=np.float64)
+        ok = np.isfinite(v) & ball_mask(X, self.domain_radius)
+        return np.where(ok, v, out)
+
     # -- named analytic families -------------------------------------------
 
     @classmethod
     def constant(cls, value: float, dim: int = 1, domain_radius: float = math.inf,
                  label: str = "") -> "Func":
         value = _require_finite(value, "value")
-        return cls(lambda _p, _v=value: _v, domain_radius, dim, label or f"const({value!r})")
+        return cls(lambda _p, _v=value: _v, domain_radius, dim, label or f"const({value!r})",
+                   batch=lambda X, _v=value: np.full(len(X), _v))
 
     @classmethod
     def quadratic(cls, coeff: float, dim: int = 1, domain_radius: float = math.inf,
@@ -254,7 +364,8 @@ class Func:
                 s += c * c
             return _c * s
 
-        return cls(_eval, domain_radius, dim, label or f"{coeff!r}*|x|^2")
+        return cls(_eval, domain_radius, dim, label or f"{coeff!r}*|x|^2",
+                   batch=lambda X, _c=coeff: _c * _sum_squares(X))
 
     @classmethod
     def affine(cls, slope: Sequence[float], intercept: float,
@@ -271,8 +382,14 @@ class Func:
                 acc += si * ci
             return acc
 
+        def _batch(X: np.ndarray, _s=slope_t, _b=intercept) -> np.ndarray:
+            acc = np.full(len(X), _b)
+            for k, si in enumerate(_s):
+                acc += si * X[:, k]
+            return acc
+
         return cls(_eval, domain_radius, len(slope_t),
-                   label or f"affine({slope_t!r}, {intercept!r})")
+                   label or f"affine({slope_t!r}, {intercept!r})", batch=_batch)
 
     @classmethod
     def bump(cls, center: Point, rho: float, amplitude: float,
@@ -289,8 +406,12 @@ class Func:
         def _eval(p: Point, _c=center, _r=rho, _a=amplitude) -> float:
             return _a * pos_part(1.0 - p.dist(_c) / _r)
 
+        def _batch(X: np.ndarray, _c=center, _r=rho, _a=amplitude) -> np.ndarray:
+            return _a * _pos_part_rows(1.0 - distances(X, _c) / _r)
+
         return cls(_eval, domain_radius, center.dim,
-                   label or f"bump(center={center}, rho={rho!r}, amp={amplitude!r})")
+                   label or f"bump(center={center}, rho={rho!r}, amp={amplitude!r})",
+                   batch=_batch)
 
     @classmethod
     def clamp_shift(cls, base: "Func", shift: float, label: str = "") -> "Func":
@@ -299,7 +420,8 @@ class Func:
         shift = _require_finite(shift, "shift")
         return cls(lambda p, _b=base, _s=shift: pos_part(_b(p) - _s),
                    base.domain_radius, base.dim,
-                   label or f"pospart({base.label or 'f'} - {shift!r})")
+                   label or f"pospart({base.label or 'f'} - {shift!r})",
+                   batch=lambda X, _b=base, _s=shift: _pos_part_rows(_b._rows(X) - _s))
 
     @classmethod
     def sum_of(cls, *terms: "Func", label: str = "") -> "Func":
@@ -310,14 +432,71 @@ class Func:
             raise PreconditionError("sum_of terms must share a dimension")
         radius = min(t.domain_radius for t in terms)
         return cls(lambda p, _ts=terms: math.fsum(t(p) for t in _ts),
-                   radius, dim, label or "sum(" + ", ".join(t.label or "f" for t in terms) + ")")
+                   radius, dim, label or "sum(" + ", ".join(t.label or "f" for t in terms) + ")",
+                   batch=lambda X, _ts=terms: _fsum_rows([t._rows(X) for t in _ts]))
 
     @classmethod
     def scaled(cls, base: "Func", factor: float, label: str = "") -> "Func":
         factor = _require_finite(factor, "factor")
         return cls(lambda p, _b=base, _k=factor: _k * _b(p),
                    base.domain_radius, base.dim,
-                   label or f"{factor!r}*{base.label or 'f'}")
+                   label or f"{factor!r}*{base.label or 'f'}",
+                   batch=lambda X, _b=base, _k=factor: _k * _b._rows(X))
+
+
+def _fsum_row(values: list[float]) -> float:
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _fsum_rows(columns: list[np.ndarray]) -> np.ndarray:
+    """Row-wise ``math.fsum`` of the columns, bit for bit.
+
+    For one or two terms, plain addition is already correctly rounded and
+    equals ``fsum`` except in the sign of a zero sum, so only zero rows are
+    redone; three or more terms go through ``fsum`` row by row (it is
+    correctly rounded where sequential addition is not)."""
+    if len(columns) <= 2:
+        s = columns[0] if len(columns) == 1 else columns[0] + columns[1]
+        redo = np.flatnonzero(s == 0.0)
+    else:
+        s = np.full(len(columns[0]), np.nan)
+        redo = np.flatnonzero(np.isfinite(np.stack(columns)).all(axis=0))
+    if redo.size:
+        s = s.copy()
+        rows = np.stack([c[redo] for c in columns], axis=1).tolist()
+        s[redo] = [_fsum_row(r) for r in rows]
+    return s
+
+
+def eval_rows(funcs: Sequence[Func], X: np.ndarray
+              ) -> tuple[list[np.ndarray], int, Optional[Exception]]:
+    """Evaluate ``funcs`` on the rows of ``X`` as the loop ``for x in
+    rows: for f in funcs: f(x)`` would, without raising.
+
+    Returns ``(values, stop, error)``: one array per function, exact at
+    every row before ``stop``; ``stop`` is the first row at which that loop
+    raises (``len(X)`` if none) and ``error`` the exception it raises there
+    (``None`` if none).  Rows that a batch evaluator leaves non-finite are
+    replayed through ``Func.__call__``, so error types and messages are
+    those of the scalar path.  Scans check their own per-point conditions
+    on the rows before ``stop`` and then raise ``error``.
+    """
+    with np.errstate(all="ignore"):
+        values = [f._rows(X) for f in funcs]
+    bad = ~np.isfinite(X).all(axis=1)
+    for v in values:
+        bad |= ~np.isfinite(v)
+    for i in np.flatnonzero(bad).tolist():
+        try:
+            x = Point(tuple(X[i].tolist()))
+            for f, v in zip(funcs, values):
+                v[i] = f(x)
+        except Exception as e:  # re-raised by the caller, in lattice order
+            return values, i, e
+    return values, len(X), None
 
 
 # ---------------------------------------------------------------------------

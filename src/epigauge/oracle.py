@@ -5,17 +5,18 @@ scan can miss the maximizer); they are never presented as certificates.
 That direction is exactly what makes them useful as independent checks of
 certified bounds: oracle value <= certified bound must always hold.
 
-Determinism: lattice iteration order is fixed (lexicographic), reductions
-are order-independent (max / min of floats is exact), and tie lists are
-assembled in iteration order regardless of the number of worker threads,
-so serial and parallel runs produce bit-identical results.
+Scans walk the lattice in lexicographic blocks (``Grid.blocks``) and reduce
+each block with numpy; function values come from ``Func.values`` semantics
+(``eval_rows``), so every result and every raised error is bit-identical to
+a point-by-point loop in lattice order.  The reductions are exact (max /
+min of floats) and tie lists are assembled in lattice order, so results do
+not depend on the block size.  The ``threads`` arguments are accepted for
+compatibility and ignored: the numpy blocks run single-threaded.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -28,6 +29,10 @@ from .core import (
     FinitePointSet,
     Func,
     Point,
+    distances,
+    eval_rows,
+    lattice_point,
+    norms,
 )
 from .errors import DomainError, OracleCapError, PreconditionError
 
@@ -40,6 +45,8 @@ __all__ = [
     "grid_gauge",
     "grid_argmin",
     "dist_to_set",
+    "dist_to_set_rows",
+    "BLOCK_CELLS",
 ]
 
 LATTICE_CAP: int = 10**8
@@ -47,7 +54,10 @@ LATTICE_CAP: int = 10**8
 on the base x level product for gauge scans).  Exceeding it is an error:
 these oracles are exhaustive by design and must not silently subsample."""
 
-_CHUNK = 4096  # fixed chunk size => identical work splits for any thread count
+BLOCK_CELLS: int = 65536
+"""Cells per scan block: a block holds at most this many cube nodes, or
+``BLOCK_CELLS // levels`` base points for base x level scans, which bounds
+the memory of every scan independently of the lattice size."""
 
 
 def _axis_kmax(radius: float, step: float) -> int:
@@ -67,7 +77,8 @@ def _axis_values(radius: float, step: float, kmax: int) -> tuple[float, ...]:
     bit-identical superset lattice.
     """
     bound = radius * (1.0 + TAU) + TAU
-    return tuple(k * step for k in range(-kmax, kmax + 1) if abs(k * step) <= bound)
+    values = np.arange(-kmax, kmax + 1) * step  # exact int -> float, one rounding each
+    return tuple(values[np.abs(values) <= bound].tolist())
 
 
 @dataclass(frozen=True)
@@ -97,15 +108,33 @@ class Grid:
     def cube_size(self) -> int:
         return len(self.axis) ** self.dim
 
-    def points(self) -> Iterator[Point]:
-        if self.dim == 1:
-            for v in self.axis:
-                yield Point((v,))
-            return
+    def blocks(self, cells_per_point: int = 1) -> Iterator[np.ndarray]:
+        """The lattice points as ``(n, dim)`` float64 arrays, in
+        lexicographic order (last coordinate fastest).
+
+        Each block is cut from at most ``BLOCK_CELLS // cells_per_point``
+        consecutive cube nodes (at least one) and then filtered to the ball
+        with the same ``radius * (1 + TAU) + TAU`` slack as
+        ``in_closed_ball``; empty blocks are skipped."""
+        axis = np.asarray(self.axis, dtype=np.float64)
+        size = self.cube_size()
+        step = max(1, BLOCK_CELLS // cells_per_point)
         bound = self.radius * (1.0 + TAU) + TAU
-        for coords in itertools.product(self.axis, repeat=self.dim):
-            if math.sqrt(sum(c * c for c in coords)) <= bound:
-                yield Point(coords)
+        for start in range(0, size, step):
+            idx = np.arange(start, min(start + step, size))
+            X = np.empty((len(idx), self.dim))
+            for k in range(self.dim - 1, -1, -1):
+                idx, r = np.divmod(idx, len(axis))
+                X[:, k] = axis[r]
+            if self.dim > 1:
+                X = X[norms(X) <= bound]
+            if len(X):
+                yield X
+
+    def points(self) -> Iterator[Point]:
+        for X in self.blocks():
+            for row in X.tolist():
+                yield lattice_point(tuple(row))
 
     def refine(self) -> "Grid":
         """Halve the step.  The refined lattice contains this one exactly
@@ -167,54 +196,29 @@ def _check_domains(grid: Grid, *funcs: Func) -> None:
             )
 
 
-def _chunks(grid: Grid) -> Iterator[list[Point]]:
-    buf: list[Point] = []
-    for p in grid.points():
-        buf.append(p)
-        if len(buf) >= _CHUNK:
-            yield buf
-            buf = []
-    if buf:
-        yield buf
-
-
-def _map_chunks(worker, grid: Grid, threads: int):
-    """Apply ``worker`` to every chunk, returning results in chunk order.
-
-    Chunk boundaries are independent of ``threads``, and the downstream
-    reductions are either exact (max/min) or performed in chunk order, so
-    the thread count never changes any output bit."""
-    if threads <= 1:
-        return [worker(c) for c in _chunks(grid)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, _chunks(grid)))
-
-
 def grid_sup_abs_diff(f: Func, g: Func, grid: Grid, threads: int = 1) -> float:
     """Max of ``|f - g|`` over the lattice: a lower bound on the true
     supremum over the ball."""
     _check_domains(grid, f, g)
-
-    def worker(chunk: list[Point]) -> float:
-        m = 0.0
-        for p in chunk:
-            d = abs(f(p) - g(p))
-            if d > m:
-                m = d
-        return m
-
-    results = _map_chunks(worker, grid, threads)
-    return max(results, default=0.0)
+    m = 0.0
+    for X in grid.blocks():
+        (fv, gv), _, error = eval_rows((f, g), X)
+        if error is not None:
+            raise error
+        d = float(np.abs(fv - gv).max())
+        if d > m:
+            m = d
+    return m
 
 
 def grid_gauge(f: Func, g: Func, grid: Grid, lgrid: LevelGrid, threads: int = 1) -> float:
     """Max of the pointwise vertical discrepancy over lattice x level
     lattice: a lower bound on the true cylinder gauge.
 
-    Function values are computed once per base point; the level sweep is
-    vectorized with the same case split as ``pointwise_discrepancy``, so
-    the scan result is dominated by ``grid_sup_abs_diff`` on the same base
-    lattice exactly (no tolerance needed).
+    Function values are computed once per base point; the level sweep uses
+    the same case split as ``pointwise_discrepancy``, so the scan result is
+    dominated by ``grid_sup_abs_diff`` on the same base lattice exactly (no
+    tolerance needed).
     """
     _check_domains(grid, f, g)
     if grid.cube_size() * len(lgrid.values) > LATTICE_CAP:
@@ -223,23 +227,19 @@ def grid_gauge(f: Func, g: Func, grid: Grid, lgrid: LevelGrid, threads: int = 1)
             f"cap {LATTICE_CAP}"
         )
     tvals = np.asarray(lgrid.values, dtype=np.float64)
-
-    def worker(chunk: list[Point]) -> float:
-        m = 0.0
-        for p in chunk:
-            fa = f(p)
-            fb = g(p)
-            hi = fa if fa > fb else fb
-            lo = fb if fa > fb else fa
-            d = hi - lo
-            disc = np.where(tvals >= hi, 0.0, np.where(tvals <= lo, d, hi - tvals))
-            dm = float(disc.max())
-            if dm > m:
-                m = dm
-        return m
-
-    results = _map_chunks(worker, grid, threads)
-    return max(results, default=0.0)
+    m = 0.0
+    for X in grid.blocks(cells_per_point=len(tvals)):
+        (fa, fb), _, error = eval_rows((f, g), X)
+        if error is not None:
+            raise error
+        up = fa > fb
+        hi = np.where(up, fa, fb)[:, None]
+        lo = np.where(up, fb, fa)[:, None]
+        disc = np.where(tvals >= hi, 0.0, np.where(tvals <= lo, hi - lo, hi - tvals))
+        dm = float(disc.max())
+        if dm > m:
+            m = dm
+    return m
 
 
 def grid_argmin(f: Func, grid: Grid, threads: int = 1, tie_tol: float = TAU) -> ArgminResult:
@@ -247,27 +247,26 @@ def grid_argmin(f: Func, grid: Grid, threads: int = 1, tie_tol: float = TAU) -> 
     minimal value), lexicographically ordered.
 
     Ties are the expected case, not the edge case: plateau minima arise
-    naturally from clipped constructions.
+    naturally from clipped constructions.  The reported value is the
+    minimum as first met in lattice order.
     """
     _check_domains(grid, f)
-
-    def worker(chunk: list[Point]) -> tuple[float, list[tuple[Point, float]]]:
-        best = math.inf
-        vals = []
-        for p in chunk:
-            v = f(p)
-            vals.append((p, v))
-            if v < best:
-                best = v
-        cands = [(p, v) for (p, v) in vals if v <= best + tie_tol]
-        return best, cands
-
-    results = _map_chunks(worker, grid, threads)
-    if not results:
+    best = math.inf
+    candidates: list[tuple[np.ndarray, np.ndarray]] = []
+    for X in grid.blocks():
+        (v,), _, error = eval_rows((f,), X)
+        if error is not None:
+            raise error
+        block_min = v[np.argmin(v)]
+        if block_min < best:
+            best = float(block_min)
+        keep = v <= block_min + tie_tol
+        candidates.append((X[keep], v[keep]))
+    if not candidates:
         raise PreconditionError("grid has no points")
-    global_min = min(r[0] for r in results)
-    tied = tuple(p for _, cands in results for (p, v) in cands if v <= global_min + tie_tol)
-    return ArgminResult(points=tied, value=global_min)
+    tied = tuple(lattice_point(tuple(row)) for X, v in candidates
+                 for row in X[v <= best + tie_tol].tolist())
+    return ArgminResult(points=tied, value=best)
 
 
 def dist_to_set(x: Point, argmin_set: ArgminSet) -> float:
@@ -286,3 +285,19 @@ def dist_to_set(x: Point, argmin_set: ArgminSet) -> float:
         d = x.dist(argmin_set.center)
         return d - argmin_set.radius if d > argmin_set.radius else 0.0
     raise PreconditionError(f"unsupported minimizer-set representation: {type(argmin_set).__name__}")
+
+
+def dist_to_set_rows(X: np.ndarray, argmin_set: ArgminSet) -> np.ndarray:
+    """``dist_to_set`` of every row of ``X``, bit for bit."""
+    if not isinstance(argmin_set, (FinitePointSet, ClosedBall)):
+        raise PreconditionError(
+            f"unsupported minimizer-set representation: {type(argmin_set).__name__}")
+    if argmin_set.dim != X.shape[1]:
+        raise DomainError(f"dimension mismatch: point {X.shape[1]}, set {argmin_set.dim}")
+    if isinstance(argmin_set, FinitePointSet):
+        d = distances(X, argmin_set.points[0])
+        for p in argmin_set.points[1:]:
+            d = np.minimum(d, distances(X, p))
+        return d
+    d = distances(X, argmin_set.center)
+    return np.where(d > argmin_set.radius, d - argmin_set.radius, 0.0)

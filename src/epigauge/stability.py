@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .core import (
     TAU,
     ArgminSet,
@@ -33,10 +35,11 @@ from .core import (
     Func,
     GaugeBound,
     Point,
+    eval_rows,
     in_closed_ball,
 )
 from .errors import PreconditionError
-from .oracle import Grid, dist_to_set
+from .oracle import Grid, dist_to_set, dist_to_set_rows
 
 __all__ = [
     "GrowthCert",
@@ -163,8 +166,10 @@ class DisplacementCert:
     was found by a lattice scan (``grid_step`` set), the reported
     ``bound_with_slack`` adds the explicit grid slack ``2 * grid_step``;
     the exact-minimizer case carries zero slack.  ``valid`` is True only
-    when both points lie in the base ball and all four stored values lie in
-    the level band; these conditions re-verify from the stored checks.
+    when both points lie in the base ball, all four stored values lie in
+    the level band, and the growth ball contains the base ball (otherwise
+    the growth claim says nothing about a surrogate minimizer outside it);
+    these conditions re-verify from the stored checks and certificates.
     """
 
     bound: float
@@ -177,9 +182,20 @@ class DisplacementCert:
     bound_with_slack: float
     detail: str = ""
 
+    @property
+    def growth_covers_base(self) -> bool:
+        """The growth ball (radius ``growth.radius``) contains the base ball
+        (radius ``gauge.cylinder.R``), with the usual closed-ball slack."""
+        return _growth_covers(self.growth, self.gauge.cylinder.R)
+
     def reverify(self) -> bool:
         """Recompute the validity flag from stored raw values."""
-        return all(c.in_base and c.in_level for c in self.window_checks)
+        return self.growth_covers_base and all(c.in_base and c.in_level
+                                               for c in self.window_checks)
+
+
+def _growth_covers(growth: GrowthCert, R: float) -> bool:
+    return R <= growth.radius * (1.0 + TAU) + TAU
 
 
 def displacement_bound(gauge: GaugeBound, growth: GrowthCert, xstar: Point,
@@ -223,7 +239,8 @@ def displacement_bound(gauge: GaugeBound, growth: GrowthCert, xstar: Point,
         window_check(f, g, xstar, gauge.cylinder),
         window_check(f, g, xtilde, gauge.cylinder),
     )
-    valid = all(c.in_base and c.in_level for c in checks)
+    covers = _growth_covers(growth, R)
+    valid = covers and all(c.in_base and c.in_level for c in checks)
 
     if grid_step is None:
         slack = 0.0
@@ -244,6 +261,9 @@ def displacement_bound(gauge: GaugeBound, growth: GrowthCert, xstar: Point,
                 f"2h={slack!r} (delta=0: growth-aware form degenerate)"
             )
 
+    if not covers:
+        detail += (f"; growth radius {growth.radius!r} does not cover the base ball of "
+                   f"radius {R!r}: no displacement claim")
     return DisplacementCert(
         bound=bound,
         gauge=gauge,
@@ -304,15 +324,24 @@ def falsify_quadratic_growth(f: Func, growth: GrowthCert, cyl: Cylinder,
     grid = Grid(f.dim, radius, grid_step)
     violations: list[GrowthViolation] = []
     checked = 0
-    for p in grid.points():
-        checked += 1
-        gap = f(p) - growth.inf_value
-        d = dist_to_set(p, growth.argmin_set)
+    for X in grid.blocks():
+        (fv,), stop, error = eval_rows((f,), X)
+        if stop > 0:  # the scalar loop takes dist_to_set(x) right after f(x)
+            d = dist_to_set_rows(X, growth.argmin_set)
+        if error is not None:
+            raise error
+        checked += len(X)
+        gap = fv - growth.inf_value
         required = 0.5 * growth.mu * d * d
-        if gap < required - TAU:
-            violations.append(GrowthViolation("growth", p, gap, required))
-        elif d <= TAU and abs(gap) > TAU:
-            violations.append(GrowthViolation("argmin_value", p, gap, 0.0))
+        low = gap < required - TAU
+        off = ~low & (d <= TAU) & (np.abs(gap) > TAU)
+        for i in np.flatnonzero(low | off).tolist():
+            p = Point(tuple(X[i].tolist()))
+            if low[i]:
+                violations.append(GrowthViolation("growth", p, float(gap[i]),
+                                                  float(required[i])))
+            else:
+                violations.append(GrowthViolation("argmin_value", p, float(gap[i]), 0.0))
     if isinstance(growth.argmin_set, FinitePointSet):
         for p in growth.argmin_set.points:
             if not in_closed_ball(p, radius):
