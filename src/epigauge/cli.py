@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import hashlib
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -616,7 +617,7 @@ def load_problem(path: str | Path) -> ProblemSpec:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise SpecParseError(f"cannot read problem file: {e}", str(p), 0) from None
     return parse_problem_text(text, str(p))
 
@@ -779,7 +780,7 @@ def cmd_certify(args) -> int:
 
     xstar = _pick_target_minimizer(spec.growth, spec.cylinder.R)
     argmin = grid_argmin(g, grid, threads=args.threads)
-    xtilde = argmin.points[0]
+    xtilde = Point(tuple(argmin.rows[0].tolist()))
 
     cert = displacement_bound(gauge, spec.growth, xstar, xtilde, f, g, grid_step=grid_step)
     check_star, check_tilde = cert.window_checks
@@ -819,7 +820,7 @@ def cmd_certify(args) -> int:
     add("[oracle]")
     add(f"grid_gauge = {_fmt(oracle_gauge)}")
     add(f"grid_sup_abs_diff = {_fmt(oracle_sup)}")
-    add(f"argmin_tie_count = {len(argmin.points)}")
+    add(f"argmin_tie_count = {len(argmin.rows)}")
     add(f"argmin_value = {_fmt(argmin.value)}")
     add("[window_x_star]")
     add(f"point = {_fmt_point(check_star.point)}")
@@ -862,7 +863,12 @@ def cmd_certify(args) -> int:
     finally:
         if close:
             stream.close()
-    return 0 if (cert.valid and value_ok and displacement_ok) else 3
+    failed = [name for name, ok in (("valid", cert.valid), ("value_control_consistent", value_ok),
+                                    ("displacement_consistent", displacement_ok)) if not ok]
+    if failed:
+        sys.stderr.write(f"certificate check failed: {', '.join(failed)} = false in the record\n")
+        return 3
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -881,9 +887,12 @@ def _print_properties(props: Sequence[_Property], stream: TextIO) -> int:
     for p in props:
         status = "PASS" if p.passed else "FAIL"
         stream.write(f"{status} {p.name}: {p.detail}\n")
-    failed = sum(1 for p in props if not p.passed)
-    stream.write(f"{len(props) - failed}/{len(props)} properties passed\n")
-    return 0 if failed == 0 else 1
+    failed = [p.name for p in props if not p.passed]
+    stream.write(f"{len(props) - len(failed)}/{len(props)} properties passed\n")
+    if failed:
+        sys.stderr.write(f"demo property falsified: {', '.join(failed)}\n")
+        return 1
+    return 0
 
 
 def _demo_strictness(args) -> list[_Property]:
@@ -1067,6 +1076,33 @@ def _positive_floats(text: str) -> list[float]:
     return [_positive_float(part) for part in text.split(",")]
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return n
+
+
+def _output_path(text: str) -> str:
+    """An ``--out`` path that can be created or overwritten, checked at
+    parse time so that no scan runs for output that cannot be written."""
+    path = Path(text)
+    try:
+        if path.is_dir():  # also the empty path, which names the working directory
+            raise argparse.ArgumentTypeError(f"{text!r} is not a file path")
+        if not path.parent.is_dir():
+            raise argparse.ArgumentTypeError(f"directory of {text!r} does not exist")
+        writable = os.access(path if path.exists() else path.parent, os.W_OK)
+    except OSError as e:  # e.g. a file name longer than the file system allows
+        raise argparse.ArgumentTypeError(f"{text!r}: {e.strerror}") from None
+    if not writable:
+        raise argparse.ArgumentTypeError(f"{text!r} is not writable")
+    return text
+
+
 _THREADS_HELP = "accepted for compatibility; has no effect (scans run as numpy blocks)"
 
 
@@ -1086,7 +1122,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--level-step", type=float, default=None, dest="level_step",
                        help="level lattice step (overrides the [grid] section)")
         p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
-        p.add_argument("--out", default=None, help="write output to this file")
+        p.add_argument("--out", type=_output_path, default=None,
+                       help="write output to this file")
 
     p_gauge = sub.add_parser("gauge", help="evaluate certificate blocks and oracle "
                                            "gauge side by side")
@@ -1107,7 +1144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--mu", type=float, default=2.0)
     p_demo.add_argument("--delta-min", type=_positive_float, default=1e-4, dest="delta_min")
     p_demo.add_argument("--delta-max", type=_positive_float, default=1e-2, dest="delta_max")
-    p_demo.add_argument("--num-deltas", type=int, default=6, dest="num_deltas")
+    p_demo.add_argument("--num-deltas", type=_positive_int, default=6, dest="num_deltas")
     p_demo.add_argument("--queries", type=lambda s: [float(x) for x in s.split(",")],
                         default=[-0.5, 0.5],
                         help="comma-separated 1-d query coordinates")
@@ -1118,7 +1155,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_demo.add_argument("--csv", action="store_true",
                         help="emit the sweep table as CSV to stdout (sharpness)")
-    p_demo.add_argument("--out", default=None, help="write CSV to this file")
+    p_demo.add_argument("--out", type=_output_path, default=None,
+                        help="write CSV to this file")
     p_demo.set_defaults(func=cmd_demo)
 
     p_sweep = sub.add_parser("sweep", help="displacement sweep over drop sizes; "
@@ -1130,10 +1168,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated drop sizes (overrides the log range)")
     p_sweep.add_argument("--delta-min", type=_positive_float, default=1e-5, dest="delta_min")
     p_sweep.add_argument("--delta-max", type=_positive_float, default=1e-2, dest="delta_max")
-    p_sweep.add_argument("--num-deltas", type=int, default=8, dest="num_deltas")
+    p_sweep.add_argument("--num-deltas", type=_positive_int, default=8, dest="num_deltas")
     p_sweep.add_argument("--grid-step", type=float, default=2e-5, dest="grid_step")
     p_sweep.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
-    p_sweep.add_argument("--out", default=None)
+    p_sweep.add_argument("--out", type=_output_path, default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
@@ -1163,6 +1201,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EpigaugeError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
+    except OSError as e:  # --out passed its parse-time check but cannot be written
+        sys.stderr.write(f"cannot write output: {e}\n")
+        return 2
 
 
 def entrypoint() -> None:

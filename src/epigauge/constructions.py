@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import ClosedBall, FinitePointSet, Func, Point, in_closed_ball, norms
 from .errors import ConstructionError, PreconditionError
-from .oracle import Grid, dist_to_set, dist_to_set_rows, grid_argmin
+from .oracle import Grid, dist_to_set_rows, grid_argmin
 from .stability import GrowthCert
 
 __all__ = [
@@ -283,7 +283,8 @@ def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float,
     the extreme tied point (largest distance to the target minimizer, then
     lexicographically last) is tabulated against the certified bound
     ``2*sqrt(delta/mu)`` with grid slack ``2*grid_step``.  The returned
-    slope is the least-squares fit of ``log(dist)`` versus ``log(delta)``.
+    slope is the least-squares fit of ``log(dist)`` versus ``log(delta)``,
+    NaN when the drops take fewer than two distinct values.
 
     The step must resolve the smallest plateau: ``grid_step <
     sqrt(2*min(delta)/mu)/10`` is required, otherwise the scan error would
@@ -320,25 +321,22 @@ def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float,
     rows = []
     for delta in deltas_t:
         family = build_sharpness_pair(mu, delta)
-        result = grid_argmin(family.g, grid, threads=threads)
-        ties = np.array([p.coords for p in result.points])
+        ties = grid_argmin(family.g, grid, threads=threads).rows
         dist = dist_to_set_rows(ties, target)
         far = np.flatnonzero(dist == dist.max())
-        extreme = result.points[far[np.argmax(ties[far, 0])]]
-        d = dist_to_set(extreme, target)
+        extreme = far[np.argmax(ties[far, 0])]
         rows.append(SweepRow(
             delta=delta,
-            argmin=extreme.coords[0],
-            dist=d,
+            argmin=float(ties[extreme, 0]),
+            dist=float(dist[extreme]),
             bound=family.displacement_bound_value(),
             slack=2.0 * grid_step,
         ))
 
     log_d = np.log([r.delta for r in rows])
     log_dist = np.log([r.dist for r in rows])
-    if len(rows) >= 2:
-        slope = float(np.polyfit(log_d, log_dist, 1)[0])
-    else:
-        slope = float("nan")
+    # full=True reports the rank instead of printing a RankWarning.
+    coeffs, _, rank, _, _ = np.polyfit(log_d, log_dist, 1, full=True)
+    slope = float(coeffs[0]) if rank == 2 else float("nan")
     return SweepResult(rows=tuple(rows), slope=slope, mu=mu, grid_step=grid_step,
                        radius=radius)

@@ -10,8 +10,13 @@ each block with numpy; function values come from ``Func.values`` semantics
 (``eval_rows``), so every result and every raised error is bit-identical to
 a point-by-point loop in lattice order.  The reductions are exact (max /
 min of floats) and tie lists are assembled in lattice order, so results do
-not depend on the block size.  The ``threads`` arguments are accepted for
-compatibility and ignored: the numpy blocks run single-threaded.
+not depend on the block size.  Argmin ties stay an ``(n, dim)`` array
+(``ArgminResult.rows``); ``Point`` objects are built only on request.
+``grid_gauge`` reads the lowest level only: at a fixed base point the
+case-split discrepancy is nonincreasing in the level even in floating
+point, so the lowest level attains the maximum over the band.  The
+``threads`` arguments are accepted for compatibility and ignored: the numpy
+blocks run single-threaded.
 """
 
 from __future__ import annotations
@@ -65,7 +70,12 @@ def _axis_kmax(radius: float, step: float) -> int:
         raise PreconditionError(f"grid step must be finite and > 0, got {step!r}")
     if not (radius > 0) or not math.isfinite(radius):
         raise PreconditionError(f"grid radius must be finite and > 0, got {radius!r}")
-    return int(math.floor((radius / step) * (1.0 + TAU) + TAU))
+    ratio = (radius / step) * (1.0 + TAU) + TAU
+    if not ratio < LATTICE_CAP:  # also an infinite ratio, which has no integer floor
+        raise OracleCapError(
+            f"lattice step {step!r} on radius {radius!r} gives more than {LATTICE_CAP} "
+            f"points per axis")
+    return int(math.floor(ratio))
 
 
 def _axis_values(radius: float, step: float, kmax: int) -> tuple[float, ...]:
@@ -94,6 +104,7 @@ class Grid:
     radius: float
     step: float
     axis: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _axis_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (isinstance(self.dim, int) and self.dim >= 1):
@@ -103,7 +114,11 @@ class Grid:
             raise OracleCapError(
                 f"lattice of {2 * kmax + 1}^{self.dim} cube points exceeds cap {LATTICE_CAP}"
             )
-        object.__setattr__(self, "axis", _axis_values(self.radius, self.step, kmax))
+        axis = _axis_values(self.radius, self.step, kmax)
+        axis_array = np.asarray(axis, dtype=np.float64)
+        axis_array.setflags(write=False)
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "_axis_array", axis_array)
 
     def cube_size(self) -> int:
         return len(self.axis) ** self.dim
@@ -116,7 +131,7 @@ class Grid:
         consecutive cube nodes (at least one) and then filtered to the ball
         with the same ``radius * (1 + TAU) + TAU`` slack as
         ``in_closed_ball``; empty blocks are skipped."""
-        axis = np.asarray(self.axis, dtype=np.float64)
+        axis = self._axis_array
         size = self.cube_size()
         step = max(1, BLOCK_CELLS // cells_per_point)
         bound = self.radius * (1.0 + TAU) + TAU
@@ -168,13 +183,28 @@ class LevelGrid:
         return LevelGrid(self.M, self.step_t / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArgminResult:
     """Minimal lattice value and every lattice point attaining it within
-    the tie tolerance, in lexicographic order."""
+    the tie tolerance, as the rows of a read-only ``(n, dim)`` float64
+    array in lexicographic order."""
 
-    points: tuple[Point, ...]
+    rows: np.ndarray
     value: float
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        """The tied points as ``Point`` objects, built on each access."""
+        return tuple(lattice_point(tuple(row)) for row in self.rows.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ArgminResult):
+            return NotImplemented
+        return (self.value == other.value and self.rows.shape == other.rows.shape
+                and bool(np.array_equal(self.rows, other.rows)))
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.rows.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +245,17 @@ def grid_gauge(f: Func, g: Func, grid: Grid, lgrid: LevelGrid, threads: int = 1)
     """Max of the pointwise vertical discrepancy over lattice x level
     lattice: a lower bound on the true cylinder gauge.
 
-    Function values are computed once per base point; the level sweep uses
-    the same case split as ``pointwise_discrepancy``, so the scan result is
-    dominated by ``grid_sup_abs_diff`` on the same base lattice exactly (no
-    tolerance needed).
+    The discrepancy uses the same case split as ``pointwise_discrepancy``,
+    so the scan result is dominated by ``grid_sup_abs_diff`` on the same
+    base lattice exactly (no tolerance needed).  Only the lowest level
+    ``lgrid.values[0]`` is evaluated: at each base point the discrepancy is
+    ``hi - lo`` below ``lo``, ``fl(hi - t)`` between, and 0 above ``hi``, and
+    since rounding is monotone ``fl(hi - t)`` never increases with ``t``,
+    never exceeds ``hi - lo`` and is never negative; the lowest level
+    therefore attains the maximum over the band bit for bit.  (It is not
+    ``-M`` itself: ``LevelGrid(0.3, 0.1).values[0]`` is
+    ``-0.30000000000000004``.)  The size cap still applies to the whole
+    base x level lattice.
     """
     _check_domains(grid, f, g)
     if grid.cube_size() * len(lgrid.values) > LATTICE_CAP:
@@ -226,16 +263,16 @@ def grid_gauge(f: Func, g: Func, grid: Grid, lgrid: LevelGrid, threads: int = 1)
             f"gauge scan of {grid.cube_size()} x {len(lgrid.values)} points exceeds "
             f"cap {LATTICE_CAP}"
         )
-    tvals = np.asarray(lgrid.values, dtype=np.float64)
+    t = lgrid.values[0]
     m = 0.0
-    for X in grid.blocks(cells_per_point=len(tvals)):
+    for X in grid.blocks():
         (fa, fb), _, error = eval_rows((f, g), X)
         if error is not None:
             raise error
         up = fa > fb
-        hi = np.where(up, fa, fb)[:, None]
-        lo = np.where(up, fb, fa)[:, None]
-        disc = np.where(tvals >= hi, 0.0, np.where(tvals <= lo, hi - lo, hi - tvals))
+        hi = np.where(up, fa, fb)
+        lo = np.where(up, fb, fa)
+        disc = np.where(t >= hi, 0.0, np.where(t <= lo, hi - lo, hi - t))
         dm = float(disc.max())
         if dm > m:
             m = dm
@@ -264,9 +301,9 @@ def grid_argmin(f: Func, grid: Grid, threads: int = 1, tie_tol: float = TAU) -> 
         candidates.append((X[keep], v[keep]))
     if not candidates:
         raise PreconditionError("grid has no points")
-    tied = tuple(lattice_point(tuple(row)) for X, v in candidates
-                 for row in X[v <= best + tie_tol].tolist())
-    return ArgminResult(points=tied, value=best)
+    rows = np.concatenate([X[v <= best + tie_tol] for X, v in candidates])
+    rows.setflags(write=False)
+    return ArgminResult(rows=rows, value=best)
 
 
 def dist_to_set(x: Point, argmin_set: ArgminSet) -> float:

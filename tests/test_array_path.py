@@ -15,9 +15,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epigauge import (
     TAU,
+    ArgminResult,
     CertificateViolationError,
     ClosedBall,
     Cover,
@@ -33,6 +36,7 @@ from epigauge import (
     InconsistentCoverError,
     LevelGrid,
     LocalCert,
+    OracleCapError,
     Point,
     ToleranceField,
     aggregate_cover,
@@ -529,3 +533,112 @@ def test_threads_argument_is_ignored():
     assert grid_argmin(fam.g, grid, threads=1) == grid_argmin(fam.g, grid, threads=8)
     with pytest.raises(DomainError):
         grid_sup_abs_diff(Func.quadratic(1.0, domain_radius=0.5), fam.g, grid)
+
+
+# ---------------------------------------------------------------------------
+# Lowest-level gauge scan and array-valued argmin ties
+# ---------------------------------------------------------------------------
+
+
+def level_sweep_gauge(f, g, grid, lgrid):
+    """The full base x level scan: ``pointwise_discrepancy`` at every
+    lattice point and every level, as one ``(n, L)`` array, and its max
+    under the scan's rule (start at ``0.0``, replace on ``>``)."""
+    pts = list(grid.points())
+    disc = np.array([[pointwise_discrepancy(f(p), g(p), t) for t in lgrid.values]
+                     for p in pts])
+    assert disc.shape == (len(pts), len(lgrid.values))
+    return disc, max(0.0, float(disc.max()))
+
+
+def gauge_pairs(dim: int):
+    rng = np.random.default_rng(300 + dim)
+    quad = Func.quadratic(1.0, dim=dim)
+    pairs = [(random_analytic(rng, dim), random_analytic(rng, dim)) for _ in range(4)]
+    f = random_analytic(rng, dim)
+    pairs.append((f, clamp_to_band(random_analytic(rng, dim), f, 0.2)))
+    pairs += [
+        (quad, quad),  # lo == hi everywhere
+        (quad, Func.clamp_shift(quad, 0.1)),  # ties on a plateau around the origin
+        (Func.constant(0.1, dim=dim), Func.constant(0.2, dim=dim)),  # on lattice levels
+        (Func.constant(-0.3, dim=dim), Func.constant(0.3, dim=dim)),  # on +/-M
+        (Func.constant(0.0, dim=dim), Func.constant(-0.0, dim=dim)),  # signed zeros
+        (Func.scaled(quad, -0.0), Func.constant(0.0, dim=dim)),
+        (Func.constant(-5.0, dim=dim), Func.quadratic(-2.0, dim=dim)),  # below the band
+        (Func.constant(5.0, dim=dim), Func.sum_of(quad, Func.constant(4.0, dim=dim))),
+    ]
+    return pairs
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lowest_level_gauge_matches_full_level_sweep(dim):
+    grid = Grid(dim, 1.0, {1: 0.02, 2: 0.125, 3: 0.25}[dim])
+    lgrids = (LevelGrid(0.3, 0.1), LevelGrid(2.0, 0.1), LevelGrid(1.0, 0.3),
+              LevelGrid(4.5, 1.5))
+    # The lowest level lies below -M: the band endpoint is not on the lattice.
+    assert lgrids[0].values[0] < -0.3
+    for f, g in gauge_pairs(dim):
+        for lgrid in lgrids:
+            disc, expected = level_sweep_gauge(f, g, grid, lgrid)
+            # The claim behind the scan: each row is nonincreasing in the level.
+            assert np.all(np.diff(disc, axis=1) <= 0.0)
+            assert grid_gauge(f, g, grid, lgrid).hex() == expected.hex()
+            assert grid_gauge(g, f, grid, lgrid).hex() == expected.hex()
+
+
+def test_gauge_keeps_the_base_times_level_cap():
+    grid = Grid(1, 1.0, 1e-5)  # 200,001 points
+    lgrid = LevelGrid(1.0, 1e-3)  # 2,001 levels
+    f = Func.quadratic(1.0)
+    with pytest.raises(OracleCapError, match="gauge scan of 200001 x 2001 points"):
+        grid_gauge(f, f, grid, lgrid)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=6))
+def test_discrepancy_is_nonincreasing_in_the_level(fa, fb, levels):
+    disc = [pointwise_discrepancy(fa, fb, t) for t in sorted(levels)]
+    assert all(a >= b >= 0.0 for a, b in zip(disc, disc[1:]))
+    assert disc[0] <= abs(fa - fb)
+
+
+def argmin_cases():
+    fam = build_sharpness_pair(2.0, 0.5)
+    zeros = Func(lambda p: 0.0 if p.coords[0] < 0.5 else -0.0, label="zeros")
+    return [
+        (fam.g, Grid(1, 1.0, 2e-5)),  # a plateau of ties across both blocks
+        (zeros, Grid(1, 1.0, 0.01)),
+        (Func.constant(0.5, dim=2), Grid(2, 1.0, 0.125)),  # every point ties
+        (Func.clamp_shift(Func.quadratic(1.0, dim=2), 0.05), Grid(2, 1.0, 0.05)),
+        (Func.clamp_shift(Func.quadratic(1.0, dim=3), 0.1), Grid(3, 1.0, 0.1)),
+        (Func.quadratic(1.0, dim=3), Grid(3, 1.0, 0.3)),  # a single minimizer
+    ]
+
+
+def test_argmin_rows_are_lattice_ordered_float64_array():
+    for f, grid in argmin_cases():
+        result = grid_argmin(f, grid)
+        points, value = naive_argmin(f, grid)
+        assert result.rows.dtype == np.float64
+        assert result.rows.shape == (len(points), grid.dim)
+        assert not result.rows.flags.writeable
+        assert hexes(result.rows.ravel()) == hexes(c for p in points for c in p.coords)
+        assert result.value.hex() == value.hex()
+        # ``points`` is built from ``rows``, bit for bit and in the same order.
+        assert [hexes(p.coords) for p in result.points] == [hexes(r) for r in result.rows]
+        assert result.points == points
+        # Lattice order is lexicographic order of the coordinates.
+        assert [tuple(r) for r in result.rows.tolist()] == sorted(map(tuple, result.rows.tolist()))
+
+
+def test_argmin_result_equality():
+    f, grid = argmin_cases()[3]
+    a, b = grid_argmin(f, grid), grid_argmin(f, grid, threads=4)
+    assert a == b and hash(a) == hash(b)
+    assert a != ArgminResult(rows=a.rows[:-1], value=a.value)
+    assert a != ArgminResult(rows=a.rows, value=a.value + 1.0)
+    assert a != ArgminResult(rows=a.rows[::-1], value=a.value)
+    assert a != grid_argmin(Func.constant(0.0, dim=1), Grid(1, 1.0, 0.5))
+    assert a != a.points
