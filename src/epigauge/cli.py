@@ -4,8 +4,10 @@ counterexample demos, sweeps, and record emission.
 Problem files use a small line-oriented sectioned format (see the bundled
 ``problems/*.prob`` files and the README).  Functions are *named analytic
 families plus parameters*, never arbitrary expressions: evaluation stays
-pure and auditable.  Unknown sections, unknown keys, and malformed values
-are line-anchored hard errors.
+pure and auditable.  One reader, ``_read``, parses every section against
+the schema tables below (``_TOP``, ``_FAMILIES``, ``_SECTIONS``, ...); unknown
+sections, unknown or missing keys, malformed values and rejected
+constructor preconditions are line-anchored ``SpecParseError``s.
 
 Certified numbers and oracle scan numbers are printed in separate labeled
 columns in every output: a lattice scan is a lower-bound estimate and is
@@ -75,36 +77,6 @@ SCHEMA_VERSION = 1
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
-_TOP_KEYS = {"version", "dimension"}
-_FUNC_KEYS = {
-    "family", "coeff", "value", "slope", "intercept", "center", "rho",
-    "amplitude", "base", "shift", "factor", "terms", "domain_radius",
-}
-_FAMILY_KEYS = {
-    "quadratic": {"coeff"},
-    "constant": {"value"},
-    "affine": {"slope", "intercept"},
-    "bump": {"center", "rho", "amplitude"},
-    "clamp_shift": {"base", "shift"},
-    "scale": {"base", "factor"},
-    "sum": {"terms"},
-}
-_SECTION_KEYS = {
-    "cylinder": {"R", "M"},
-    "pair": {"f", "g"},
-    "envelope": {"lower", "upper", "region_radius", "grid_exact"},
-    "cover": {"cert"},
-    "tolerance": {"family", "value", "base", "slope", "grid_exact"},
-    "growth": {"mu", "radius", "inf_value", "argmin_kind", "argmin_points",
-               "argmin_center", "argmin_radius"},
-    "grid": {"step", "level_step"},
-}
-_TOLERANCE_FAMILY_KEYS = {
-    "constant": {"value"},
-    "radial_affine": {"base", "slope"},
-}
-_REPEATABLE_KEYS = {("cover", "cert")}
-
 
 # ---------------------------------------------------------------------------
 # Tokenizing
@@ -118,6 +90,10 @@ class _Section:
     line: int
     entries: list[tuple[str, str, int]]
 
+    @property
+    def title(self) -> str:
+        return f"{self.kind} {self.arg}".strip() or "top level"
+
 
 def _strip_comment(line: str) -> str:
     # '#' never appears in legal values, so a comment may follow content.
@@ -126,7 +102,8 @@ def _strip_comment(line: str) -> str:
 
 
 def _tokenize(text: str, path: str) -> list[_Section]:
-    sections: list[_Section] = [_Section("", "", 0, [])]
+    # A missing top-level key is reported at line 1.
+    sections: list[_Section] = [_Section("", "", 1, [])]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -144,7 +121,7 @@ def _tokenize(text: str, path: str) -> list[_Section]:
                     raise SpecParseError(
                         "function section needs a name: [function NAME]", path, lineno)
                 sections.append(_Section("function", parts[1].strip(), lineno, []))
-            elif kind in _SECTION_KEYS:
+            elif kind in _SECTIONS:
                 if len(parts) != 1:
                     raise SpecParseError(f"section [{kind}] takes no argument", path, lineno)
                 sections.append(_Section(kind, "", lineno, []))
@@ -162,87 +139,263 @@ def _tokenize(text: str, path: str) -> list[_Section]:
     return sections
 
 
-def _entries_to_map(section: _Section, allowed: set[str], path: str) -> dict[str, tuple[str, int]]:
-    out: dict[str, tuple[str, int]] = {}
-    for key, value, lineno in section.entries:
-        if key not in allowed:
-            raise SpecParseError(
-                f"unknown key {key!r} in section [{section.kind or 'top level'}]", path, lineno)
-        if key in out and (section.kind, key) not in _REPEATABLE_KEYS:
-            raise SpecParseError(f"duplicate key {key!r}", path, lineno)
-        out[key] = (value, lineno)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Value parsing
+# Parse state and value kinds: kind(text, ctx, line, key) -> value, or a
+# SpecParseError at the value's line
 # ---------------------------------------------------------------------------
 
 
-def _parse_float(value: str, path: str, line: int, key: str) -> float:
+class _Context:
+    """What value kinds and builders need: the file path, the problem
+    dimension, the sections built so far, and the function sections, each
+    built on its first reference."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.dim = 0
+        self.found: dict[str, object] = {}
+        self.function_sections: dict[str, _Section] = {}
+        self.functions: dict[str, Func] = {}
+        self._visiting: set[str] = set()
+
+    def error(self, message: str, line: int) -> SpecParseError:
+        return SpecParseError(message, self.path, line)
+
+    def call(self, line: int, build, *args, **kwargs):
+        """``build(*args, **kwargs)``; a failed precondition of a
+        certificate or constructor becomes a parse error at ``line``."""
+        try:
+            return build(*args, **kwargs)
+        except PreconditionError as e:
+            raise self.error(str(e), line) from e
+
+    def function(self, name: str, line: int) -> Func:
+        """The function ``name``, referenced at ``line``."""
+        if name in self.functions:
+            return self.functions[name]
+        sec = self.function_sections.get(name)
+        if sec is None:
+            raise self.error(f"reference to undefined function {name!r}", line)
+        if name in self._visiting:
+            raise self.error(f"circular function definition involving {name!r}", sec.line)
+        self._visiting.add(name)
+        values = _read(self, sec, _FUNCTION_KEYS, ("family", _FAMILIES))
+        build, radius = values.pop("family"), values.pop("domain_radius")
+        func = self.call(sec.line, build, self, **values)
+        domain = {} if radius is None else {"domain_radius": radius}
+        self.functions[name] = dataclasses.replace(func, label=name, **domain)
+        return self.functions[name]
+
+
+def _float(text: str, ctx: _Context, line: int, key: str) -> float:
     try:
-        x = float(value)
+        x = float(text)
     except ValueError:
-        raise SpecParseError(f"{key}: expected a number, got {value!r}", path, line) from None
+        raise ctx.error(f"{key}: expected a number, got {text!r}", line) from None
     if not math.isfinite(x):
-        raise SpecParseError(f"{key}: value must be finite, got {value!r}", path, line)
+        raise ctx.error(f"{key}: value must be finite, got {text!r}", line)
     return x
 
 
-def _parse_int(value: str, path: str, line: int, key: str) -> int:
+def _positive(text: str, ctx: _Context, line: int, key: str) -> float:
+    x = _float(text, ctx, line, key)
+    if x <= 0:
+        raise ctx.error(f"{key} must be > 0", line)
+    return x
+
+
+def _nonnegative(text: str, ctx: _Context, line: int, key: str) -> float:
+    x = _float(text, ctx, line, key)
+    if x < 0:
+        raise ctx.error(f"{key} must be >= 0", line)
+    return x
+
+
+def _int(text: str, ctx: _Context, line: int, key: str) -> int:
     try:
-        return int(value)
+        return int(text)
     except ValueError:
-        raise SpecParseError(f"{key}: expected an integer, got {value!r}", path, line) from None
+        raise ctx.error(f"{key}: expected an integer, got {text!r}", line) from None
 
 
-def _parse_bool(value: str, path: str, line: int, key: str) -> bool:
-    v = value.strip().lower()
+def _version(text: str, ctx: _Context, line: int, key: str) -> int:
+    if _int(text, ctx, line, key) != SCHEMA_VERSION:
+        raise ctx.error(f"unsupported version {text!r}", line)
+    return SCHEMA_VERSION
+
+
+def _dimension(text: str, ctx: _Context, line: int, key: str) -> int:
+    n = _int(text, ctx, line, key)
+    if n < 1:
+        raise ctx.error("dimension must be >= 1", line)
+    return n
+
+
+def _bool(text: str, ctx: _Context, line: int, key: str) -> bool:
+    v = text.lower()
     if v in ("true", "yes", "1"):
         return True
     if v in ("false", "no", "0"):
         return False
-    raise SpecParseError(f"{key}: expected true/false, got {value!r}", path, line)
+    raise ctx.error(f"{key}: expected true/false, got {text!r}", line)
 
 
-def _parse_vector(value: str, path: str, line: int, key: str) -> tuple[float, ...]:
-    parts = value.replace(",", " ").split()
+def _point(text: str, ctx: _Context, line: int, key: str) -> Point:
+    """Coordinates separated by spaces or commas, one per dimension."""
+    parts = text.replace(",", " ").split()
     if not parts:
-        raise SpecParseError(f"{key}: expected coordinates, got {value!r}", path, line)
-    return tuple(_parse_float(p, path, line, key) for p in parts)
+        raise ctx.error(f"{key}: expected coordinates, got {text!r}", line)
+    coords = tuple(_float(p, ctx, line, key) for p in parts)
+    if len(coords) != ctx.dim:
+        raise ctx.error(
+            f"{key} has {len(coords)} components, problem dimension is {ctx.dim}", line)
+    return Point(coords)
 
 
-def _parse_points(value: str, path: str, line: int, key: str) -> tuple[tuple[float, ...], ...]:
-    chunks = [c.strip() for c in value.split(";") if c.strip()]
+def _points(text: str, ctx: _Context, line: int, key: str) -> tuple[Point, ...]:
+    chunks = [c for c in text.split(";") if c.strip()]
     if not chunks:
-        raise SpecParseError(f"{key}: expected ';'-separated points, got {value!r}", path, line)
-    return tuple(_parse_vector(c, path, line, key) for c in chunks)
+        raise ctx.error(f"{key}: expected ';'-separated points, got {text!r}", line)
+    return tuple(_point(c, ctx, line, key) for c in chunks)
 
 
-def _parse_names(value: str, path: str, line: int, key: str) -> tuple[str, ...]:
-    parts = value.replace(",", " ").split()
-    if not parts:
-        raise SpecParseError(f"{key}: expected function names, got {value!r}", path, line)
-    for p in parts:
-        if not _NAME_RE.match(p):
-            raise SpecParseError(f"{key}: invalid function name {p!r}", path, line)
-    return tuple(parts)
+def _func(text: str, ctx: _Context, line: int, key: str) -> Func:
+    if not _NAME_RE.match(text):
+        raise ctx.error(f"{key}: invalid function name {text!r}", line)
+    return ctx.function(text, line)
 
 
-def _parse_name(value: str, path: str, line: int, key: str) -> str:
-    if not _NAME_RE.match(value):
-        raise SpecParseError(f"{key}: invalid function name {value!r}", path, line)
-    return value
+def _funcs(text: str, ctx: _Context, line: int, key: str) -> tuple[Func, ...]:
+    names = text.replace(",", " ").split()
+    if not names:
+        raise ctx.error(f"{key}: expected function names, got {text!r}", line)
+    return tuple(_func(name, ctx, line, key) for name in names)
 
 
-def _float_of(m: dict[str, tuple[str, int]], key: str, path: str) -> float:
-    v, ln = m[key]
-    return _parse_float(v, path, ln, key)
+def _cert(text: str, ctx: _Context, line: int, key: str) -> LocalCert:
+    """``center | radius | lower | upper``."""
+    parts = [p.strip() for p in text.split("|")]
+    if len(parts) != 4:
+        raise ctx.error(f"{key} entry must be 'center | radius | lower | upper'", line)
+    center = _point(parts[0], ctx, line, f"{key} center")
+    return ctx.call(line, LocalCert, center=center,
+                    radius=_float(parts[1], ctx, line, f"{key} radius"),
+                    lower=_func(parts[2], ctx, line, f"{key} lower"),
+                    upper=_func(parts[3], ctx, line, f"{key} upper"))
 
 
-def _bool_of(m: dict[str, tuple[str, int]], key: str, path: str) -> bool:
-    v, ln = m[key]
-    return _parse_bool(v, path, ln, key)
+# ---------------------------------------------------------------------------
+# Schemas.  A schema maps each key to its kind, or to (kind, default) when
+# the key is optional.  A family table maps the value of its discriminator
+# key to (schema, builder).  Builders take the parsed values (most also the
+# context) and look constructors up at call time.
+# ---------------------------------------------------------------------------
+
+# [function NAME]: the keys of every family, then the family table.  The
+# label and domain_radius are applied to each family's function alike.
+_FUNCTION_KEYS = {"domain_radius": (_positive, None)}
+_FAMILIES = {
+    "quadratic": ({"coeff": _float}, lambda c, coeff: Func.quadratic(coeff, dim=c.dim)),
+    "constant": ({"value": _float}, lambda c, value: Func.constant(value, dim=c.dim)),
+    "affine": ({"slope": _point, "intercept": _float},
+               lambda c, slope, intercept: Func.affine(slope.coords, intercept)),
+    "bump": ({"center": _point, "rho": _positive, "amplitude": _float},
+             lambda c, center, rho, amplitude: Func.bump(center, rho, amplitude)),
+    "clamp_shift": ({"base": _func, "shift": _float},
+                    lambda c, base, shift: Func.clamp_shift(base, shift)),
+    "scale": ({"base": _func, "factor": _float},
+              lambda c, base, factor: Func.scaled(base, factor)),
+    "sum": ({"terms": _funcs}, lambda c, terms: Func.sum_of(*terms)),
+}
+
+_TOLERANCE_FAMILIES = {  # radial_affine: base + slope * ||x|| / R
+    "constant": ({"value": _nonnegative}, lambda **v: ToleranceField.constant(**v)),
+    "radial_affine": ({"base": _float, "slope": _float},
+                      lambda **v: ToleranceField.radial_affine(**v)),
+}
+
+_ARGMIN_KINDS = {
+    "points": ({"argmin_points": _points}, lambda c, argmin_points, **growth:
+               GrowthCert(argmin_set=FinitePointSet(argmin_points), **growth)),
+    "ball": ({"argmin_center": _point, "argmin_radius": _float},
+             lambda c, argmin_center, argmin_radius, **growth:
+             GrowthCert(argmin_set=ClosedBall(argmin_center, argmin_radius), **growth)),
+}
+
+
+def _tolerance(c: _Context, family, **values) -> ToleranceField:
+    if "cylinder" not in c.found:
+        raise PreconditionError("[tolerance] requires a [cylinder] section")
+    return family(cylinder=c.found["cylinder"], dim=c.dim, **values)
+
+
+_TOP = {"version": (_version, SCHEMA_VERSION), "dimension": _dimension}
+
+# section -> (schema, discriminator, builder), in the order sections are built
+_SECTIONS = {
+    "cylinder": ({"R": _float, "M": _float}, None, lambda c, R, M: Cylinder(R, M)),
+    # a built function is labelled with its name
+    "pair": ({"f": _func, "g": _func}, None, lambda c, f, g: (f.label, g.label)),
+    "envelope": ({"region_radius": _float, "lower": _func, "upper": _func,
+                  "grid_exact": (_bool, False)}, None, lambda c, **v: EnvelopeCert(**v)),
+    "cover": ({"cert": _cert}, None, lambda c, cert: Cover(cert)),  # cert repeats
+    "tolerance": ({"grid_exact": (_bool, False)}, ("family", _TOLERANCE_FAMILIES), _tolerance),
+    "growth": ({"mu": _float, "radius": _float, "inf_value": _float},
+               ("argmin_kind", _ARGMIN_KINDS), lambda c, argmin_kind, **v: argmin_kind(c, **v)),
+    "grid": ({"step": (_positive, None), "level_step": (_positive, None)}, None,
+             lambda c, **v: v),
+}
+
+
+def _read(ctx: _Context, sec: _Section, schema: dict, discriminator=None) -> dict:
+    """The values of ``sec`` parsed against ``schema``.  A discriminator
+    ``(key, table)`` picks the table entry named by that key's value: its
+    keys join the schema and its builder is returned under the key.
+    Duplicate, unknown and missing keys are checked, in that order, before
+    any value is parsed; values are parsed in schema order."""
+    entries: dict[str, tuple[str, int]] = {}
+    for key, text, line in sec.entries:
+        if key in entries:
+            raise ctx.error(f"duplicate key {key!r}", line)
+        entries[key] = (text, line)
+    where = f"section [{sec.title}]"
+    values: dict[str, object] = {}
+    if discriminator is not None:
+        dkey, table = discriminator
+        if dkey not in entries:
+            raise ctx.error(f"missing key {dkey!r}: required for {where}", sec.line)
+        choice, line = entries.pop(dkey)
+        if choice not in table:
+            raise ctx.error(f"unknown {sec.kind} {dkey} {choice!r} (known: {sorted(table)})",
+                            line)
+        keys, values[dkey] = table[choice]
+        schema = {**schema, **keys}
+        where = f"{dkey} {choice!r} in {where}"
+    for key, (_text, line) in entries.items():
+        if key not in schema:
+            raise ctx.error(f"unknown key {key!r}: not valid for {where}", line)
+    for key, kind in schema.items():
+        if not isinstance(kind, tuple) and key not in entries:
+            raise ctx.error(f"missing key {key!r}: required for {where}", sec.line)
+    for key, kind in schema.items():
+        kind, default = kind if isinstance(kind, tuple) else (kind, None)
+        values[key] = kind(entries[key][0], ctx, entries[key][1], key) if key in entries \
+            else default
+    return values
+
+
+def _read_repeated(ctx: _Context, sec: _Section, schema: dict) -> dict:
+    """The values of a section whose one key may repeat ([cover] cert),
+    as a tuple in file order."""
+    (key, kind), = schema.items()
+    items = []
+    for k, text, line in sec.entries:
+        if k != key:
+            raise ctx.error(f"unknown key {k!r}: not valid for section [{sec.title}]", line)
+        items.append(kind(text, ctx, line, key))
+    if not items:
+        raise ctx.error(f"[{sec.kind}] needs at least one {key} entry", sec.line)
+    return {key: tuple(items)}
 
 
 # ---------------------------------------------------------------------------
@@ -277,339 +430,50 @@ class ProblemSpec:
         return self.envelope is not None or self.cover is not None or self.tolerance is not None
 
 
-def _build_function(name: str, entries: dict[str, tuple[str, int]], dim: int,
-                    built: dict[str, Func], path: str, header_line: int) -> Func:
-    family, fam_line = entries["family"]
-    if family not in _FAMILY_KEYS:
-        raise SpecParseError(
-            f"unknown function family {family!r} (known: {sorted(_FAMILY_KEYS)})",
-            path, fam_line)
-    allowed = _FAMILY_KEYS[family] | {"family", "domain_radius"}
-    for key, (_v, lineno) in entries.items():
-        if key not in allowed:
-            raise SpecParseError(
-                f"key {key!r} is not valid for family {family!r}", path, lineno)
-    for key in _FAMILY_KEYS[family]:
-        if key not in entries:
-            raise SpecParseError(
-                f"function {name!r} (family {family!r}) is missing key {key!r}",
-                path, header_line)
-
-    domain_radius = math.inf
-    if "domain_radius" in entries:
-        v, lineno = entries["domain_radius"]
-        domain_radius = _parse_float(v, path, lineno, "domain_radius")
-        if domain_radius <= 0:
-            raise SpecParseError("domain_radius must be > 0", path, lineno)
-
-    def as_float(key: str) -> float:
-        v, lineno = entries[key]
-        return _parse_float(v, path, lineno, key)
-
-    if family == "quadratic":
-        return Func.quadratic(as_float("coeff"), dim=dim, domain_radius=domain_radius, label=name)
-    if family == "constant":
-        return Func.constant(as_float("value"), dim=dim, domain_radius=domain_radius, label=name)
-    if family == "affine":
-        v, lineno = entries["slope"]
-        slope = _parse_vector(v, path, lineno, "slope")
-        if len(slope) != dim:
-            raise SpecParseError(
-                f"slope has {len(slope)} components, problem dimension is {dim}", path, lineno)
-        return Func.affine(slope, as_float("intercept"), domain_radius=domain_radius, label=name)
-    if family == "bump":
-        v, lineno = entries["center"]
-        center = _parse_vector(v, path, lineno, "center")
-        if len(center) != dim:
-            raise SpecParseError(
-                f"center has {len(center)} components, problem dimension is {dim}", path, lineno)
-        rho = as_float("rho")
-        if rho <= 0:
-            raise SpecParseError("rho must be > 0", path, entries["rho"][1])
-        return Func.bump(Point(center), rho, as_float("amplitude"),
-                         domain_radius=domain_radius, label=name)
-    if family == "clamp_shift":
-        v, lineno = entries["base"]
-        base = built[_parse_name(v, path, lineno, "base")]
-        func = Func.clamp_shift(base, as_float("shift"), label=name)
-    elif family == "scale":
-        v, lineno = entries["base"]
-        base = built[_parse_name(v, path, lineno, "base")]
-        func = Func.scaled(base, as_float("factor"), label=name)
-    else:  # sum
-        v, lineno = entries["terms"]
-        names = _parse_names(v, path, lineno, "terms")
-        func = Func.sum_of(*(built[n] for n in names), label=name)
-    if "domain_radius" in entries:
-        func = dataclasses.replace(func, domain_radius=domain_radius, label=name)
-    return func
-
-
-def _function_dependencies(entries: dict[str, tuple[str, int]], path: str) -> tuple[str, ...]:
-    family = entries.get("family", ("", 0))[0]
-    if family in ("clamp_shift", "scale") and "base" in entries:
-        v, lineno = entries["base"]
-        return (_parse_name(v, path, lineno, "base"),)
-    if family == "sum" and "terms" in entries:
-        v, lineno = entries["terms"]
-        return _parse_names(v, path, lineno, "terms")
-    return ()
-
-
 def parse_problem_text(text: str, path: str = "<spec>") -> ProblemSpec:
     """Parse and semantically build a problem description.
 
-    Structural problems (unknown fields, bad values, unresolved names)
-    raise ``SpecParseError`` anchored at the offending line; mathematically
-    inconsistent certificates raise ``CertificateViolationError``.
+    Structural problems (unknown fields, bad values, unresolved names,
+    failed constructor preconditions) raise ``SpecParseError`` anchored at
+    the offending line; mathematically inconsistent certificates raise
+    ``CertificateViolationError``.  The first error found is raised: the
+    top level, then every function section in file order (a referenced
+    function is built on demand first), then the other sections in a fixed
+    order: cylinder, pair, envelope, cover, tolerance, growth, grid.
     """
     sections = _tokenize(text, path)
+    ctx = _Context(path)
+    ctx.dim = _read(ctx, sections[0], _TOP)["dimension"]
 
-    top = _entries_to_map(sections[0], _TOP_KEYS, path)
-    if "version" in top:
-        v, lineno = top["version"]
-        if _parse_int(v, path, lineno, "version") != SCHEMA_VERSION:
-            raise SpecParseError(f"unsupported version {v!r}", path, lineno)
-    if "dimension" not in top:
-        raise SpecParseError("missing required top-level key 'dimension'", path, 1)
-    v, lineno = top["dimension"]
-    dimension = _parse_int(v, path, lineno, "dimension")
-    if dimension < 1:
-        raise SpecParseError("dimension must be >= 1", path, lineno)
-
-    func_sections: dict[str, _Section] = {}
-    single_sections: dict[str, _Section] = {}
+    single: dict[str, _Section] = {}
     for sec in sections[1:]:
         if sec.kind == "function":
-            if sec.arg in func_sections:
-                raise SpecParseError(f"function {sec.arg!r} defined twice", path, sec.line)
-            func_sections[sec.arg] = sec
+            if sec.arg in ctx.function_sections:
+                raise ctx.error(f"function {sec.arg!r} defined twice", sec.line)
+            ctx.function_sections[sec.arg] = sec
         else:
-            if sec.kind in single_sections:
-                raise SpecParseError(f"section [{sec.kind}] given twice", path, sec.line)
-            single_sections[sec.kind] = sec
+            if sec.kind in single:
+                raise ctx.error(f"section [{sec.kind}] given twice", sec.line)
+            single[sec.kind] = sec
 
-    # Build functions, resolving references to other named functions.
-    func_entries = {
-        name: _entries_to_map(sec, _FUNC_KEYS, path) for name, sec in func_sections.items()
-    }
-    for name, entries in func_entries.items():
-        if "family" not in entries:
-            raise SpecParseError(f"function {name!r} is missing key 'family'",
-                                 path, func_sections[name].line)
-    built: dict[str, Func] = {}
-    pending = dict(func_entries)
-    while pending:
-        progress = False
-        for name in list(pending):
-            deps = _function_dependencies(pending[name], path)
-            for d in deps:
-                if d not in func_entries:
-                    key = "base" if "base" in pending[name] else "terms"
-                    raise SpecParseError(f"reference to undefined function {d!r}",
-                                         path, pending[name][key][1])
-            if all(d in built for d in deps):
-                try:
-                    built[name] = _build_function(name, pending[name], dimension, built,
-                                                  path, func_sections[name].line)
-                except PreconditionError as e:
-                    raise SpecParseError(str(e), path, func_sections[name].line) from e
-                del pending[name]
-                progress = True
-        if not progress:
-            name = sorted(pending)[0]
-            raise SpecParseError(f"circular function definition involving {name!r}",
-                                 path, func_sections[name].line)
+    for name, sec in ctx.function_sections.items():
+        ctx.function(name, sec.line)
+    for kind, (schema, discriminator, build) in _SECTIONS.items():
+        if kind in single:
+            sec = single[kind]
+            values = (_read_repeated(ctx, sec, schema) if kind == "cover"
+                      else _read(ctx, sec, schema, discriminator))
+            ctx.found[kind] = ctx.call(sec.line, build, ctx, **values)
 
-    def get_func(value: str, lineno: int, key: str) -> Func:
-        name = _parse_name(value, path, lineno, key)
-        if name not in built:
-            raise SpecParseError(f"reference to undefined function {name!r}", path, lineno)
-        return built[name]
-
-    # Cylinder
-    cylinder = None
-    if "cylinder" in single_sections:
-        sec = single_sections["cylinder"]
-        m = _entries_to_map(sec, _SECTION_KEYS["cylinder"], path)
-        for key in ("R", "M"):
-            if key not in m:
-                raise SpecParseError(f"[cylinder] is missing key {key!r}", path, sec.line)
-        try:
-            cylinder = Cylinder(_float_of(m, "R", path), _float_of(m, "M", path))
-        except PreconditionError as e:
-            raise SpecParseError(str(e), path, sec.line) from e
-
-    # Pair
-    pair = None
-    if "pair" in single_sections:
-        sec = single_sections["pair"]
-        m = _entries_to_map(sec, _SECTION_KEYS["pair"], path)
-        for key in ("f", "g"):
-            if key not in m:
-                raise SpecParseError(f"[pair] is missing key {key!r}", path, sec.line)
-        get_func(m["f"][0], m["f"][1], "f")
-        get_func(m["g"][0], m["g"][1], "g")
-        pair = (_parse_name(m["f"][0], path, m["f"][1], "f"),
-                _parse_name(m["g"][0], path, m["g"][1], "g"))
-
-    # Envelope
-    envelope = None
-    if "envelope" in single_sections:
-        sec = single_sections["envelope"]
-        m = _entries_to_map(sec, _SECTION_KEYS["envelope"], path)
-        for key in ("lower", "upper", "region_radius"):
-            if key not in m:
-                raise SpecParseError(f"[envelope] is missing key {key!r}", path, sec.line)
-        grid_exact = _bool_of(m, "grid_exact", path) if "grid_exact" in m else False
-        try:
-            envelope = EnvelopeCert(
-                region_radius=_float_of(m, "region_radius", path),
-                lower=get_func(m["lower"][0], m["lower"][1], "lower"),
-                upper=get_func(m["upper"][0], m["upper"][1], "upper"),
-                grid_exact=grid_exact,
-            )
-        except PreconditionError as e:
-            raise SpecParseError(str(e), path, sec.line) from e
-
-    # Cover
-    cover = None
-    if "cover" in single_sections:
-        sec = single_sections["cover"]
-        certs = []
-        for key, value, lineno in sec.entries:
-            if key != "cert":
-                raise SpecParseError(f"unknown key {key!r} in section [cover]", path, lineno)
-            parts = [p.strip() for p in value.split("|")]
-            if len(parts) != 4:
-                raise SpecParseError(
-                    "cert entry must be 'center | radius | lower | upper'", path, lineno)
-            center = _parse_vector(parts[0], path, lineno, "cert center")
-            if len(center) != dimension:
-                raise SpecParseError(
-                    f"cert center has {len(center)} components, problem dimension is "
-                    f"{dimension}", path, lineno)
-            try:
-                certs.append(LocalCert(
-                    center=Point(center),
-                    radius=_parse_float(parts[1], path, lineno, "cert radius"),
-                    lower=get_func(parts[2], lineno, "cert lower"),
-                    upper=get_func(parts[3], lineno, "cert upper"),
-                ))
-            except PreconditionError as e:
-                raise SpecParseError(str(e), path, lineno) from e
-        if not certs:
-            raise SpecParseError("[cover] needs at least one cert entry", path, sec.line)
-        cover = Cover(tuple(certs))
-
-    # Tolerance field
-    tolerance = None
-    if "tolerance" in single_sections:
-        sec = single_sections["tolerance"]
-        m = _entries_to_map(sec, _SECTION_KEYS["tolerance"], path)
-        if cylinder is None:
-            raise SpecParseError("[tolerance] requires a [cylinder] section", path, sec.line)
-        if "family" not in m:
-            raise SpecParseError("[tolerance] is missing key 'family'", path, sec.line)
-        family, fam_line = m["family"]
-        if family not in _TOLERANCE_FAMILY_KEYS:
-            raise SpecParseError(
-                f"unknown tolerance family {family!r} "
-                f"(known: {sorted(_TOLERANCE_FAMILY_KEYS)})", path, fam_line)
-        allowed = _TOLERANCE_FAMILY_KEYS[family] | {"family", "grid_exact"}
-        for key, (_v, lineno) in m.items():
-            if key not in allowed:
-                raise SpecParseError(
-                    f"key {key!r} is not valid for tolerance family {family!r}", path, lineno)
-        for key in _TOLERANCE_FAMILY_KEYS[family]:
-            if key not in m:
-                raise SpecParseError(
-                    f"tolerance family {family!r} is missing key {key!r}", path, sec.line)
-        grid_exact = _bool_of(m, "grid_exact", path) if "grid_exact" in m else False
-        if family == "constant":
-            value = _float_of(m, "value", path)
-            if value < 0:
-                raise SpecParseError("tolerance value must be >= 0", path, m["value"][1])
-            tolerance = ToleranceField.constant(value, cylinder, dimension, grid_exact)
-        else:  # radial_affine: base + slope * ||x|| / R
-            tolerance = ToleranceField.radial_affine(
-                _float_of(m, "base", path), _float_of(m, "slope", path), cylinder,
-                dimension, grid_exact)
-
-    # Growth
-    growth = None
-    if "growth" in single_sections:
-        sec = single_sections["growth"]
-        m = _entries_to_map(sec, _SECTION_KEYS["growth"], path)
-        for key in ("mu", "radius", "inf_value", "argmin_kind"):
-            if key not in m:
-                raise SpecParseError(f"[growth] is missing key {key!r}", path, sec.line)
-        kind, kind_line = m["argmin_kind"]
-        if kind == "points":
-            if "argmin_points" not in m:
-                raise SpecParseError(
-                    "argmin_kind = points requires argmin_points", path, sec.line)
-            v, ln = m["argmin_points"]
-            pts = _parse_points(v, path, ln, "argmin_points")
-            for pt in pts:
-                if len(pt) != dimension:
-                    raise SpecParseError(
-                        f"argmin point has {len(pt)} components, problem dimension is "
-                        f"{dimension}", path, ln)
-            argmin_set = FinitePointSet(tuple(Point(pt) for pt in pts))
-        elif kind == "ball":
-            for key in ("argmin_center", "argmin_radius"):
-                if key not in m:
-                    raise SpecParseError(
-                        f"argmin_kind = ball requires {key}", path, sec.line)
-            v, ln = m["argmin_center"]
-            center = _parse_vector(v, path, ln, "argmin_center")
-            if len(center) != dimension:
-                raise SpecParseError(
-                    f"argmin_center has {len(center)} components, problem dimension is "
-                    f"{dimension}", path, ln)
-            argmin_set = ClosedBall(Point(center), _float_of(m, "argmin_radius", path))
-        else:
-            raise SpecParseError(
-                f"argmin_kind must be 'points' or 'ball', got {kind!r}", path, kind_line)
-        try:
-            growth = GrowthCert(
-                mu=_float_of(m, "mu", path),
-                radius=_float_of(m, "radius", path),
-                argmin_set=argmin_set,
-                inf_value=_float_of(m, "inf_value", path),
-            )
-        except PreconditionError as e:
-            raise SpecParseError(str(e), path, sec.line) from e
-
-    # Grid steps
-    grid_step = None
-    level_step = None
-    if "grid" in single_sections:
-        sec = single_sections["grid"]
-        m = _entries_to_map(sec, _SECTION_KEYS["grid"], path)
-        if "step" in m:
-            grid_step = _float_of(m, "step", path)
-            if grid_step <= 0:
-                raise SpecParseError("grid step must be > 0", path, m["step"][1])
-        if "level_step" in m:
-            level_step = _float_of(m, "level_step", path)
-            if level_step <= 0:
-                raise SpecParseError("level_step must be > 0", path, m["level_step"][1])
-
+    grid = ctx.found.pop("grid", {})
     return ProblemSpec(
         path=path,
         sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        dimension=dimension,
-        functions=built,
-        cylinder=cylinder,
-        pair=pair,
-        envelope=envelope,
-        cover=cover,
-        tolerance=tolerance,
-        growth=growth,
-        grid_step=grid_step,
-        level_step=level_step,
+        dimension=ctx.dim,
+        functions=ctx.functions,
+        grid_step=grid.get("step"),
+        level_step=grid.get("level_step"),
+        **{kind: ctx.found.get(kind) for kind in _SECTIONS if kind != "grid"},
     )
 
 
@@ -708,8 +572,8 @@ def cmd_gauge(args) -> int:
         f, g = spec.pair_funcs()
         grid = Grid(spec.dimension, spec.cylinder.R, grid_step)
         lgrid = LevelGrid(spec.cylinder.M, level_step)
-        oracle_gauge = grid_gauge(f, g, grid, lgrid, threads=args.threads)
-        oracle_sup = grid_sup_abs_diff(f, g, grid, threads=args.threads)
+        oracle_gauge = grid_gauge(f, g, grid, lgrid)
+        oracle_sup = grid_sup_abs_diff(f, g, grid)
 
     stream, close = _out_stream(args)
     try:
@@ -775,11 +639,11 @@ def cmd_certify(args) -> int:
 
     grid = Grid(spec.dimension, spec.cylinder.R, grid_step)
     lgrid = LevelGrid(spec.cylinder.M, level_step)
-    oracle_gauge = grid_gauge(f, g, grid, lgrid, threads=args.threads)
-    oracle_sup = grid_sup_abs_diff(f, g, grid, threads=args.threads)
+    oracle_gauge = grid_gauge(f, g, grid, lgrid)
+    oracle_sup = grid_sup_abs_diff(f, g, grid)
 
     xstar = _pick_target_minimizer(spec.growth, spec.cylinder.R)
-    argmin = grid_argmin(g, grid, threads=args.threads)
+    argmin = grid_argmin(g, grid)
     xtilde = Point(tuple(argmin.rows[0].tolist()))
 
     cert = displacement_bound(gauge, spec.growth, xstar, xtilde, f, g, grid_step=grid_step)
@@ -899,8 +763,8 @@ def _demo_strictness(args) -> list[_Property]:
     pair = build_strictness_pair(args.R, args.M, args.A)
     grid = Grid(1, args.R, args.grid_step)
     lgrid = LevelGrid(args.M, args.level_step)
-    gauge = grid_gauge(pair.f, pair.g, grid, lgrid, threads=args.threads)
-    sup = grid_sup_abs_diff(pair.f, pair.g, grid, threads=args.threads)
+    gauge = grid_gauge(pair.f, pair.g, grid, lgrid)
+    sup = grid_sup_abs_diff(pair.f, pair.g, grid)
     return [
         _Property("cylinder_gauge_exactly_zero", gauge == 0.0,
                   f"oracle gauge = {_fmt(gauge)} (expected exactly 0.0)"),
@@ -917,7 +781,7 @@ def _demo_impossibility(args) -> list[_Property]:
     interp_exact = all(r == 0.0 for r in residuals)
 
     grid = Grid(1, args.R, args.grid_step)
-    sup = grid_sup_abs_diff(pair.f, pair.g, grid, threads=args.threads)
+    sup = grid_sup_abs_diff(pair.f, pair.g, grid)
     peak_gap = abs(pair.f(pair.y) - pair.g(pair.y))
     sup_with_peak = max(sup, peak_gap)
 
@@ -944,11 +808,15 @@ def _demo_impossibility(args) -> list[_Property]:
     ]
 
 
+def _log_deltas(args) -> list[float]:
+    """``--num-deltas`` drop sizes, log-spaced from ``--delta-min`` to
+    ``--delta-max``."""
+    return [float(d) for d in np.logspace(math.log10(args.delta_min),
+                                          math.log10(args.delta_max), args.num_deltas)]
+
+
 def _demo_sharpness(args):
-    deltas = np.logspace(math.log10(args.delta_min), math.log10(args.delta_max),
-                         args.num_deltas)
-    sweep = sharpness_sweep(args.mu, [float(d) for d in deltas], args.grid_step,
-                            threads=args.threads)
+    sweep = sharpness_sweep(args.mu, _log_deltas(args), args.grid_step)
     props: list[_Property] = []
 
     rng = np.random.default_rng(20260809)
@@ -968,7 +836,7 @@ def _demo_sharpness(args):
 
     fam_big = build_sharpness_pair(args.mu, sweep.rows[-1].delta)
     gauge = grid_gauge(fam_big.f, fam_big.g, Grid(1, sweep.radius, args.grid_step),
-                       LevelGrid(1.0, 0.02), threads=args.threads)
+                       LevelGrid(1.0, 0.02))
     props.append(_Property(
         "gauge_bounded_by_delta", gauge <= sweep.rows[-1].delta + TAU,
         f"oracle gauge = {_fmt(gauge)} <= delta + tau = "
@@ -1032,13 +900,8 @@ def cmd_sweep(args) -> int:
         mu = spec.growth.mu
     if mu is None:
         raise PreconditionError("pass --mu or --spec with a growth block")
-    if args.deltas is not None:
-        deltas = sorted(args.deltas)
-    else:
-        deltas = [float(d) for d in np.logspace(math.log10(args.delta_min),
-                                                math.log10(args.delta_max),
-                                                args.num_deltas)]
-    sweep = sharpness_sweep(mu, deltas, args.grid_step, threads=args.threads)
+    deltas = sorted(args.deltas) if args.deltas is not None else _log_deltas(args)
+    sweep = sharpness_sweep(mu, deltas, args.grid_step)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             sweep.to_csv(fh)
@@ -1103,9 +966,6 @@ def _output_path(text: str) -> str:
     return text
 
 
-_THREADS_HELP = "accepted for compatibility; has no effect (scans run as numpy blocks)"
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="epigauge",
@@ -1113,30 +973,31 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and brute-force oracle checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1, help="accepted for compatibility; "
+                         "has no effect (scans run as numpy blocks)")
 
-    def common(p: argparse.ArgumentParser, spec_required: bool = True) -> None:
-        if spec_required:
-            p.add_argument("--spec", required=True, help="problem description file")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--spec", required=True, help="problem description file")
         p.add_argument("--grid-step", type=float, default=None, dest="grid_step",
                        help="base lattice step (overrides the [grid] section)")
         p.add_argument("--level-step", type=float, default=None, dest="level_step",
                        help="level lattice step (overrides the [grid] section)")
-        p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
         p.add_argument("--out", type=_output_path, default=None,
                        help="write output to this file")
 
-    p_gauge = sub.add_parser("gauge", help="evaluate certificate blocks and oracle "
-                                           "gauge side by side")
+    p_gauge = sub.add_parser("gauge", parents=[threads], help="evaluate certificate blocks "
+                                                              "and oracle gauge side by side")
     common(p_gauge)
     p_gauge.set_defaults(func=cmd_gauge)
 
-    p_cert = sub.add_parser("certify", help="full pipeline: gauge -> window checks "
-                                            "-> displacement certificate record")
+    p_cert = sub.add_parser("certify", parents=[threads], help="full pipeline: gauge -> "
+                            "window checks -> displacement certificate record")
     common(p_cert)
     p_cert.set_defaults(func=cmd_certify)
 
-    p_demo = sub.add_parser("demo", help="build a counterexample construction and "
-                                         "verify its stated properties")
+    p_demo = sub.add_parser("demo", parents=[threads], help="build a counterexample "
+                            "construction and verify its stated properties")
     p_demo.add_argument("name", choices=["sharpness", "strictness", "impossibility"])
     p_demo.add_argument("--R", type=float, default=1.0)
     p_demo.add_argument("--M", type=float, default=2.0)
@@ -1152,15 +1013,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="bump peak (default: auto-search)")
     p_demo.add_argument("--grid-step", type=float, default=1e-4, dest="grid_step")
     p_demo.add_argument("--level-step", type=float, default=0.05, dest="level_step")
-    p_demo.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_demo.add_argument("--csv", action="store_true",
                         help="emit the sweep table as CSV to stdout (sharpness)")
     p_demo.add_argument("--out", type=_output_path, default=None,
                         help="write CSV to this file")
     p_demo.set_defaults(func=cmd_demo)
 
-    p_sweep = sub.add_parser("sweep", help="displacement sweep over drop sizes; "
-                                           "CSV columns: delta,argmin,dist,bound,slack")
+    p_sweep = sub.add_parser("sweep", parents=[threads], help="displacement sweep over drop "
+                             "sizes; CSV columns: delta,argmin,dist,bound,slack")
     p_sweep.add_argument("--spec", default=None,
                          help="problem file with a growth block (provides mu)")
     p_sweep.add_argument("--mu", type=float, default=None)
@@ -1170,7 +1030,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--delta-max", type=_positive_float, default=1e-2, dest="delta_max")
     p_sweep.add_argument("--num-deltas", type=_positive_int, default=8, dest="num_deltas")
     p_sweep.add_argument("--grid-step", type=float, default=2e-5, dest="grid_step")
-    p_sweep.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_sweep.add_argument("--out", type=_output_path, default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 

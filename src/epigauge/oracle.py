@@ -110,9 +110,12 @@ class Grid:
         if not (isinstance(self.dim, int) and self.dim >= 1):
             raise PreconditionError(f"grid dim must be an integer >= 1, got {self.dim!r}")
         kmax = _axis_kmax(self.radius, self.step)
-        if (2 * kmax + 1) ** self.dim > LATTICE_CAP:
+        n = 2 * kmax + 1
+        # 2**64 > LATTICE_CAP: a large dim is over the cap without a power
+        # whose size grows with dim.
+        if n > 1 and (self.dim >= 64 or n ** self.dim > LATTICE_CAP):
             raise OracleCapError(
-                f"lattice of {2 * kmax + 1}^{self.dim} cube points exceeds cap {LATTICE_CAP}"
+                f"lattice of {n}^{self.dim} cube points exceeds cap {LATTICE_CAP}"
             )
         axis = _axis_values(self.radius, self.step, kmax)
         axis_array = np.asarray(axis, dtype=np.float64)
