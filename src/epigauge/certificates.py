@@ -23,21 +23,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .core import (
-    TAU,
     Cylinder,
     Func,
     GaugeBound,
     Point,
     Provenance,
     ball_mask,
-    eval_rows,
+    evaluated,
     in_closed_ball,
     norms,
+    slack_radius,
 )
 from .errors import (
     CertificateViolationError,
@@ -68,19 +68,18 @@ def _validation_step(radius: float) -> float:
     return radius / _VALIDATION_POINTS
 
 
-def _check_not_crossed(lower: Func, upper: Func, X: np.ndarray, what: str) -> None:
-    """Raise on the first row of ``X`` (lattice order) where ``lower >
-    upper``, or where evaluating ``lower`` then ``upper`` raises."""
-    (lo, hi), stop, error = eval_rows((lower, upper), X)
-    crossed = np.flatnonzero(lo[:stop] > hi[:stop])
-    if crossed.size:
-        i = crossed[0]
-        raise CertificateViolationError(
-            f"{what} inconsistent: lower={float(lo[i])!r} > upper={float(hi[i])!r} "
-            f"at {Point(tuple(X[i].tolist()))}"
-        )
-    if error is not None:
-        raise error
+def _check_not_crossed(lower: Func, upper: Func, blocks: Iterable[np.ndarray],
+                       what: str) -> None:
+    """Raise on the first lattice point where ``lower > upper``, or where
+    evaluating ``lower`` then ``upper`` raises."""
+    for X, (lo, hi) in evaluated(blocks, lower, upper):
+        crossed = np.flatnonzero(lo > hi)
+        if crossed.size:
+            i = crossed[0]
+            raise CertificateViolationError(
+                f"{what} inconsistent: lower={float(lo[i])!r} > upper={float(hi[i])!r} "
+                f"at {Point(tuple(X[i].tolist()))}"
+            )
 
 
 @dataclass(frozen=True)
@@ -111,14 +110,13 @@ class EnvelopeCert:
         if self.lower.dim != self.upper.dim:
             raise PreconditionError("lower/upper envelopes must share a dimension")
         for f in (self.lower, self.upper):
-            if self.region_radius > f.domain_radius * (1.0 + TAU) + TAU:
+            if self.region_radius > slack_radius(f.domain_radius):
                 raise PreconditionError(
                     f"region_radius {self.region_radius!r} exceeds domain radius of "
                     f"envelope {f.label or '<unnamed>'}"
                 )
         grid = Grid(self.lower.dim, self.region_radius, _validation_step(self.region_radius))
-        for X in grid.blocks():
-            _check_not_crossed(self.lower, self.upper, X, "envelope certificate")
+        _check_not_crossed(self.lower, self.upper, grid.blocks(), "envelope certificate")
 
     @property
     def dim(self) -> int:
@@ -144,7 +142,7 @@ class LocalCert:
         # at the origin, so ||center|| + radius suffices).
         needed = self.center.norm() + self.radius
         for f in (self.lower, self.upper):
-            if needed > f.domain_radius * (1.0 + TAU) + TAU:
+            if needed > slack_radius(f.domain_radius):
                 raise PreconditionError(
                     f"envelope {f.label or '<unnamed>'} domain radius {f.domain_radius!r} "
                     f"does not contain the local ball (needs {needed!r})"
@@ -152,8 +150,8 @@ class LocalCert:
         step = _validation_step(self.radius)
         offsets = Grid(self.center.dim, self.radius, step)
         center = np.asarray(self.center.coords)
-        for off in offsets.blocks():
-            _check_not_crossed(self.lower, self.upper, center + off, "local certificate")
+        _check_not_crossed(self.lower, self.upper, (center + off for off in offsets.blocks()),
+                           "local certificate")
 
     def is_active(self, x: Point) -> bool:
         """Closed-ball membership: boundary points count as covered."""
@@ -229,23 +227,14 @@ class ToleranceField:
                        (_b + _s * (norms(X) / _R))[:, None])
 
     def _cells(self, X: np.ndarray, levels: Sequence[float]) -> np.ndarray:
-        """``eta`` on the cells ``X x levels`` as an ``(n, L)`` array.
-        Without ``batch``, cells are evaluated in lattice order and every
-        cell from the first raising one on is NaN."""
+        """``eta`` on the cells ``X x levels`` as an ``(n, L)`` array; all
+        NaN without ``batch``."""
         shape = (len(X), len(levels))
-        if self.batch is not None:
-            with np.errstate(all="ignore"):
-                V = self.batch(X, np.asarray(levels, dtype=np.float64))
-            return np.broadcast_to(np.asarray(V, dtype=np.float64), shape)
-        out = np.full(shape, np.nan)
-        for i, row in enumerate(X.tolist()):
-            p = Point(tuple(row))
-            for j, t in enumerate(levels):
-                try:
-                    out[i, j] = float(self.eta(p, t))
-                except Exception:  # the scan replays this cell and raises
-                    return out
-        return out
+        if self.batch is None:
+            return np.full(shape, np.nan)
+        with np.errstate(all="ignore"):
+            V = self.batch(X, np.asarray(levels, dtype=np.float64))
+        return np.broadcast_to(np.asarray(V, dtype=np.float64), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +256,16 @@ def envelope_width_bound(cert: EnvelopeCert, cyl: Cylinder, grid_step: float) ->
     the certificate is declared grid-exact; otherwise the record is marked
     as a grid estimate.
     """
-    if cyl.R > cert.region_radius * (1.0 + TAU) + TAU:
+    if cyl.R > slack_radius(cert.region_radius):
         raise PreconditionError(
             f"cylinder base radius {cyl.R!r} exceeds certified region radius "
             f"{cert.region_radius!r}"
         )
     grid = Grid(cert.dim, cyl.R, grid_step)
     width = 0.0
-    for X in grid.blocks():
-        (hi, lo), stop, error = eval_rows((cert.upper, cert.lower), X)
-        w = hi[:stop] - lo[:stop]
+    for X, (hi, lo) in evaluated(grid.blocks(), cert.upper, cert.lower):
+        with np.errstate(over="ignore"):  # rounds to inf, as the scalar difference does
+            w = hi - lo
         negative = np.flatnonzero(w < 0)
         if negative.size:
             i = negative[0]
@@ -284,8 +273,6 @@ def envelope_width_bound(cert: EnvelopeCert, cyl: Cylinder, grid_step: float) ->
                 f"envelope width negative ({float(w[i])!r}) at "
                 f"{Point(tuple(X[i].tolist()))}: certificate inconsistent"
             )
-        if error is not None:
-            raise error
         wm = float(w.max())
         if wm > width:
             width = wm
@@ -317,24 +304,21 @@ def validate_bracketing(cert: EnvelopeCert, candidate: Func, cyl: Cylinder,
                         grid_step: float) -> BracketingReport:
     """Check a candidate surrogate against the envelope sandwich on the
     base lattice of the cylinder."""
-    if cyl.R > cert.region_radius * (1.0 + TAU) + TAU:
+    if cyl.R > slack_radius(cert.region_radius):
         raise PreconditionError(
             f"cylinder base radius {cyl.R!r} exceeds certified region radius "
             f"{cert.region_radius!r}"
         )
     if candidate.dim != cert.dim:
         raise DomainError("candidate dimension does not match the certificate")
-    if cyl.R > candidate.domain_radius * (1.0 + TAU) + TAU:
+    if cyl.R > slack_radius(candidate.domain_radius):
         raise DomainError(
             f"candidate domain radius {candidate.domain_radius!r} does not cover the base disk"
         )
     grid = Grid(cert.dim, cyl.R, grid_step)
     failures = []
     checked = 0
-    for X in grid.blocks():
-        (lo, hi, v), _, error = eval_rows((cert.lower, cert.upper, candidate), X)
-        if error is not None:
-            raise error
+    for X, (lo, hi, v) in evaluated(grid.blocks(), cert.lower, cert.upper, candidate):
         checked += len(X)
         for i in np.flatnonzero(~((lo <= v) & (v <= hi))).tolist():
             failures.append((Point(tuple(X[i].tolist())), float(lo[i]), float(v[i]),
@@ -363,9 +347,6 @@ class AggregatedEnvelope:
 
     def active(self, x: Point) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.cover.certs) if c.is_active(x))
-
-    def contains(self, x: Point) -> bool:
-        return any(c.is_active(x) for c in self.cover.certs)
 
     def evaluate(self, x: Point) -> tuple[float, float]:
         idx = self.active(x)

@@ -58,6 +58,8 @@ from .core import (
     Func,
     GaugeBound,
     Point,
+    evaluated,
+    in_closed_ball,
 )
 from .errors import (
     CertificateViolationError,
@@ -613,7 +615,7 @@ def cmd_gauge(args) -> int:
 
 def _pick_target_minimizer(growth: GrowthCert, R: float) -> Point:
     if isinstance(growth.argmin_set, FinitePointSet):
-        candidates = [p for p in growth.argmin_set.points if p.norm() <= R * (1 + TAU) + TAU]
+        candidates = [p for p in growth.argmin_set.points if in_closed_ball(p, R)]
         if not candidates:
             raise PreconditionError(
                 "no listed minimizer lies inside the cylinder base ball")
@@ -819,24 +821,24 @@ def _demo_sharpness(args):
     sweep = sharpness_sweep(args.mu, _log_deltas(args), args.grid_step)
     props: list[_Property] = []
 
-    rng = np.random.default_rng(20260809)
+    # The sandwich is checked on the lattice the sweep's argmin scans.
+    grid = Grid(1, sweep.radius, args.grid_step)
     sandwich_ok = True
     worst = 0.0
     for row in sweep.rows:
         family = build_sharpness_pair(args.mu, row.delta)
-        xs = rng.uniform(-sweep.radius, sweep.radius, size=(1000, 1))
-        diff = family.f.values(xs) - family.g.values(xs)
-        worst = max(worst, float(np.max(diff - row.delta)), float(np.max(-diff)))
-        if np.any((diff < 0.0) | (diff > row.delta + TAU)):
-            sandwich_ok = False
+        for _, (fv, gv) in evaluated(grid.blocks(), family.f, family.g):
+            diff = fv - gv
+            worst = max(worst, float(np.max(diff - row.delta)), float(np.max(-diff)))
+            if np.any((diff < 0.0) | (diff > row.delta + TAU)):
+                sandwich_ok = False
     props.append(_Property(
         "pointwise_sandwich", sandwich_ok,
-        f"0 <= f-g <= delta + tau at 1000 random points per delta "
+        f"0 <= f-g <= delta + tau at all {grid.cube_size()} lattice points per delta "
         f"(worst excess {_fmt(worst)})"))
 
     fam_big = build_sharpness_pair(args.mu, sweep.rows[-1].delta)
-    gauge = grid_gauge(fam_big.f, fam_big.g, Grid(1, sweep.radius, args.grid_step),
-                       LevelGrid(1.0, 0.02))
+    gauge = grid_gauge(fam_big.f, fam_big.g, grid, LevelGrid(1.0, 0.02))
     props.append(_Property(
         "gauge_bounded_by_delta", gauge <= sweep.rows[-1].delta + TAU,
         f"oracle gauge = {_fmt(gauge)} <= delta + tau = "

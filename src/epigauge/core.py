@@ -22,19 +22,21 @@ Array path
 ``Func.values`` evaluates a function on every row of an ``(n, dim)``
 float64 array.  The family constructors give each ``Func`` a numpy batch
 evaluator that repeats the scalar arithmetic operation for operation, so
-the two paths agree bit for bit; arbitrary user callables are evaluated
-point by point.  ``eval_rows`` is the shared scan primitive: it evaluates
-several functions on a block of lattice points and reports the first
-point, in lattice order, at which the point-by-point loop would raise,
-together with that loop's own exception.
+the two paths agree bit for bit.  ``evaluated`` is the one scan
+primitive: it evaluates several functions on each block of lattice points,
+cuts a block before the first point, in lattice order, at which the
+point-by-point loop would raise, and raises that loop's own exception once
+the caller has checked the cut block.  Rows a batch evaluator leaves
+non-finite, and every row of a callable without ``batch``, are evaluated
+point by point there.
 
 Numerical discipline
 --------------------
 Everything is plain 64-bit floating point.  Exact claims about exactly
 representable constructions are tested bit-exactly; everything else uses
 the absolute slack ``TAU``.  Closed-ball membership tests allow the same
-slack (relative and absolute) so that lattice boundary points generated by
-repeated addition are not spuriously rejected.
+slack (relative and absolute, ``slack_radius``) so that lattice boundary
+points generated by repeated addition are not spuriously rejected.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -64,11 +66,12 @@ __all__ = [
     "gauge_from_value_bound",
     "discrepancy_profile",
     "in_closed_ball",
+    "slack_radius",
     "lattice_point",
     "norms",
     "distances",
     "ball_mask",
-    "eval_rows",
+    "evaluated",
 ]
 
 TAU: float = 1e-12
@@ -205,20 +208,24 @@ def lattice_point(coords: tuple[float, ...]) -> Point:
     return p
 
 
-def in_closed_ball(point: Point, radius: float, center: Point | None = None) -> bool:
-    """Closed-ball membership with floating-point slack.
+def slack_radius(radius: float) -> float:
+    """``radius * (1 + TAU) + TAU``: the largest distance that counts as
+    inside a closed ball of ``radius``.  The slack keeps lattice boundary
+    points (built by repeated float addition) inside balls of nominally
+    equal radius; it is applied wherever ball membership or containment is
+    decided."""
+    return radius * (1.0 + TAU) + TAU
 
-    True iff ``||point - center|| <= radius * (1 + TAU) + TAU``.  The slack
-    keeps lattice boundary points (built by repeated float addition) inside
-    balls of nominally equal radius; it is applied consistently wherever
-    ball membership is decided.
-    """
+
+def in_closed_ball(point: Point, radius: float, center: Point | None = None) -> bool:
+    """Closed-ball membership with floating-point slack: true iff
+    ``||point - center|| <= slack_radius(radius)``."""
     if radius < 0:
         return False
     if math.isinf(radius):
         return True
     d = point.norm() if center is None else point.dist(center)
-    return d <= radius * (1.0 + TAU) + TAU
+    return d <= slack_radius(radius)
 
 
 # Row-wise twins of ``Point.norm`` / ``Point.dist`` / ``in_closed_ball``: the
@@ -251,7 +258,7 @@ def ball_mask(X: np.ndarray, radius: float, center: Point | None = None) -> np.n
     if math.isinf(radius):
         return np.ones(len(X), dtype=bool)
     d = norms(X) if center is None else distances(X, center)
-    return d <= radius * (1.0 + TAU) + TAU
+    return d <= slack_radius(radius)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +280,8 @@ class Func:
     ``batch``, when present, computes ``eval`` on every row of an
     ``(n, dim)`` float64 array and must agree with it bit for bit wherever
     its result is finite; a non-finite entry only means "ask ``eval``".
-    The family constructors supply it.  Without it, ``values`` calls the
-    function point by point.
+    The family constructors supply it.  Without it, ``values`` (like every
+    scan) calls the function point by point.
 
     Instances are immutable and safe to share across threads.
     """
@@ -320,24 +327,14 @@ class Func:
         ``X``: bit-identical to calling it on each row in order, and
         raising what that loop raises first (domain, finiteness and
         ``pos_part`` checks included)."""
-        (v,), _, error = eval_rows((self,), X)
-        if error is not None:
-            raise error
+        [(_, (v,))] = evaluated((X,), self)
         return v
 
     def _rows(self, X: np.ndarray) -> np.ndarray:
         """The function at every row of ``X``, NaN wherever a call raises
-        (or, after a failed call of a function without ``batch``, at every
-        later row)."""
+        (everywhere for a function without ``batch``)."""
         out = np.full(len(X), np.nan)
-        if X.shape[1] != self.dim:
-            return out
-        if self.batch is None:
-            for i, row in enumerate(X.tolist()):
-                try:
-                    out[i] = self(Point(tuple(row)))
-                except Exception:  # eval_rows replays this row and raises
-                    break
+        if self.batch is None or X.shape[1] != self.dim:
             return out
         v = np.asarray(self.batch(X), dtype=np.float64)
         ok = np.isfinite(v) & ball_mask(X, self.domain_radius)
@@ -431,7 +428,7 @@ class Func:
         if any(t.dim != dim for t in terms):
             raise PreconditionError("sum_of terms must share a dimension")
         radius = min(t.domain_radius for t in terms)
-        return cls(lambda p, _ts=terms: math.fsum(t(p) for t in _ts),
+        return cls(lambda p, _ts=terms: _fsum_row([t(p) for t in _ts]),
                    radius, dim, label or "sum(" + ", ".join(t.label or "f" for t in terms) + ")",
                    batch=lambda X, _ts=terms: _fsum_rows([t._rows(X) for t in _ts]))
 
@@ -445,6 +442,7 @@ class Func:
 
 
 def _fsum_row(values: list[float]) -> float:
+    """``math.fsum``, or NaN where its partial sums overflow."""
     try:
         return math.fsum(values)
     except (OverflowError, ValueError):
@@ -471,32 +469,37 @@ def _fsum_rows(columns: list[np.ndarray]) -> np.ndarray:
     return s
 
 
-def eval_rows(funcs: Sequence[Func], X: np.ndarray
-              ) -> tuple[list[np.ndarray], int, Optional[Exception]]:
-    """Evaluate ``funcs`` on the rows of ``X`` as the loop ``for x in
-    rows: for f in funcs: f(x)`` would, without raising.
+def evaluated(blocks: Iterable[np.ndarray], *funcs: Func
+              ) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """Evaluate ``funcs`` on the rows of each block as the loop ``for x in
+    rows: for f in funcs: f(x)`` would, yielding ``(X, values)``: the
+    block and one array per function.
 
-    Returns ``(values, stop, error)``: one array per function, exact at
-    every row before ``stop``; ``stop`` is the first row at which that loop
-    raises (``len(X)`` if none) and ``error`` the exception it raises there
-    (``None`` if none).  Rows that a batch evaluator leaves non-finite are
-    replayed through ``Func.__call__``, so error types and messages are
-    those of the scalar path.  Scans check their own per-point conditions
-    on the rows before ``stop`` and then raise ``error``.
+    Rows that a batch evaluator leaves non-finite are replayed through
+    ``Func.__call__``, so values, error types and messages are those of the
+    scalar path.  If that loop raises, the block is cut before the raising
+    row (and not yielded if that leaves it empty), and the loop's own
+    exception is raised when the caller resumes: a scan checks its own
+    per-point conditions on the cut block first, exactly as the scalar
+    loop would have met them.
     """
-    with np.errstate(all="ignore"):
-        values = [f._rows(X) for f in funcs]
-    bad = ~np.isfinite(X).all(axis=1)
-    for v in values:
-        bad |= ~np.isfinite(v)
-    for i in np.flatnonzero(bad).tolist():
-        try:
-            x = Point(tuple(X[i].tolist()))
-            for f, v in zip(funcs, values):
-                v[i] = f(x)
-        except Exception as e:  # re-raised by the caller, in lattice order
-            return values, i, e
-    return values, len(X), None
+    for X in blocks:
+        with np.errstate(all="ignore"):
+            values = [f._rows(X) for f in funcs]
+        bad = ~np.isfinite(X).all(axis=1)
+        for v in values:
+            bad |= ~np.isfinite(v)
+        idx = np.flatnonzero(bad)
+        for i, row in zip(idx.tolist(), X[idx].tolist()):
+            try:
+                x = Point(tuple(row))
+                for f, v in zip(funcs, values):
+                    v[i] = f(x)
+            except Exception as error:  # raised below, after the cut block
+                if i:
+                    yield X[:i], [v[:i] for v in values]
+                raise error
+        yield X, values
 
 
 # ---------------------------------------------------------------------------

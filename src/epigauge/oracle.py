@@ -6,11 +6,11 @@ That direction is exactly what makes them useful as independent checks of
 certified bounds: oracle value <= certified bound must always hold.
 
 Scans walk the lattice in lexicographic blocks (``Grid.blocks``) and reduce
-each block with numpy; function values come from ``Func.values`` semantics
-(``eval_rows``), so every result and every raised error is bit-identical to
-a point-by-point loop in lattice order.  The reductions are exact (max /
-min of floats) and tie lists are assembled in lattice order, so results do
-not depend on the block size.  Argmin ties stay an ``(n, dim)`` array
+each block with numpy; function values come from ``core.evaluated``, so
+every result and every raised error is bit-identical to a point-by-point
+loop in lattice order.  The reductions are exact (max / min of floats) and
+tie lists are assembled in lattice order, so results do not depend on the
+block size.  Argmin ties stay an ``(n, dim)`` array
 (``ArgminResult.rows``); ``Point`` objects are built only on request.
 ``grid_gauge`` reads the lowest level only: at a fixed base point the
 case-split discrepancy is nonincreasing in the level even in floating
@@ -35,9 +35,10 @@ from .core import (
     Func,
     Point,
     distances,
-    eval_rows,
+    evaluated,
     lattice_point,
     norms,
+    slack_radius,
 )
 from .errors import DomainError, OracleCapError, PreconditionError
 
@@ -70,7 +71,7 @@ def _axis_kmax(radius: float, step: float) -> int:
         raise PreconditionError(f"grid step must be finite and > 0, got {step!r}")
     if not (radius > 0) or not math.isfinite(radius):
         raise PreconditionError(f"grid radius must be finite and > 0, got {radius!r}")
-    ratio = (radius / step) * (1.0 + TAU) + TAU
+    ratio = slack_radius(radius / step)
     if not ratio < LATTICE_CAP:  # also an infinite ratio, which has no integer floor
         raise OracleCapError(
             f"lattice step {step!r} on radius {radius!r} gives more than {LATTICE_CAP} "
@@ -86,7 +87,7 @@ def _axis_values(radius: float, step: float, kmax: int) -> tuple[float, ...]:
     as ``k * step`` with integer ``k`` so that halving the step yields a
     bit-identical superset lattice.
     """
-    bound = radius * (1.0 + TAU) + TAU
+    bound = slack_radius(radius)
     values = np.arange(-kmax, kmax + 1) * step  # exact int -> float, one rounding each
     return tuple(values[np.abs(values) <= bound].tolist())
 
@@ -112,11 +113,15 @@ class Grid:
         kmax = _axis_kmax(self.radius, self.step)
         n = 2 * kmax + 1
         # 2**64 > LATTICE_CAP: a large dim is over the cap without a power
-        # whose size grows with dim.
+        # whose size grows with dim.  A one-point axis is under the cap in
+        # any dim, but scans still loop over the coordinates, so dim is
+        # bounded on its own.
         if n > 1 and (self.dim >= 64 or n ** self.dim > LATTICE_CAP):
             raise OracleCapError(
                 f"lattice of {n}^{self.dim} cube points exceeds cap {LATTICE_CAP}"
             )
+        if self.dim >= 64:
+            raise OracleCapError(f"lattice dimension {self.dim} exceeds the limit of 63")
         axis = _axis_values(self.radius, self.step, kmax)
         axis_array = np.asarray(axis, dtype=np.float64)
         axis_array.setflags(write=False)
@@ -132,12 +137,12 @@ class Grid:
 
         Each block is cut from at most ``BLOCK_CELLS // cells_per_point``
         consecutive cube nodes (at least one) and then filtered to the ball
-        with the same ``radius * (1 + TAU) + TAU`` slack as
-        ``in_closed_ball``; empty blocks are skipped."""
+        with the same ``slack_radius`` as ``in_closed_ball``; empty blocks
+        are skipped."""
         axis = self._axis_array
         size = self.cube_size()
         step = max(1, BLOCK_CELLS // cells_per_point)
-        bound = self.radius * (1.0 + TAU) + TAU
+        bound = slack_radius(self.radius)
         for start in range(0, size, step):
             idx = np.arange(start, min(start + step, size))
             X = np.empty((len(idx), self.dim))
@@ -189,8 +194,8 @@ class LevelGrid:
 @dataclass(frozen=True, eq=False)
 class ArgminResult:
     """Minimal lattice value and every lattice point attaining it within
-    the tie tolerance, as the rows of a read-only ``(n, dim)`` float64
-    array in lexicographic order."""
+    ``TAU``, as the rows of a read-only ``(n, dim)`` float64 array in
+    lexicographic order."""
 
     rows: np.ndarray
     value: float
@@ -222,7 +227,7 @@ def _check_domains(grid: Grid, *funcs: Func) -> None:
                 f"grid dimension {grid.dim} does not match function "
                 f"{f.label or '<unnamed>'} of dimension {f.dim}"
             )
-        if grid.radius > f.domain_radius * (1.0 + TAU) + TAU:
+        if grid.radius > slack_radius(f.domain_radius):
             raise DomainError(
                 f"grid radius {grid.radius!r} exceeds domain radius "
                 f"{f.domain_radius!r} of function {f.label or '<unnamed>'}"
@@ -234,11 +239,9 @@ def grid_sup_abs_diff(f: Func, g: Func, grid: Grid, threads: int = 1) -> float:
     supremum over the ball."""
     _check_domains(grid, f, g)
     m = 0.0
-    for X in grid.blocks():
-        (fv, gv), _, error = eval_rows((f, g), X)
-        if error is not None:
-            raise error
-        d = float(np.abs(fv - gv).max())
+    for _, (fv, gv) in evaluated(grid.blocks(), f, g):
+        with np.errstate(over="ignore"):  # rounds to inf, as the scalar difference does
+            d = float(np.abs(fv - gv).max())
         if d > m:
             m = d
     return m
@@ -268,23 +271,21 @@ def grid_gauge(f: Func, g: Func, grid: Grid, lgrid: LevelGrid, threads: int = 1)
         )
     t = lgrid.values[0]
     m = 0.0
-    for X in grid.blocks():
-        (fa, fb), _, error = eval_rows((f, g), X)
-        if error is not None:
-            raise error
+    for _, (fa, fb) in evaluated(grid.blocks(), f, g):
         up = fa > fb
         hi = np.where(up, fa, fb)
         lo = np.where(up, fb, fa)
-        disc = np.where(t >= hi, 0.0, np.where(t <= lo, hi - lo, hi - t))
+        with np.errstate(over="ignore"):  # as in grid_sup_abs_diff
+            disc = np.where(t >= hi, 0.0, np.where(t <= lo, hi - lo, hi - t))
         dm = float(disc.max())
         if dm > m:
             m = dm
     return m
 
 
-def grid_argmin(f: Func, grid: Grid, threads: int = 1, tie_tol: float = TAU) -> ArgminResult:
-    """All lattice minimizers of ``f`` (ties within ``tie_tol`` of the
-    minimal value), lexicographically ordered.
+def grid_argmin(f: Func, grid: Grid, threads: int = 1) -> ArgminResult:
+    """All lattice minimizers of ``f`` (ties within ``TAU`` of the minimal
+    value), lexicographically ordered.
 
     Ties are the expected case, not the edge case: plateau minima arise
     naturally from clipped constructions.  The reported value is the
@@ -293,18 +294,15 @@ def grid_argmin(f: Func, grid: Grid, threads: int = 1, tie_tol: float = TAU) -> 
     _check_domains(grid, f)
     best = math.inf
     candidates: list[tuple[np.ndarray, np.ndarray]] = []
-    for X in grid.blocks():
-        (v,), _, error = eval_rows((f,), X)
-        if error is not None:
-            raise error
+    for X, (v,) in evaluated(grid.blocks(), f):
         block_min = v[np.argmin(v)]
         if block_min < best:
             best = float(block_min)
-        keep = v <= block_min + tie_tol
+        keep = v <= block_min + TAU
         candidates.append((X[keep], v[keep]))
     if not candidates:
         raise PreconditionError("grid has no points")
-    rows = np.concatenate([X[v <= best + tie_tol] for X, v in candidates])
+    rows = np.concatenate([X[v <= best + TAU] for X, v in candidates])
     rows.setflags(write=False)
     return ArgminResult(rows=rows, value=best)
 

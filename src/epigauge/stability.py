@@ -35,8 +35,9 @@ from .core import (
     Func,
     GaugeBound,
     Point,
-    eval_rows,
+    evaluated,
     in_closed_ball,
+    slack_radius,
 )
 from .errors import PreconditionError
 from .oracle import Grid, dist_to_set, dist_to_set_rows
@@ -195,7 +196,7 @@ class DisplacementCert:
 
 
 def _growth_covers(growth: GrowthCert, R: float) -> bool:
-    return R <= growth.radius * (1.0 + TAU) + TAU
+    return R <= slack_radius(growth.radius)
 
 
 def displacement_bound(gauge: GaugeBound, growth: GrowthCert, xstar: Point,
@@ -324,12 +325,9 @@ def falsify_quadratic_growth(f: Func, growth: GrowthCert, cyl: Cylinder,
     grid = Grid(f.dim, radius, grid_step)
     violations: list[GrowthViolation] = []
     checked = 0
-    for X in grid.blocks():
-        (fv,), stop, error = eval_rows((f,), X)
-        if stop > 0:  # the scalar loop takes dist_to_set(x) right after f(x)
-            d = dist_to_set_rows(X, growth.argmin_set)
-        if error is not None:
-            raise error
+    for X, (fv,) in evaluated(grid.blocks(), f):
+        # the scalar loop takes dist_to_set(x) right after f(x)
+        d = dist_to_set_rows(X, growth.argmin_set)
         checked += len(X)
         gap = fv - growth.inf_value
         required = 0.5 * growth.mu * d * d

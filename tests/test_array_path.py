@@ -38,6 +38,7 @@ from epigauge import (
     LocalCert,
     OracleCapError,
     Point,
+    PreconditionError,
     ToleranceField,
     aggregate_cover,
     dist_to_set,
@@ -449,6 +450,18 @@ def test_kernel_error_is_first_in_lattice_order():
     assert "early" in got[1]
 
 
+def test_overflowing_differences_match_the_scalar_scans():
+    # Finite values whose difference rounds to inf: no RuntimeWarning escapes.
+    f = Func.quadratic(1e308)
+    g = Func.scaled(f, -1.0)
+    grid, lgrid, cyl = Grid(1, 1.0, 0.5), LevelGrid(1.0, 0.5), Cylinder(1.0, 1.0)
+    assert grid_sup_abs_diff(f, g, grid) == naive_sup(f, g, grid) == math.inf
+    assert grid_gauge(f, g, grid, lgrid) == naive_gauge(f, g, grid, lgrid) == 1e308
+    assert naive_width(EnvelopeCert(1.0, g, f), cyl, 0.5) == math.inf
+    with pytest.raises(PreconditionError, match="must be finite"):
+        envelope_width_bound(EnvelopeCert(1.0, g, f), cyl, 0.5)
+
+
 def test_tolerance_violation_parity():
     cyl = Cylinder(1.0, 1.0)
     fields = [
@@ -486,6 +499,56 @@ def test_envelope_violation_parity():
     got = outcome(LocalCert, center, 0.5, lo, Func.constant(0.0, dim=2))
     want = outcome(naive_crossing, lo, Func.constant(0.0, dim=2), shifted, "local certificate")
     assert got[0] is CertificateViolationError and got[1] == want[1]
+
+
+def _steps(pieces, batched):
+    """``value`` on ``lo < x < hi`` for the first matching ``(lo, hi,
+    value)``, else -1.0; with or without a ``batch``."""
+    def f(p):
+        for lo, hi, value in pieces:
+            if lo < p.coords[0] < hi:
+                return value
+        return -1.0
+
+    def batch(X):
+        x, out = X[:, 0], np.full(len(X), -1.0)
+        for lo, hi, value in reversed(pieces):
+            out = np.where((lo < x) & (x < hi), value, out)
+        return out
+
+    return Func(f, label="steps", batch=batch if batched else None)
+
+
+# Both inside one scan block.  The validation lattice (step 1/16) meets
+# every piece; the width scan's pieces lie between its nodes.
+EARLY, LATE = (-0.76, -0.49), (0.49, 1.01)
+FINE_EARLY, FINE_LATE = (-0.75, -0.75 + 1 / 32), (0.5, 0.5 + 1 / 32)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("first", ["crossing", "error"])
+def test_crossing_and_error_in_one_block_meet_in_lattice_order(first, batched):
+    crossing, error = (EARLY, LATE) if first == "crossing" else (LATE, EARLY)
+    lower = _steps([(*crossing, 1.0), (*error, math.inf)], batched)
+    upper = Func.constant(0.0)
+    want_type = CertificateViolationError if first == "crossing" else EvaluationError
+
+    got = outcome(EnvelopeCert, 1.0, lower, upper)
+    want = outcome(naive_crossing, lower, upper, Grid(1, 1.0, 1.0 / 16).points(),
+                   "envelope certificate")
+    assert got[0] is want_type and got == want
+
+    got = outcome(LocalCert, Point.of(0.0), 1.0, lower, upper)
+    want = outcome(naive_crossing, lower, upper, Grid(1, 1.0, 1.0 / 16).points(),
+                   "local certificate")
+    assert got[0] is want_type and got == want
+
+    crossing, error = (FINE_EARLY, FINE_LATE) if first == "crossing" else (FINE_LATE, FINE_EARLY)
+    cert = EnvelopeCert(1.0, _steps([(*crossing, 1.0), (*error, math.inf)], batched), upper)
+    cyl = Cylinder(1.0, 1.0)
+    got = outcome(envelope_width_bound, cert, cyl, 1.0 / 64)
+    want = outcome(naive_width, cert, cyl, 1.0 / 64)
+    assert got[0] is want_type and got == want
 
 
 def test_cover_error_parity():

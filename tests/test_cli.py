@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import epigauge
 from epigauge import Point, SpecParseError
 from epigauge.cli import load_problem, main, parse_problem_text
 
@@ -390,6 +394,33 @@ def test_demo_exit_codes(capsys):
     assert main(["demo", "sharpness", "--delta-min", "1e-3", "--num-deltas", "4",
                  "--grid-step", "1e-3"]) == 0
     capsys.readouterr()
+
+
+def test_demo_sharpness_does_not_import_numpy_random():
+    # The sandwich check reads the sweep's own lattice; it draws no random points.
+    code = ("import io, contextlib, sys\n"
+            "from epigauge.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['demo', 'sharpness']) == 0\n"
+            "print('numpy.random' in sys.modules)\n")
+    src = str(Path(epigauge.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_sum_overflow_exits_3_with_one_line(tmp_path, capsys):
+    # G = F + F overflows in fsum's partial sums: no finite value there.
+    spec = tmp_path / "overflow.prob"
+    spec.write_text("dimension = 1\n[function F]\nfamily = affine\nslope = 1.0\n"
+                    "intercept = 1e308\n[function G]\nfamily = sum\nterms = F, F\n"
+                    "[envelope]\nlower = F\nupper = G\nregion_radius = 0.5\n")
+    assert main(["gauge", "--spec", str(spec)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "function G returned non-finite value" in err[0]
 
 
 def test_demo_emits_pass_lines(capsys):

@@ -1,10 +1,12 @@
 """Fuzz of the command line over argv and problem text.
 
 Whatever the input, ``main`` returns a documented exit code (0-5) instead
-of raising, and a non-zero exit leaves exactly one line on stderr.  Numeric
-values are drawn from small pools so that every scan either evaluates
-fewer than about 10^5 lattice points or hits the lattice cap before it
-starts.
+of raising, and a non-zero exit leaves exactly one line on stderr.  The
+problem text is either damaged (``problem_texts``) or well formed
+(``well_formed_problems``), so that the scans behind ``gauge`` and
+``certify`` are reached as well as the parser.  Numeric values are drawn
+from small pools so that every scan either evaluates fewer than about 10^5
+lattice points or hits the lattice cap before it starts.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import warnings
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from epigauge.cli import main
+from epigauge.cli import main, parse_problem_text
+from epigauge.errors import EpigaugeError
 
 # Bad tokens every numeric option and problem value may receive.
 JUNK = ("0", "-1", "nan", "inf", "-inf", "abc", "", "1e-300", "1e300", "2.5.1")
@@ -107,6 +110,82 @@ def problem_texts(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Section keys that only one value of the section's discriminator takes.
+BRANCHES = {
+    "tolerance": ("family", {"constant": ("value",), "radial_affine": ("base", "slope")}),
+    "growth": ("argmin_kind", {"points": ("argmin_points",),
+                               "ball": ("argmin_center", "argmin_radius")}),
+}
+
+
+def _sized(pool: tuple[str, ...], dim: int) -> tuple[str, ...]:
+    """The entries of ``pool`` whose every point has ``dim`` coordinates,
+    or the origin if there is none."""
+    def fits(text: str) -> bool:
+        return all(len(p.replace(",", " ").split()) == dim for p in text.split(";"))
+    return tuple(v for v in pool if fits(v)) or (" ".join(["0"] * dim),)
+
+
+@st.composite
+def well_formed_problems(draw) -> str:
+    """Problem text with every required key, points of the problem's
+    dimension and functions that refer only to earlier ones; values come
+    from the pools above.  What still fails to parse is a section that
+    needs a missing one, crossed envelopes, or a function that overflows."""
+    dim = int(draw(st.sampled_from(DIMS)))
+
+    def value(pool: tuple[str, ...], point: bool) -> str:
+        return draw(st.sampled_from(_sized(pool, dim) if point else pool))
+
+    lines = [f"dimension = {dim}"]
+    for k, name in enumerate(NAMES):
+        earlier = NAMES[:k]
+        family = draw(st.sampled_from(sorted(
+            f for f in FAMILIES if earlier or f not in ("clamp_shift", "scale", "sum"))))
+        lines += [f"[function {name}]", f"family = {family}"]
+        for key, pool in FAMILIES[family].items():
+            if key == "base":
+                pool = earlier
+            elif key == "terms":  # one or two earlier names, repeats allowed
+                pool = earlier + tuple(f"{a}, {b}" for a in earlier for b in earlier)
+            lines.append(f"{key} = {value(pool, key in ('center', 'slope'))}")
+    for kind, keys in SECTIONS.items():
+        # Crossed envelopes fail to parse, so those sections come rarely.
+        keep = draw(_rarely(3)) if kind in ("envelope", "cover") else not draw(_rarely(5))
+        if not keep:
+            continue
+        lines.append(f"[{kind}]")
+        if kind == "cover":  # one certificate over the whole domain
+            keys = {"cert": tuple(f"{c} | 2.0 | F | F"
+                                  for c in _sized(FAMILIES["bump"]["center"], dim))}
+        if kind in BRANCHES:
+            key, branches = BRANCHES[kind]
+            choice = draw(st.sampled_from(sorted(branches)))
+            other = {k for b, ks in branches.items() if b != choice for k in ks}
+            keys = {k: (choice,) if k == key else v for k, v in keys.items() if k not in other}
+        lines += [f"{key} = {value(pool, key in ('argmin_points', 'argmin_center'))}"
+                  for key, pool in keys.items()]
+    return "\n".join(lines) + "\n"
+
+
+def test_well_formed_problems_mostly_parse():
+    parsed: list[bool] = []
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None,
+              suppress_health_check=list(HealthCheck))
+    @given(well_formed_problems())
+    def draw(text):
+        try:
+            parse_problem_text(text, "problem.prob")
+        except EpigaugeError:
+            parsed.append(False)
+        else:
+            parsed.append(True)
+
+    draw()
+    assert len(parsed) >= 1000 and 3 * sum(parsed) >= len(parsed), (sum(parsed), len(parsed))
+
+
 # A writable path three times in six, else one that cannot be written.
 OUT = ("{tmp}/out.txt",) * 3 + ("{tmp}/missing/out.txt", "{tmp}", "")
 
@@ -179,7 +258,7 @@ SHARPNESS_PROBLEM = (
 
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(argvs(), problem_texts())
+@given(argvs(), st.one_of(problem_texts(), well_formed_problems()))
 @example(["sweep", "--mu", "2", "--num-deltas", "-3"], SHARPNESS_PROBLEM)
 @example(["certify", "--spec", "{spec}", "--out", "{tmp}/missing/dir/x"], SHARPNESS_PROBLEM)
 @example(["demo", "sharpness", "--csv", "--out", "{tmp}/missing/x"], SHARPNESS_PROBLEM)

@@ -82,6 +82,21 @@ def test_huge_dimension_hits_the_lattice_cap_at_once(tmp_path):
     assert code == 4 and len(err) == 1 and "5^100000000" in err[0]
 
 
+def test_one_point_lattice_in_a_huge_dimension_hits_the_cap_at_once(tmp_path):
+    # step > R: one point per axis, so the cube count is 1 whatever the dimension.
+    spec = tmp_path / "huge.prob"
+    spec.write_text(
+        "dimension = 1000000\n"
+        "[function F]\nfamily = quadratic\ncoeff = 1.0\n"
+        "[cylinder]\nR = 1.0\nM = 1.0\n[pair]\nf = F\ng = F\n"
+        "[grid]\nstep = 2.0\nlevel_step = 0.5\n")
+    t = time.perf_counter()
+    code, err = _run(["gauge", "--spec", str(spec)])
+    assert time.perf_counter() - t < 2.0
+    assert code == 4 and len(err) == 1 and "dimension 1000000" in err[0]
+    assert "exceeds cap" not in err[0]
+
+
 # ---------------------------------------------------------------------------
 # README key lists, rendered from the tables
 # ---------------------------------------------------------------------------
