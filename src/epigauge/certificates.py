@@ -341,6 +341,11 @@ class AggregatedEnvelope:
     Evaluation outside the covered region is a hard ``CoverageError``;
     aggregated lower > upper raises ``InconsistentCoverError`` (the input
     certificates cannot all be true, and the contradiction must surface).
+
+    ``to_envelope_cert`` aggregates each scanned block once: the packaged
+    lower and upper envelopes share one ``_rows`` result per read-only
+    block (such as the blocks of ``Grid.blocks``), so a scan of the pair
+    costs one masked aggregation per block, not two.
     """
 
     cover: Cover
@@ -396,15 +401,41 @@ class AggregatedEnvelope:
 
         Valid only when the covered region contains the whole ball; any gap
         surfaces as a ``CoverageError`` during construction-time validation
-        or a later scan.
+        or a later scan.  The two envelopes' batches share one ``_rows``
+        call per block: the first of them to see a read-only block keeps
+        both halves, and the other takes its half and drops them.  A
+        writeable block could change between the two calls, so each half
+        computes its own.
         """
+        last = None  # (X, lower, upper) of the last read-only block
+
+        def rows(X: np.ndarray, half: int) -> np.ndarray:
+            nonlocal last
+            memo = last
+            if memo is not None and memo[0] is X:
+                last = None
+                return memo[1 + half]
+            both = self._rows(X)
+            if _read_only(X):
+                last = (X, *both)
+            return both[half]
+
         dim = self.cover.dim
         lower = Func(lambda p: self.evaluate(p)[0], region_radius, dim, "cover-aggregated lower",
-                     batch=lambda X: self._rows(X)[0])
+                     batch=lambda X: rows(X, 0))
         upper = Func(lambda p: self.evaluate(p)[1], region_radius, dim, "cover-aggregated upper",
-                     batch=lambda X: self._rows(X)[1])
+                     batch=lambda X: rows(X, 1))
         return EnvelopeCert(region_radius=region_radius, lower=lower, upper=upper,
                             grid_exact=grid_exact)
+
+
+def _read_only(X: np.ndarray) -> bool:
+    """True when neither ``X`` nor any array it views can be written."""
+    while isinstance(X, np.ndarray):
+        if X.flags.writeable:
+            return False
+        X = X.base
+    return X is None
 
 
 def aggregate_cover(cover: Cover) -> AggregatedEnvelope:

@@ -17,10 +17,19 @@ case-split discrepancy is nonincreasing in the level even in floating
 point, so the lowest level attains the maximum over the band.  The
 ``threads`` arguments are accepted for compatibility and ignored: the numpy
 blocks run single-threaded.
+
+Blocks are read-only.  A lattice that fits in one block is built once and
+served again from a process-wide LRU of ``LATTICE_CACHE_ENTRIES`` entries
+(keyed on dimension, radius, step and block size), so repeated scans of
+one small lattice, such as the validation lattices of equal-radius local
+certificates, do not rebuild it; larger lattices are streamed block by
+block and never stored.  The cache holds at most
+``LATTICE_CACHE_ENTRIES * BLOCK_CELLS * dim * 8`` bytes of coordinates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -53,6 +62,7 @@ __all__ = [
     "dist_to_set",
     "dist_to_set_rows",
     "BLOCK_CELLS",
+    "LATTICE_CACHE_ENTRIES",
 ]
 
 LATTICE_CAP: int = 10**8
@@ -64,6 +74,10 @@ BLOCK_CELLS: int = 65536
 """Cells per scan block: a block holds at most this many cube nodes, or
 ``BLOCK_CELLS // levels`` base points for base x level scans, which bounds
 the memory of every scan independently of the lattice size."""
+
+LATTICE_CACHE_ENTRIES: int = 8
+"""One-block lattices kept by ``Grid.blocks`` (least recently used first
+out)."""
 
 
 def _axis_kmax(radius: float, step: float) -> int:
@@ -132,16 +146,23 @@ class Grid:
         return len(self.axis) ** self.dim
 
     def blocks(self, cells_per_point: int = 1) -> Iterator[np.ndarray]:
-        """The lattice points as ``(n, dim)`` float64 arrays, in
+        """The lattice points as read-only ``(n, dim)`` float64 arrays, in
         lexicographic order (last coordinate fastest).
 
         Each block is cut from at most ``BLOCK_CELLS // cells_per_point``
         consecutive cube nodes (at least one) and then filtered to the ball
         with the same ``slack_radius`` as ``in_closed_ball``; empty blocks
-        are skipped."""
+        are skipped.  A lattice whose cube fits in one block is built once
+        and then served from the ``LATTICE_CACHE_ENTRIES``-entry LRU;
+        larger lattices are built block by block on every call."""
+        step = max(1, BLOCK_CELLS // cells_per_point)
+        if self.cube_size() <= step:
+            return iter(_one_block_lattice(self, step))
+        return self._build(step)
+
+    def _build(self, step: int) -> Iterator[np.ndarray]:
         axis = self._axis_array
         size = self.cube_size()
-        step = max(1, BLOCK_CELLS // cells_per_point)
         bound = slack_radius(self.radius)
         for start in range(0, size, step):
             idx = np.arange(start, min(start + step, size))
@@ -152,6 +173,7 @@ class Grid:
             if self.dim > 1:
                 X = X[norms(X) <= bound]
             if len(X):
+                X.setflags(write=False)
                 yield X
 
     def points(self) -> Iterator[Point]:
@@ -164,6 +186,12 @@ class Grid:
         (bit-identical coordinates), so scan suprema are monotone under
         refinement."""
         return Grid(self.dim, self.radius, self.step / 2.0)
+
+
+@functools.lru_cache(maxsize=LATTICE_CACHE_ENTRIES)
+def _one_block_lattice(grid: Grid, step: int) -> tuple[np.ndarray, ...]:
+    # Grid equality is (dim, radius, step), everything the blocks depend on.
+    return tuple(grid._build(step))
 
 
 @dataclass(frozen=True)

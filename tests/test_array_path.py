@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from epigauge import (
     TAU,
+    AggregatedEnvelope,
     ArgminResult,
     CertificateViolationError,
     ClosedBall,
@@ -57,7 +58,8 @@ from epigauge.constructions import (
     build_sharpness_pair,
     build_strictness_pair,
 )
-from epigauge.oracle import BLOCK_CELLS, dist_to_set_rows
+from epigauge import oracle
+from epigauge.oracle import BLOCK_CELLS, LATTICE_CACHE_ENTRIES, dist_to_set_rows
 
 from helpers import clamp_to_band, random_analytic, random_point_in_ball
 
@@ -411,7 +413,7 @@ def test_values_error_parity():
         (Func.clamp_shift(huge, -1.7e308), [0.0, 1.0, 2.0]),
         # PreconditionError from pos_part inside a bump (distance overflows)
         (Func.bump(Point.of(0.0), 0.5, 1.0, label="far"), [0.0, 1e200]),
-        # OverflowError from fsum's intermediate overflow
+        # EvaluationError: fsum's intermediate overflow makes the sum NaN
         (Func.sum_of(huge, huge), [0.5, 1.0]),
     ]
     for f, xs in cases:
@@ -705,3 +707,172 @@ def test_argmin_result_equality():
     assert a != ArgminResult(rows=a.rows[::-1], value=a.value)
     assert a != grid_argmin(Func.constant(0.0, dim=1), Grid(1, 1.0, 0.5))
     assert a != a.points
+
+
+# ---------------------------------------------------------------------------
+# Reuse: one aggregation per cover block, one build per one-block lattice
+# ---------------------------------------------------------------------------
+
+
+def count_rows(monkeypatch) -> list[int]:
+    """Record the row count of every ``AggregatedEnvelope._rows`` call."""
+    calls: list[int] = []
+    original = AggregatedEnvelope._rows
+
+    def counting(self, X):
+        calls.append(len(X))
+        return original(self, X)
+
+    monkeypatch.setattr(AggregatedEnvelope, "_rows", counting)
+    return calls
+
+
+def block_sizes(grid: Grid) -> list[int]:
+    return [len(X) for X in grid.blocks()]
+
+
+@pytest.mark.parametrize("dim,step", [(1, 0.05), (1, 1e-5), (2, 0.05), (3, 0.125)])
+def test_cover_scans_aggregate_once_per_block(monkeypatch, dim, step):
+    agg = aggregate_cover(overlapping_cover(dim))
+    calls = count_rows(monkeypatch)
+    cert = agg.to_envelope_cert(1.0)
+    assert calls == block_sizes(Grid(dim, 1.0, 1.0 / 16))
+    calls.clear()
+    cyl = Cylinder(1.0, 1.0)
+    width = envelope_width_bound(cert, cyl, step)
+    sizes = block_sizes(Grid(dim, 1.0, step))
+    assert calls == sizes
+    if step == 1e-5:
+        assert len(sizes) > 1  # streamed blocks share the aggregation too
+    monkeypatch.undo()
+    assert width.delta.hex() == naive_width(cert, cyl, step).hex()
+
+
+def aggregated_halves(cert, X: np.ndarray) -> tuple[list[str], list[str]]:
+    pts = [Point(tuple(r)) for r in X.tolist()]
+    return (hexes(cert.lower.eval(p) for p in pts), hexes(cert.upper.eval(p) for p in pts))
+
+
+def read_only(X: np.ndarray) -> np.ndarray:
+    X = np.array(X, dtype=np.float64)
+    X.setflags(write=False)
+    return X
+
+
+def test_shared_aggregation_matches_scalar_bits():
+    agg = aggregate_cover(overlapping_cover(2))
+    cert = agg.to_envelope_cert(1.0)
+    rng = np.random.default_rng(606)
+    A = read_only(rows(Grid(2, 1.0, 0.1).points()))
+    B = read_only(rng.uniform(-0.7, 0.7, size=(50, 2)))
+    C = read_only(rng.uniform(-0.7, 0.7, size=(50, 2)))  # the shape of B
+    want = {id(X): aggregated_halves(cert, X) for X in (A, B, C)}
+
+    def check(half, X):
+        f = cert.lower if half == 0 else cert.upper
+        assert hexes(f.values(X)) == want[id(X)][half]
+
+    # alternating blocks, either half first, repeats of one half
+    for half, X in [(0, A), (0, B), (1, A), (1, B), (1, A), (0, A), (0, A), (1, A),
+                    (1, C), (0, B), (1, B), (0, C), (1, C), (0, C)]:
+        check(half, X)
+
+    # a writeable block, and a read-only view of one, changed in place
+    # between the lower and the upper call
+    for make_view in (False, True):
+        W = np.array(B)
+        X = W.view() if make_view else W
+        if make_view:
+            X.setflags(write=False)
+        assert hexes(cert.lower.values(X)) == want[id(B)][0]
+        W[:] = C
+        assert hexes(cert.upper.values(X)) == want[id(C)][1]
+        assert hexes(cert.lower.values(X)) == want[id(C)][0]
+
+
+def test_shared_aggregation_keeps_scalar_errors():
+    # A alone covers the origin; A and B cross where they overlap; points far
+    # from both are uncovered.
+    cover = Cover((
+        LocalCert(Point.of(-0.5, 0.0), 0.6, Func.constant(0.5, dim=2), Func.constant(1.0, dim=2)),
+        LocalCert(Point.of(0.5, 0.5), 0.6, Func.constant(-1.0, dim=2), Func.constant(0.0, dim=2)),
+    ))
+    cert = aggregate_cover(cover).to_envelope_cert(0.05)
+    lower = dataclasses.replace(cert.lower, domain_radius=2.0)
+    upper = dataclasses.replace(cert.upper, domain_radius=2.0)
+    crossing_first = read_only([[0.0, 0.0], [-0.5, 0.1], [0.0, 0.3], [0.9, -0.9]])
+    gap_first = read_only([[0.0, 0.0], [-0.5, 0.1], [0.9, -0.9], [0.0, 0.3]])
+    for X, kind in ((crossing_first, InconsistentCoverError), (gap_first, CoverageError)):
+        pts = [Point(tuple(r)) for r in X.tolist()]
+        for f in (lower, upper, upper, lower):
+            got = outcome(f.values, X)
+            want = outcome(naive_values, f, pts)
+            assert got[0] is want[0] is kind and got[1] == want[1]
+
+
+ONE_BLOCK_LATTICES = [(1, 1.0, 0.01), (2, 1.0, 1.0 / 32), (3, 0.9, 0.9 / 16), (3, 1.0, 0.3),
+                      (4, 0.5, 0.25)]
+
+
+def expected_rows(dim: int, radius: float, step: float) -> list[tuple[str, ...]]:
+    kmax = int(math.floor((radius / step) * (1.0 + TAU) + TAU))
+    bound = radius * (1.0 + TAU) + TAU
+    axis = [k * step for k in range(-kmax, kmax + 1) if abs(k * step) <= bound]
+    return [tuple(hexes(c)) for c in itertools.product(axis, repeat=dim)
+            if dim == 1 or math.sqrt(sum(x * x for x in c)) <= bound]
+
+
+def test_one_block_lattices_are_built_once_and_read_only():
+    oracle._one_block_lattice.cache_clear()
+    for dim, radius, step in ONE_BLOCK_LATTICES:
+        want = expected_rows(dim, radius, step)
+        first = list(Grid(dim, radius, step).blocks())
+        again = list(Grid(dim, radius, step).blocks())
+        assert len(first) == 1 and again[0] is first[0]
+        for X in (first[0], again[0]):
+            assert X.dtype == np.float64 and X.shape == (len(want), dim)
+            assert [tuple(hexes(r)) for r in X.tolist()] == want
+            assert not X.flags.writeable
+            with pytest.raises(ValueError):
+                X[0, 0] = 1.0
+    info = oracle._one_block_lattice.cache_info()
+    assert info.misses == info.currsize == len(ONE_BLOCK_LATTICES)
+
+
+def test_lattices_over_one_block_are_streamed_read_only_and_not_stored():
+    oracle._one_block_lattice.cache_clear()
+    for grid, cells_per_point in ((Grid(1, 1.0, 1e-5), 1),  # 200,001 points
+                                  (Grid(3, 1.0, 0.125), 4096),  # one block at 1 cell/point
+                                  (Grid(2, 1.0, 1.0 / 64), 21)):
+        first = list(grid.blocks(cells_per_point))
+        again = list(grid.blocks(cells_per_point))
+        assert len(first) > 1
+        assert all(X is not Y and np.array_equal(X, Y) for X, Y in zip(first, again))
+        assert all(not X.flags.writeable for X in first)
+        assert oracle._one_block_lattice.cache_info().currsize == 0
+    list(Grid(3, 1.0, 0.125).blocks())
+    assert oracle._one_block_lattice.cache_info().currsize == 1
+
+
+def test_lattice_cache_is_bounded():
+    oracle._one_block_lattice.cache_clear()
+    assert oracle._one_block_lattice.cache_info().maxsize == LATTICE_CACHE_ENTRIES
+    for k in range(LATTICE_CACHE_ENTRIES + 5):
+        X = next(Grid(2, 1.0, 1.0 / (4 + k)).blocks())
+        assert oracle._one_block_lattice.cache_info().currsize == \
+            min(k + 1, LATTICE_CACHE_ENTRIES)
+        assert len(X) == len(expected_rows(2, 1.0, 1.0 / (4 + k)))
+
+
+def test_equal_radius_local_certs_report_their_own_crossing():
+    radius = 0.9
+    offsets = list(Grid(3, radius, radius / 16).points())
+    LocalCert(Point.of(0.1, 0.0, 0.0), radius, Func.constant(0.0, dim=3),
+              Func.constant(1.0, dim=3))
+    center = Point.of(-0.05, 0.2, 0.0)
+    lower = Func.affine((1.0, 0.0, 0.0), 0.0)
+    upper = Func.constant(0.5, dim=3)
+    pts = [Point(tuple(c + o for c, o in zip(center.coords, off.coords))) for off in offsets]
+    got = outcome(LocalCert, center, radius, lower, upper)
+    want = outcome(naive_crossing, lower, upper, pts, "local certificate")
+    assert got[0] is want[0] is CertificateViolationError and got[1] == want[1]
