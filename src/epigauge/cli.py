@@ -11,11 +11,15 @@ constructor preconditions are line-anchored ``SpecParseError``s.
 
 Certified numbers and oracle scan numbers are printed in separate labeled
 columns in every output: a lattice scan is a lower-bound estimate and is
-never dressed up as a certificate.
+never dressed up as a certificate.  ``gauge`` and ``certify`` share one
+stage (``_run``); every value is written by ``_fmt``, the certify record
+through ``_record``, and all output goes through ``_emit``.
 
 Exit codes: 0 all checks pass / record valid; 1 demo property falsified;
-2 parse error; 3 precondition or window failure; 4 oracle cap exceeded;
-5 certificate inconsistency.
+3 a certify record with a false check.  An error ends in the exit code and
+stderr prefix its class in ``errors.py`` carries (2 parse error, 3
+precondition or window failure, 4 oracle cap exceeded, 5 certificate
+inconsistency); a bad command-line value or unwritable ``--out`` ends in 2.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import re
@@ -31,7 +36,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +50,7 @@ from .certificates import (
     gauge_from_tolerance_field,
 )
 from .constructions import (
+    SweepResult,
     build_impossibility_pair,
     build_sharpness_pair,
     build_strictness_pair,
@@ -61,15 +67,7 @@ from .core import (
     evaluated,
     in_closed_ball,
 )
-from .errors import (
-    CertificateViolationError,
-    DomainError,
-    EpigaugeError,
-    EvaluationError,
-    OracleCapError,
-    PreconditionError,
-    SpecParseError,
-)
+from .errors import EpigaugeError, PreconditionError, SpecParseError
 from .oracle import Grid, LevelGrid, dist_to_set, grid_argmin, grid_gauge, grid_sup_abs_diff
 from .stability import GrowthCert, displacement_bound, value_gap_from_gauge
 
@@ -494,44 +492,37 @@ def load_problem(path: str | Path) -> ProblemSpec:
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return "n/a"
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
         return repr(x)
+    if isinstance(x, Point):
+        return " ".join(repr(c) for c in x.coords)
     return str(x)
 
 
-def _fmt_point(p: Point) -> str:
-    return " ".join(repr(c) for c in p.coords)
-
-
-def _effective_steps(spec: ProblemSpec, args, need_level: bool) -> tuple[float, Optional[float]]:
-    grid_step = args.grid_step if args.grid_step is not None else spec.grid_step
-    level_step = args.level_step if getattr(args, "level_step", None) is not None \
-        else spec.level_step
-    if grid_step is None:
-        raise PreconditionError("no grid step: add a [grid] section or pass --grid-step")
-    if need_level and level_step is None:
-        raise PreconditionError(
-            "no level step: add level_step to [grid] or pass --level-step")
-    return grid_step, level_step
+def _emit(args, text: str) -> None:
+    """Write ``text`` to the ``--out`` file when one is given, else to stdout."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _certified_bounds(spec: ProblemSpec, grid_step: float,
                       level_step: float) -> list[tuple[str, GaugeBound]]:
     """Evaluate every certificate block, labeled by its source block."""
-    if spec.cylinder is None:
-        raise PreconditionError("certificate evaluation requires a [cylinder] section")
     out: list[tuple[str, GaugeBound]] = []
     if spec.envelope is not None:
         out.append(("envelope", envelope_width_bound(spec.envelope, spec.cylinder, grid_step)))
     if spec.cover is not None:
-        agg = aggregate_cover(spec.cover)
-        cert = agg.to_envelope_cert(spec.cylinder.R)
+        cert = aggregate_cover(spec.cover).to_envelope_cert(spec.cylinder.R)
         bound = envelope_width_bound(cert, spec.cylinder, grid_step)
-        bound = GaugeBound(bound.delta, bound.cylinder, bound.provenance, bound.certified,
-                           "cover-aggregated; " + bound.detail)
-        out.append(("cover", bound))
+        out.append(("cover",
+                    dataclasses.replace(bound, detail="cover-aggregated; " + bound.detail)))
     if spec.tolerance is not None:
         out.append(("tolerance",
                     gauge_from_tolerance_field(spec.tolerance, grid_step, level_step)))
@@ -545,10 +536,36 @@ def _select_gauge(bounds: list[tuple[str, GaugeBound]]) -> tuple[str, GaugeBound
     return min(pool, key=lambda b: b[1].delta)
 
 
-def _out_stream(args) -> tuple[TextIO, bool]:
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8", newline=""), True
-    return sys.stdout, False
+@dataclass(frozen=True)
+class _Stage:
+    grid_step: float
+    level_step: Optional[float]
+    bounds: list[tuple[str, GaugeBound]]
+    grid: Optional[Grid]                  # the base lattice; None without a [pair]
+    oracle_gauge: Optional[float] = None
+    oracle_sup: Optional[float] = None
+
+
+def _run(spec: ProblemSpec, args, need_level: bool) -> _Stage:
+    """The stage ``gauge`` and ``certify`` share after their own precondition
+    checks: the lattice steps (an option overrides the [grid] section), every
+    certificate block's bound and, with a [pair], the oracle gauge and
+    sup |f-g| on one base lattice."""
+    grid_step = spec.grid_step if args.grid_step is None else args.grid_step
+    level_step = spec.level_step if args.level_step is None else args.level_step
+    if grid_step is None:
+        raise PreconditionError("no grid step: add a [grid] section or pass --grid-step")
+    if need_level and level_step is None:
+        raise PreconditionError(
+            "no level step: add level_step to [grid] or pass --level-step")
+    bounds = _certified_bounds(spec, grid_step, level_step) if spec.has_certificate() else []
+    if spec.pair is None:
+        return _Stage(grid_step, level_step, bounds, None)
+    f, g = spec.pair_funcs()
+    grid = Grid(spec.dimension, spec.cylinder.R, grid_step)
+    return _Stage(grid_step, level_step, bounds, grid,
+                  grid_gauge(f, g, grid, LevelGrid(spec.cylinder.M, level_step)),
+                  grid_sup_abs_diff(f, g, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -563,48 +580,25 @@ def cmd_gauge(args) -> int:
             "nothing to do: the problem has neither a certificate block nor a [pair]")
     if spec.cylinder is None:
         raise PreconditionError("gauge requires a [cylinder] section")
-    need_level = spec.tolerance is not None or spec.pair is not None
-    grid_step, level_step = _effective_steps(spec, args, need_level)
+    run = _run(spec, args, need_level=spec.tolerance is not None or spec.pair is not None)
 
-    bounds = _certified_bounds(spec, grid_step, level_step) if spec.has_certificate() else []
+    def row(quantity: str, certified: str, oracle) -> str:
+        return f"{quantity:<24} {certified:<26} {_fmt(oracle):<26}\n"
 
-    oracle_gauge = None
-    oracle_sup = None
-    if spec.pair is not None:
-        f, g = spec.pair_funcs()
-        grid = Grid(spec.dimension, spec.cylinder.R, grid_step)
-        lgrid = LevelGrid(spec.cylinder.M, level_step)
-        oracle_gauge = grid_gauge(f, g, grid, lgrid)
-        oracle_sup = grid_sup_abs_diff(f, g, grid)
-
-    stream, close = _out_stream(args)
-    try:
-        w = stream.write
-        w(f"problem = {spec.path}\n")
-        w(f"cylinder = R={_fmt(spec.cylinder.R)} M={_fmt(spec.cylinder.M)}\n")
-        w(f"grid_step = {_fmt(grid_step)}  level_step = "
-          f"{_fmt(level_step) if level_step is not None else 'n/a'}\n")
-        w("\n")
-        w(f"{'quantity':<24} {'certified':<26} {'oracle (grid lower bound)':<26}\n")
-        if bounds:
-            for label, b in bounds:
-                cert_col = f"{_fmt(b.delta)}" + ("" if b.certified else " (estimate)")
-                w(f"{'gauge[' + label + ']':<24} {cert_col:<26} "
-                  f"{_fmt(oracle_gauge) if oracle_gauge is not None else 'n/a':<26}\n")
-        else:
-            w(f"{'gauge':<24} {'n/a':<26} "
-              f"{_fmt(oracle_gauge) if oracle_gauge is not None else 'n/a':<26}\n")
-        w(f"{'sup |f-g|':<24} {'n/a':<26} "
-          f"{_fmt(oracle_sup) if oracle_sup is not None else 'n/a':<26}\n")
-        if bounds:
-            w("\n")
-            for label, b in bounds:
-                w(f"certificate[{label}]: provenance={b.provenance.value} "
-                  f"certified={_fmt(b.certified)}\n")
-                w(f"  detail: {b.detail}\n")
-    finally:
-        if close:
-            stream.close()
+    lines = [f"problem = {spec.path}\n",
+             f"cylinder = R={_fmt(spec.cylinder.R)} M={_fmt(spec.cylinder.M)}\n",
+             f"grid_step = {_fmt(run.grid_step)}  level_step = {_fmt(run.level_step)}\n",
+             "\n", row("quantity", "certified", "oracle (grid lower bound)")]
+    gauges = [(f"gauge[{label}]", _fmt(b.delta) + ("" if b.certified else " (estimate)"))
+              for label, b in run.bounds] or [("gauge", "n/a")]
+    lines += [row(name, certified, run.oracle_gauge) for name, certified in gauges]
+    lines.append(row("sup |f-g|", "n/a", run.oracle_sup))
+    if run.bounds:
+        lines.append("\n")
+    for label, b in run.bounds:
+        lines += [f"certificate[{label}]: provenance={b.provenance.value} "
+                  f"certified={_fmt(b.certified)}\n", f"  detail: {b.detail}\n"]
+    _emit(args, "".join(lines))
     return 0
 
 
@@ -623,6 +617,16 @@ def _pick_target_minimizer(growth: GrowthCert, R: float) -> Point:
     return growth.argmin_set.center
 
 
+def _record(sections: list[tuple[str, list[tuple[str, object]]]]) -> str:
+    """``key = value`` lines, each section's under its ``[section]`` header
+    (none for the preamble ""), every value written by ``_fmt``."""
+    lines: list[str] = []
+    for section, fields in sections:
+        lines += [f"[{section}]"] if section else []
+        lines += [f"{key} = {_fmt(value)}" for key, value in fields]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_certify(args) -> int:
     spec = load_problem(args.spec)
     if spec.cylinder is None:
@@ -634,101 +638,56 @@ def cmd_certify(args) -> int:
         raise PreconditionError("certify requires a [growth] section")
     if spec.pair is None:
         raise PreconditionError("certify requires a [pair] section")
-    grid_step, level_step = _effective_steps(spec, args, need_level=True)
-
+    run = _run(spec, args, need_level=True)
     f, g = spec.pair_funcs()
-    source, gauge = _select_gauge(_certified_bounds(spec, grid_step, level_step))
-
-    grid = Grid(spec.dimension, spec.cylinder.R, grid_step)
-    lgrid = LevelGrid(spec.cylinder.M, level_step)
-    oracle_gauge = grid_gauge(f, g, grid, lgrid)
-    oracle_sup = grid_sup_abs_diff(f, g, grid)
+    source, gauge = _select_gauge(run.bounds)
 
     xstar = _pick_target_minimizer(spec.growth, spec.cylinder.R)
-    argmin = grid_argmin(g, grid)
+    argmin = grid_argmin(g, run.grid)
     xtilde = Point(tuple(argmin.rows[0].tolist()))
 
-    cert = displacement_bound(gauge, spec.growth, xstar, xtilde, f, g, grid_step=grid_step)
-    check_star, check_tilde = cert.window_checks
-    gap_star = value_gap_from_gauge(gauge, check_star)
-    gap_tilde = value_gap_from_gauge(gauge, check_tilde)
-
+    cert = displacement_bound(gauge, spec.growth, xstar, xtilde, f, g, grid_step=run.grid_step)
+    names, checks = ("x_star", "x_tilde"), cert.window_checks
+    gaps = [value_gap_from_gauge(gauge, check) for check in checks]
+    diffs = [abs(check.f_value - check.g_value) for check in checks]
     # Value-control consistency: where the conversion is valid, the observed
     # gap must not exceed the certified delta (TAU slack per the declared
     # floating-point discipline).
-    value_ok = True
-    for check, gap in ((check_star, gap_star), (check_tilde, gap_tilde)):
-        if gap.valid and abs(check.f_value - check.g_value) > gap.bound + TAU:
-            value_ok = False
+    value_ok = not any(gap.valid and diff > gap.bound + TAU for gap, diff in zip(gaps, diffs))
     oracle_dist = dist_to_set(xtilde, spec.growth.argmin_set)
     displacement_ok = cert.valid and oracle_dist <= cert.bound_with_slack + TAU
 
-    lines: list[str] = []
-    add = lines.append
-    add(f"schema_version = {SCHEMA_VERSION}")
-    add(f"problem_sha256 = {spec.sha256}")
-    add(f"spec_path = {spec.path}")
-    add(f"generated_utc = {datetime.now(timezone.utc).strftime('%Y-%m-%dT%H:%M:%SZ')}")
-    add("[problem]")
-    add(f"dimension = {spec.dimension}")
-    add(f"cylinder_R = {_fmt(spec.cylinder.R)}")
-    add(f"cylinder_M = {_fmt(spec.cylinder.M)}")
-    add(f"grid_step = {_fmt(grid_step)}")
-    add(f"level_step = {_fmt(level_step)}")
-    add(f"f = {spec.pair[0]}")
-    add(f"g = {spec.pair[1]}")
-    add("[gauge]")
-    add(f"source_block = {source}")
-    add(f"delta = {_fmt(gauge.delta)}")
-    add(f"provenance = {gauge.provenance.value}")
-    add(f"certified = {_fmt(gauge.certified)}")
-    add(f"detail = {gauge.detail}")
-    add("[oracle]")
-    add(f"grid_gauge = {_fmt(oracle_gauge)}")
-    add(f"grid_sup_abs_diff = {_fmt(oracle_sup)}")
-    add(f"argmin_tie_count = {len(argmin.rows)}")
-    add(f"argmin_value = {_fmt(argmin.value)}")
-    add("[window_x_star]")
-    add(f"point = {_fmt_point(check_star.point)}")
-    add(f"f_value = {_fmt(check_star.f_value)}")
-    add(f"g_value = {_fmt(check_star.g_value)}")
-    add(f"in_base = {_fmt(check_star.in_base)}")
-    add(f"in_level = {_fmt(check_star.in_level)}")
-    add("[window_x_tilde]")
-    add(f"point = {_fmt_point(check_tilde.point)}")
-    add(f"f_value = {_fmt(check_tilde.f_value)}")
-    add(f"g_value = {_fmt(check_tilde.g_value)}")
-    add(f"in_base = {_fmt(check_tilde.in_base)}")
-    add(f"in_level = {_fmt(check_tilde.in_level)}")
-    add("[value_control]")
-    add(f"value_gap_x_star = {_fmt(gap_star.bound) if gap_star.valid else 'invalid'}")
-    add(f"value_gap_x_star_reason = {gap_star.reason or 'ok'}")
-    add(f"value_gap_x_tilde = {_fmt(gap_tilde.bound) if gap_tilde.valid else 'invalid'}")
-    add(f"value_gap_x_tilde_reason = {gap_tilde.reason or 'ok'}")
-    add(f"abs_diff_x_star = {_fmt(abs(check_star.f_value - check_star.g_value))}")
-    add(f"abs_diff_x_tilde = {_fmt(abs(check_tilde.f_value - check_tilde.g_value))}")
-    add(f"value_control_consistent = {_fmt(value_ok)}")
-    add("[displacement]")
-    add(f"mu = {_fmt(spec.growth.mu)}")
-    add(f"inf_value = {_fmt(spec.growth.inf_value)}")
-    add(f"x_star = {_fmt_point(xstar)}")
-    add(f"x_tilde = {_fmt_point(xtilde)}")
-    add(f"bound = {_fmt(cert.bound)}")
-    add(f"grid_step = {_fmt(cert.grid_step)}")
-    add(f"slack = {_fmt(cert.slack)}")
-    add(f"bound_with_slack = {_fmt(cert.bound_with_slack)}")
-    add(f"oracle_dist = {_fmt(oracle_dist)}")
-    add(f"displacement_consistent = {_fmt(displacement_ok)}")
-    add(f"valid = {_fmt(cert.valid)}")
-    add(f"detail = {cert.detail}")
-
-    text = "\n".join(lines) + "\n"
-    stream, close = _out_stream(args)
-    try:
-        stream.write(text)
-    finally:
-        if close:
-            stream.close()
+    now = datetime.now(timezone.utc).strftime('%Y-%m-%dT%H:%M:%SZ')
+    record = [
+        ("", [("schema_version", SCHEMA_VERSION), ("problem_sha256", spec.sha256),
+              ("spec_path", spec.path), ("generated_utc", now)]),
+        ("problem", [("dimension", spec.dimension), ("cylinder_R", spec.cylinder.R),
+                     ("cylinder_M", spec.cylinder.M), ("grid_step", run.grid_step),
+                     ("level_step", run.level_step), ("f", spec.pair[0]), ("g", spec.pair[1])]),
+        ("gauge", [("source_block", source), ("delta", gauge.delta),
+                   ("provenance", gauge.provenance.value), ("certified", gauge.certified),
+                   ("detail", gauge.detail)]),
+        ("oracle", [("grid_gauge", run.oracle_gauge), ("grid_sup_abs_diff", run.oracle_sup),
+                    ("argmin_tie_count", len(argmin.rows)), ("argmin_value", argmin.value)]),
+        *((f"window_{name}", [(key, getattr(check, key)) for key in
+                               ("point", "f_value", "g_value", "in_base", "in_level")])
+          for name, check in zip(names, checks)),
+        ("value_control", [
+            *(field for name, gap in zip(names, gaps) for field in (
+                (f"value_gap_{name}", gap.bound if gap.valid else "invalid"),
+                (f"value_gap_{name}_reason", gap.reason or "ok"))),
+            *((f"abs_diff_{name}", diff) for name, diff in zip(names, diffs)),
+            ("value_control_consistent", value_ok)]),
+        ("displacement", [("mu", spec.growth.mu), ("inf_value", spec.growth.inf_value),
+                          ("growth_radius", spec.growth.radius),
+                          ("x_star", xstar), ("x_tilde", xtilde), ("bound", cert.bound),
+                          ("grid_step", cert.grid_step), ("slack", cert.slack),
+                          ("bound_with_slack", cert.bound_with_slack),
+                          ("oracle_dist", oracle_dist),
+                          ("displacement_consistent", displacement_ok),
+                          ("valid", cert.valid), ("detail", cert.detail)]),
+    ]
+    _emit(args, _record(record))
     failed = [name for name, ok in (("valid", cert.valid), ("value_control_consistent", value_ok),
                                     ("displacement_consistent", displacement_ok)) if not ok]
     if failed:
@@ -749,19 +708,19 @@ class _Property:
     detail: str
 
 
-def _print_properties(props: Sequence[_Property], stream: TextIO) -> int:
+def _print_properties(props: Sequence[_Property]) -> int:
     for p in props:
         status = "PASS" if p.passed else "FAIL"
-        stream.write(f"{status} {p.name}: {p.detail}\n")
+        sys.stdout.write(f"{status} {p.name}: {p.detail}\n")
     failed = [p.name for p in props if not p.passed]
-    stream.write(f"{len(props) - len(failed)}/{len(props)} properties passed\n")
+    sys.stdout.write(f"{len(props) - len(failed)}/{len(props)} properties passed\n")
     if failed:
         sys.stderr.write(f"demo property falsified: {', '.join(failed)}\n")
         return 1
     return 0
 
 
-def _demo_strictness(args) -> list[_Property]:
+def _demo_strictness(args) -> tuple[list[_Property], None]:
     pair = build_strictness_pair(args.R, args.M, args.A)
     grid = Grid(1, args.R, args.grid_step)
     lgrid = LevelGrid(args.M, args.level_step)
@@ -772,10 +731,10 @@ def _demo_strictness(args) -> list[_Property]:
                   f"oracle gauge = {_fmt(gauge)} (expected exactly 0.0)"),
         _Property("uniform_gap_equals_A", abs(sup - args.A) <= TAU,
                   f"oracle sup |f-g| = {_fmt(sup)} (expected {_fmt(args.A)}, slack {TAU})"),
-    ]
+    ], None
 
 
-def _demo_impossibility(args) -> list[_Property]:
+def _demo_impossibility(args) -> tuple[list[_Property], None]:
     queries = tuple(Point.of(q) for q in args.queries)
     y = None if args.y is None else Point.of(args.y)
     pair = build_impossibility_pair(args.R, queries, args.A, y=y)
@@ -807,7 +766,7 @@ def _demo_impossibility(args) -> list[_Property]:
                   f"{_fmt(args.A)} - 1e-12"),
         _Property("finite_difference_slope_bounded", max_slope <= lip + TAU,
                   f"max lattice slope = {_fmt(max_slope)} <= A/rho + tau = {_fmt(lip + TAU)}"),
-    ]
+    ], None
 
 
 def _log_deltas(args) -> list[float]:
@@ -817,7 +776,7 @@ def _log_deltas(args) -> list[float]:
                                           math.log10(args.delta_max), args.num_deltas)]
 
 
-def _demo_sharpness(args):
+def _demo_sharpness(args) -> tuple[list[_Property], SweepResult]:
     sweep = sharpness_sweep(args.mu, _log_deltas(args), args.grid_step)
     props: list[_Property] = []
 
@@ -862,29 +821,29 @@ def _demo_sharpness(args):
     return props, sweep
 
 
-def cmd_demo(args) -> int:
-    if args.name == "strictness":
-        props = _demo_strictness(args)
-        sweep = None
-    elif args.name == "impossibility":
-        props = _demo_impossibility(args)
-        sweep = None
-    else:
-        props, sweep = _demo_sharpness(args)
+_DEMOS = {"strictness": _demo_strictness, "impossibility": _demo_impossibility,
+          "sharpness": _demo_sharpness}
 
-    code = _print_properties(props, sys.stdout)
+
+def _csv_text(sweep: Optional[SweepResult], props: Sequence[_Property] = ()) -> str:
+    """The sweep table as CSV, or without a sweep the property table."""
+    buf = io.StringIO()
+    if sweep is not None:
+        sweep.to_csv(buf)
+    else:
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["property", "passed", "detail"])
+        writer.writerows([p.name, "pass" if p.passed else "fail", p.detail] for p in props)
+    return buf.getvalue()
+
+
+def cmd_demo(args) -> int:
+    props, sweep = _DEMOS[args.name](args)
+    code = _print_properties(props)
+    if args.out or (args.csv and sweep is not None):
+        _emit(args, _csv_text(sweep, props))
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            if sweep is not None:
-                sweep.to_csv(fh)
-            else:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["property", "passed", "detail"])
-                for p in props:
-                    writer.writerow([p.name, "pass" if p.passed else "fail", p.detail])
         sys.stdout.write(f"wrote {args.out}\n")
-    elif args.csv and sweep is not None:
-        sweep.to_csv(sys.stdout)
     return code
 
 
@@ -904,14 +863,12 @@ def cmd_sweep(args) -> int:
         raise PreconditionError("pass --mu or --spec with a growth block")
     deltas = sorted(args.deltas) if args.deltas is not None else _log_deltas(args)
     sweep = sharpness_sweep(mu, deltas, args.grid_step)
+    _emit(args, _csv_text(sweep))
+    slope = f"slope = {_fmt(sweep.slope)}\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            sweep.to_csv(fh)
-        sys.stdout.write(f"wrote {args.out}\n")
-        sys.stdout.write(f"slope = {_fmt(sweep.slope)}\n")
+        sys.stdout.write(f"wrote {args.out}\n{slope}")
     else:
-        sweep.to_csv(sys.stdout)
-        sys.stderr.write(f"slope = {_fmt(sweep.slope)}\n")
+        sys.stderr.write(slope)
     return 0
 
 
@@ -1023,9 +980,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", parents=[threads], help="displacement sweep over drop "
                              "sizes; CSV columns: delta,argmin,dist,bound,slack")
-    p_sweep.add_argument("--spec", default=None,
-                         help="problem file with a growth block (provides mu)")
-    p_sweep.add_argument("--mu", type=float, default=None)
+    mu_source = p_sweep.add_mutually_exclusive_group()
+    mu_source.add_argument("--spec", default=None,
+                           help="problem file with a growth block (provides mu)")
+    mu_source.add_argument("--mu", type=float, default=None)
     p_sweep.add_argument("--deltas", type=_positive_floats, default=None,
                          help="comma-separated drop sizes (overrides the log range)")
     p_sweep.add_argument("--delta-min", type=_positive_float, default=1e-5, dest="delta_min")
@@ -1047,21 +1005,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(e.code) if e.code is not None else 2
     try:
         return args.func(args)
-    except SpecParseError as e:
-        sys.stderr.write(f"parse error: {e}\n")
-        return 2
-    except (PreconditionError, DomainError, EvaluationError) as e:
-        sys.stderr.write(f"precondition failure: {e}\n")
-        return 3
-    except OracleCapError as e:
-        sys.stderr.write(f"oracle cap exceeded: {e}\n")
-        return 4
-    except CertificateViolationError as e:
-        sys.stderr.write(f"certificate inconsistency: {e}\n")
-        return 5
-    except EpigaugeError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
+    except EpigaugeError as e:  # each class carries its exit code and message prefix
+        sys.stderr.write(f"{e.prefix}: {e}\n")
+        return e.exit_code
     except OSError as e:  # --out passed its parse-time check but cannot be written
         sys.stderr.write(f"cannot write output: {e}\n")
         return 2

@@ -1,8 +1,14 @@
 """Semantic exception hierarchy shared by all modules.
 
 Public functions never raise bare ``ValueError``; every failure mode has a
-named class so callers (and the CLI exit-code mapping) can distinguish
-"you called this wrong" from "your certificate is contradicted by data".
+named class so callers can distinguish "you called this wrong" from "your
+certificate is contradicted by data".
+
+Each class carries the CLI's answer to it: ``exit_code`` and the ``prefix``
+of its one stderr line, inherited by subclasses.  The CLI reads them and
+keeps no mapping of its own: 1 ``error``, 2 ``parse error``, 3
+``precondition failure``, 4 ``oracle cap exceeded``, 5 ``certificate
+inconsistency``.
 """
 
 from __future__ import annotations
@@ -11,15 +17,24 @@ from __future__ import annotations
 class EpigaugeError(Exception):
     """Base error for this package."""
 
+    exit_code = 1
+    prefix = "error"
+
 
 class PreconditionError(EpigaugeError, ValueError):
     """An operation's stated precondition is violated (bad parameters,
     mismatched cylinders, grids too coarse, and similar caller errors)."""
 
+    exit_code = 3
+    prefix = "precondition failure"
+
 
 class DomainError(EpigaugeError):
     """Evaluation requested outside a function's certified domain, or with
     a point of the wrong dimension.  Never extrapolated past silently."""
+
+    exit_code = 3
+    prefix = "precondition failure"
 
 
 class CoverageError(DomainError):
@@ -31,15 +46,24 @@ class EvaluationError(EpigaugeError):
     """A function returned a non-finite value inside its declared domain,
     breaking the real-valuedness contract."""
 
+    exit_code = 3
+    prefix = "precondition failure"
+
 
 class OracleCapError(EpigaugeError):
     """A requested lattice exceeds the hard size cap for exhaustive scans."""
+
+    exit_code = 4
+    prefix = "oracle cap exceeded"
 
 
 class CertificateViolationError(EpigaugeError):
     """Certified data contradicted itself (negative tolerance values,
     a lower envelope above its upper envelope, ...).  Such input is
     surfaced, never repaired."""
+
+    exit_code = 5
+    prefix = "certificate inconsistency"
 
 
 class InconsistentCoverError(CertificateViolationError):
@@ -55,6 +79,9 @@ class ConstructionError(PreconditionError):
 class SpecParseError(EpigaugeError):
     """A problem-description file failed to parse.  Carries the file path
     and the 1-based line number of the offending content."""
+
+    exit_code = 2
+    prefix = "parse error"
 
     def __init__(self, message: str, path: str = "<spec>", line: int = 0):
         super().__init__(message)

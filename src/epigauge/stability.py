@@ -15,7 +15,10 @@ falsification report is explicitly not a certificate.
 
 Window flags are always derived from stored raw values, never asserted by
 callers, so a certificate's ``valid`` flag can be re-verified from the
-record alone.
+record alone: ``epigauge certify`` writes every input of it, the
+``in_base``/``in_level`` flags of both window sections, ``cylinder_R`` and
+``growth_radius``, and ``valid`` holds exactly when all four flags are true
+and ``cylinder_R <= slack_radius(growth_radius)``.
 """
 
 from __future__ import annotations

@@ -89,3 +89,19 @@ def test_output_write_failure_exits_2_with_one_stderr_line(tmp_path, capsys, mon
     assert rc == 2
     assert captured.err == f"cannot write output: [Errno 13] Permission denied: " \
                            f"{str(tmp_path / 'sweep.csv')!r}\n"
+
+
+def test_sweep_spec_and_mu_together_exit_2_before_any_scan(capsys, monkeypatch):
+    # mu comes from one place: the [growth] section of --spec, or --mu.
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan ran before the argument check")
+
+    for name in ("sharpness_sweep", "load_problem"):
+        monkeypatch.setattr(cli, name, no_scan)
+    problem = Path(cli.__file__).parent / "problems" / "sharpness.prob"
+    rc = main(["sweep", "--spec", str(problem), "--mu", "8"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "argument --mu: not allowed with argument --spec" in captured.err

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from epigauge import (
     Cylinder,
     FinitePointSet,
@@ -19,6 +21,7 @@ from epigauge import (
     grid_sup_abs_diff,
 )
 from epigauge.cli import main
+from epigauge.core import slack_radius
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "src" / "epigauge" / "problems"
 
@@ -78,3 +81,32 @@ def test_certify_rejects_growth_ball_smaller_than_base(tmp_path, capsys):
     assert rc == 3
     assert "valid = false" in out
     assert "does not cover the base ball" in out
+
+
+def _parse_record(text: str) -> dict[str, dict[str, str]]:
+    sections: dict[str, dict[str, str]] = {"": {}}
+    current = sections[""]
+    for line in text.splitlines():
+        if line.startswith("["):
+            current = sections.setdefault(line[1:-1], {})
+        else:
+            key, value = line.split(" = ", 1)
+            current[key] = value
+    return sections
+
+
+@pytest.mark.parametrize("growth_radius, valid", [("1.0", "true"), ("0.5", "false")])
+def test_valid_is_rederived_from_the_record_alone(growth_radius, valid, tmp_path, capsys):
+    # sharpness.prob as bundled, and with the growth ball smaller than the base ball
+    p = tmp_path / "problem.prob"
+    p.write_text((PROBLEMS / "sharpness.prob").read_text().replace(
+        "radius = 1.0", f"radius = {growth_radius}"))
+    rc = main(["certify", "--spec", str(p)])
+    record = _parse_record(capsys.readouterr().out)
+    assert rc == (0 if valid == "true" else 3)
+    windows = [record[name] for name in ("window_x_star", "window_x_tilde")]
+    in_windows = all(w["in_base"] == "true" and w["in_level"] == "true" for w in windows)
+    covers = (float(record["problem"]["cylinder_R"])
+              <= slack_radius(float(record["displacement"]["growth_radius"])))
+    rederived = "true" if in_windows and covers else "false"
+    assert rederived == record["displacement"]["valid"] == valid
