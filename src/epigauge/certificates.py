@@ -396,8 +396,9 @@ class AggregatedEnvelope:
     def upper(self, x: Point) -> float:
         return self.evaluate(x)[1]
 
-    def to_envelope_cert(self, region_radius: float, grid_exact: bool = False) -> EnvelopeCert:
-        """Package the aggregation as a ball certificate.
+    def to_envelope_cert(self, region_radius: float) -> EnvelopeCert:
+        """Package the aggregation as a ball certificate, never ``grid_exact``:
+        its envelopes jump wherever the active set changes.
 
         Valid only when the covered region contains the whole ball; any gap
         surfaces as a ``CoverageError`` during construction-time validation
@@ -425,8 +426,7 @@ class AggregatedEnvelope:
                      batch=lambda X: rows(X, 0))
         upper = Func(lambda p: self.evaluate(p)[1], region_radius, dim, "cover-aggregated upper",
                      batch=lambda X: rows(X, 1))
-        return EnvelopeCert(region_radius=region_radius, lower=lower, upper=upper,
-                            grid_exact=grid_exact)
+        return EnvelopeCert(region_radius=region_radius, lower=lower, upper=upper)
 
 
 def _read_only(X: np.ndarray) -> bool:

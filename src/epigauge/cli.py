@@ -15,11 +15,15 @@ never dressed up as a certificate.  ``gauge`` and ``certify`` share one
 stage (``_run``); every value is written by ``_fmt``, the certify record
 through ``_record``, and all output goes through ``_emit``.
 
+Each command, and each demo, declares only the flags it reads, and every
+numeric flag is parsed by a problem-file value kind (``_flag``), so a bad
+value or an unwritable ``--out`` ends in exit code 2 before any scan.
+
 Exit codes: 0 all checks pass / record valid; 1 demo property falsified;
 3 a certify record with a false check.  An error ends in the exit code and
 stderr prefix its class in ``errors.py`` carries (2 parse error, 3
 precondition or window failure, 4 oracle cap exceeded, 5 certificate
-inconsistency); a bad command-line value or unwritable ``--out`` ends in 2.
+inconsistency); a usage error ends in 2.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import math
@@ -227,7 +232,7 @@ def _version(text: str, ctx: _Context, line: int, key: str) -> int:
 def _dimension(text: str, ctx: _Context, line: int, key: str) -> int:
     n = _int(text, ctx, line, key)
     if n < 1:
-        raise ctx.error("dimension must be >= 1", line)
+        raise ctx.error(f"{key} must be >= 1", line)
     return n
 
 
@@ -708,18 +713,6 @@ class _Property:
     detail: str
 
 
-def _print_properties(props: Sequence[_Property]) -> int:
-    for p in props:
-        status = "PASS" if p.passed else "FAIL"
-        sys.stdout.write(f"{status} {p.name}: {p.detail}\n")
-    failed = [p.name for p in props if not p.passed]
-    sys.stdout.write(f"{len(props) - len(failed)}/{len(props)} properties passed\n")
-    if failed:
-        sys.stderr.write(f"demo property falsified: {', '.join(failed)}\n")
-        return 1
-    return 0
-
-
 def _demo_strictness(args) -> tuple[list[_Property], None]:
     pair = build_strictness_pair(args.R, args.M, args.A)
     grid = Grid(1, args.R, args.grid_step)
@@ -770,10 +763,14 @@ def _demo_impossibility(args) -> tuple[list[_Property], None]:
 
 
 def _log_deltas(args) -> list[float]:
-    """``--num-deltas`` drop sizes, log-spaced from ``--delta-min`` to
-    ``--delta-max``."""
-    return [float(d) for d in np.logspace(math.log10(args.delta_min),
-                                          math.log10(args.delta_max), args.num_deltas)]
+    """``--num-deltas`` drop sizes, log-spaced from exactly ``--delta-min``
+    to exactly ``--delta-max`` and never outside them.  The inner drops use
+    the C library's ``pow``: numpy's last bit depends on the CPU it runs on."""
+    a, b, n = args.delta_min, args.delta_max, args.num_deltas
+    lo, hi = math.log10(a), math.log10(b)
+    step = (hi - lo) / max(n - 1, 1)
+    inner = [min(max(10.0 ** (i * step + lo), a), b) for i in range(1, n - 1)]
+    return [a, *inner, b][:n]
 
 
 def _demo_sharpness(args) -> tuple[list[_Property], SweepResult]:
@@ -821,10 +818,6 @@ def _demo_sharpness(args) -> tuple[list[_Property], SweepResult]:
     return props, sweep
 
 
-_DEMOS = {"strictness": _demo_strictness, "impossibility": _demo_impossibility,
-          "sharpness": _demo_sharpness}
-
-
 def _csv_text(sweep: Optional[SweepResult], props: Sequence[_Property] = ()) -> str:
     """The sweep table as CSV, or without a sweep the property table."""
     buf = io.StringIO()
@@ -837,14 +830,22 @@ def _csv_text(sweep: Optional[SweepResult], props: Sequence[_Property] = ()) -> 
     return buf.getvalue()
 
 
-def cmd_demo(args) -> int:
-    props, sweep = _DEMOS[args.name](args)
-    code = _print_properties(props)
-    if args.out or (args.csv and sweep is not None):
+def cmd_demo(build, args) -> int:
+    """Run the demo ``build`` and report its properties; with ``--csv`` or
+    ``--out``, also write its CSV."""
+    props, sweep = build(args)
+    for p in props:
+        sys.stdout.write(f"{'PASS' if p.passed else 'FAIL'} {p.name}: {p.detail}\n")
+    failed = [p.name for p in props if not p.passed]
+    sys.stdout.write(f"{len(props) - len(failed)}/{len(props)} properties passed\n")
+    if args.out or args.csv:
         _emit(args, _csv_text(sweep, props))
     if args.out:
         sys.stdout.write(f"wrote {args.out}\n")
-    return code
+    if failed:
+        sys.stderr.write(f"demo property falsified: {', '.join(failed)}\n")
+        return 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -884,28 +885,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _positive_float(text: str) -> float:
-    try:
-        x = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(x) and x > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return x
+def _flag(kind):
+    """An argparse ``type`` that parses a value with the problem-file value
+    ``kind``, so a flag and a problem-file key reject the same values."""
+    def parse(text: str):
+        try:
+            return kind(text, _Context("<command line>"), 0, "value")
+        except SpecParseError as e:
+            raise argparse.ArgumentTypeError(e.message) from None
+    return parse
 
 
-def _positive_floats(text: str) -> list[float]:
-    return [_positive_float(part) for part in text.split(",")]
-
-
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
-    return n
+def _flags(kind):
+    """``_flag(kind)`` for each item of a comma-separated list."""
+    return lambda text: [_flag(kind)(part) for part in text.split(",")]
 
 
 def _output_path(text: str) -> str:
@@ -932,67 +925,70 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and brute-force oracle checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=int, default=1, help="accepted for compatibility; "
-                         "has no effect (scans run as numpy blocks)")
+    positive = _flag(_positive)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--spec", required=True, help="problem description file")
-        p.add_argument("--grid-step", type=float, default=None, dest="grid_step",
-                       help="base lattice step (overrides the [grid] section)")
-        p.add_argument("--level-step", type=float, default=None, dest="level_step",
-                       help="level lattice step (overrides the [grid] section)")
+    # Each command builds its own arguments: argparse's parents= would share
+    # action objects, so one command's defaults would leak into another's.
+    def command(parent, name: str, func, grid_step: Optional[float], help: Optional[str]):
+        p = parent.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--grid-step", type=positive, default=grid_step,
+                       help="base lattice step (gauge, certify: overrides the [grid] section)")
         p.add_argument("--out", type=_output_path, default=None,
                        help="write output to this file")
+        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; "
+                       "has no effect (scans run as numpy blocks)")
+        return p
 
-    p_gauge = sub.add_parser("gauge", parents=[threads], help="evaluate certificate blocks "
-                                                              "and oracle gauge side by side")
-    common(p_gauge)
-    p_gauge.set_defaults(func=cmd_gauge)
+    def drops(p, delta_min: float, num_deltas: int) -> None:
+        p.add_argument("--delta-min", type=positive, default=delta_min)
+        p.add_argument("--delta-max", type=positive, default=1e-2)
+        p.add_argument("--num-deltas", type=_flag(_dimension), default=num_deltas)
 
-    p_cert = sub.add_parser("certify", parents=[threads], help="full pipeline: gauge -> "
-                            "window checks -> displacement certificate record")
-    common(p_cert)
-    p_cert.set_defaults(func=cmd_certify)
+    for name, func, help in (
+            ("gauge", cmd_gauge, "evaluate certificate blocks and oracle gauge side by side"),
+            ("certify", cmd_certify, "full pipeline: gauge -> window checks -> "
+                                     "displacement certificate record")):
+        p = command(sub, name, func, None, help)
+        p.add_argument("--spec", required=True, help="problem description file")
+        p.add_argument("--level-step", type=positive, default=None,
+                       help="level lattice step (overrides the [grid] section)")
 
-    p_demo = sub.add_parser("demo", parents=[threads], help="build a counterexample "
-                            "construction and verify its stated properties")
-    p_demo.add_argument("name", choices=["sharpness", "strictness", "impossibility"])
-    p_demo.add_argument("--R", type=float, default=1.0)
-    p_demo.add_argument("--M", type=float, default=2.0)
-    p_demo.add_argument("--A", type=float, default=5.0)
-    p_demo.add_argument("--mu", type=float, default=2.0)
-    p_demo.add_argument("--delta-min", type=_positive_float, default=1e-4, dest="delta_min")
-    p_demo.add_argument("--delta-max", type=_positive_float, default=1e-2, dest="delta_max")
-    p_demo.add_argument("--num-deltas", type=_positive_int, default=6, dest="num_deltas")
-    p_demo.add_argument("--queries", type=lambda s: [float(x) for x in s.split(",")],
-                        default=[-0.5, 0.5],
-                        help="comma-separated 1-d query coordinates")
-    p_demo.add_argument("--y", type=float, default=None,
-                        help="bump peak (default: auto-search)")
-    p_demo.add_argument("--grid-step", type=float, default=1e-4, dest="grid_step")
-    p_demo.add_argument("--level-step", type=float, default=0.05, dest="level_step")
-    p_demo.add_argument("--csv", action="store_true",
-                        help="emit the sweep table as CSV to stdout (sharpness)")
-    p_demo.add_argument("--out", type=_output_path, default=None,
-                        help="write CSV to this file")
-    p_demo.set_defaults(func=cmd_demo)
+    demos = sub.add_parser("demo", help="build a counterexample construction and verify "
+                           "its stated properties").add_subparsers(dest="name", required=True)
 
-    p_sweep = sub.add_parser("sweep", parents=[threads], help="displacement sweep over drop "
-                             "sizes; CSV columns: delta,argmin,dist,bound,slack")
-    mu_source = p_sweep.add_mutually_exclusive_group()
+    def demo(name: str, build):
+        p = command(demos, name, functools.partial(cmd_demo, build), 1e-4, None)
+        p.add_argument("--csv", action="store_true", help="write the CSV to stdout")
+        return p
+
+    p = demo("strictness", _demo_strictness)
+    p.add_argument("--R", type=positive, default=1.0)
+    p.add_argument("--M", type=positive, default=2.0)
+    p.add_argument("--A", type=positive, default=5.0)
+    p.add_argument("--level-step", type=positive, default=0.05)
+
+    p = demo("impossibility", _demo_impossibility)
+    p.add_argument("--R", type=positive, default=1.0)
+    p.add_argument("--A", type=_flag(_nonnegative), default=5.0)
+    p.add_argument("--queries", type=_flags(_float), default=[-0.5, 0.5],
+                   help="comma-separated 1-d query coordinates")
+    p.add_argument("--y", type=_flag(_float), default=None,
+                   help="bump peak (default: auto-search)")
+
+    p = demo("sharpness", _demo_sharpness)
+    p.add_argument("--mu", type=positive, default=2.0)
+    drops(p, 1e-4, 6)
+
+    p = command(sub, "sweep", cmd_sweep, 2e-5, "displacement sweep over drop sizes; "
+                "CSV columns: delta,argmin,dist,bound,slack")
+    mu_source = p.add_mutually_exclusive_group()
     mu_source.add_argument("--spec", default=None,
                            help="problem file with a growth block (provides mu)")
-    mu_source.add_argument("--mu", type=float, default=None)
-    p_sweep.add_argument("--deltas", type=_positive_floats, default=None,
-                         help="comma-separated drop sizes (overrides the log range)")
-    p_sweep.add_argument("--delta-min", type=_positive_float, default=1e-5, dest="delta_min")
-    p_sweep.add_argument("--delta-max", type=_positive_float, default=1e-2, dest="delta_max")
-    p_sweep.add_argument("--num-deltas", type=_positive_int, default=8, dest="num_deltas")
-    p_sweep.add_argument("--grid-step", type=float, default=2e-5, dest="grid_step")
-    p_sweep.add_argument("--out", type=_output_path, default=None)
-    p_sweep.set_defaults(func=cmd_sweep)
-
+    mu_source.add_argument("--mu", type=positive, default=None)
+    p.add_argument("--deltas", type=_flags(_positive), default=None,
+                   help="comma-separated drop sizes (overrides the log range)")
+    drops(p, 1e-5, 8)
     return parser
 
 

@@ -12,6 +12,7 @@ lattice points or hits the lattice cap before it starts.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import os
 import tempfile
@@ -27,11 +28,18 @@ from epigauge.errors import EpigaugeError
 JUNK = ("0", "-1", "nan", "inf", "-inf", "abc", "", "1e-300", "1e300", "2.5.1")
 
 
+# Strategies are cached: building them inside every draw costs more than
+# drawing from them.
+_sampled = functools.cache(st.sampled_from)
+
+
+@functools.cache
 def _num(*good: str) -> st.SearchStrategy[str]:
     """A good value nine times in ten, else a bad token."""
-    return st.integers(0, 9).flatmap(lambda i: st.sampled_from(JUNK if i == 0 else good))
+    return st.integers(0, 9).flatmap(lambda i: _sampled(JUNK if i == 0 else good))
 
 
+@functools.cache
 def _rarely(n: int) -> st.SearchStrategy[bool]:
     """True about once in ``n`` draws."""
     return st.integers(0, n - 1).map(lambda i: i == 0)
@@ -135,7 +143,7 @@ def well_formed_problems(draw) -> str:
     dim = int(draw(st.sampled_from(DIMS)))
 
     def value(pool: tuple[str, ...], point: bool) -> str:
-        return draw(st.sampled_from(_sized(pool, dim) if point else pool))
+        return draw(_sampled(_sized(pool, dim) if point else pool))
 
     lines = [f"dimension = {dim}"]
     for k, name in enumerate(NAMES):
@@ -200,30 +208,27 @@ def _options(draw, table: dict[str, st.SearchStrategy[str]]) -> list[str]:
     return argv
 
 
-_SPEC_OPTS = {
-    "--grid-step": _num(*STEPS),
-    "--level-step": _num(*STEPS),
-    "--threads": _num("1", "2"),
-    "--out": st.sampled_from(OUT),
-}
+_RUN_OPTS = {"--threads": _num("1", "2"), "--out": st.sampled_from(OUT)}
+_SPEC_OPTS = {"--grid-step": _num(*STEPS), "--level-step": _num(*STEPS), **_RUN_OPTS}
 _SHARPNESS_OPTS = {
     "--mu": _num("1.0", "2.0", "8.0"),
     "--delta-min": _num("1e-4", "1e-3", "1e-2"),
     "--delta-max": _num("1e-4", "1e-3", "1e-2"),
     "--num-deltas": _num("1", "2", "4", "8", "-3"),
-    "--threads": _num("1", "2"),
-    "--out": st.sampled_from(OUT),
+    **_RUN_OPTS,
 }
+_DEMO_STEP = {"--grid-step": _num("3e-4", "1e-3", "1e-2")}
+# Each demo declares only the flags it reads.
 _DEMO_OPTS = {
-    **_SHARPNESS_OPTS,
-    "--grid-step": _num("3e-4", "1e-3", "1e-2"),
-    "--R": _num(*RADII, "2.0"),
-    "--M": _num(*RADII, "2.0"),
-    "--A": _num("5.0", "0.5"),
-    "--queries": _num("-0.5,0.5", "0.25", "0,1,-1"),
-    "--y": _num("0.0", "0.75"),
-    "--level-step": _num("0.02", "0.1", "0.5"),
+    "sharpness": {**_SHARPNESS_OPTS, **_DEMO_STEP},
+    "strictness": {**_RUN_OPTS, **_DEMO_STEP, "--R": _num(*RADII, "2.0"),
+                   "--M": _num(*RADII, "2.0"), "--A": _num("5.0", "0.5"),
+                   "--level-step": _num("0.02", "0.1", "0.5")},
+    "impossibility": {**_RUN_OPTS, **_DEMO_STEP, "--R": _num(*RADII, "2.0"),
+                      "--A": _num("5.0", "0.5"), "--queries": _num("-0.5,0.5", "0.25", "0,1,-1"),
+                      "--y": _num("0.0", "0.75")},
 }
+_ANY_DEMO_OPTS = {flag: v for opts in _DEMO_OPTS.values() for flag, v in opts.items()}
 _SWEEP_OPTS = {
     **_SHARPNESS_OPTS,
     "--deltas": _num("1e-3,1e-4", "1e-2", "1e-3,"),
@@ -236,9 +241,12 @@ def argvs(draw) -> list[str]:
     if command in ("gauge", "certify"):
         return [command, "--spec", "{spec}"] + draw(_options(_SPEC_OPTS))
     if command == "demo":
-        name = draw(st.sampled_from(("sharpness", "strictness", "impossibility")))
-        return [command, name] + draw(_options(_DEMO_OPTS)) + draw(
-            st.sampled_from(([], ["--csv"])))
+        name = draw(st.sampled_from(sorted(_DEMO_OPTS)))
+        argv = [command, name] + draw(_options(_DEMO_OPTS[name]))
+        if draw(_rarely(10)):  # another demo's flag, which this demo rejects
+            flag = draw(st.sampled_from(sorted(set(_ANY_DEMO_OPTS) - set(_DEMO_OPTS[name]))))
+            argv += [flag, draw(_ANY_DEMO_OPTS[flag])]
+        return argv + draw(st.sampled_from(([], ["--csv"])))
     # The sweep's default step (2e-5) would scan 10^5 cells per drop.
     argv = [command, "--grid-step", draw(_num("3e-4", "1e-3", "1e-2"))]
     if draw(st.booleans()):

@@ -60,8 +60,10 @@ CASES = {
     "gauge-cover-1d": (["gauge", "--spec", "<tmp>/problem.prob"], COVER_1D, None),
     "demo-strictness-out": (["demo", "strictness", "--out", "<tmp>/demo.csv"], None,
                             "demo.csv"),
-    # --delta-min 1e-4: numpy's AVX-512 power gives 9.999999999999999e-06 for
-    # the default 1e-5 and its baseline path 1e-05; 1e-4, 1e-3, 1e-2 agree.
+    # --csv writes every demo's CSV to stdout; the sharpness defaults are
+    # its own (6 drops from 1e-4), not the sweep's (8 drops from 1e-5).
+    "demo-impossibility-csv": (["demo", "impossibility", "--csv"], None, None),
+    "demo-sharpness-csv": (["demo", "sharpness", "--csv"], None, None),
     "sweep-out": (["sweep", "--mu", "2", "--num-deltas", "3", "--delta-min", "1e-4",
                    "--out", "<tmp>/sweep.csv"], None, "sweep.csv"),
 }
