@@ -37,6 +37,7 @@ from .core import (
     evaluated,
     in_closed_ball,
     norms,
+    require_positive,
     slack_radius,
 )
 from .errors import (
@@ -103,10 +104,7 @@ class EnvelopeCert:
     grid_exact: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.region_radius > 0) or not math.isfinite(self.region_radius):
-            raise PreconditionError(
-                f"region_radius must be finite and > 0, got {self.region_radius!r}"
-            )
+        require_positive(self.region_radius, "region_radius")
         if self.lower.dim != self.upper.dim:
             raise PreconditionError("lower/upper envelopes must share a dimension")
         for f in (self.lower, self.upper):
@@ -134,8 +132,7 @@ class LocalCert:
     upper: Func
 
     def __post_init__(self) -> None:
-        if not (self.radius > 0) or not math.isfinite(self.radius):
-            raise PreconditionError(f"local cert radius must be finite and > 0, got {self.radius!r}")
+        require_positive(self.radius, "local cert radius")
         if self.lower.dim != self.upper.dim or self.lower.dim != self.center.dim:
             raise PreconditionError("local cert center and envelopes must share a dimension")
         # Domain must contain the ball around center (Func domains are centered
@@ -248,6 +245,14 @@ def _estimate_note(grid_exact: bool, what: str = "envelope family") -> str:
     return "grid estimate (lower bound of true sup); not a certificate"
 
 
+def _require_in_region(cert: EnvelopeCert, cyl: Cylinder) -> None:
+    if cyl.R > slack_radius(cert.region_radius):
+        raise PreconditionError(
+            f"cylinder base radius {cyl.R!r} exceeds certified region radius "
+            f"{cert.region_radius!r}"
+        )
+
+
 def envelope_width_bound(cert: EnvelopeCert, cyl: Cylinder, grid_step: float) -> GaugeBound:
     """Scan the envelope width ``upper - lower`` over the base lattice.
 
@@ -256,11 +261,7 @@ def envelope_width_bound(cert: EnvelopeCert, cyl: Cylinder, grid_step: float) ->
     the certificate is declared grid-exact; otherwise the record is marked
     as a grid estimate.
     """
-    if cyl.R > slack_radius(cert.region_radius):
-        raise PreconditionError(
-            f"cylinder base radius {cyl.R!r} exceeds certified region radius "
-            f"{cert.region_radius!r}"
-        )
+    _require_in_region(cert, cyl)
     grid = Grid(cert.dim, cyl.R, grid_step)
     width = 0.0
     for X, (hi, lo) in evaluated(grid.blocks(), cert.upper, cert.lower):
@@ -304,11 +305,7 @@ def validate_bracketing(cert: EnvelopeCert, candidate: Func, cyl: Cylinder,
                         grid_step: float) -> BracketingReport:
     """Check a candidate surrogate against the envelope sandwich on the
     base lattice of the cylinder."""
-    if cyl.R > slack_radius(cert.region_radius):
-        raise PreconditionError(
-            f"cylinder base radius {cyl.R!r} exceeds certified region radius "
-            f"{cert.region_radius!r}"
-        )
+    _require_in_region(cert, cyl)
     if candidate.dim != cert.dim:
         raise DomainError("candidate dimension does not match the certificate")
     if cyl.R > slack_radius(candidate.domain_radius):

@@ -17,7 +17,8 @@ through ``_record``, and all output goes through ``_emit``.
 
 Each command, and each demo, declares only the flags it reads, and every
 numeric flag is parsed by a problem-file value kind (``_flag``), so a bad
-value or an unwritable ``--out`` ends in exit code 2 before any scan.
+value, an unwritable ``--out`` or two flags that give one input two ways
+end in exit code 2 before any scan.
 
 Exit codes: 0 all checks pass / record valid; 1 demo property falsified;
 3 a certify record with a false check.  An error ends in the exit code and
@@ -801,7 +802,7 @@ def _demo_sharpness(args) -> tuple[list[_Property], SweepResult]:
         f"{_fmt(sweep.rows[-1].delta + TAU)}"))
 
     argmin_ok = all(
-        abs(r.dist - math.sqrt(2.0 * r.delta / args.mu)) <= args.grid_step
+        abs(r.dist - build_sharpness_pair(args.mu, r.delta).argmin_radius) <= args.grid_step
         for r in sweep.rows)
     props.append(_Property(
         "extreme_argmin_within_h", argmin_ok,
@@ -901,6 +902,17 @@ def _flags(kind):
     return lambda text: [_flag(kind)(part) for part in text.split(",")]
 
 
+class _Drops(argparse.Action):
+    """A drop-size flag: ``--deltas`` and the log-range flags exclude each other."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = getattr(namespace, "drops_flag", None)
+        if given is not None and (given == "--deltas") != (option_string == "--deltas"):
+            raise argparse.ArgumentError(self, f"not allowed with argument {given}")
+        namespace.drops_flag = option_string
+        setattr(namespace, self.dest, values)
+
+
 def _output_path(text: str) -> str:
     """An ``--out`` path that can be created or overwritten, checked at
     parse time so that no scan runs for output that cannot be written."""
@@ -934,22 +946,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         p.add_argument("--grid-step", type=positive, default=grid_step,
                        help="base lattice step (gauge, certify: overrides the [grid] section)")
-        p.add_argument("--out", type=_output_path, default=None,
-                       help="write output to this file")
-        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; "
-                       "has no effect (scans run as numpy blocks)")
-        return p
+        out = p.add_mutually_exclusive_group()
+        out.add_argument("--out", type=_output_path, default=None,
+                         help="write output to this file")
+        p.add_argument("--threads", type=_flag(_dimension), default=1, help="accepted for "
+                       "compatibility; has no effect (scans run as numpy blocks)")
+        return p, out
 
     def drops(p, delta_min: float, num_deltas: int) -> None:
-        p.add_argument("--delta-min", type=positive, default=delta_min)
-        p.add_argument("--delta-max", type=positive, default=1e-2)
-        p.add_argument("--num-deltas", type=_flag(_dimension), default=num_deltas)
+        p.add_argument("--delta-min", type=positive, default=delta_min, action=_Drops)
+        p.add_argument("--delta-max", type=positive, default=1e-2, action=_Drops)
+        p.add_argument("--num-deltas", type=_flag(_dimension), default=num_deltas, action=_Drops)
 
     for name, func, help in (
             ("gauge", cmd_gauge, "evaluate certificate blocks and oracle gauge side by side"),
             ("certify", cmd_certify, "full pipeline: gauge -> window checks -> "
                                      "displacement certificate record")):
-        p = command(sub, name, func, None, help)
+        p, _ = command(sub, name, func, None, help)
         p.add_argument("--spec", required=True, help="problem description file")
         p.add_argument("--level-step", type=positive, default=None,
                        help="level lattice step (overrides the [grid] section)")
@@ -958,8 +971,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            "its stated properties").add_subparsers(dest="name", required=True)
 
     def demo(name: str, build):
-        p = command(demos, name, functools.partial(cmd_demo, build), 1e-4, None)
-        p.add_argument("--csv", action="store_true", help="write the CSV to stdout")
+        p, out = command(demos, name, functools.partial(cmd_demo, build), 1e-4, None)
+        out.add_argument("--csv", action="store_true", help="write the CSV to stdout")
         return p
 
     p = demo("strictness", _demo_strictness)
@@ -980,14 +993,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=positive, default=2.0)
     drops(p, 1e-4, 6)
 
-    p = command(sub, "sweep", cmd_sweep, 2e-5, "displacement sweep over drop sizes; "
-                "CSV columns: delta,argmin,dist,bound,slack")
+    p, _ = command(sub, "sweep", cmd_sweep, 2e-5, "displacement sweep over drop sizes; "
+                   "CSV columns: delta,argmin,dist,bound,slack")
     mu_source = p.add_mutually_exclusive_group()
     mu_source.add_argument("--spec", default=None,
                            help="problem file with a growth block (provides mu)")
     mu_source.add_argument("--mu", type=positive, default=None)
-    p.add_argument("--deltas", type=_flags(_positive), default=None,
-                   help="comma-separated drop sizes (overrides the log range)")
+    p.add_argument("--deltas", type=_flags(_positive), default=None, action=_Drops,
+                   help="comma-separated drop sizes (instead of the log range)")
     drops(p, 1e-5, 8)
     return parser
 

@@ -30,10 +30,10 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .core import ClosedBall, FinitePointSet, Func, Point, in_closed_ball, norms
+from .core import ClosedBall, FinitePointSet, Func, Point, in_closed_ball, norms, require_positive
 from .errors import ConstructionError, PreconditionError
-from .oracle import Grid, dist_to_set_rows, grid_argmin
-from .stability import GrowthCert
+from .oracle import Grid, dist_to_set, dist_to_set_rows, grid_argmin
+from .stability import GrowthCert, square_root_rule
 
 __all__ = [
     "SharpnessFamily",
@@ -90,14 +90,12 @@ class SharpnessFamily:
                           inf_value=0.0)
 
     def displacement_bound_value(self) -> float:
-        return 2.0 * math.sqrt(self.delta / self.mu)
+        return square_root_rule(self.delta, self.mu)[0]
 
 
 def build_sharpness_pair(mu: float, delta: float) -> SharpnessFamily:
-    if not (mu > 0) or not math.isfinite(mu):
-        raise PreconditionError(f"mu must be finite and > 0, got {mu!r}")
-    if not (delta > 0) or not math.isfinite(delta):
-        raise PreconditionError(f"delta must be finite and > 0, got {delta!r}")
+    require_positive(mu, "mu")
+    require_positive(delta, "delta")
     f = Func.quadratic(mu / 2.0, dim=1, label=f"{mu / 2.0!r}*x^2")
     g = Func.clamp_shift(f, delta, label=f"pospart({mu / 2.0!r}*x^2 - {delta!r})")
     return SharpnessFamily(mu=mu, delta=delta, f=f, g=g)
@@ -131,8 +129,7 @@ class StrictnessPair:
 
 def build_strictness_pair(R: float, M: float, A: float) -> StrictnessPair:
     for name, v in (("R", R), ("M", M), ("A", A)):
-        if not (v > 0) or not math.isfinite(v):
-            raise PreconditionError(f"{name} must be finite and > 0, got {v!r}")
+        require_positive(v, name)
     f_level = -(M + 1.0)
     g_level = f_level - A
     f = Func.constant(f_level, dim=1, label=f"const({f_level!r})")
@@ -163,10 +160,6 @@ class ImpossibilityPair:
     def lipschitz_bound(self) -> float:
         """Slope bound of the bump: ``A / rho``."""
         return self.A / self.rho
-
-
-def _min_query_distance(y: Point, queries: Sequence[Point]) -> float:
-    return min(y.dist(q) for q in queries)
 
 
 def _auto_peak(R: float, queries: Sequence[Point], search_step: float) -> Point:
@@ -206,8 +199,7 @@ def build_impossibility_pair(R: float, queries: Sequence[Point], A: float,
     radius is half the clearance, so the bump vanishes on a neighborhood of
     every query and the zero values there are bit-exact.
     """
-    if not (R > 0) or not math.isfinite(R):
-        raise PreconditionError(f"R must be finite and > 0, got {R!r}")
+    require_positive(R, "R")
     if not (A >= 0) or not math.isfinite(A):
         raise PreconditionError(f"A must be finite and >= 0, got {A!r}")
     queries_t = tuple(queries)
@@ -228,7 +220,7 @@ def build_impossibility_pair(R: float, queries: Sequence[Point], A: float,
         if not in_closed_ball(y, R):
             raise PreconditionError(f"peak point {y} lies outside the ball of radius {R!r}")
 
-    clearance = _min_query_distance(y, queries_t)
+    clearance = dist_to_set(y, FinitePointSet(queries_t))
     rho = 0.5 * clearance
     if not (rho > 0):
         raise ConstructionError(
@@ -276,22 +268,21 @@ class SweepResult:
 
 
 def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float,
-                    radius: Optional[float] = None, threads: int = 1) -> SweepResult:
+                    threads: int = 1) -> SweepResult:
     """Run the displacement experiment for each drop size.
 
     For each ``delta`` the surrogate's lattice argmin plateau is scanned;
     the extreme tied point (largest distance to the target minimizer, then
     lexicographically last) is tabulated against the certified bound
-    ``2*sqrt(delta/mu)`` with grid slack ``2*grid_step``.  The returned
-    slope is the least-squares fit of ``log(dist)`` versus ``log(delta)``,
-    NaN when the drops take fewer than two distinct values.
+    ``2*sqrt(delta/mu)`` with grid slack ``2*grid_step`` (``square_root_rule``).
+    The returned slope is the least-squares fit of ``log(dist)`` versus
+    ``log(delta)``, NaN when the drops take fewer than two distinct values.
 
     The step must resolve the smallest plateau: ``grid_step <
     sqrt(2*min(delta)/mu)/10`` is required, otherwise the scan error would
     swamp the quantity being measured.
     """
-    if not (mu > 0) or not math.isfinite(mu):
-        raise PreconditionError(f"mu must be finite and > 0, got {mu!r}")
+    require_positive(mu, "mu")
     deltas_t = tuple(float(d) for d in deltas)
     if not deltas_t:
         raise PreconditionError("at least one delta is required")
@@ -301,37 +292,26 @@ def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float,
         raise PreconditionError("deltas must be sorted ascending")
     if not (grid_step > 0):
         raise PreconditionError(f"grid_step must be > 0, got {grid_step!r}")
-    smallest_plateau = math.sqrt(2.0 * deltas_t[0] / mu)
+    families = [build_sharpness_pair(mu, delta) for delta in deltas_t]
+    smallest_plateau = families[0].argmin_radius
     if not (grid_step < smallest_plateau / 10.0):
         raise PreconditionError(
             f"grid step {grid_step!r} too coarse to resolve the smallest plateau "
             f"half-width {smallest_plateau!r} (need step < {smallest_plateau / 10.0!r})"
         )
-    largest_plateau = math.sqrt(2.0 * deltas_t[-1] / mu)
-    if radius is None:
-        radius = max(1.5 * largest_plateau, 20.0 * grid_step)
-    elif radius <= largest_plateau:
-        raise PreconditionError(
-            f"sweep radius {radius!r} does not contain the largest plateau "
-            f"half-width {largest_plateau!r}"
-        )
+    radius = max(1.5 * families[-1].argmin_radius, 20.0 * grid_step)
 
     target = FinitePointSet((Point.origin(1),))
     grid = Grid(1, radius, grid_step)
     rows = []
-    for delta in deltas_t:
-        family = build_sharpness_pair(mu, delta)
+    for family in families:
         ties = grid_argmin(family.g, grid, threads=threads).rows
         dist = dist_to_set_rows(ties, target)
         far = np.flatnonzero(dist == dist.max())
         extreme = far[np.argmax(ties[far, 0])]
-        rows.append(SweepRow(
-            delta=delta,
-            argmin=float(ties[extreme, 0]),
-            dist=float(dist[extreme]),
-            bound=family.displacement_bound_value(),
-            slack=2.0 * grid_step,
-        ))
+        bound, slack = square_root_rule(family.delta, mu, grid_step)
+        rows.append(SweepRow(delta=family.delta, argmin=float(ties[extreme, 0]),
+                             dist=float(dist[extreme]), bound=bound, slack=slack))
 
     log_d = np.log([r.delta for r in rows])
     log_dist = np.log([r.dist for r in rows])

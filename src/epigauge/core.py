@@ -90,6 +90,12 @@ def _require_finite(x: float, name: str) -> float:
     return x
 
 
+def require_positive(x: float, name: str) -> None:
+    """Raise ``PreconditionError`` unless ``x`` is finite and > 0."""
+    if not (x > 0) or not math.isfinite(x):
+        raise PreconditionError(f"{name} must be finite and > 0, got {x!r}")
+
+
 # ---------------------------------------------------------------------------
 # Elementary vertical maps
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from .core import (
     evaluated,
     lattice_point,
     norms,
+    require_positive,
     slack_radius,
 )
 from .errors import DomainError, OracleCapError, PreconditionError
@@ -81,10 +82,8 @@ out)."""
 
 
 def _axis_kmax(radius: float, step: float) -> int:
-    if not (step > 0) or not math.isfinite(step):
-        raise PreconditionError(f"grid step must be finite and > 0, got {step!r}")
-    if not (radius > 0) or not math.isfinite(radius):
-        raise PreconditionError(f"grid radius must be finite and > 0, got {radius!r}")
+    require_positive(step, "grid step")
+    require_positive(radius, "grid radius")
     ratio = slack_radius(radius / step)
     if not ratio < LATTICE_CAP:  # also an infinite ratio, which has no integer floor
         raise OracleCapError(
@@ -204,8 +203,7 @@ class LevelGrid:
     values: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (self.M > 0) or not math.isfinite(self.M):
-            raise PreconditionError(f"level bound M must be finite and > 0, got {self.M!r}")
+        require_positive(self.M, "level bound M")
         kmax = _axis_kmax(self.M, self.step_t)
         if 2 * kmax + 3 > LATTICE_CAP:
             raise OracleCapError(

@@ -7,18 +7,21 @@ The pipeline implemented here:
    value gap ``|f(x) - g(x)|`` by ``delta`` (``value_gap_from_gauge``);
 2. if additionally ``f`` grows quadratically away from its minimizer set
    (parameter ``mu``), any minimizer of ``g`` over the base ball is within
-   ``2 * sqrt(delta / mu)`` of that set (``displacement_bound``).
+   ``2 * sqrt(delta / mu)`` of that set, plus ``2 * grid_step`` when it
+   was found by a lattice scan (``square_root_rule``, ``displacement_bound``).
 
 The quadratic growth hypothesis is never estimated from data; it can only
 be *falsified* on a lattice (``falsify_quadratic_growth``), and an empty
 falsification report is explicitly not a certificate.
 
-Window flags are always derived from stored raw values, never asserted by
-callers, so a certificate's ``valid`` flag can be re-verified from the
-record alone: ``epigauge certify`` writes every input of it, the
-``in_base``/``in_level`` flags of both window sections, ``cylinder_R`` and
-``growth_radius``, and ``valid`` holds exactly when all four flags are true
-and ``cylinder_R <= slack_radius(growth_radius)``.
+Claims are always derived from stored raw values, never asserted by
+callers: a ``DisplacementCert`` stores its gauge bound, growth certificate,
+window checks and grid step, and derives ``bound``, ``slack``,
+``bound_with_slack``, ``valid`` and ``detail`` from them.  So ``valid`` can
+be re-verified from the record alone: ``epigauge certify`` writes every
+input of it, the ``in_base``/``in_level`` flags of both window sections,
+``cylinder_R`` and ``growth_radius``, and ``valid`` holds exactly when all
+four flags are true and ``cylinder_R <= slack_radius(growth_radius)``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .core import (
     Point,
     evaluated,
     in_closed_ball,
+    require_positive,
     slack_radius,
 )
 from .errors import PreconditionError
@@ -54,6 +58,7 @@ __all__ = [
     "GrowthFalsificationReport",
     "window_check",
     "value_gap_from_gauge",
+    "square_root_rule",
     "displacement_bound",
     "falsify_quadratic_growth",
     "suboptimality_gap",
@@ -78,10 +83,8 @@ class GrowthCert:
     inf_value: float
 
     def __post_init__(self) -> None:
-        if not (self.mu > 0) or not math.isfinite(self.mu):
-            raise PreconditionError(f"growth parameter mu must be finite and > 0, got {self.mu!r}")
-        if not (self.radius > 0) or not math.isfinite(self.radius):
-            raise PreconditionError(f"growth radius must be finite and > 0, got {self.radius!r}")
+        require_positive(self.mu, "growth parameter mu")
+        require_positive(self.radius, "growth radius")
         if not isinstance(self.argmin_set, (FinitePointSet, ClosedBall)):
             raise PreconditionError(
                 f"unsupported minimizer-set representation: {type(self.argmin_set).__name__}"
@@ -162,44 +165,81 @@ def value_gap_from_gauge(gauge: GaugeBound, check: WindowCheck) -> ValueGapResul
     return ValueGapResult(valid=True, bound=gauge.delta, reason="")
 
 
+def square_root_rule(delta: float, mu: float,
+                     grid_step: Optional[float] = None) -> tuple[float, float]:
+    """The displacement bound ``2 * sqrt(delta / mu)`` and its lattice
+    slack: ``2 * grid_step`` for a minimizer found by a lattice scan of that
+    step, 0 for an exact one (``grid_step=None``)."""
+    return 2.0 * math.sqrt(delta / mu), 0.0 if grid_step is None else 2.0 * grid_step
+
+
 @dataclass(frozen=True)
 class DisplacementCert:
     """The final displacement certificate.
 
-    ``bound`` is ``2 * sqrt(delta / mu)``.  When the surrogate minimizer
-    was found by a lattice scan (``grid_step`` set), the reported
-    ``bound_with_slack`` adds the explicit grid slack ``2 * grid_step``;
-    the exact-minimizer case carries zero slack.  ``valid`` is True only
-    when both points lie in the base ball, all four stored values lie in
-    the level band, and the growth ball contains the base ball (otherwise
-    the growth claim says nothing about a surrogate minimizer outside it);
-    these conditions re-verify from the stored checks and certificates.
+    Stored: the gauge bound, the growth certificate, the window checks at
+    the target and surrogate minimizers, and the step of the lattice scan
+    that found the surrogate minimizer (``None``: caller-certified exact).
+    Derived: ``bound`` and ``slack`` (``square_root_rule``), their sum
+    ``bound_with_slack``, ``detail``, and ``valid``, which is ``reverify()``:
+    both points lie in the base ball, all four stored values lie in the
+    level band, and the growth ball contains the base ball (otherwise the
+    growth claim says nothing about a surrogate minimizer outside it).
     """
 
-    bound: float
     gauge: GaugeBound
     growth: GrowthCert
     window_checks: tuple[WindowCheck, WindowCheck]  # (target minimizer, surrogate minimizer)
-    valid: bool
     grid_step: Optional[float]
-    slack: float
-    bound_with_slack: float
-    detail: str = ""
+
+    def __post_init__(self) -> None:
+        if self.grid_step is not None and not (self.grid_step > 0):
+            raise PreconditionError(f"grid_step must be > 0, got {self.grid_step!r}")
+
+    @property
+    def bound(self) -> float:
+        return square_root_rule(self.gauge.delta, self.growth.mu)[0]
+
+    @property
+    def slack(self) -> float:
+        return square_root_rule(self.gauge.delta, self.growth.mu, self.grid_step)[1]
+
+    @property
+    def bound_with_slack(self) -> float:
+        return self.bound + self.slack
 
     @property
     def growth_covers_base(self) -> bool:
         """The growth ball (radius ``growth.radius``) contains the base ball
         (radius ``gauge.cylinder.R``), with the usual closed-ball slack."""
-        return _growth_covers(self.growth, self.gauge.cylinder.R)
+        return self.gauge.cylinder.R <= slack_radius(self.growth.radius)
+
+    @property
+    def valid(self) -> bool:
+        return self.reverify()
 
     def reverify(self) -> bool:
         """Recompute the validity flag from stored raw values."""
         return self.growth_covers_base and all(c.in_base and c.in_level
                                                for c in self.window_checks)
 
-
-def _growth_covers(growth: GrowthCert, R: float) -> bool:
-    return R <= slack_radius(growth.radius)
+    @property
+    def detail(self) -> str:
+        h, delta = self.grid_step, self.gauge.delta
+        if h is None:
+            detail = "surrogate minimizer caller-certified exact; no grid slack"
+        else:
+            detail = (f"surrogate minimizer from lattice scan (step={h!r}); default slack "
+                      f"2h={self.slack!r}")
+            if delta > 0:
+                aware = 2.0 * h * (1.0 + math.sqrt(self.growth.mu / delta) * h)
+                detail += f"; growth-aware slack 2h*(1+sqrt(mu/delta)*h)={aware!r}"
+            else:
+                detail += " (delta=0: growth-aware form degenerate)"
+        if not self.growth_covers_base:
+            detail += (f"; growth radius {self.growth.radius!r} does not cover the base ball "
+                       f"of radius {self.gauge.cylinder.R!r}: no displacement claim")
+        return detail
 
 
 def displacement_bound(gauge: GaugeBound, growth: GrowthCert, xstar: Point,
@@ -211,11 +251,10 @@ def displacement_bound(gauge: GaugeBound, growth: GrowthCert, xstar: Point,
     against the set representation and against ``inf_value`` within TAU);
     ``xtilde`` is a minimizer of ``g`` over the base ball, either exact
     (caller-certified, ``grid_step=None``) or found by a lattice scan with
-    the given step, in which case the explicit default slack ``2 *
-    grid_step`` is added to the reported bound.  The slack convention is a
-    reporting decision and is spelled out in ``detail``; a sharper
-    growth-aware slack ``2h * (1 + sqrt(mu/delta) * h)`` is recorded there
-    for reference when ``delta > 0``.
+    the given step.  The slack convention (``square_root_rule``) is a
+    reporting decision spelled out in ``detail``, which also records the
+    sharper growth-aware slack ``2h * (1 + sqrt(mu/delta) * h)`` when
+    ``delta > 0``.
     """
     if not (growth.mu > 0):
         raise PreconditionError(f"mu must be > 0, got {growth.mu!r}")
@@ -237,48 +276,11 @@ def displacement_bound(gauge: GaugeBound, growth: GrowthCert, xstar: Point,
             f"claimed minimizer value {f_at_star!r} differs from inf_value "
             f"{growth.inf_value!r} by more than {TAU}"
         )
-
-    bound = 2.0 * math.sqrt(gauge.delta / growth.mu)
     checks = (
         window_check(f, g, xstar, gauge.cylinder),
         window_check(f, g, xtilde, gauge.cylinder),
     )
-    covers = _growth_covers(growth, R)
-    valid = covers and all(c.in_base and c.in_level for c in checks)
-
-    if grid_step is None:
-        slack = 0.0
-        detail = "surrogate minimizer caller-certified exact; no grid slack"
-    else:
-        if not (grid_step > 0):
-            raise PreconditionError(f"grid_step must be > 0, got {grid_step!r}")
-        slack = 2.0 * grid_step
-        if gauge.delta > 0:
-            aware = 2.0 * grid_step * (1.0 + math.sqrt(growth.mu / gauge.delta) * grid_step)
-            detail = (
-                f"surrogate minimizer from lattice scan (step={grid_step!r}); default slack "
-                f"2h={slack!r}; growth-aware slack 2h*(1+sqrt(mu/delta)*h)={aware!r}"
-            )
-        else:
-            detail = (
-                f"surrogate minimizer from lattice scan (step={grid_step!r}); default slack "
-                f"2h={slack!r} (delta=0: growth-aware form degenerate)"
-            )
-
-    if not covers:
-        detail += (f"; growth radius {growth.radius!r} does not cover the base ball of "
-                   f"radius {R!r}: no displacement claim")
-    return DisplacementCert(
-        bound=bound,
-        gauge=gauge,
-        growth=growth,
-        window_checks=checks,
-        valid=valid,
-        grid_step=grid_step,
-        slack=slack,
-        bound_with_slack=bound + slack,
-        detail=detail,
-    )
+    return DisplacementCert(gauge, growth, checks, grid_step)
 
 
 @dataclass(frozen=True)

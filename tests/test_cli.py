@@ -460,3 +460,61 @@ def test_usage_error_exit_code(capsys):
     rc = main(["frobnicate"])
     capsys.readouterr()
     assert rc == 2
+
+
+def test_sweep_spec_alone_takes_mu_from_growth(capsys):
+    # sharpness.prob claims mu = 2.0 in its [growth] section
+    drops = ["--grid-step", "1e-4", "--num-deltas", "3", "--delta-min", "1e-4"]
+    assert main(["sweep", "--spec", str(PROBLEMS / "sharpness.prob"), *drops]) == 0
+    from_spec = capsys.readouterr()
+    assert main(["sweep", "--mu", "2.0", *drops]) == 0
+    assert capsys.readouterr() == from_spec
+    assert from_spec.out.startswith("delta,argmin,dist,bound,slack\n")
+
+
+def test_certify_ball_minimizer_set(tmp_path, capsys):
+    text = (PROBLEMS / "sharpness.prob").read_text()
+    assert "argmin_kind = points\nargmin_points = 0.0" in text
+    p = tmp_path / "ball.prob"
+    p.write_text(text.replace("argmin_kind = points\nargmin_points = 0.0",
+                              "argmin_kind = ball\nargmin_center = 0.0\nargmin_radius = 0.0"))
+    rc = main(["certify", "--spec", str(p)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "x_star = 0.0\n" in out
+    assert "valid = true\n" in out
+
+
+def _without(text: str, *blocks: str) -> str:
+    for block in blocks:
+        assert block in text
+        text = text.replace(block, "")
+    return text
+
+
+SHARPNESS = (PROBLEMS / "sharpness.prob").read_text()
+
+
+# A [tolerance] section needs the cylinder to parse, so it goes with it.
+NO_CYLINDER = _without(SHARPNESS, "[cylinder]\nR = 1.0\nM = 1.0\n",
+                       "[tolerance]\nfamily = constant\nvalue = 0.02\ngrid_exact = true\n")
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("certify", SHARPNESS.replace("argmin_points = 0.0", "argmin_points = 2.0"),
+     "no listed minimizer lies inside the cylinder base ball"),
+    ("gauge", NO_CYLINDER, "gauge requires a [cylinder] section"),
+    ("certify", NO_CYLINDER, "certify requires a [cylinder] section"),
+    ("certify", _without(SHARPNESS, "[pair]\nf = F\ng = G\n"),
+     "certify requires a [pair] section"),
+    ("certify", _without(SHARPNESS, "level_step = 0.01\n"),
+     "no level step: add level_step to [grid] or pass --level-step"),
+], ids=["far-minimizer", "gauge-no-cylinder", "certify-no-cylinder", "no-pair", "no-level-step"])
+def test_missing_input_exits_3_with_its_message(command, text, message, tmp_path, capsys):
+    p = tmp_path / "problem.prob"
+    p.write_text(text)
+    rc = main([command, "--spec", str(p)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == f"precondition failure: {message}\n"

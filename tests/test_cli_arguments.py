@@ -62,6 +62,13 @@ def test_threads_is_accepted_and_has_no_effect(capsys):
     ["demo", "strictness", "--R", "-1"],
     ["demo", "impossibility", "--queries", "0,inf"],
     ["demo", "sharpness", "--grid-step", "inf"],
+    ["demo", "strictness", "--threads", "0"],
+    ["demo", "strictness", "--csv", "--out", "{tmp}/x.csv"],
+    ["demo", "impossibility", "--out", "{tmp}/x.csv", "--csv"],
+    ["demo", "sharpness", "--csv", "--out", "{tmp}/x.csv"],
+    ["sweep", "--mu", "2", "--deltas", "1e-3,1e-2", "--num-deltas", "5", "--delta-min", "5e-4"],
+    ["sweep", "--mu", "2", "--delta-min", "5e-4", "--deltas", "1e-3"],
+    ["sweep", "--mu", "2", "--deltas", "1e-3", "--delta-max", "1e-2"],
 ])
 def test_bad_count_or_output_path_exits_2_before_any_scan(argv, tmp_path, capsys, monkeypatch):
     def no_scan(*args, **kwargs):

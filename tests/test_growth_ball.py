@@ -10,20 +10,25 @@ import pytest
 
 from epigauge import (
     Cylinder,
+    DisplacementCert,
     FinitePointSet,
     Func,
+    GaugeBound,
     Grid,
     GrowthCert,
     Point,
+    Provenance,
+    WindowCheck,
     displacement_bound,
     gauge_from_value_bound,
     grid_argmin,
     grid_sup_abs_diff,
 )
-from epigauge.cli import main
+from epigauge.cli import _fmt, main
 from epigauge.core import slack_radius
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "src" / "epigauge" / "problems"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _far_descent_pair() -> tuple[Func, Func]:
@@ -110,3 +115,26 @@ def test_valid_is_rederived_from_the_record_alone(growth_radius, valid, tmp_path
               <= slack_radius(float(record["displacement"]["growth_radius"])))
     rederived = "true" if in_windows and covers else "false"
     assert rederived == record["displacement"]["valid"] == valid
+
+
+@pytest.mark.parametrize("golden", ["certify-sharpness", "certify-sharpness-tight-level"])
+def test_displacement_claims_are_rederived_from_the_stored_inputs(golden):
+    # A certificate rebuilt from the record's stored inputs alone derives the
+    # claims the record prints, byte for byte.
+    text = (GOLDEN / f"{golden}.txt").read_text()
+    record = _parse_record(text.split("--- stdout\n")[1].split("--- stderr\n")[0])
+    problem, gauge, disp = record["problem"], record["gauge"], record["displacement"]
+    cyl = Cylinder(float(problem["cylinder_R"]), float(problem["cylinder_M"]))
+
+    def point(text: str) -> Point:
+        return Point(tuple(float(c) for c in text.split()))
+
+    checks = tuple(WindowCheck(point(w["point"]), float(w["f_value"]), float(w["g_value"]), cyl)
+                   for w in (record["window_x_star"], record["window_x_tilde"]))
+    growth = GrowthCert(float(disp["mu"]), float(disp["growth_radius"]),
+                        FinitePointSet((point(disp["x_star"]),)), float(disp["inf_value"]))
+    cert = DisplacementCert(
+        GaugeBound(float(gauge["delta"]), cyl, Provenance(gauge["provenance"])),
+        growth, checks, float(disp["grid_step"]))
+    for key in ("bound", "slack", "bound_with_slack", "valid", "detail"):
+        assert _fmt(getattr(cert, key)) == disp[key], key
