@@ -224,14 +224,16 @@ class ToleranceField:
                        (_b + _s * (norms(X) / _R))[:, None])
 
     def _cells(self, X: np.ndarray, levels: Sequence[float]) -> np.ndarray:
-        """``eta`` on the cells ``X x levels`` as an ``(n, L)`` array; all
-        NaN without ``batch``."""
-        shape = (len(X), len(levels))
+        """``eta`` on the cells ``X x levels`` as the batch returns it, an
+        array that broadcasts to ``(n, L)`` (a level-free field stays
+        ``(n, 1)``); one NaN without ``batch``."""
         if self.batch is None:
-            return np.full(shape, np.nan)
+            return np.full((1, 1), np.nan)
         with np.errstate(all="ignore"):
-            V = self.batch(X, np.asarray(levels, dtype=np.float64))
-        return np.broadcast_to(np.asarray(V, dtype=np.float64), shape)
+            V = np.asarray(self.batch(X, np.asarray(levels, dtype=np.float64)),
+                           dtype=np.float64)
+        np.broadcast_to(V, (len(X), len(levels)))  # raises unless it broadcasts
+        return V
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +462,13 @@ def gauge_from_tolerance_field(tf: ToleranceField, grid_step_x: float,
     levels = lgrid.values
     best = 0.0
     for X in grid.blocks(cells_per_point=len(levels)):
-        V = tf._cells(X, levels)
-        bad = np.flatnonzero(~(np.isfinite(V) & (V >= 0.0)))
-        if bad.size:  # replay through eta, in lattice order
-            V = np.array(V)
-        for k in bad.tolist():
+        V = tf._cells(X, levels)  # checked and reduced as the batch returns it
+        ok = np.isfinite(V) & (V >= 0.0)
+        if not ok.all():  # replay the bad cells through eta, in lattice order
+            shape = (len(X), len(levels))
+            V = np.array(np.broadcast_to(V, shape))
+            ok = np.broadcast_to(ok, shape)
+        for k in np.flatnonzero(~ok).tolist():
             i, j = divmod(k, len(levels))
             p, t = Point(tuple(X[i].tolist())), levels[j]
             v = float(tf.eta(p, t))

@@ -74,7 +74,18 @@ from .core import (
     in_closed_ball,
 )
 from .errors import EpigaugeError, PreconditionError, SpecParseError
-from .oracle import Grid, LevelGrid, dist_to_set, grid_argmin, grid_gauge, grid_sup_abs_diff
+# grid_argmin stays bound here for the spans of bench/child.py; certify reads
+# its minimizers from grid_pair_scan.
+from .oracle import (
+    ArgminResult,
+    Grid,
+    LevelGrid,
+    dist_to_set,
+    grid_argmin,
+    grid_gauge,
+    grid_pair_scan,
+    grid_sup_abs_diff,
+)
 from .stability import GrowthCert, displacement_bound, value_gap_from_gauge
 
 __all__ = ["ProblemSpec", "load_problem", "parse_problem_text", "main", "entrypoint"]
@@ -547,16 +558,16 @@ class _Stage:
     grid_step: float
     level_step: Optional[float]
     bounds: list[tuple[str, GaugeBound]]
-    grid: Optional[Grid]                  # the base lattice; None without a [pair]
-    oracle_gauge: Optional[float] = None
+    oracle_gauge: Optional[float] = None  # the oracle columns; None without a [pair]
     oracle_sup: Optional[float] = None
+    argmin: Optional[ArgminResult] = None  # lattice minimizers of g
 
 
 def _run(spec: ProblemSpec, args, need_level: bool) -> _Stage:
     """The stage ``gauge`` and ``certify`` share after their own precondition
     checks: the lattice steps (an option overrides the [grid] section), every
-    certificate block's bound and, with a [pair], the oracle gauge and
-    sup |f-g| on one base lattice."""
+    certificate block's bound and, with a [pair], the oracle gauge, sup |f-g|
+    and lattice minimizers of g from one pass over one base lattice."""
     grid_step = spec.grid_step if args.grid_step is None else args.grid_step
     level_step = spec.level_step if args.level_step is None else args.level_step
     if grid_step is None:
@@ -566,12 +577,11 @@ def _run(spec: ProblemSpec, args, need_level: bool) -> _Stage:
             "no level step: add level_step to [grid] or pass --level-step")
     bounds = _certified_bounds(spec, grid_step, level_step) if spec.has_certificate() else []
     if spec.pair is None:
-        return _Stage(grid_step, level_step, bounds, None)
+        return _Stage(grid_step, level_step, bounds)
     f, g = spec.pair_funcs()
-    grid = Grid(spec.dimension, spec.cylinder.R, grid_step)
-    return _Stage(grid_step, level_step, bounds, grid,
-                  grid_gauge(f, g, grid, LevelGrid(spec.cylinder.M, level_step)),
-                  grid_sup_abs_diff(f, g, grid))
+    gauge, sup, argmin = grid_pair_scan(f, g, Grid(spec.dimension, spec.cylinder.R, grid_step),
+                                        LevelGrid(spec.cylinder.M, level_step))
+    return _Stage(grid_step, level_step, bounds, gauge, sup, argmin)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +659,7 @@ def cmd_certify(args) -> int:
     source, gauge = _select_gauge(run.bounds)
 
     xstar = _pick_target_minimizer(spec.growth, spec.cylinder.R)
-    argmin = grid_argmin(g, run.grid)
+    argmin = run.argmin
     xtilde = Point(tuple(argmin.rows[0].tolist()))
 
     cert = displacement_bound(gauge, spec.growth, xstar, xtilde, f, g, grid_step=run.grid_step)
@@ -718,8 +728,7 @@ def _demo_strictness(args) -> tuple[list[_Property], None]:
     pair = build_strictness_pair(args.R, args.M, args.A)
     grid = Grid(1, args.R, args.grid_step)
     lgrid = LevelGrid(args.M, args.level_step)
-    gauge = grid_gauge(pair.f, pair.g, grid, lgrid)
-    sup = grid_sup_abs_diff(pair.f, pair.g, grid)
+    gauge, sup, _ = grid_pair_scan(pair.f, pair.g, grid, lgrid)
     return [
         _Property("cylinder_gauge_exactly_zero", gauge == 0.0,
                   f"oracle gauge = {_fmt(gauge)} (expected exactly 0.0)"),
@@ -880,7 +889,32 @@ def cmd_sweep(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors end in exit code 2 with a single stderr line."""
+    """Usage errors end in exit code 2 with a single stderr line.
+
+    ``fill(parser)``, when given, adds the parser's arguments on its first
+    use (parsing, usage or help), so a run builds only the parsers of the
+    command it invokes."""
+
+    def __init__(self, *args, fill=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def _filled(self) -> None:
+        fill, self._fill = self._fill, None
+        if fill is not None:
+            fill(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._filled()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self) -> str:
+        self._filled()
+        return super().format_usage()
+
+    def format_help(self) -> str:
+        self._filled()
+        return super().format_help()
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -939,69 +973,86 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     positive = _flag(_positive)
 
-    # Each command builds its own arguments: argparse's parents= would share
-    # action objects, so one command's defaults would leak into another's.
-    def command(parent, name: str, func, grid_step: Optional[float], help: Optional[str]):
-        p = parent.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        p.add_argument("--grid-step", type=positive, default=grid_step,
-                       help="base lattice step (gauge, certify: overrides the [grid] section)")
-        out = p.add_mutually_exclusive_group()
-        out.add_argument("--out", type=_output_path, default=None,
-                         help="write output to this file")
-        p.add_argument("--threads", type=_flag(_dimension), default=1, help="accepted for "
-                       "compatibility; has no effect (scans run as numpy blocks)")
-        return p, out
+    # Each command registers its name and help here and adds its own
+    # arguments, through ``add(p, out)``, on first use.  Each builds its own
+    # actions: argparse's parents= would share action objects, so one
+    # command's defaults would leak into another's.
+    def command(parent, name: str, func, grid_step: Optional[float], help: Optional[str],
+                add) -> None:
+        def fill(p) -> None:
+            p.set_defaults(func=func)
+            p.add_argument("--grid-step", type=positive, default=grid_step,
+                           help="base lattice step (gauge, certify: overrides the [grid] "
+                                "section)")
+            out = p.add_mutually_exclusive_group()
+            out.add_argument("--out", type=_output_path, default=None,
+                             help="write output to this file")
+            p.add_argument("--threads", type=_flag(_dimension), default=1, help="accepted for "
+                           "compatibility; has no effect (scans run as numpy blocks)")
+            add(p, out)
+        parent.add_parser(name, help=help, fill=fill)
 
     def drops(p, delta_min: float, num_deltas: int) -> None:
         p.add_argument("--delta-min", type=positive, default=delta_min, action=_Drops)
         p.add_argument("--delta-max", type=positive, default=1e-2, action=_Drops)
         p.add_argument("--num-deltas", type=_flag(_dimension), default=num_deltas, action=_Drops)
 
-    for name, func, help in (
-            ("gauge", cmd_gauge, "evaluate certificate blocks and oracle gauge side by side"),
-            ("certify", cmd_certify, "full pipeline: gauge -> window checks -> "
-                                     "displacement certificate record")):
-        p, _ = command(sub, name, func, None, help)
+    def problem(p, out) -> None:
         p.add_argument("--spec", required=True, help="problem description file")
         p.add_argument("--level-step", type=positive, default=None,
                        help="level lattice step (overrides the [grid] section)")
 
-    demos = sub.add_parser("demo", help="build a counterexample construction and verify "
-                           "its stated properties").add_subparsers(dest="name", required=True)
+    command(sub, "gauge", cmd_gauge, None,
+            "evaluate certificate blocks and oracle gauge side by side", problem)
+    command(sub, "certify", cmd_certify, None,
+            "full pipeline: gauge -> window checks -> displacement certificate record", problem)
 
-    def demo(name: str, build):
-        p, out = command(demos, name, functools.partial(cmd_demo, build), 1e-4, None)
-        out.add_argument("--csv", action="store_true", help="write the CSV to stdout")
-        return p
+    def with_csv(add):
+        """A demo's ``add``: ``--csv``, then the demo's own flags."""
+        def add_demo(p, out) -> None:
+            out.add_argument("--csv", action="store_true", help="write the CSV to stdout")
+            add(p)
+        return add_demo
 
-    p = demo("strictness", _demo_strictness)
-    p.add_argument("--R", type=positive, default=1.0)
-    p.add_argument("--M", type=positive, default=2.0)
-    p.add_argument("--A", type=positive, default=5.0)
-    p.add_argument("--level-step", type=positive, default=0.05)
+    def strictness(p) -> None:
+        p.add_argument("--R", type=positive, default=1.0)
+        p.add_argument("--M", type=positive, default=2.0)
+        p.add_argument("--A", type=positive, default=5.0)
+        p.add_argument("--level-step", type=positive, default=0.05)
 
-    p = demo("impossibility", _demo_impossibility)
-    p.add_argument("--R", type=positive, default=1.0)
-    p.add_argument("--A", type=_flag(_nonnegative), default=5.0)
-    p.add_argument("--queries", type=_flags(_float), default=[-0.5, 0.5],
-                   help="comma-separated 1-d query coordinates")
-    p.add_argument("--y", type=_flag(_float), default=None,
-                   help="bump peak (default: auto-search)")
+    def impossibility(p) -> None:
+        p.add_argument("--R", type=positive, default=1.0)
+        p.add_argument("--A", type=_flag(_nonnegative), default=5.0)
+        p.add_argument("--queries", type=_flags(_float), default=[-0.5, 0.5],
+                       help="comma-separated 1-d query coordinates")
+        p.add_argument("--y", type=_flag(_float), default=None,
+                       help="bump peak (default: auto-search)")
 
-    p = demo("sharpness", _demo_sharpness)
-    p.add_argument("--mu", type=positive, default=2.0)
-    drops(p, 1e-4, 6)
+    def sharpness(p) -> None:
+        p.add_argument("--mu", type=positive, default=2.0)
+        drops(p, 1e-4, 6)
 
-    p, _ = command(sub, "sweep", cmd_sweep, 2e-5, "displacement sweep over drop sizes; "
-                   "CSV columns: delta,argmin,dist,bound,slack")
-    mu_source = p.add_mutually_exclusive_group()
-    mu_source.add_argument("--spec", default=None,
-                           help="problem file with a growth block (provides mu)")
-    mu_source.add_argument("--mu", type=positive, default=None)
-    p.add_argument("--deltas", type=_flags(_positive), default=None, action=_Drops,
-                   help="comma-separated drop sizes (instead of the log range)")
-    drops(p, 1e-5, 8)
+    def fill_demos(p) -> None:
+        demos = p.add_subparsers(dest="name", required=True)
+        for name, build, add in (("strictness", _demo_strictness, strictness),
+                                 ("impossibility", _demo_impossibility, impossibility),
+                                 ("sharpness", _demo_sharpness, sharpness)):
+            command(demos, name, functools.partial(cmd_demo, build), 1e-4, None, with_csv(add))
+
+    sub.add_parser("demo", help="build a counterexample construction and verify its stated "
+                   "properties", fill=fill_demos)
+
+    def sweep(p, out) -> None:
+        mu_source = p.add_mutually_exclusive_group()
+        mu_source.add_argument("--spec", default=None,
+                               help="problem file with a growth block (provides mu)")
+        mu_source.add_argument("--mu", type=positive, default=None)
+        p.add_argument("--deltas", type=_flags(_positive), default=None, action=_Drops,
+                       help="comma-separated drop sizes (instead of the log range)")
+        drops(p, 1e-5, 8)
+
+    command(sub, "sweep", cmd_sweep, 2e-5, "displacement sweep over drop sizes; "
+            "CSV columns: delta,argmin,dist,bound,slack", sweep)
     return parser
 
 

@@ -18,6 +18,13 @@ point, so the lowest level attains the maximum over the band.  The
 ``threads`` arguments are accepted for compatibility and ignored: the numpy
 blocks run single-threaded.
 
+Each kernel's per-block reduction is written once and shared with
+``grid_pair_scan``, which computes ``grid_gauge``, ``grid_sup_abs_diff``
+and the ``grid_argmin`` of ``g`` in one walk of one base lattice,
+evaluating each function once per block; its results are the three
+kernels' bit for bit, and a failing pair raises what ``grid_gauge`` raises.
+``certify`` and ``demo strictness`` read their oracle columns from it.
+
 Blocks are read-only.  A lattice that fits in one block is built once and
 served again from a process-wide LRU of ``LATTICE_CACHE_ENTRIES`` entries
 (keyed on dimension, radius, step and block size), so repeated scans of
@@ -60,6 +67,7 @@ __all__ = [
     "grid_sup_abs_diff",
     "grid_gauge",
     "grid_argmin",
+    "grid_pair_scan",
     "dist_to_set",
     "dist_to_set_rows",
     "BLOCK_CELLS",
@@ -260,16 +268,61 @@ def _check_domains(grid: Grid, *funcs: Func) -> None:
             )
 
 
+def _check_gauge_cap(grid: Grid, lgrid: LevelGrid) -> None:
+    if grid.cube_size() * len(lgrid.values) > LATTICE_CAP:
+        raise OracleCapError(
+            f"gauge scan of {grid.cube_size()} x {len(lgrid.values)} points exceeds "
+            f"cap {LATTICE_CAP}"
+        )
+
+
+# Per-block reducers, shared by the kernels below and by ``grid_pair_scan``.
+
+
+def _sup_block(fv: np.ndarray, gv: np.ndarray) -> float:
+    with np.errstate(over="ignore"):  # rounds to inf, as the scalar difference does
+        return float(np.abs(fv - gv).max())
+
+
+def _gauge_block(fa: np.ndarray, fb: np.ndarray, t: float) -> float:
+    up = fa > fb
+    hi = np.where(up, fa, fb)
+    lo = np.where(up, fb, fa)
+    with np.errstate(over="ignore"):  # as in _sup_block
+        disc = np.where(t >= hi, 0.0, np.where(t <= lo, hi - lo, hi - t))
+    return float(disc.max())
+
+
+class _Argmin:
+    """The running minimum of an argmin scan and, per block, the rows that
+    may still tie with it."""
+
+    def __init__(self) -> None:
+        self.best = math.inf
+        self.candidates: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def add(self, X: np.ndarray, v: np.ndarray) -> None:
+        block_min = v[np.argmin(v)]
+        if block_min < self.best:
+            self.best = float(block_min)
+        keep = v <= block_min + TAU
+        self.candidates.append((X[keep], v[keep]))
+
+    def result(self) -> ArgminResult:
+        if not self.candidates:
+            raise PreconditionError("grid has no points")
+        rows = np.concatenate([X[v <= self.best + TAU] for X, v in self.candidates])
+        rows.setflags(write=False)
+        return ArgminResult(rows=rows, value=self.best)
+
+
 def grid_sup_abs_diff(f: Func, g: Func, grid: Grid, threads: int = 1) -> float:
     """Max of ``|f - g|`` over the lattice: a lower bound on the true
     supremum over the ball."""
     _check_domains(grid, f, g)
     m = 0.0
     for _, (fv, gv) in evaluated(grid.blocks(), f, g):
-        with np.errstate(over="ignore"):  # rounds to inf, as the scalar difference does
-            d = float(np.abs(fv - gv).max())
-        if d > m:
-            m = d
+        m = max(m, _sup_block(fv, gv))  # the first of equal maxima, as a scalar loop keeps
     return m
 
 
@@ -290,22 +343,11 @@ def grid_gauge(f: Func, g: Func, grid: Grid, lgrid: LevelGrid, threads: int = 1)
     base x level lattice.
     """
     _check_domains(grid, f, g)
-    if grid.cube_size() * len(lgrid.values) > LATTICE_CAP:
-        raise OracleCapError(
-            f"gauge scan of {grid.cube_size()} x {len(lgrid.values)} points exceeds "
-            f"cap {LATTICE_CAP}"
-        )
+    _check_gauge_cap(grid, lgrid)
     t = lgrid.values[0]
     m = 0.0
     for _, (fa, fb) in evaluated(grid.blocks(), f, g):
-        up = fa > fb
-        hi = np.where(up, fa, fb)
-        lo = np.where(up, fb, fa)
-        with np.errstate(over="ignore"):  # as in grid_sup_abs_diff
-            disc = np.where(t >= hi, 0.0, np.where(t <= lo, hi - lo, hi - t))
-        dm = float(disc.max())
-        if dm > m:
-            m = dm
+        m = max(m, _gauge_block(fa, fb, t))
     return m
 
 
@@ -318,19 +360,28 @@ def grid_argmin(f: Func, grid: Grid, threads: int = 1) -> ArgminResult:
     minimum as first met in lattice order.
     """
     _check_domains(grid, f)
-    best = math.inf
-    candidates: list[tuple[np.ndarray, np.ndarray]] = []
+    argmin = _Argmin()
     for X, (v,) in evaluated(grid.blocks(), f):
-        block_min = v[np.argmin(v)]
-        if block_min < best:
-            best = float(block_min)
-        keep = v <= block_min + TAU
-        candidates.append((X[keep], v[keep]))
-    if not candidates:
-        raise PreconditionError("grid has no points")
-    rows = np.concatenate([X[v <= best + TAU] for X, v in candidates])
-    rows.setflags(write=False)
-    return ArgminResult(rows=rows, value=best)
+        argmin.add(X, v)
+    return argmin.result()
+
+
+def grid_pair_scan(f: Func, g: Func, grid: Grid,
+                   lgrid: LevelGrid) -> tuple[float, float, ArgminResult]:
+    """``(grid_gauge(f, g, grid, lgrid), grid_sup_abs_diff(f, g, grid),
+    grid_argmin(g, grid))`` from one walk of the lattice, evaluating each
+    function once per block: bit for bit the three kernels' results, and
+    on a failing problem the exception ``grid_gauge`` raises."""
+    _check_domains(grid, f, g)
+    _check_gauge_cap(grid, lgrid)
+    t = lgrid.values[0]
+    gauge = sup = 0.0
+    argmin = _Argmin()
+    for X, (fv, gv) in evaluated(grid.blocks(), f, g):
+        gauge = max(gauge, _gauge_block(fv, gv, t))
+        sup = max(sup, _sup_block(fv, gv))
+        argmin.add(X, gv)
+    return gauge, sup, argmin.result()
 
 
 def dist_to_set(x: Point, argmin_set: ArgminSet) -> float:

@@ -52,6 +52,7 @@ from epigauge import (
     pointwise_discrepancy,
     validate_bracketing,
 )
+from epigauge.cli import main
 from epigauge.constructions import (
     _auto_peak,
     build_impossibility_pair,
@@ -59,7 +60,8 @@ from epigauge.constructions import (
     build_strictness_pair,
 )
 from epigauge import oracle
-from epigauge.oracle import BLOCK_CELLS, LATTICE_CACHE_ENTRIES, dist_to_set_rows
+from epigauge.core import norms
+from epigauge.oracle import BLOCK_CELLS, LATTICE_CACHE_ENTRIES, dist_to_set_rows, grid_pair_scan
 
 from helpers import clamp_to_band, random_analytic, random_point_in_ball
 
@@ -281,7 +283,7 @@ def test_blocks_are_lattice_order_and_bounded(dim, step):
 def kernel_pairs():
     rng = np.random.default_rng(2024)
     pairs = []
-    for dim in (1, 2):
+    for dim in (1, 2, 3):
         for _ in range(6):
             pairs.append((random_analytic(rng, dim), random_analytic(rng, dim)))
         f = random_analytic(rng, dim)
@@ -295,9 +297,20 @@ def kernel_pairs():
     return pairs
 
 
+def assert_pass_matches_kernels(f, g, grid, lgrid):
+    """``grid_pair_scan`` against the three kernels it replaces, bit for bit."""
+    gauge, sup, argmin = grid_pair_scan(f, g, grid, lgrid)
+    assert gauge.hex() == grid_gauge(f, g, grid, lgrid).hex()
+    assert sup.hex() == grid_sup_abs_diff(f, g, grid).hex()
+    expected = grid_argmin(g, grid)
+    assert argmin.value.hex() == expected.value.hex()
+    assert hexes(argmin.rows.ravel()) == hexes(expected.rows.ravel())
+    assert argmin.rows.shape == expected.rows.shape and not argmin.rows.flags.writeable
+
+
 def test_oracle_kernels_match_reference_loops():
     for f, g in kernel_pairs():
-        grid = Grid(f.dim, 1.0, 0.01 if f.dim == 1 else 0.05)
+        grid = Grid(f.dim, 1.0, {1: 0.01, 2: 0.05, 3: 0.125}[f.dim])
         lgrid = LevelGrid(2.0, 0.1)
         assert grid_sup_abs_diff(f, g, grid).hex() == naive_sup(f, g, grid).hex()
         assert grid_gauge(f, g, grid, lgrid).hex() == naive_gauge(f, g, grid, lgrid).hex()
@@ -306,6 +319,7 @@ def test_oracle_kernels_match_reference_loops():
             points, value = naive_argmin(h, grid)
             assert result.value.hex() == value.hex()
             assert result.points == points
+        assert_pass_matches_kernels(f, g, grid, lgrid)
 
 
 def test_certificate_scans_match_reference_loops():
@@ -328,7 +342,12 @@ def test_certificate_scans_match_reference_loops():
         assert report.failures == tuple(expected) and expected
         for tf in (ToleranceField.constant(0.25, cyl, dim),
                    ToleranceField.radial_affine(0.01, 0.3, cyl, dim),
-                   ToleranceField(lambda p, t: 0.01 + abs(t) * p.norm(), cyl, dim)):
+                   ToleranceField(lambda p, t: 0.01 + abs(t) * p.norm(), cyl, dim),
+                   # batches of shape (n, L) and (1, L), reduced without broadcasting
+                   ToleranceField(lambda p, t: 0.01 + abs(t) * p.norm(), cyl, dim,
+                                  batch=lambda X, T: 0.01 + np.abs(T) * norms(X)[:, None]),
+                   ToleranceField(lambda p, t: 0.3 + t * t, cyl, dim,
+                                  batch=lambda X, T: (0.3 + T * T)[None, :])):
             assert gauge_from_tolerance_field(tf, step, 0.25).delta.hex() == \
                 naive_tolerance(tf, step, 0.25).hex()
 
@@ -450,6 +469,16 @@ def test_kernel_error_is_first_in_lattice_order():
     want = outcome(naive_sup, f, g, grid)
     assert got[0] is EvaluationError and got == want
     assert "early" in got[1]
+    # The one pass raises what grid_gauge raises, also mid-lattice in a later block.
+    lgrid = LevelGrid(1.0, 0.5)
+    assert outcome(grid_pair_scan, f, g, grid, lgrid) == outcome(grid_gauge, f, g, grid, lgrid) \
+        == want
+    late = _steps([(0.5, 2.0, math.inf)], batched=True)
+    for f, g in ((Func.quadratic(1.0), late), (late, Func.quadratic(1.0))):
+        grid = Grid(1, 1.0, 1e-5)
+        got = outcome(grid_pair_scan, f, g, grid, lgrid)
+        assert got[0] is EvaluationError and got == outcome(grid_gauge, f, g, grid, lgrid)
+        assert "0.50001" in got[1]
 
 
 def test_overflowing_differences_match_the_scalar_scans():
@@ -459,6 +488,7 @@ def test_overflowing_differences_match_the_scalar_scans():
     grid, lgrid, cyl = Grid(1, 1.0, 0.5), LevelGrid(1.0, 0.5), Cylinder(1.0, 1.0)
     assert grid_sup_abs_diff(f, g, grid) == naive_sup(f, g, grid) == math.inf
     assert grid_gauge(f, g, grid, lgrid) == naive_gauge(f, g, grid, lgrid) == 1e308
+    assert_pass_matches_kernels(f, g, grid, lgrid)
     assert naive_width(EnvelopeCert(1.0, g, f), cyl, 0.5) == math.inf
     with pytest.raises(PreconditionError, match="must be finite"):
         envelope_width_bound(EnvelopeCert(1.0, g, f), cyl, 0.5)
@@ -470,6 +500,13 @@ def test_tolerance_violation_parity():
         ToleranceField.radial_affine(-0.1, 0.2, cyl, 2),
         ToleranceField(lambda p, t: 0.1 - p.norm() * abs(t), cyl, 2),
         ToleranceField(lambda p, t: math.inf if t > 0.5 else 0.0, cyl, 2),
+        # batches of shape (n, 1), (n, L) and (1, L) with a NaN or negative cell
+        ToleranceField(lambda p, t: math.nan if p.norm() > 0.5 else 0.1, cyl, 2,
+                       batch=lambda X, T: np.where(norms(X) > 0.5, math.nan, 0.1)[:, None]),
+        ToleranceField(lambda p, t: 0.1 - p.norm() * abs(t), cyl, 2,
+                       batch=lambda X, T: 0.1 - norms(X)[:, None] * np.abs(T)),
+        ToleranceField(lambda p, t: -1.0 if t > 0.5 else 0.0, cyl, 2,
+                       batch=lambda X, T: np.where(T > 0.5, -1.0, 0.0)[None, :]),
     ]
     for tf in fields:
         got = outcome(gauge_from_tolerance_field, tf, 0.125, 0.25)
@@ -579,6 +616,8 @@ def test_signed_zero_ties_resolve_in_lattice_order():
         points, value = naive_argmin(f, grid)
         assert result.value.hex() == value.hex() == (0.0).hex()
         assert result.points == points
+        *_, argmin = grid_pair_scan(Func.constant(-0.0), f, grid, LevelGrid(1.0, 0.5))
+        assert argmin.value.hex() == value.hex() and argmin == result
 
     # Aggregated envelopes take the first extremum in certificate order.
     cover = Cover((
@@ -746,6 +785,60 @@ def test_cover_scans_aggregate_once_per_block(monkeypatch, dim, step):
         assert len(sizes) > 1  # streamed blocks share the aggregation too
     monkeypatch.undo()
     assert width.delta.hex() == naive_width(cert, cyl, step).hex()
+
+
+CERTIFY_PAIR = """\
+dimension = {dim}
+[function F]
+family = quadratic
+coeff = 1.0
+[function B]
+family = quadratic
+coeff = 1.0
+[function G]
+family = clamp_shift
+base = B
+shift = 0.02
+[cylinder]
+R = 1.0
+M = 1.0
+[pair]
+f = F
+g = G
+[tolerance]
+family = constant
+value = 0.02
+grid_exact = true
+[growth]
+mu = 2.0
+radius = 1.0
+inf_value = 0.0
+argmin_kind = points
+argmin_points = {origin}
+[grid]
+level_step = 0.5
+"""
+
+
+@pytest.mark.parametrize("dim,step", [(1, 1e-3), (1, 1e-5), (2, 1.0 / 64)])
+def test_certify_evaluates_its_pair_once_per_block(monkeypatch, tmp_path, capsys, dim, step):
+    spec = tmp_path / "pair.prob"
+    spec.write_text(CERTIFY_PAIR.format(dim=dim, origin=" ".join(["0.0"] * dim)))
+    calls: dict[str, list[int]] = {"F": [], "G": []}
+    original = Func._rows
+
+    def counting(self, X):
+        calls.get(self.label, []).append(len(X))
+        return original(self, X)
+
+    monkeypatch.setattr(Func, "_rows", counting)
+    assert main(["certify", "--spec", str(spec), "--grid-step", repr(step)]) == 0
+    monkeypatch.undo()
+    assert "valid = true" in capsys.readouterr().out
+    sizes = block_sizes(Grid(dim, 1.0, step))
+    if step == 1e-5:
+        assert len(sizes) > 1
+    assert calls == {"F": sizes, "G": sizes}
 
 
 def aggregated_halves(cert, X: np.ndarray) -> tuple[list[str], list[str]]:
