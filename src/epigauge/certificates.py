@@ -47,7 +47,7 @@ from .errors import (
     InconsistentCoverError,
     PreconditionError,
 )
-from .oracle import Grid, LevelGrid
+from .oracle import Grid, LevelGrid, _check_gauge_cap
 
 __all__ = [
     "EnvelopeCert",
@@ -455,10 +455,12 @@ def gauge_from_tolerance_field(tf: ToleranceField, grid_step_x: float,
 
     ``eta`` must be nonnegative everywhere on the cylinder; a negative
     scanned value is a certificate violation.  Certified only when the
-    field is declared grid-exact.
+    field is declared grid-exact.  The base x level lattice is held to the
+    oracle's gauge cap before the first block.
     """
     grid = Grid(tf.dim, tf.cylinder.R, grid_step_x)
     lgrid = LevelGrid(tf.cylinder.M, grid_step_t)
+    _check_gauge_cap(grid, lgrid)
     levels = lgrid.values
     best = 0.0
     for X in grid.blocks(cells_per_point=len(levels)):

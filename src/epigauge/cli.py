@@ -80,6 +80,7 @@ from .oracle import (
     ArgminResult,
     Grid,
     LevelGrid,
+    _check_gauge_cap,
     dist_to_set,
     grid_argmin,
     grid_gauge,
@@ -563,25 +564,29 @@ class _Stage:
     argmin: Optional[ArgminResult] = None  # lattice minimizers of g
 
 
-def _run(spec: ProblemSpec, args, need_level: bool) -> _Stage:
+def _run(spec: ProblemSpec, args) -> _Stage:
     """The stage ``gauge`` and ``certify`` share after their own precondition
     checks: the lattice steps (an option overrides the [grid] section), every
     certificate block's bound and, with a [pair], the oracle gauge, sup |f-g|
-    and lattice minimizers of g from one pass over one base lattice."""
+    and lattice minimizers of g from one pass over one base lattice.  A
+    [pair] or a [tolerance] needs a level step, and its base x level lattice
+    is held to the gauge cap before any scan."""
     grid_step = spec.grid_step if args.grid_step is None else args.grid_step
     level_step = spec.level_step if args.level_step is None else args.level_step
     if grid_step is None:
         raise PreconditionError("no grid step: add a [grid] section or pass --grid-step")
-    if need_level and level_step is None:
-        raise PreconditionError(
-            "no level step: add level_step to [grid] or pass --level-step")
+    lattices = None
+    if spec.pair is not None or spec.tolerance is not None:
+        if level_step is None:
+            raise PreconditionError(
+                "no level step: add level_step to [grid] or pass --level-step")
+        lattices = (Grid(spec.dimension, spec.cylinder.R, grid_step),
+                    LevelGrid(spec.cylinder.M, level_step))
+        _check_gauge_cap(*lattices)
     bounds = _certified_bounds(spec, grid_step, level_step) if spec.has_certificate() else []
     if spec.pair is None:
         return _Stage(grid_step, level_step, bounds)
-    f, g = spec.pair_funcs()
-    gauge, sup, argmin = grid_pair_scan(f, g, Grid(spec.dimension, spec.cylinder.R, grid_step),
-                                        LevelGrid(spec.cylinder.M, level_step))
-    return _Stage(grid_step, level_step, bounds, gauge, sup, argmin)
+    return _Stage(grid_step, level_step, bounds, *grid_pair_scan(*spec.pair_funcs(), *lattices))
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +601,7 @@ def cmd_gauge(args) -> int:
             "nothing to do: the problem has neither a certificate block nor a [pair]")
     if spec.cylinder is None:
         raise PreconditionError("gauge requires a [cylinder] section")
-    run = _run(spec, args, need_level=spec.tolerance is not None or spec.pair is not None)
+    run = _run(spec, args)
 
     def row(quantity: str, certified: str, oracle) -> str:
         return f"{quantity:<24} {certified:<26} {_fmt(oracle):<26}\n"
@@ -654,7 +659,7 @@ def cmd_certify(args) -> int:
         raise PreconditionError("certify requires a [growth] section")
     if spec.pair is None:
         raise PreconditionError("certify requires a [pair] section")
-    run = _run(spec, args, need_level=True)
+    run = _run(spec, args)
     f, g = spec.pair_funcs()
     source, gauge = _select_gauge(run.bounds)
 
@@ -1000,7 +1005,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def problem(p, out) -> None:
         p.add_argument("--spec", required=True, help="problem description file")
         p.add_argument("--level-step", type=positive, default=None,
-                       help="level lattice step (overrides the [grid] section)")
+                       help="level lattice step (overrides the [grid] section); it "
+                            "changes no bound, oracle value or flag, only the base x "
+                            "level cap")
 
     command(sub, "gauge", cmd_gauge, None,
             "evaluate certificate blocks and oracle gauge side by side", problem)

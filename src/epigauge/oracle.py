@@ -12,11 +12,12 @@ loop in lattice order.  The reductions are exact (max / min of floats) and
 tie lists are assembled in lattice order, so results do not depend on the
 block size.  Argmin ties stay an ``(n, dim)`` array
 (``ArgminResult.rows``); ``Point`` objects are built only on request.
-``grid_gauge`` reads the lowest level only: at a fixed base point the
-case-split discrepancy is nonincreasing in the level even in floating
-point, so the lowest level attains the maximum over the band.  The
-``threads`` arguments are accepted for compatibility and ignored: the numpy
-blocks run single-threaded.
+The discrepancy never increases with the level, so the gauge over
+``B_R x [-M, M]`` is the clipped sup-norm ``|max(f, -M) - max(g, -M)|``
+over the base lattice, and no oracle reads a level lattice value; the
+tolerance scan of ``certificates`` is the only scan that reads levels.
+The ``threads`` arguments are accepted for compatibility and ignored: the
+numpy blocks run single-threaded.
 
 Each kernel's per-block reduction is written once and shared with
 ``grid_pair_scan``, which computes ``grid_gauge``, ``grid_sup_abs_diff``
@@ -203,8 +204,8 @@ def _one_block_lattice(grid: Grid, step: int) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class LevelGrid:
-    """Lattice ``k*step_t`` on the level band ``[-M, M]``, with both
-    endpoints always included."""
+    """Lattice ``k*step_t`` on the level band ``[-M, M]``: the lattice
+    values strictly inside ``(-M, M)``, plus both endpoints."""
 
     M: float
     step_t: float
@@ -216,10 +217,8 @@ class LevelGrid:
         if 2 * kmax + 3 > LATTICE_CAP:
             raise OracleCapError(
                 f"level lattice of {2 * kmax + 3} points exceeds cap {LATTICE_CAP}")
-        vals = set(_axis_values(self.M, self.step_t, kmax))
-        vals.add(-self.M)
-        vals.add(self.M)
-        object.__setattr__(self, "values", tuple(sorted(vals)))
+        inside = [t for t in _axis_values(self.M, self.step_t, kmax) if abs(t) < self.M]
+        object.__setattr__(self, "values", (-self.M, *inside, self.M))
 
     def refine(self) -> "LevelGrid":
         return LevelGrid(self.M, self.step_t / 2.0)
@@ -284,15 +283,6 @@ def _sup_block(fv: np.ndarray, gv: np.ndarray) -> float:
         return float(np.abs(fv - gv).max())
 
 
-def _gauge_block(fa: np.ndarray, fb: np.ndarray, t: float) -> float:
-    up = fa > fb
-    hi = np.where(up, fa, fb)
-    lo = np.where(up, fb, fa)
-    with np.errstate(over="ignore"):  # as in _sup_block
-        disc = np.where(t >= hi, 0.0, np.where(t <= lo, hi - lo, hi - t))
-    return float(disc.max())
-
-
 class _Argmin:
     """The running minimum of an argmin scan and, per block, the rows that
     may still tie with it."""
@@ -330,24 +320,18 @@ def grid_gauge(f: Func, g: Func, grid: Grid, lgrid: LevelGrid, threads: int = 1)
     """Max of the pointwise vertical discrepancy over lattice x level
     lattice: a lower bound on the true cylinder gauge.
 
-    The discrepancy uses the same case split as ``pointwise_discrepancy``,
-    so the scan result is dominated by ``grid_sup_abs_diff`` on the same
-    base lattice exactly (no tolerance needed).  Only the lowest level
-    ``lgrid.values[0]`` is evaluated: at each base point the discrepancy is
-    ``hi - lo`` below ``lo``, ``fl(hi - t)`` between, and 0 above ``hi``, and
-    since rounding is monotone ``fl(hi - t)`` never increases with ``t``,
-    never exceeds ``hi - lo`` and is never negative; the lowest level
-    therefore attains the maximum over the band bit for bit.  (It is not
-    ``-M`` itself: ``LevelGrid(0.3, 0.1).values[0]`` is
-    ``-0.30000000000000004``.)  The size cap still applies to the whole
-    base x level lattice.
+    The discrepancy never increases with the level, so its max over the
+    band is ``|max(f, -M) - max(g, -M)|`` at each base point, bit for bit
+    the case split of ``pointwise_discrepancy`` at ``t = -M``; the scan is
+    dominated by ``grid_sup_abs_diff`` on the same base lattice exactly.
+    The size cap still applies to the whole base x level lattice.
     """
     _check_domains(grid, f, g)
     _check_gauge_cap(grid, lgrid)
-    t = lgrid.values[0]
+    floor = -lgrid.M
     m = 0.0
     for _, (fa, fb) in evaluated(grid.blocks(), f, g):
-        m = max(m, _gauge_block(fa, fb, t))
+        m = max(m, _sup_block(np.maximum(fa, floor), np.maximum(fb, floor)))
     return m
 
 
@@ -374,11 +358,11 @@ def grid_pair_scan(f: Func, g: Func, grid: Grid,
     on a failing problem the exception ``grid_gauge`` raises."""
     _check_domains(grid, f, g)
     _check_gauge_cap(grid, lgrid)
-    t = lgrid.values[0]
+    floor = -lgrid.M
     gauge = sup = 0.0
     argmin = _Argmin()
     for X, (fv, gv) in evaluated(grid.blocks(), f, g):
-        gauge = max(gauge, _gauge_block(fv, gv, t))
+        gauge = max(gauge, _sup_block(np.maximum(fv, floor), np.maximum(gv, floor)))
         sup = max(sup, _sup_block(fv, gv))
         argmin.add(X, gv)
     return gauge, sup, argmin.result()

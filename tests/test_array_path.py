@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epigauge import (
@@ -679,8 +679,8 @@ def test_lowest_level_gauge_matches_full_level_sweep(dim):
     grid = Grid(dim, 1.0, {1: 0.02, 2: 0.125, 3: 0.25}[dim])
     lgrids = (LevelGrid(0.3, 0.1), LevelGrid(2.0, 0.1), LevelGrid(1.0, 0.3),
               LevelGrid(4.5, 1.5))
-    # The lowest level lies below -M: the band endpoint is not on the lattice.
-    assert lgrids[0].values[0] < -0.3
+    # The band endpoint is not on the lattice (3 * 0.1 overshoots it); the levels start at -M.
+    assert lgrids[0].values[0] == -0.3
     for f, g in gauge_pairs(dim):
         for lgrid in lgrids:
             disc, expected = level_sweep_gauge(f, g, grid, lgrid)
@@ -688,6 +688,34 @@ def test_lowest_level_gauge_matches_full_level_sweep(dim):
             assert np.all(np.diff(disc, axis=1) <= 0.0)
             assert grid_gauge(f, g, grid, lgrid).hex() == expected.hex()
             assert grid_gauge(g, f, grid, lgrid).hex() == expected.hex()
+
+
+@st.composite
+def band_cases(draw):
+    """A level band ``(M, step_t)``, often one whose lattice overshoots
+    ``M``, and two tables of 9 values below, at and above ``-M``."""
+    M = draw(st.floats(0.01, 10.0))
+    step_t = draw(st.one_of(st.integers(1, 40).map(lambda n: M / n),
+                            st.floats(M / 40, 2 * M)))
+    near = st.sampled_from([-M, math.nextafter(-M, -math.inf), math.nextafter(-M, math.inf)])
+    value = st.one_of(near, st.floats(-3 * M, 3 * M), st.sampled_from([0.0, -0.0]))
+    tables = [draw(st.lists(value, min_size=9, max_size=9)) for _ in range(2)]
+    return M, step_t, tables
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(band_cases())
+@example((0.3, 0.1, [[-5.0] * 9, [-0.3 + 0.1 * k for k in range(9)]]))
+def test_level_grid_stays_in_the_band_and_the_gauge_reads_it(case):
+    M, step_t, tables = case
+    lgrid = LevelGrid(M, step_t)
+    assert all(-M <= t <= M for t in lgrid.values)
+    assert lgrid.values[0] == -M
+    grid = Grid(1, 1.0, 0.25)  # 9 points, one per table entry
+    points = [p.coords for p in grid.points()]
+    f, g = (Func(lambda p, _v=dict(zip(points, table)): _v[p.coords]) for table in tables)
+    _, expected = level_sweep_gauge(f, g, grid, lgrid)
+    assert grid_gauge(f, g, grid, lgrid).hex() == expected.hex()
 
 
 def test_gauge_keeps_the_base_times_level_cap():

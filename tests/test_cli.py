@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -311,6 +312,30 @@ def test_oracle_cap_exit_code(capsys):
     assert rc == 4
 
 
+@pytest.mark.parametrize("certificate", [
+    "[tolerance]\nfamily = constant\nvalue = 0.02\ngrid_exact = true\n",
+    "[envelope]\nregion_radius = 1.0\nlower = G\nupper = F\n",
+], ids=["tolerance", "envelope"])
+def test_certify_checks_the_gauge_cap_before_any_scan(certificate, tmp_path, monkeypatch,
+                                                      capsys):
+    blocks = epigauge.Grid.blocks
+
+    def no_fine_scan(self, cells_per_point=1):  # the envelope's validation lattice may run
+        assert self.step != 1e-7, "the over-cap lattice was scanned"
+        return blocks(self, cells_per_point)
+
+    p = tmp_path / "problem.prob"
+    p.write_text((PROBLEMS / "sharpness.prob").read_text().replace(
+        "[tolerance]\nfamily = constant\nvalue = 0.02\ngrid_exact = true\n", certificate))
+    monkeypatch.setattr(epigauge.Grid, "blocks", no_fine_scan)
+    rc = main(["certify", "--spec", str(p), "--grid-step", "1e-7"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err == ("oracle cap exceeded: gauge scan of 20000001 x 201 points "
+                            "exceeds cap 100000000\n")
+
+
 def test_certificate_inconsistency_exit_code(tmp_path, capsys):
     p = tmp_path / "crossed.prob"
     p.write_text(
@@ -346,6 +371,33 @@ def test_certify_sharpness_record(capsys):
             "value_control", "displacement")}
     assert all(v >= 0 for v in idx.values())
     assert sorted(idx.values()) == list(idx.values())
+
+
+_LEVEL_ECHOES = re.compile(r"(?m)(level_step = |step_t=|^generated_utc = )[^,)\s]*")
+
+
+def _leveled_runs():
+    """``gauge`` on each bundled problem with a [pair] or a [tolerance], and
+    ``certify`` where it also has a [growth]."""
+    for spec in sorted(PROBLEMS.glob("*.prob")):
+        problem = load_problem(spec)
+        if problem.pair is None and problem.tolerance is None:
+            continue
+        yield "gauge", spec
+        if problem.growth is not None:
+            yield "certify", spec
+
+
+@pytest.mark.parametrize("command, spec", _leveled_runs(), ids=lambda v: getattr(v, "stem", v))
+def test_level_step_changes_nothing_but_its_echo(command, spec, capsys):
+    """From a problem file the oracle reads -M and both tolerance families
+    are level-free, so the level step changes no number or flag."""
+    outputs = set()
+    for level in ([], ["--level-step", "0.3"], ["--level-step", "0.07"]):
+        rc = main([command, "--spec", str(spec), *level])
+        captured = capsys.readouterr()
+        outputs.add((rc, _LEVEL_ECHOES.sub(r"\1<masked>", captured.out), captured.err))
+    assert len(outputs) == 1
 
 
 def test_certify_window_failure_exit_code(tmp_path, capsys):
