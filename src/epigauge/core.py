@@ -338,13 +338,17 @@ class Func:
 
     def _rows(self, X: np.ndarray) -> np.ndarray:
         """The function at every row of ``X``, NaN wherever a call raises
-        (everywhere for a function without ``batch``)."""
-        out = np.full(len(X), np.nan)
+        (everywhere for a function without ``batch``), as a fresh array that
+        ``evaluated`` writes replayed values into."""
         if self.batch is None or X.shape[1] != self.dim:
-            return out
-        v = np.asarray(self.batch(X), dtype=np.float64)
-        ok = np.isfinite(v) & ball_mask(X, self.domain_radius)
-        return np.where(ok, v, out)
+            return np.full(len(X), np.nan)
+        v = np.empty(len(X))
+        v[...] = self.batch(X)  # a copy: the batch may return a shared array
+        bad = ~np.isfinite(v)
+        if not math.isinf(self.domain_radius):
+            bad |= ~ball_mask(X, self.domain_radius)
+        v[bad] = np.nan
+        return v
 
     # -- named analytic families -------------------------------------------
 
@@ -488,14 +492,17 @@ def evaluated(blocks: Iterable[np.ndarray], *funcs: Func
     exception is raised when the caller resumes: a scan checks its own
     per-point conditions on the cut block first, exactly as the scalar
     loop would have met them.
+
+    Coordinates are checked for finiteness once per block; the per-row
+    check runs only on a block that holds a non-finite coordinate.
     """
     for X in blocks:
         with np.errstate(all="ignore"):
             values = [f._rows(X) for f in funcs]
-        bad = ~np.isfinite(X).all(axis=1)
+        ok = np.isfinite(X).all() or np.isfinite(X).all(axis=1)
         for v in values:
-            bad |= ~np.isfinite(v)
-        idx = np.flatnonzero(bad)
+            ok = ok & np.isfinite(v)
+        idx = np.flatnonzero(~ok)
         for i, row in zip(idx.tolist(), X[idx].tolist()):
             try:
                 x = Point(tuple(row))

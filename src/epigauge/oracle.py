@@ -26,6 +26,13 @@ evaluating each function once per block; its results are the three
 kernels' bit for bit, and a failing pair raises what ``grid_gauge`` raises.
 ``certify`` and ``demo strictness`` read their oracle columns from it.
 
+A ``Grid`` knows its axis length from ``_axis_kmax`` alone and builds the
+axis on first use, so the size caps reject an over-cap lattice before any
+coordinate exists.  A block sums the squares of each cube node in
+coordinate order, as ``norms`` does, and gathers coordinates only for the
+nodes inside the ball; a 1-d block is its own run of axis values, so a
+1-d scan never holds the whole axis.
+
 Blocks are read-only.  A lattice that fits in one block is built once and
 served again from a process-wide LRU of ``LATTICE_CACHE_ENTRIES`` entries
 (keyed on dimension, radius, step and block size), so repeated scans of
@@ -54,7 +61,6 @@ from .core import (
     distances,
     evaluated,
     lattice_point,
-    norms,
     require_positive,
     slack_radius,
 )
@@ -91,6 +97,8 @@ out)."""
 
 
 def _axis_kmax(radius: float, step: float) -> int:
+    """The largest ``k`` with ``k*step`` inside ``slack_radius(radius)``:
+    the axis holds ``2*k + 1`` values, known before any is built."""
     require_positive(step, "grid step")
     require_positive(radius, "grid radius")
     ratio = slack_radius(radius / step)
@@ -98,20 +106,22 @@ def _axis_kmax(radius: float, step: float) -> int:
         raise OracleCapError(
             f"lattice step {step!r} on radius {radius!r} gives more than {LATTICE_CAP} "
             f"points per axis")
-    return int(math.floor(ratio))
+    k = int(math.floor(ratio))
+    while k and k * step > slack_radius(radius):  # |k*step| is monotone in k
+        k -= 1
+    return k
 
 
-def _axis_values(radius: float, step: float, kmax: int) -> tuple[float, ...]:
-    """Symmetric 1-d lattice ``k*step`` covering ``[-radius, radius]``.
+def _axis_values(step: float, lo: int, hi: int) -> np.ndarray:
+    """The 1-d lattice values ``k*step`` for ``lo <= k < hi``, as a
+    read-only float64 array.
 
-    Includes the origin always, and ``+/-radius`` itself whenever
-    ``radius/step`` is integral (up to float slack).  Values are generated
-    as ``k * step`` with integer ``k`` so that halving the step yields a
-    bit-identical superset lattice.
+    Values are generated as ``k * step`` with integer ``k`` so that halving
+    the step yields a bit-identical superset lattice.
     """
-    bound = slack_radius(radius)
-    values = np.arange(-kmax, kmax + 1) * step  # exact int -> float, one rounding each
-    return tuple(values[np.abs(values) <= bound].tolist())
+    values = np.arange(lo, hi) * step  # exact int -> float, one rounding each
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True)
@@ -120,14 +130,15 @@ class Grid:
     to the closed ball ``||x|| <= radius``.
 
     The size cap is checked on the unfiltered cube count (the scan upper
-    bound).  Iteration is lexicographic in coordinates.
+    bound), from the axis length alone: the axis itself is built on first
+    use, by ``blocks`` or ``axis``, so an over-cap grid costs nothing.
+    Iteration is lexicographic in coordinates.
     """
 
     dim: int
     radius: float
     step: float
-    axis: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _axis_array: np.ndarray = field(init=False, repr=False, compare=False)
+    _kmax: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (isinstance(self.dim, int) and self.dim >= 1):
@@ -144,14 +155,21 @@ class Grid:
             )
         if self.dim >= 64:
             raise OracleCapError(f"lattice dimension {self.dim} exceeds the limit of 63")
-        axis = _axis_values(self.radius, self.step, kmax)
-        axis_array = np.asarray(axis, dtype=np.float64)
-        axis_array.setflags(write=False)
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "_axis_array", axis_array)
+        object.__setattr__(self, "_kmax", kmax)
+
+    @functools.cached_property
+    def _axis(self) -> np.ndarray:
+        return _axis_values(self.step, -self._kmax, self._kmax + 1)
+
+    @property
+    def axis(self) -> tuple[float, ...]:
+        """The symmetric 1-d lattice ``k*step`` covering ``[-radius,
+        radius]``: the origin always, and ``+/-radius`` itself whenever
+        ``radius/step`` is integral (up to float slack)."""
+        return tuple(self._axis.tolist())
 
     def cube_size(self) -> int:
-        return len(self.axis) ** self.dim
+        return (2 * self._kmax + 1) ** self.dim
 
     def blocks(self, cells_per_point: int = 1) -> Iterator[np.ndarray]:
         """The lattice points as read-only ``(n, dim)`` float64 arrays, in
@@ -169,17 +187,34 @@ class Grid:
         return self._build(step)
 
     def _build(self, step: int) -> Iterator[np.ndarray]:
-        axis = self._axis_array
-        size = self.cube_size()
+        # A run of n consecutive cube nodes shares all but the last
+        # coordinate; its sum of squares plus the last square, in coordinate
+        # order, makes the ball test ``norms(X) <= bound`` bit for bit.
+        k, n, size = self._kmax, 2 * self._kmax + 1, self.cube_size()
+        if self.dim == 1:  # the axis is the lattice
+            for start in range(0, size, step):
+                yield _axis_values(self.step, start - k, min(start + step, size) - k)[:, None]
+            return
+        axis = self._axis
+        squares = axis * axis
         bound = slack_radius(self.radius)
         for start in range(0, size, step):
-            idx = np.arange(start, min(start + step, size))
-            X = np.empty((len(idx), self.dim))
-            for k in range(self.dim - 1, -1, -1):
-                idx, r = np.divmod(idx, len(axis))
-                X[:, k] = axis[r]
-            if self.dim > 1:
-                X = X[norms(X) <= bound]
+            stop = min(start + step, size)
+            first = start // n
+            runs, digits = np.arange(first, (stop - 1) // n + 1), []
+            for _ in range(self.dim - 1):
+                runs, digit = np.divmod(runs, n)
+                digits.insert(0, digit)
+            s = squares[digits[0]]
+            for digit in digits[1:]:
+                s = s + squares[digit]
+            lo, hi = start - first * n, stop - first * n
+            node = np.flatnonzero(np.sqrt(s[:, None] + squares).ravel()[lo:hi] <= bound) + lo
+            run, last = np.divmod(node, n)
+            X = np.empty((len(node), self.dim))
+            for c, digit in enumerate(digits):
+                X[:, c] = axis[digit[run]]
+            X[:, -1] = axis[last]
             if len(X):
                 X.setflags(write=False)
                 yield X
@@ -217,7 +252,8 @@ class LevelGrid:
         if 2 * kmax + 3 > LATTICE_CAP:
             raise OracleCapError(
                 f"level lattice of {2 * kmax + 3} points exceeds cap {LATTICE_CAP}")
-        inside = [t for t in _axis_values(self.M, self.step_t, kmax) if abs(t) < self.M]
+        inside = [t for t in _axis_values(self.step_t, -kmax, kmax + 1).tolist()
+                  if abs(t) < self.M]
         object.__setattr__(self, "values", (-self.M, *inside, self.M))
 
     def refine(self) -> "LevelGrid":

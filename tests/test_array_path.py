@@ -60,7 +60,7 @@ from epigauge.constructions import (
     build_strictness_pair,
 )
 from epigauge import oracle
-from epigauge.core import norms
+from epigauge.core import evaluated, norms
 from epigauge.oracle import BLOCK_CELLS, LATTICE_CACHE_ENTRIES, dist_to_set_rows, grid_pair_scan
 
 from helpers import clamp_to_band, random_analytic, random_point_in_ball
@@ -275,6 +275,58 @@ def test_blocks_are_lattice_order_and_bounded(dim, step):
     assert [p.coords for p in grid.points()] == expected
 
 
+def divmod_blocks(grid: Grid, cells_per_point: int) -> list[np.ndarray]:
+    """The reference lattice construction: unravel every cube node of a
+    block by ``divmod``, then keep the rows with ``norms(X) <= bound``."""
+    kmax = int(math.floor((grid.radius / grid.step) * (1.0 + TAU) + TAU))
+    bound = grid.radius * (1.0 + TAU) + TAU
+    axis = np.arange(-kmax, kmax + 1) * grid.step
+    axis = axis[np.abs(axis) <= bound]
+    size, step = len(axis) ** grid.dim, max(1, BLOCK_CELLS // cells_per_point)
+    out = []
+    for start in range(0, size, step):
+        idx = np.arange(start, min(start + step, size))
+        X = np.empty((len(idx), grid.dim))
+        for k in range(grid.dim - 1, -1, -1):
+            idx, r = np.divmod(idx, len(axis))
+            X[:, k] = axis[r]
+        if grid.dim > 1:
+            X = X[norms(X) <= bound]
+        if len(X):
+            out.append(X)
+    return out
+
+
+# (dim, radius, step): radius on the lattice, then off it, each with a cube
+# in one block and one over BLOCK_CELLS nodes.  The ball of radius 0.5 - 1e-10
+# just misses the lattice points of norm 0.5, such as (0.3, 0.4).
+DIFFERENTIAL_LATTICES = [
+    (1, 1.0, 0.01), (1, 0.7, 0.03), (1, 1.0, 1e-5), (1, 0.7, 1.3e-5),
+    (2, 1.0, 0.1), (2, 0.5 - 1e-10, 0.1), (2, 1.0, 1.0 / 128), (2, 1.0, 0.0077),
+    (3, 1.0, 0.125), (3, 0.9, 0.07), (3, 1.0, 0.05), (3, 1.0, 0.048),
+]
+
+
+@pytest.mark.parametrize("cells_per_point", [1, 21])
+@pytest.mark.parametrize("dim,radius,step", DIFFERENTIAL_LATTICES)
+def test_blocks_match_the_divmod_construction(dim, radius, step, cells_per_point):
+    grid = Grid(dim, radius, step)
+    got = list(grid.blocks(cells_per_point))
+    want = divmod_blocks(grid, cells_per_point)
+    assert len(got) == len(want)
+    for X, Y in zip(got, want):
+        assert X.dtype == np.float64 and X.shape == Y.shape and X.tobytes() == Y.tobytes()
+        assert not X.flags.writeable
+    # each block comes from at most BLOCK_CELLS // cells_per_point cube nodes
+    n = len(grid.axis)
+    nodes = [np.ravel_multi_index(tuple((np.rint(X / step).astype(np.intp) + n // 2).T),
+                                  (n,) * dim) for X in got]
+    assert all(v[-1] - v[0] < BLOCK_CELLS // cells_per_point for v in nodes)
+    assert all(a[-1] < b[0] for a, b in zip(nodes, nodes[1:]))
+    if grid.cube_size() > BLOCK_CELLS // cells_per_point:
+        assert len(got) > 1
+
+
 # ---------------------------------------------------------------------------
 # Kernels against reference loops
 # ---------------------------------------------------------------------------
@@ -459,6 +511,70 @@ def test_domain_ball_boundary_parity(dim):
     got = outcome(f.values, rows(outside))
     want = outcome(naive_values, f, outside)
     assert got[0] is DomainError and got == want
+
+
+def evaluated_rows(X: np.ndarray, *funcs: Func):
+    """The values ``evaluated`` yields on the block ``X``, one hex tuple per
+    row, and the ``(type, message)`` it raises after them (or None)."""
+    got = []
+    try:
+        for Y, values in evaluated([X], *funcs):
+            assert np.array_equal(Y, X[:len(Y)])
+            got += zip(*(hexes(v) for v in values))
+    except Exception as error:
+        return got, (type(error), str(error))
+    return got, None
+
+
+def scalar_rows(X: np.ndarray, *funcs: Func):
+    """The same from the loop ``for x in rows: for f in funcs: f(x)``."""
+    got = []
+    try:
+        for row in X.tolist():
+            x = Point(tuple(row))
+            got.append(tuple(hexes(f(x) for f in funcs)))
+    except Exception as error:
+        return got, (type(error), str(error))
+    return got, None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinate_raises_at_its_row_after_the_cut_block(bad):
+    X = np.array([[0.1 * i, 0.05 - 0.02 * i] for i in range(9)])
+    X[5, 1] = bad
+    # constant batches stay finite at the bad row: only the coordinate check sees it
+    funcs = (Func.constant(2.0, dim=2), Func.constant(-1.0, dim=2))
+    got = evaluated_rows(read_only(X), *funcs)
+    assert got == scalar_rows(X, *funcs)
+    assert len(got[0]) == 5 and got[1][0] is PreconditionError
+
+
+@pytest.mark.parametrize("writeable", [False, True])
+def test_batch_returning_a_shared_array_is_replayed_not_written(writeable):
+    shared = np.array([1.0, math.nan, 3.0, math.inf])
+    shared.setflags(write=writeable)
+    replayed = []
+
+    def scalar(p: Point) -> float:
+        replayed.append(p.coords[0])
+        return p.coords[0]
+
+    f = Func(scalar, label="shared", batch=lambda X: shared)
+    X = read_only([[1.0], [2.0], [3.0], [4.0]])
+    for _ in range(2):
+        assert hexes(f.values(X)) == hexes([1.0, 2.0, 3.0, 4.0])
+    assert replayed == [2.0, 4.0, 2.0, 4.0]
+    assert hexes(shared) == hexes([1.0, math.nan, 3.0, math.inf])
+    assert shared.flags.writeable == writeable
+
+
+def test_finite_domain_sends_out_of_domain_rows_to_the_scalar_call():
+    f = Func.quadratic(2.0, dim=2, domain_radius=1.0, label="disc")
+    g = Func.affine((1.0, -1.0), 0.25)  # an infinite domain
+    X = read_only([[0.0, 0.5], [0.6, 0.6], [0.9, 0.9], [0.1, 0.0]])  # row 2 is outside
+    got = evaluated_rows(X, g, f)
+    assert got == scalar_rows(X, g, f)
+    assert len(got[0]) == 2 and got[1][0] is DomainError
 
 
 def test_kernel_error_is_first_in_lattice_order():

@@ -336,6 +336,22 @@ def test_certify_checks_the_gauge_cap_before_any_scan(certificate, tmp_path, mon
                             "exceeds cap 100000000\n")
 
 
+def test_over_cap_certify_builds_no_axis(monkeypatch, capsys):
+    axis_values = epigauge.oracle._axis_values
+
+    def no_fine_axis(*args):  # the 201-value level lattice may be built
+        assert 1e-7 not in args, "the over-cap axis was built"
+        return axis_values(*args)
+
+    monkeypatch.setattr(epigauge.oracle, "_axis_values", no_fine_axis)
+    rc = main(["certify", "--spec", str(PROBLEMS / "sharpness.prob"), "--grid-step", "1e-7"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err.startswith("oracle cap exceeded: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_certificate_inconsistency_exit_code(tmp_path, capsys):
     p = tmp_path / "crossed.prob"
     p.write_text(
