@@ -15,10 +15,18 @@ never dressed up as a certificate.  ``gauge`` and ``certify`` share one
 stage (``_run``); every value is written by ``_fmt``, the certify record
 through ``_record``, and all output goes through ``_emit``.
 
-Each command, and each demo, declares only the flags it reads, and every
-numeric flag is parsed by a problem-file value kind (``_flag``), so a bad
-value, an unwritable ``--out`` or two flags that give one input two ways
-end in exit code 2 before any scan.
+Each command, and each demo, declares only the flags it reads, once, in
+the table ``_COMMANDS``, and every numeric flag is parsed by a problem-file
+value kind (``_flag``), so a bad value, an unwritable ``--out`` or two
+flags that give one input two ways end in exit code 2 before any scan.
+``main`` first walks argv against the table (``_walk``): a well-formed
+``COMMAND [DEMO] (--flag VALUE | --csv)*`` is parsed there, without
+argparse.  Any other argv (``-h``, ``--flag=value``, an abbreviation, a
+value starting with "-", a repeated flag, an unknown token, a value that
+does not convert) goes whole to the argparse parser built from the same
+table (``_build_parser``), which renders help and usage errors; so a
+``--queries`` list starting with a negative item is written
+``--queries=-0.5,0.5``, as argparse has always needed.
 
 Exit codes: 0 all checks pass / record valid; 1 demo property falsified;
 3 a certify record with a false check.  An error ends in the exit code and
@@ -42,7 +50,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +69,7 @@ from .constructions import (
     build_sharpness_pair,
     build_strictness_pair,
     sharpness_sweep,
+    sweep_lattice,
 )
 from .core import (
     TAU,
@@ -788,8 +797,16 @@ def _log_deltas(args) -> list[float]:
     return [a, *inner, b][:n]
 
 
+def _capped_log_deltas(args, mu: float) -> list[float]:
+    """``_log_deltas(args)``, built only once the sweep's lattice cap has
+    passed on the number of drops and the largest one."""
+    n = args.num_deltas
+    sweep_lattice(mu, args.delta_max if n > 1 else args.delta_min, args.grid_step, n)
+    return _log_deltas(args)
+
+
 def _demo_sharpness(args) -> tuple[list[_Property], SweepResult]:
-    sweep = sharpness_sweep(args.mu, _log_deltas(args), args.grid_step)
+    sweep = sharpness_sweep(args.mu, _capped_log_deltas(args, args.mu), args.grid_step)
     props: list[_Property] = []
 
     # The sandwich is checked on the lattice the sweep's argmin scans.
@@ -877,7 +894,7 @@ def cmd_sweep(args) -> int:
         mu = spec.growth.mu
     if mu is None:
         raise PreconditionError("pass --mu or --spec with a growth block")
-    deltas = sorted(args.deltas) if args.deltas is not None else _log_deltas(args)
+    deltas = sorted(args.deltas) if args.deltas is not None else _capped_log_deltas(args, mu)
     sweep = sharpness_sweep(mu, deltas, args.grid_step)
     _emit(args, _csv_text(sweep))
     slope = f"slope = {_fmt(sweep.slope)}\n"
@@ -894,32 +911,7 @@ def cmd_sweep(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors end in exit code 2 with a single stderr line.
-
-    ``fill(parser)``, when given, adds the parser's arguments on its first
-    use (parsing, usage or help), so a run builds only the parsers of the
-    command it invokes."""
-
-    def __init__(self, *args, fill=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._fill = fill
-
-    def _filled(self) -> None:
-        fill, self._fill = self._fill, None
-        if fill is not None:
-            fill(self)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._filled()
-        return super().parse_known_args(args, namespace)
-
-    def format_usage(self) -> str:
-        self._filled()
-        return super().format_usage()
-
-    def format_help(self) -> str:
-        self._filled()
-        return super().format_help()
+    """Usage errors end in exit code 2 with a single stderr line."""
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -969,107 +961,190 @@ def _output_path(text: str) -> str:
     return text
 
 
+_SWITCH = "store_true"  # the kind of a flag that takes no value
+
+
+class _Opt(NamedTuple):
+    """One flag of one command.  ``kind`` converts its value (``None``: the
+    text itself; ``_SWITCH``: no value, True when given); ``group`` names
+    its mutually exclusive group; a ``drops`` flag is a ``_Drops``."""
+
+    flag: str
+    kind: object = None
+    default: object = None
+    help: Optional[str] = None
+    group: Optional[str] = None
+    drops: bool = False
+    required: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")  # argparse's rule for "--long-flag"
+
+
+class _Command(NamedTuple):
+    """A command or demo: ``func(args)`` runs it, with the flags ``opts``
+    in help order.  A command with ``demos`` takes a demo name instead."""
+
+    help: Optional[str]
+    func: object = None
+    opts: tuple[_Opt, ...] = ()
+    demos: Optional[dict[str, "_Command"]] = None
+
+
+_POSITIVE = _flag(_positive)
+_COUNT = _flag(_dimension)
+
+
+def _runs(grid_step: Optional[float], *opts: _Opt) -> tuple[_Opt, ...]:
+    """The flags every command reads, then ``opts``."""
+    return (
+        _Opt("--grid-step", _POSITIVE, grid_step,
+             "base lattice step (gauge, certify: overrides the [grid] section)"),
+        _Opt("--out", _output_path, help="write output to this file", group="out"),
+        _Opt("--threads", _COUNT, 1,
+             "accepted for compatibility; has no effect (scans run as numpy blocks)"),
+        *opts)
+
+
+def _drop_flags(delta_min: float, num_deltas: int) -> tuple[_Opt, ...]:
+    return (_Opt("--delta-min", _POSITIVE, delta_min, drops=True),
+            _Opt("--delta-max", _POSITIVE, 1e-2, drops=True),
+            _Opt("--num-deltas", _COUNT, num_deltas, drops=True))
+
+
+def _demo(build, *opts: _Opt) -> _Command:
+    return _Command(None, functools.partial(cmd_demo, build), _runs(
+        1e-4, _Opt("--csv", _SWITCH, False, "write the CSV to stdout", group="out"), *opts))
+
+
+_PROBLEM = (_Opt("--spec", help="problem description file", required=True),
+            _Opt("--level-step", _POSITIVE, None,
+                 "level lattice step (overrides the [grid] section); it changes no bound, "
+                 "oracle value or flag, only the base x level cap"))
+
+_DEMOS = {
+    "strictness": _demo(_demo_strictness, _Opt("--R", _POSITIVE, 1.0), _Opt("--M", _POSITIVE, 2.0),
+                        _Opt("--A", _POSITIVE, 5.0), _Opt("--level-step", _POSITIVE, 0.05)),
+    "impossibility": _demo(
+        _demo_impossibility, _Opt("--R", _POSITIVE, 1.0), _Opt("--A", _flag(_nonnegative), 5.0),
+        _Opt("--queries", _flags(_float), [-0.5, 0.5], "comma-separated 1-d query coordinates"),
+        _Opt("--y", _flag(_float), None, "bump peak (default: auto-search)")),
+    "sharpness": _demo(_demo_sharpness, _Opt("--mu", _POSITIVE, 2.0), *_drop_flags(1e-4, 6)),
+}
+
+# Every command and demo, each flag declared once.  ``_walk`` parses a
+# well-formed argv from this table; ``_build_parser`` turns it into argparse,
+# which renders help and usage errors.
+_COMMANDS = {
+    "gauge": _Command("evaluate certificate blocks and oracle gauge side by side",
+                      cmd_gauge, _runs(None, *_PROBLEM)),
+    "certify": _Command("full pipeline: gauge -> window checks -> displacement certificate "
+                        "record", cmd_certify, _runs(None, *_PROBLEM)),
+    "demo": _Command("build a counterexample construction and verify its stated properties",
+                     demos=_DEMOS),
+    "sweep": _Command(
+        "displacement sweep over drop sizes; CSV columns: delta,argmin,dist,bound,slack",
+        cmd_sweep, _runs(
+            2e-5, _Opt("--spec", help="problem file with a growth block (provides mu)",
+                       group="mu"),
+            _Opt("--mu", _POSITIVE, group="mu"),
+            _Opt("--deltas", _flags(_positive), None,
+                 "comma-separated drop sizes (instead of the log range)", drops=True),
+            *_drop_flags(1e-5, 8))),
+}
+
+
+def _walk(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``_build_parser().parse_args(argv)`` returns, for an
+    argv of the form ``COMMAND [DEMO] (--flag VALUE | --csv)*`` in which
+    each flag is one of the command's option strings and appears at most
+    once, no value starts with "-", every value converts, every required
+    flag is given and no two given flags exclude each other.  ``None`` for
+    any other argv, which argparse then parses (or rejects)."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values: dict[str, object] = {"command": argv[0]}
+    command, rest = _COMMANDS[argv[0]], argv[1:]
+    if command.demos is not None:
+        if not rest or rest[0] not in command.demos:
+            return None
+        values["name"] = rest[0]
+        command, rest = command.demos[rest[0]], rest[1:]
+    values["func"] = command.func
+    values.update((opt.dest, opt.default) for opt in command.opts)
+    opts = {opt.flag: opt for opt in command.opts}
+    given: list[_Opt] = []
+    i = 0
+    while i < len(rest):
+        opt = opts.get(rest[i])
+        if opt is None or opt in given:
+            return None
+        given.append(opt)
+        if opt.kind == _SWITCH:
+            values[opt.dest], i = True, i + 1
+            continue
+        if i + 1 == len(rest) or rest[i + 1].startswith("-"):
+            return None
+        try:
+            values[opt.dest] = rest[i + 1] if opt.kind is None else opt.kind(rest[i + 1])
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse reports these
+            return None
+        if opt.drops:
+            values["drops_flag"] = opt.flag
+        i += 2
+    groups = [opt.group for opt in given if opt.group is not None]
+    drops = [opt.flag for opt in given if opt.drops]
+    if (len(set(groups)) < len(groups) or ("--deltas" in drops and len(drops) > 1)
+            or any(opt.required and opt not in given for opt in command.opts)):
+        return None
+    return argparse.Namespace(**values)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """``_COMMANDS`` as an argparse parser."""
     parser = _Parser(
         prog="epigauge",
         description="Certified perturbation gauges, displacement certificates, "
                     "and brute-force oracle checks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    positive = _flag(_positive)
-
-    # Each command registers its name and help here and adds its own
-    # arguments, through ``add(p, out)``, on first use.  Each builds its own
-    # actions: argparse's parents= would share action objects, so one
-    # command's defaults would leak into another's.
-    def command(parent, name: str, func, grid_step: Optional[float], help: Optional[str],
-                add) -> None:
-        def fill(p) -> None:
-            p.set_defaults(func=func)
-            p.add_argument("--grid-step", type=positive, default=grid_step,
-                           help="base lattice step (gauge, certify: overrides the [grid] "
-                                "section)")
-            out = p.add_mutually_exclusive_group()
-            out.add_argument("--out", type=_output_path, default=None,
-                             help="write output to this file")
-            p.add_argument("--threads", type=_flag(_dimension), default=1, help="accepted for "
-                           "compatibility; has no effect (scans run as numpy blocks)")
-            add(p, out)
-        parent.add_parser(name, help=help, fill=fill)
-
-    def drops(p, delta_min: float, num_deltas: int) -> None:
-        p.add_argument("--delta-min", type=positive, default=delta_min, action=_Drops)
-        p.add_argument("--delta-max", type=positive, default=1e-2, action=_Drops)
-        p.add_argument("--num-deltas", type=_flag(_dimension), default=num_deltas, action=_Drops)
-
-    def problem(p, out) -> None:
-        p.add_argument("--spec", required=True, help="problem description file")
-        p.add_argument("--level-step", type=positive, default=None,
-                       help="level lattice step (overrides the [grid] section); it "
-                            "changes no bound, oracle value or flag, only the base x "
-                            "level cap")
-
-    command(sub, "gauge", cmd_gauge, None,
-            "evaluate certificate blocks and oracle gauge side by side", problem)
-    command(sub, "certify", cmd_certify, None,
-            "full pipeline: gauge -> window checks -> displacement certificate record", problem)
-
-    def with_csv(add):
-        """A demo's ``add``: ``--csv``, then the demo's own flags."""
-        def add_demo(p, out) -> None:
-            out.add_argument("--csv", action="store_true", help="write the CSV to stdout")
-            add(p)
-        return add_demo
-
-    def strictness(p) -> None:
-        p.add_argument("--R", type=positive, default=1.0)
-        p.add_argument("--M", type=positive, default=2.0)
-        p.add_argument("--A", type=positive, default=5.0)
-        p.add_argument("--level-step", type=positive, default=0.05)
-
-    def impossibility(p) -> None:
-        p.add_argument("--R", type=positive, default=1.0)
-        p.add_argument("--A", type=_flag(_nonnegative), default=5.0)
-        p.add_argument("--queries", type=_flags(_float), default=[-0.5, 0.5],
-                       help="comma-separated 1-d query coordinates")
-        p.add_argument("--y", type=_flag(_float), default=None,
-                       help="bump peak (default: auto-search)")
-
-    def sharpness(p) -> None:
-        p.add_argument("--mu", type=positive, default=2.0)
-        drops(p, 1e-4, 6)
-
-    def fill_demos(p) -> None:
-        demos = p.add_subparsers(dest="name", required=True)
-        for name, build, add in (("strictness", _demo_strictness, strictness),
-                                 ("impossibility", _demo_impossibility, impossibility),
-                                 ("sharpness", _demo_sharpness, sharpness)):
-            command(demos, name, functools.partial(cmd_demo, build), 1e-4, None, with_csv(add))
-
-    sub.add_parser("demo", help="build a counterexample construction and verify its stated "
-                   "properties", fill=fill_demos)
-
-    def sweep(p, out) -> None:
-        mu_source = p.add_mutually_exclusive_group()
-        mu_source.add_argument("--spec", default=None,
-                               help="problem file with a growth block (provides mu)")
-        mu_source.add_argument("--mu", type=positive, default=None)
-        p.add_argument("--deltas", type=_flags(_positive), default=None, action=_Drops,
-                       help="comma-separated drop sizes (instead of the log range)")
-        drops(p, 1e-5, 8)
-
-    command(sub, "sweep", cmd_sweep, 2e-5, "displacement sweep over drop sizes; "
-            "CSV columns: delta,argmin,dist,bound,slack", sweep)
+    _add_commands(parser, "command", _COMMANDS)
     return parser
 
 
+def _add_commands(parser: argparse.ArgumentParser, dest: str,
+                  commands: dict[str, _Command]) -> None:
+    # Each command builds its own actions: argparse's parents= would share
+    # action objects, so one command's defaults would leak into another's.
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, command in commands.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.demos is not None:
+            _add_commands(p, "name", command.demos)
+            continue
+        p.set_defaults(func=command.func)
+        groups: dict[str, argparse._MutuallyExclusiveGroup] = {}
+        for opt in command.opts:
+            if opt.group is not None and opt.group not in groups:
+                groups[opt.group] = p.add_mutually_exclusive_group()
+            target = groups.get(opt.group, p)
+            if opt.kind == _SWITCH:
+                target.add_argument(opt.flag, action="store_true", help=opt.help)
+            else:
+                target.add_argument(opt.flag, type=opt.kind, default=opt.default,
+                                    help=opt.help, required=opt.required,
+                                    action=_Drops if opt.drops else "store")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        # argparse exits 2 on usage errors, matching the parse-error code
-        return int(e.code) if e.code is not None else 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _walk(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as e:
+            # argparse exits 2 on usage errors, matching the parse-error code
+            return int(e.code) if e.code is not None else 2
     try:
         return args.func(args)
     except EpigaugeError as e:  # each class carries its exit code and message prefix

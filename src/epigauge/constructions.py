@@ -31,8 +31,8 @@ from typing import IO, Optional, Sequence
 import numpy as np
 
 from .core import ClosedBall, FinitePointSet, Func, Point, in_closed_ball, norms, require_positive
-from .errors import ConstructionError, PreconditionError
-from .oracle import Grid, dist_to_set, dist_to_set_rows, grid_argmin
+from .errors import ConstructionError, OracleCapError, PreconditionError
+from .oracle import LATTICE_CAP, Grid, dist_to_set, dist_to_set_rows, grid_argmin
 from .stability import GrowthCert, square_root_rule
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "build_strictness_pair",
     "build_impossibility_pair",
     "sharpness_sweep",
+    "sweep_lattice",
 ]
 
 
@@ -267,6 +268,21 @@ class SweepResult:
                              repr(r.bound), repr(r.slack)])
 
 
+def sweep_lattice(mu: float, delta_max: float, grid_step: float, drops: int) -> Grid:
+    """The lattice ``sharpness_sweep`` scans once per drop when its largest
+    drop is ``delta_max``: radius ``1.5*sqrt(2*delta_max/mu)``, at least
+    20 steps.  ``drops`` scans of it are held to ``LATTICE_CAP``, which
+    this checks from the count alone, before any drop or family exists."""
+    require_positive(mu, "mu")
+    if not (grid_step > 0):
+        raise PreconditionError(f"grid_step must be > 0, got {grid_step!r}")
+    grid = Grid(1, max(1.5 * math.sqrt(2.0 * delta_max / mu), 20.0 * grid_step), grid_step)
+    if drops * grid.cube_size() > LATTICE_CAP:
+        raise OracleCapError(f"sweep of {drops} drops x {grid.cube_size()} points exceeds "
+                             f"cap {LATTICE_CAP}")
+    return grid
+
+
 def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float,
                     threads: int = 1) -> SweepResult:
     """Run the displacement experiment for each drop size.
@@ -280,7 +296,8 @@ def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float,
 
     The step must resolve the smallest plateau: ``grid_step <
     sqrt(2*min(delta)/mu)/10`` is required, otherwise the scan error would
-    swamp the quantity being measured.
+    swamp the quantity being measured.  The drops times the lattice points
+    are held to ``LATTICE_CAP`` before any family is built (``sweep_lattice``).
     """
     require_positive(mu, "mu")
     deltas_t = tuple(float(d) for d in deltas)
@@ -290,8 +307,7 @@ def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float,
         raise PreconditionError("all deltas must be finite and > 0")
     if any(b < a for a, b in zip(deltas_t, deltas_t[1:])):
         raise PreconditionError("deltas must be sorted ascending")
-    if not (grid_step > 0):
-        raise PreconditionError(f"grid_step must be > 0, got {grid_step!r}")
+    grid = sweep_lattice(mu, deltas_t[-1], grid_step, len(deltas_t))
     families = [build_sharpness_pair(mu, delta) for delta in deltas_t]
     smallest_plateau = families[0].argmin_radius
     if not (grid_step < smallest_plateau / 10.0):
@@ -299,10 +315,7 @@ def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float,
             f"grid step {grid_step!r} too coarse to resolve the smallest plateau "
             f"half-width {smallest_plateau!r} (need step < {smallest_plateau / 10.0!r})"
         )
-    radius = max(1.5 * families[-1].argmin_radius, 20.0 * grid_step)
-
     target = FinitePointSet((Point.origin(1),))
-    grid = Grid(1, radius, grid_step)
     rows = []
     for family in families:
         ties = grid_argmin(family.g, grid, threads=threads).rows
@@ -319,4 +332,4 @@ def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float,
     coeffs, _, rank, _, _ = np.polyfit(log_d, log_dist, 1, full=True)
     slope = float(coeffs[0]) if rank == 2 else float("nan")
     return SweepResult(rows=tuple(rows), slope=slope, mu=mu, grid_step=grid_step,
-                       radius=radius)
+                       radius=grid.radius)

@@ -26,12 +26,12 @@ evaluating each function once per block; its results are the three
 kernels' bit for bit, and a failing pair raises what ``grid_gauge`` raises.
 ``certify`` and ``demo strictness`` read their oracle columns from it.
 
-A ``Grid`` knows its axis length from ``_axis_kmax`` alone and builds the
-axis on first use, so the size caps reject an over-cap lattice before any
-coordinate exists.  A block sums the squares of each cube node in
-coordinate order, as ``norms`` does, and gathers coordinates only for the
-nodes inside the ball; a 1-d block is its own run of axis values, so a
-1-d scan never holds the whole axis.
+A ``Grid`` knows its axis length, and a ``LevelGrid`` its size, from
+``_axis_kmax`` alone; each builds its values on first use, so the size caps
+reject an over-cap lattice before any coordinate or level exists.  A block
+sums the squares of each cube node in coordinate order, as ``norms`` does,
+and gathers coordinates only for the nodes inside the ball; a 1-d block is
+its own run of axis values, so a 1-d scan never holds the whole axis.
 
 Blocks are read-only.  A lattice that fits in one block is built once and
 served again from a process-wide LRU of ``LATTICE_CACHE_ENTRIES`` entries
@@ -240,11 +240,15 @@ def _one_block_lattice(grid: Grid, step: int) -> tuple[np.ndarray, ...]:
 @dataclass(frozen=True)
 class LevelGrid:
     """Lattice ``k*step_t`` on the level band ``[-M, M]``: the lattice
-    values strictly inside ``(-M, M)``, plus both endpoints."""
+    values strictly inside ``(-M, M)``, plus both endpoints.
+
+    ``size`` is known from ``_axis_kmax`` alone; ``values`` is built on
+    first use, so a base x level cap rejects an over-cap band before any
+    level exists."""
 
     M: float
     step_t: float
-    values: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _kin: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require_positive(self.M, "level bound M")
@@ -252,9 +256,21 @@ class LevelGrid:
         if 2 * kmax + 3 > LATTICE_CAP:
             raise OracleCapError(
                 f"level lattice of {2 * kmax + 3} points exceeds cap {LATTICE_CAP}")
-        inside = [t for t in _axis_values(self.step_t, -kmax, kmax + 1).tolist()
-                  if abs(t) < self.M]
-        object.__setattr__(self, "values", (-self.M, *inside, self.M))
+        # The largest k with k*step_t < M: M/step_t < LATTICE_CAP, so the
+        # rounded quotient is off by at most a step or two.
+        k = min(kmax, math.ceil(self.M / self.step_t))
+        while k and k * self.step_t >= self.M:
+            k -= 1
+        object.__setattr__(self, "_kin", k)
+
+    @property
+    def size(self) -> int:
+        return 2 * self._kin + 3
+
+    @functools.cached_property
+    def values(self) -> tuple[float, ...]:
+        inside = _axis_values(self.step_t, -self._kin, self._kin + 1).tolist()
+        return (-self.M, *inside, self.M)
 
     def refine(self) -> "LevelGrid":
         return LevelGrid(self.M, self.step_t / 2.0)
@@ -304,9 +320,9 @@ def _check_domains(grid: Grid, *funcs: Func) -> None:
 
 
 def _check_gauge_cap(grid: Grid, lgrid: LevelGrid) -> None:
-    if grid.cube_size() * len(lgrid.values) > LATTICE_CAP:
+    if grid.cube_size() * lgrid.size > LATTICE_CAP:
         raise OracleCapError(
-            f"gauge scan of {grid.cube_size()} x {len(lgrid.values)} points exceeds "
+            f"gauge scan of {grid.cube_size()} x {lgrid.size} points exceeds "
             f"cap {LATTICE_CAP}"
         )
 

@@ -352,6 +352,44 @@ def test_over_cap_certify_builds_no_axis(monkeypatch, capsys):
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
+def test_over_cap_level_step_builds_no_level_axis(monkeypatch, capsys):
+    axis_values = epigauge.oracle._axis_values
+
+    def no_fine_levels(*args):
+        assert 2e-6 not in args, "the over-cap level axis was built"
+        return axis_values(*args)
+
+    monkeypatch.setattr(epigauge.oracle, "_axis_values", no_fine_levels)
+    rc = main(["certify", "--spec", str(PROBLEMS / "sharpness.prob"), "--level-step", "2e-6"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err == ("oracle cap exceeded: gauge scan of 2001 x 1000001 points "
+                            "exceeds cap 100000000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--mu", "2", "--num-deltas", "100000000"],
+    ["sweep", "--spec", str(PROBLEMS / "sharpness.prob"), "--num-deltas", "100000000"],
+    ["demo", "sharpness", "--num-deltas", "100000000"],
+    ["sweep", "--mu", "2", "--num-deltas", "6667"],  # 6667 x 15,001 points
+])
+def test_over_cap_sweep_builds_no_drop(argv, monkeypatch, capsys):
+    def nothing_built(*args, **kwargs):
+        raise AssertionError("drops or families were built before the cap check")
+
+    # Patched so that a missing check fails fast instead of building 10^8 drops.
+    monkeypatch.setattr(epigauge.cli, "_log_deltas", nothing_built)
+    monkeypatch.setattr(epigauge.cli, "build_sharpness_pair", nothing_built)
+    monkeypatch.setattr(epigauge.constructions, "build_sharpness_pair", nothing_built)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err.startswith("oracle cap exceeded: sweep of ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_certificate_inconsistency_exit_code(tmp_path, capsys):
     p = tmp_path / "crossed.prob"
     p.write_text(

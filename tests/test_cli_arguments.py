@@ -15,7 +15,7 @@ from epigauge import cli
 from epigauge.cli import main
 
 
-@pytest.mark.parametrize("argv", [
+BAD_DELTAS = [
     ["sweep", "--mu", "2", "--deltas", "abc"],
     ["sweep", "--mu", "2", "--delta-min", "-1"],
     ["demo", "sharpness", "--delta-min", "0"],
@@ -23,7 +23,10 @@ from epigauge.cli import main
     ["sweep", "--mu", "2", "--deltas", "1e-3,"],
     ["sweep", "--mu", "2", "--delta-max", "inf"],
     ["demo", "sharpness", "--delta-max", "-1e-2"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", BAD_DELTAS)
 def test_bad_delta_values_exit_2_with_one_stderr_line(argv, capsys):
     rc = main(argv)
     captured = capsys.readouterr()
@@ -48,7 +51,7 @@ def test_threads_is_accepted_and_has_no_effect(capsys):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("argv", [
+BAD_BEFORE_ANY_SCAN = [
     ["sweep", "--mu", "2", "--num-deltas", "-3"],
     ["sweep", "--mu", "2", "--num-deltas", "0"],
     ["demo", "sharpness", "--num-deltas", "2.5"],
@@ -69,7 +72,10 @@ def test_threads_is_accepted_and_has_no_effect(capsys):
     ["sweep", "--mu", "2", "--deltas", "1e-3,1e-2", "--num-deltas", "5", "--delta-min", "5e-4"],
     ["sweep", "--mu", "2", "--delta-min", "5e-4", "--deltas", "1e-3"],
     ["sweep", "--mu", "2", "--deltas", "1e-3", "--delta-max", "1e-2"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", BAD_BEFORE_ANY_SCAN)
 def test_bad_count_or_output_path_exits_2_before_any_scan(argv, tmp_path, capsys, monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("a scan ran before the argument check")
@@ -87,14 +93,17 @@ def test_bad_count_or_output_path_exits_2_before_any_scan(argv, tmp_path, capsys
     assert "error: argument --" in captured.err
 
 
-@pytest.mark.parametrize("argv", [
+OTHER_DEMOS_FLAG = [
     ["demo", "strictness", "--mu", "2"],
     ["demo", "strictness", "--queries", "0.5"],
     ["demo", "impossibility", "--M", "2"],
     ["demo", "impossibility", "--level-step", "0.1"],
     ["demo", "sharpness", "--R", "2"],
     ["demo", "sharpness", "--A", "1"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", OTHER_DEMOS_FLAG)
 def test_demo_rejects_another_demos_flag(argv, capsys):
     rc = main(argv)
     captured = capsys.readouterr()

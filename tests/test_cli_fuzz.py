@@ -1,7 +1,9 @@
 """Fuzz of the command line over argv and problem text.
 
 Whatever the input, ``main`` returns a documented exit code (0-5) instead
-of raising, and a non-zero exit leaves exactly one line on stderr.  The
+of raising, and a non-zero exit leaves exactly one line on stderr.  Where
+the direct walk of argv takes a command line, argparse builds the same
+namespace from it.  The
 problem text is either damaged (``problem_texts``) or well formed
 (``well_formed_problems``), so that the scans behind ``gauge`` and
 ``certify`` are reached as well as the parser.  Numeric values are drawn
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from epigauge.cli import main, parse_problem_text
 from epigauge.errors import EpigaugeError
+from test_cli_walk import walk_matches_argparse
 
 # Bad tokens every numeric option and problem value may receive.
 JUNK = ("0", "-1", "nan", "inf", "-inf", "abc", "", "1e-300", "1e300", "2.5.1")
@@ -291,3 +294,34 @@ def test_cli_exit_code_and_single_stderr_line(argv, problem):
     assert code in range(6), (argv, code)
     if code != 0:
         assert len(err.getvalue().splitlines()) == 1, (argv, code, err.getvalue())
+
+
+@st.composite
+def _respelled(draw, argv: list[str]) -> list[str]:
+    """``argv`` half the time, else with one flag respelled in a way
+    argparse takes or rejects: joined to its value with "=", abbreviated,
+    repeated, preceded by "-h", or left without its value."""
+    flags = [i for i, a in enumerate(argv) if a.startswith("--")]
+    if not flags or draw(st.booleans()):
+        return argv
+    i = draw(st.sampled_from(flags))
+    how = draw(st.sampled_from(("join", "abbreviate", "repeat", "help", "drop")))
+    if how == "join":
+        return argv[:i] + ["=".join(argv[i:i + 2])] + argv[i + 2:]
+    if how == "abbreviate":
+        return argv[:i] + [argv[i][:draw(st.integers(3, len(argv[i])))]] + argv[i + 1:]
+    if how == "repeat":
+        return argv + argv[i:i + 2]
+    if how == "help":
+        return argv[:i] + ["-h"] + argv[i:]
+    return argv[:i + 1] + argv[i + 2:]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argvs(), st.data())
+def test_walk_matches_argparse(argv, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("{spec}", os.path.join(tmp, "problem.prob")).replace("{tmp}", tmp)
+                for a in argv]
+        walk_matches_argparse(data.draw(_respelled(argv)))

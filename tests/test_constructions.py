@@ -11,6 +11,7 @@ import pytest
 from epigauge import (
     TAU,
     ConstructionError,
+    OracleCapError,
     Grid,
     LevelGrid,
     Point,
@@ -24,6 +25,7 @@ from epigauge import (
     pointwise_discrepancy,
     sharpness_sweep,
 )
+from epigauge import constructions
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +212,18 @@ def test_sweep_rejects_coarse_grid():
     # need h < sqrt(2*min_delta/mu)/10
     with pytest.raises(PreconditionError):
         sharpness_sweep(2.0, [1e-5], 1e-3)
+
+
+def test_sweep_over_the_lattice_cap_builds_no_family(monkeypatch):
+    def no_family(*args):
+        raise AssertionError("a family was built")
+
+    monkeypatch.setattr(constructions, "build_sharpness_pair", no_family)
+    # radius 1.5*sqrt(2*1e-2/2) = 0.15 at step 1e-8: 30,000,001 points a drop
+    with pytest.raises(OracleCapError, match="sweep of 4 drops x 30000001 points"):
+        sharpness_sweep(2.0, [1e-3, 1e-3, 1e-2, 1e-2], 1e-8)
+    with pytest.raises(AssertionError, match="a family was built"):  # 3 drops pass the cap
+        sharpness_sweep(2.0, [1e-3, 1e-3, 1e-2], 1e-8)
 
 
 def test_sweep_rejects_unsorted_deltas():

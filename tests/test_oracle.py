@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epigauge import (
     TAU,
@@ -60,6 +62,19 @@ def test_level_grid_always_includes_endpoints():
     lg = LevelGrid(2.0, 0.3)  # 2/0.3 not integral
     assert -2.0 in lg.values and 2.0 in lg.values
     assert lg.values == tuple(sorted(lg.values))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(1e-3, 10.0), st.floats(1e-3, 5.0))
+@example(0.3, 0.1)
+@example(1.0, 0.1)
+@example(1.0, 1.0)
+def test_level_grid_size_is_its_value_count(M, step_t):
+    lg = LevelGrid(M, step_t)
+    size = lg.size  # known before any value is built
+    inside = [t for t in Grid(1, M, step_t).axis if abs(t) < M]
+    assert lg.values == (-M, *inside, M)
+    assert size == len(lg.values)
 
 
 def test_ball_filter_in_two_dimensions():

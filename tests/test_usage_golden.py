@@ -21,7 +21,9 @@ from pathlib import Path
 
 import pytest
 
+from epigauge import cli
 from epigauge.cli import _build_parser, main
+from epigauge.errors import PreconditionError
 
 GOLDEN = (Path(__file__).resolve().parent / "golden-usage"
           / f"python{sys.version_info[0]}.{sys.version_info[1]}")
@@ -59,15 +61,24 @@ def test_usage_matches_golden(name, monkeypatch):
     assert transcript(name) == expected
 
 
-def test_a_run_adds_only_the_arguments_of_its_command():
-    parser = _build_parser()
-    parser.parse_args(["certify", "--spec", "x.prob"])
-    [commands] = [a.choices for a in parser._actions
+def test_a_well_formed_run_builds_no_parser(monkeypatch, capsys):
+    [commands] = [a.choices for a in _build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction)]
     assert list(commands) == ["gauge", "certify", "demo", "sweep"]
-    for name, command in commands.items():
-        dests = [a.dest for a in command._actions]
-        assert (dests == ["help"]) == (name != "certify"), (name, dests)
+
+    def no_parser(*args, **kwargs):
+        raise AssertionError("an argument parser was built")
+
+    def load_problem(path):
+        loaded.append(path)
+        raise PreconditionError("stop after the argument parsing")
+
+    loaded: list[str] = []
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_parser)
+    monkeypatch.setattr(cli, "load_problem", load_problem)
+    assert main(["certify", "--spec", "x.prob"]) == 3
+    assert loaded == ["x.prob"]
+    assert capsys.readouterr().err == "precondition failure: stop after the argument parsing\n"
 
 
 if __name__ == "__main__":
