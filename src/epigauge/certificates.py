@@ -369,21 +369,30 @@ class AggregatedEnvelope:
         """``evaluate`` at every row of ``X`` as ``(lower, upper)`` arrays,
         NaN wherever ``evaluate`` raises: masked max / min over the active
         certificates, taking the first extremum in certificate order as
-        ``max`` / ``min`` do."""
+        ``max`` / ``min`` do.
+
+        Each certificate is evaluated on its active rows, gathered
+        column-major, and merged into full-length buffers under its ball
+        mask; a row stays NaN where a certificate fails, no certificate is
+        active or the envelopes cross."""
         n = len(X)
-        lo, hi = np.full(n, np.nan), np.full(n, np.nan)
+        lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+        L, U = np.zeros(n), np.zeros(n)
         covered, failed = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
         for c in self.cover.certs:
-            idx = np.flatnonzero(ball_mask(X, c.radius, c.center))
+            mask = ball_mask(X, c.radius, c.center)
+            idx = np.flatnonzero(mask)
             if not idx.size:
                 continue
-            Y = X[idx]
+            Y = X.T.take(idx, axis=1).T  # column-major, as the blocks are
             cl, cu = c.lower._rows(Y), c.upper._rows(Y)
-            failed[idx] |= ~(np.isfinite(cl) & np.isfinite(cu))
-            first = ~covered[idx]
-            lo[idx] = np.where(first | (cl > lo[idx]), cl, lo[idx])
-            hi[idx] = np.where(first | (cu < hi[idx]), cu, hi[idx])
-            covered[idx] = True
+            ok = np.isfinite(cl) & np.isfinite(cu)
+            if not ok.all():
+                failed[idx[~ok]] = True
+            L[idx], U[idx] = cl, cu
+            np.copyto(lo, L, where=mask & (L > lo))
+            np.copyto(hi, U, where=mask & (U < hi))
+            covered |= mask
         bad = failed | ~covered | (lo > hi)
         lo[bad] = np.nan
         hi[bad] = np.nan

@@ -79,7 +79,6 @@ from .core import (
     Func,
     GaugeBound,
     Point,
-    evaluated,
     in_closed_ball,
 )
 from .errors import EpigaugeError, PreconditionError, SpecParseError
@@ -809,17 +808,14 @@ def _demo_sharpness(args) -> tuple[list[_Property], SweepResult]:
     sweep = sharpness_sweep(args.mu, _capped_log_deltas(args, args.mu), args.grid_step)
     props: list[_Property] = []
 
-    # The sandwich is checked on the lattice the sweep's argmin scans.
+    # The sandwich is checked on the lattice the sweep's argmin scans, from
+    # the least and greatest f - g the sweep reduced there: rounding is
+    # monotone, so max(diff - delta) is max(diff) - delta bit for bit.
     grid = Grid(1, sweep.radius, args.grid_step)
-    sandwich_ok = True
+    sandwich_ok = all(r.gap_min >= 0.0 and r.gap_max <= r.delta + TAU for r in sweep.rows)
     worst = 0.0
-    for row in sweep.rows:
-        family = build_sharpness_pair(args.mu, row.delta)
-        for _, (fv, gv) in evaluated(grid.blocks(), family.f, family.g):
-            diff = fv - gv
-            worst = max(worst, float(np.max(diff - row.delta)), float(np.max(-diff)))
-            if np.any((diff < 0.0) | (diff > row.delta + TAU)):
-                sandwich_ok = False
+    for r in sweep.rows:
+        worst = max(worst, r.gap_max - r.delta, -r.gap_min)
     props.append(_Property(
         "pointwise_sandwich", sandwich_ok,
         f"0 <= f-g <= delta + tau at all {grid.cube_size()} lattice points per delta "
@@ -915,6 +911,23 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        reversed_range = _reversed_drops(vars(namespace))
+        if reversed_range:
+            self.error(reversed_range)
+        return namespace, extras
+
+
+def _reversed_drops(values: dict) -> Optional[str]:
+    """The usage error of a log drop range whose ``--delta-min``, given or
+    by default, exceeds its ``--delta-max``; ``None`` for any other
+    namespace."""
+    lo, hi = values.get("delta_min"), values.get("delta_max")
+    if lo is not None and hi is not None and lo > hi:
+        return f"--delta-min {lo!r} exceeds --delta-max {hi!r}"
+    return None
 
 
 def _flag(kind):
@@ -1060,8 +1073,9 @@ def _walk(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     argv of the form ``COMMAND [DEMO] (--flag VALUE | --csv)*`` in which
     each flag is one of the command's option strings and appears at most
     once, no value starts with "-", every value converts, every required
-    flag is given and no two given flags exclude each other.  ``None`` for
-    any other argv, which argparse then parses (or rejects)."""
+    flag is given, no two given flags exclude each other and the log drop
+    range is not reversed.  ``None`` for any other argv, which argparse then
+    parses (or rejects)."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     values: dict[str, object] = {"command": argv[0]}
@@ -1096,7 +1110,8 @@ def _walk(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     groups = [opt.group for opt in given if opt.group is not None]
     drops = [opt.flag for opt in given if opt.drops]
     if (len(set(groups)) < len(groups) or ("--deltas" in drops and len(drops) > 1)
-            or any(opt.required and opt not in given for opt in command.opts)):
+            or any(opt.required and opt not in given for opt in command.opts)
+            or _reversed_drops(values)):
         return None
     return argparse.Namespace(**values)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Optional, Sequence
 
 import numpy as np
@@ -241,13 +241,17 @@ def build_impossibility_pair(R: float, queries: Sequence[Point], A: float,
 class SweepRow:
     """One drop size: the extreme lattice minimizer of the clipped
     surrogate, its distance to the target minimizer, the certified
-    displacement bound, and the grid slack added when comparing the two."""
+    displacement bound, the grid slack added when comparing the two, and
+    the least and greatest ``f - g`` over the lattice (the sandwich
+    ``0 <= f - g <= delta``)."""
 
     delta: float
     argmin: float
     dist: float
     bound: float
     slack: float
+    gap_min: float
+    gap_max: float
 
 
 @dataclass(frozen=True)
@@ -294,6 +298,11 @@ def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float,
     The returned slope is the least-squares fit of ``log(dist)`` versus
     ``log(delta)``, NaN when the drops take fewer than two distinct values.
 
+    Each drop's ``g`` is evaluated once, by its argmin scan, which also
+    reduces ``f - g`` to the row's ``gap_min`` and ``gap_max``; ``f`` is the
+    same for every drop and is evaluated once per lattice block object, so
+    once for all drops on a lattice that fits in one block.
+
     The step must resolve the smallest plateau: ``grid_step <
     sqrt(2*min(delta)/mu)/10`` is required, otherwise the scan error would
     swamp the quantity being measured.  The drops times the lattice points
@@ -316,15 +325,29 @@ def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float,
             f"half-width {smallest_plateau!r} (need step < {smallest_plateau / 10.0!r})"
         )
     target = FinitePointSet((Point.origin(1),))
+    f, last = families[0].f, [None, None]  # f, the same for every drop, on the last block
     rows = []
     for family in families:
-        ties = grid_argmin(family.g, grid, threads=threads).rows
+        gap = [math.inf, -math.inf]
+
+        def batch(X: np.ndarray, _g=family.g, _gap=gap) -> np.ndarray:
+            # g as the argmin scan reads it, reduced against f (once per block object)
+            if last[0] is not X:
+                last[:] = X, f._rows(X)
+            v = _g.batch(X)
+            diff = last[1] - v
+            _gap[:] = min(_gap[0], float(diff.min())), max(_gap[1], float(diff.max()))
+            return v
+
+        g = replace(family.g, batch=batch)
+        ties = grid_argmin(g, grid, threads=threads).rows
         dist = dist_to_set_rows(ties, target)
         far = np.flatnonzero(dist == dist.max())
         extreme = far[np.argmax(ties[far, 0])]
         bound, slack = square_root_rule(family.delta, mu, grid_step)
         rows.append(SweepRow(delta=family.delta, argmin=float(ties[extreme, 0]),
-                             dist=float(dist[extreme]), bound=bound, slack=slack))
+                             dist=float(dist[extreme]), bound=bound, slack=slack,
+                             gap_min=gap[0], gap_max=gap[1]))
 
     log_d = np.log([r.delta for r in rows])
     log_dist = np.log([r.dist for r in rows])

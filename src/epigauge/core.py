@@ -235,26 +235,42 @@ def in_closed_ball(point: Point, radius: float, center: Point | None = None) -> 
 
 
 # Row-wise twins of ``Point.norm`` / ``Point.dist`` / ``in_closed_ball``: the
-# squares are summed in coordinate order, exactly as the scalar loops do.
+# squares are summed in coordinate order, exactly as the scalar loops do.  They
+# read one column at a time and accumulate in place, so no ``(n, dim)``
+# temporary is built; lattice blocks are column-major, which makes each column
+# one contiguous run.  The operations are those of the scalar loops in either
+# layout, so the bits are too.
 
 
-def _sum_squares(X: np.ndarray) -> np.ndarray:
-    s = X[:, 0] * X[:, 0]
-    for k in range(1, X.shape[1]):
-        s = s + X[:, k] * X[:, k]
+def _sum_squares(X: np.ndarray, center: Optional[np.ndarray] = None) -> np.ndarray:
+    """The squares of ``X - center`` (of ``X`` without a center) summed
+    over each row in coordinate order, one column at a time, in place."""
+    s = t = None
+    for k in range(X.shape[1]):
+        if center is None:
+            t = np.multiply(X[:, k], X[:, k], out=t)
+        else:
+            t = np.subtract(X[:, k], center[k], out=t)
+            np.multiply(t, t, out=t)
+        if s is None:
+            s, t = t, None
+        else:
+            s += t
     return s
 
 
 def norms(X: np.ndarray) -> np.ndarray:
     """``Point.norm`` of every row of ``X``."""
-    return np.sqrt(_sum_squares(X))
+    s = _sum_squares(X)
+    return np.sqrt(s, out=s) if s.dtype.kind == "f" else np.sqrt(s)
 
 
 def distances(X: np.ndarray, center: Point) -> np.ndarray:
     """``Point.dist(center)`` of every row of ``X``."""
     if X.shape[1] != center.dim:
         raise DomainError(f"dimension mismatch: {X.shape[1]} vs {center.dim}")
-    return norms(X - np.asarray(center.coords))
+    s = _sum_squares(X, np.asarray(center.coords))
+    return np.sqrt(s, out=s)
 
 
 def ball_mask(X: np.ndarray, radius: float, center: Point | None = None) -> np.ndarray:

@@ -33,7 +33,9 @@ sums the squares of each cube node in coordinate order, as ``norms`` does,
 and gathers coordinates only for the nodes inside the ball; a 1-d block is
 its own run of axis values, so a 1-d scan never holds the whole axis.
 
-Blocks are read-only.  A lattice that fits in one block is built once and
+Blocks are read-only and column-major (Fortran order): each coordinate
+is one contiguous run, which is how the row kernels of ``core`` read
+them, one column at a time.  A lattice that fits in one block is built once and
 served again from a process-wide LRU of ``LATTICE_CACHE_ENTRIES`` entries
 (keyed on dimension, radius, step and block size), so repeated scans of
 one small lattice, such as the validation lattices of equal-radius local
@@ -172,8 +174,8 @@ class Grid:
         return (2 * self._kmax + 1) ** self.dim
 
     def blocks(self, cells_per_point: int = 1) -> Iterator[np.ndarray]:
-        """The lattice points as read-only ``(n, dim)`` float64 arrays, in
-        lexicographic order (last coordinate fastest).
+        """The lattice points as read-only, column-major ``(n, dim)``
+        float64 arrays, in lexicographic order (last coordinate fastest).
 
         Each block is cut from at most ``BLOCK_CELLS // cells_per_point``
         consecutive cube nodes (at least one) and then filtered to the ball
@@ -211,7 +213,7 @@ class Grid:
             lo, hi = start - first * n, stop - first * n
             node = np.flatnonzero(np.sqrt(s[:, None] + squares).ravel()[lo:hi] <= bound) + lo
             run, last = np.divmod(node, n)
-            X = np.empty((len(node), self.dim))
+            X = np.empty((len(node), self.dim), order="F")
             for c, digit in enumerate(digits):
                 X[:, c] = axis[digit[run]]
             X[:, -1] = axis[last]

@@ -60,7 +60,7 @@ from epigauge.constructions import (
     build_strictness_pair,
 )
 from epigauge import oracle
-from epigauge.core import evaluated, norms
+from epigauge.core import ball_mask, distances, evaluated, in_closed_ball, lattice_point, norms
 from epigauge.oracle import BLOCK_CELLS, LATTICE_CACHE_ENTRIES, dist_to_set_rows, grid_pair_scan
 
 from helpers import clamp_to_band, random_analytic, random_point_in_ball
@@ -1113,3 +1113,144 @@ def test_equal_radius_local_certs_report_their_own_crossing():
     got = outcome(LocalCert, center, radius, lower, upper)
     want = outcome(naive_crossing, lower, upper, pts, "local certificate")
     assert got[0] is want[0] is CertificateViolationError and got[1] == want[1]
+
+
+# ---------------------------------------------------------------------------
+# Column-major blocks: the kernels give the same bits in either layout
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cells_per_point", [1, 21])
+@pytest.mark.parametrize("dim,radius,step", DIFFERENTIAL_LATTICES)
+def test_blocks_are_read_only_and_column_major(dim, radius, step, cells_per_point):
+    oracle._one_block_lattice.cache_clear()
+    grid = Grid(dim, radius, step)
+    want = divmod_blocks(grid, cells_per_point)
+    for _ in range(2):  # built, then served from the cache or streamed again
+        got = list(grid.blocks(cells_per_point))
+        assert len(got) == len(want)
+        for X, Y in zip(got, want):
+            assert X.flags.f_contiguous and not X.flags.writeable
+            assert X.shape == Y.shape and X.tobytes() == Y.tobytes()
+
+
+def test_derived_blocks_stay_column_major():
+    layouts = []
+
+    def recording(dim: int, value: float) -> Func:
+        def batch(X):
+            layouts.append(X.flags.f_contiguous)
+            return np.full(len(X), value)
+        return Func(lambda p: value, math.inf, dim, batch=batch)
+
+    for dim in (2, 3):
+        cover = Cover(tuple(
+            LocalCert(Point(tuple(s * 0.3 if k == 0 else 0.0 for k in range(dim))), 0.9,
+                      recording(dim, 0.0), recording(dim, 1.0))
+            for s in (-1.0, 1.0)))
+        cert = aggregate_cover(cover).to_envelope_cert(0.5)
+        envelope_width_bound(cert, Cylinder(0.5, 1.0), 0.05)
+    assert len(layouts) > 8 and all(layouts)
+
+
+_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, -0.5, 0.7, 1e-310, 1e155, -1e200, 1e300]),
+    st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False),
+)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def layout_cases(draw):
+    """A ``(rows, dim, cover)`` case: rows that mix signed zeros, huge values
+    and (now and then) a non-finite coordinate, and a cover of 1-6 local
+    certificates that may leave gaps, may cross where certificates overlap
+    and may have a lower envelope without batch."""
+    dim = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(_COORDS, min_size=dim, max_size=dim), min_size=2,
+                         max_size=12))
+    for row in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)):
+        rows[row][draw(st.integers(0, dim - 1))] = draw(_NON_FINITE)
+    certs = []
+    for _ in range(draw(st.integers(1, 6))):
+        center = Point(tuple(draw(st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5]))
+                             for _ in range(dim)))
+        slope = tuple(draw(st.sampled_from([0.0, -0.0, 0.5, -1.0])) for _ in range(dim))
+        base = draw(st.sampled_from([-0.5, -0.0, 0.0, 0.25]))
+        width = draw(st.sampled_from([0.0, 0.125, 1.0]))
+        lower = Func.affine(slope, base)
+        upper = Func.sum_of(Func.affine(slope, base), Func.constant(width, dim=dim))
+        # a callable without batch, whose every row replays (validated point by
+        # point, so kept to the 33- and 797-point lattices of dimensions 1 and 2)
+        if dim < 3 and draw(st.integers(0, 3)) == 0:
+            lower = Func(lower.eval, lower.domain_radius, dim, "user lower")
+        certs.append(LocalCert(center, draw(st.sampled_from([0.2, 0.5, 0.9])), lower, upper))
+    return rows, dim, Cover(tuple(certs))
+
+
+def layout_outcome(fn, *args):
+    """``outcome(fn, *args)`` with an array result as a list of hex strings
+    (floats) or bools."""
+    got = outcome(fn, *args)
+    if got[0] != "ok":
+        return got
+    return ("ok", [v if isinstance(v, bool) else float(v).hex()
+                   for v in np.asarray(got[1]).tolist()])
+
+
+def scalar_values(f: Func, X: np.ndarray) -> list[float]:
+    """The point-by-point loop: each row becomes a ``Point`` (which rejects a
+    non-finite coordinate) and is evaluated before the next row is read."""
+    return [f(Point(tuple(r))) for r in X.tolist()]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(layout_cases())
+@example(([[0.0, -0.0], [1e300, 0.5], [math.nan, 0.0], [-0.0, -0.0]], 2,
+          Cover((LocalCert(Point.of(0.0, 0.0), 0.5, Func.constant(-0.0, dim=2),
+                           Func.constant(0.0, dim=2)),
+                 LocalCert(Point.of(0.25, 0.0), 0.9, Func.constant(0.0, dim=2),
+                           Func.constant(0.125, dim=2))))))
+def test_kernels_give_the_same_bits_in_either_layout(case):
+    rows_, dim, cover = case
+    C = np.array(rows_, dtype=np.float64)
+    F = np.asfortranarray(C)
+    assert C.flags.c_contiguous and F.flags.f_contiguous
+    points = [lattice_point(tuple(r)) for r in C.tolist()]  # unchecked: rows may be non-finite
+    center = cover.certs[-1].center
+    checks = [
+        (norms, (), [p.norm() for p in points]),
+        (distances, (center,), [p.dist(center) for p in points]),
+        (ball_mask, (0.5, center), [in_closed_ball(p, 0.5, center) for p in points]),
+        (ball_mask, (1.0,), [in_closed_ball(p, 1.0) for p in points]),
+    ]
+    # dist_to_set is defined on points, which have finite coordinates
+    finite = [i for i, p in enumerate(points) if all(map(math.isfinite, p.coords))]
+    sets = (FinitePointSet(tuple(c.center for c in cover.certs)), ClosedBall(center, 0.25))
+    with np.errstate(all="ignore"):  # huge rows overflow to inf, as the scalar loops do
+        for fn, args, scalar in checks:
+            got = layout_outcome(fn, C, *args)
+            assert got == layout_outcome(fn, F, *args)
+            assert got == layout_outcome(lambda: scalar)
+        for argmin_set in sets:
+            got = layout_outcome(dist_to_set_rows, C, argmin_set)
+            assert got == layout_outcome(dist_to_set_rows, F, argmin_set)
+            assert [got[1][i] for i in finite] == \
+                [dist_to_set(points[i], argmin_set).hex() for i in finite]
+
+    # The aggregated envelopes on a domain that holds every row of norm below
+    # 2: the huge rows meet the domain check, the others a gap, a crossing or
+    # a value.  (``to_envelope_cert`` would reject a gapped or crossing cover.)
+    agg = aggregate_cover(cover)
+    envelopes = [Func(lambda p, _h=half: agg.evaluate(p)[_h], 2.0, dim, f"aggregated {half}",
+                      batch=lambda X, _h=half: agg._rows(X)[_h]) for half in (0, 1)]
+    for f in [*family_zoo(dim).values(), *envelopes]:
+        got = layout_outcome(f.values, C)
+        assert got == layout_outcome(f.values, F), f.label
+        assert got == layout_outcome(scalar_values, f, C), f.label
+        # The first error hides the values of the other rows: the rows the
+        # scalar path evaluates are compared again, in both layouts.
+        good = C[[i for i in range(len(C)) if outcome(scalar_values, f, C[i:i + 1])[0] == "ok"]]
+        want = layout_outcome(scalar_values, f, good)
+        assert layout_outcome(f.values, good) == want, f.label
+        assert layout_outcome(f.values, np.asfortranarray(good)) == want, f.label

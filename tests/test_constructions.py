@@ -242,3 +242,32 @@ def test_sweep_csv_shape():
     assert float(first[0]) == 1e-3
     # '.' decimal separator, no locale artifacts
     assert all("," not in cell or cell == "" for cell in first)
+
+
+@pytest.mark.parametrize("mu,deltas,h", [(2.0, [1e-4, 1e-3, 1e-2], 1e-4),
+                                         (8.0, [2e-3, 2e-3, 5e-2], 2e-6)])  # 3 blocks a drop
+def test_sweep_gaps_are_the_sandwich_extremes_of_one_scan_per_drop(monkeypatch, mu, deltas, h):
+    calls: dict[str, int] = {}
+    rows = constructions.Func._rows
+
+    def counted(self, X):
+        calls[self.label] = calls.get(self.label, 0) + 1
+        return rows(self, X)
+
+    monkeypatch.setattr(constructions.Func, "_rows", counted)
+    sweep = sharpness_sweep(mu, deltas, h)
+    monkeypatch.undo()
+    grid = Grid(1, sweep.radius, h)
+    blocks = len(list(grid.blocks()))
+    f = build_sharpness_pair(mu, deltas[0]).f
+    # each drop's g once per block; f inside each g, and once more per block
+    # object for all drops: once on a one-block lattice, per drop on a streamed one
+    assert calls.pop(f.label) == blocks * (len(deltas) + (1 if blocks == 1 else len(deltas)))
+    assert calls == {build_sharpness_pair(mu, d).g.label: blocks * deltas.count(d)
+                     for d in deltas}
+    fv = f.values(np.concatenate(list(grid.blocks())))
+    for row in sweep.rows:
+        diff = fv - build_sharpness_pair(mu, row.delta).g.values(np.concatenate(list(grid.blocks())))
+        assert (row.gap_min.hex(), row.gap_max.hex()) == (float(diff.min()).hex(),
+                                                          float(diff.max()).hex())
+        assert 0.0 <= row.gap_min <= row.gap_max <= row.delta + TAU
