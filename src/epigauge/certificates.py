@@ -36,6 +36,7 @@ from .core import (
     ball_mask,
     evaluated,
     in_closed_ball,
+    last_block_memo,
     norms,
     require_positive,
     slack_radius,
@@ -47,7 +48,7 @@ from .errors import (
     InconsistentCoverError,
     PreconditionError,
 )
-from .oracle import Grid, LevelGrid, _check_gauge_cap
+from .oracle import BLOCK_CELLS, Grid, LevelGrid, _check_gauge_cap
 
 __all__ = [
     "EnvelopeCert",
@@ -411,39 +412,16 @@ class AggregatedEnvelope:
         Valid only when the covered region contains the whole ball; any gap
         surfaces as a ``CoverageError`` during construction-time validation
         or a later scan.  The two envelopes' batches share one ``_rows``
-        call per block: the first of them to see a read-only block keeps
-        both halves, and the other takes its half and drops them.  A
-        writeable block could change between the two calls, so each half
-        computes its own.
+        call per read-only block (``last_block_memo``); a writeable block
+        could change between the two calls, so each half computes its own.
         """
-        last = None  # (X, lower, upper) of the last read-only block
-
-        def rows(X: np.ndarray, half: int) -> np.ndarray:
-            nonlocal last
-            memo = last
-            if memo is not None and memo[0] is X:
-                last = None
-                return memo[1 + half]
-            both = self._rows(X)
-            if _read_only(X):
-                last = (X, *both)
-            return both[half]
-
+        rows = last_block_memo(self._rows)
         dim = self.cover.dim
         lower = Func(lambda p: self.evaluate(p)[0], region_radius, dim, "cover-aggregated lower",
-                     batch=lambda X: rows(X, 0))
+                     batch=lambda X: rows(X)[0])
         upper = Func(lambda p: self.evaluate(p)[1], region_radius, dim, "cover-aggregated upper",
-                     batch=lambda X: rows(X, 1))
+                     batch=lambda X: rows(X)[1])
         return EnvelopeCert(region_radius=region_radius, lower=lower, upper=upper)
-
-
-def _read_only(X: np.ndarray) -> bool:
-    """True when neither ``X`` nor any array it views can be written."""
-    while isinstance(X, np.ndarray):
-        if X.flags.writeable:
-            return False
-        X = X.base
-    return X is None
 
 
 def aggregate_cover(cover: Cover) -> AggregatedEnvelope:
@@ -466,13 +444,19 @@ def gauge_from_tolerance_field(tf: ToleranceField, grid_step_x: float,
     scanned value is a certificate violation.  Certified only when the
     field is declared grid-exact.  The base x level lattice is held to the
     oracle's gauge cap before the first block.
+
+    The scan walks the base lattice's own blocks (so a one-block lattice is
+    the cached one the oracle scans) in consecutive row chunks of at most
+    ``BLOCK_CELLS // len(levels)`` points, which bounds the cells held at
+    once and keeps the lattice order of the replay.
     """
     grid = Grid(tf.dim, tf.cylinder.R, grid_step_x)
     lgrid = LevelGrid(tf.cylinder.M, grid_step_t)
     _check_gauge_cap(grid, lgrid)
     levels = lgrid.values
+    rows = max(1, BLOCK_CELLS // len(levels))
     best = 0.0
-    for X in grid.blocks(cells_per_point=len(levels)):
+    for X in (B[i:i + rows] for B in grid.blocks() for i in range(0, len(B), rows)):
         V = tf._cells(X, levels)  # checked and reduced as the batch returns it
         ok = np.isfinite(V) & (V >= 0.0)
         if not ok.all():  # replay the bad cells through eta, in lattice order

@@ -30,7 +30,8 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .core import ClosedBall, FinitePointSet, Func, Point, in_closed_ball, norms, require_positive
+from .core import (ClosedBall, FinitePointSet, Func, Point, in_closed_ball, last_block_memo, norms,
+                   require_positive)
 from .errors import ConstructionError, OracleCapError, PreconditionError
 from .oracle import LATTICE_CAP, Grid, dist_to_set, dist_to_set_rows, grid_argmin
 from .stability import GrowthCert, square_root_rule
@@ -299,9 +300,12 @@ def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float,
     ``log(delta)``, NaN when the drops take fewer than two distinct values.
 
     Each drop's ``g`` is evaluated once, by its argmin scan, which also
-    reduces ``f - g`` to the row's ``gap_min`` and ``gap_max``; ``f`` is the
-    same for every drop and is evaluated once per lattice block object, so
-    once for all drops on a lattice that fits in one block.
+    reduces ``f - g`` to the row's ``gap_min`` and ``gap_max``.  ``f`` is the
+    same for every drop: every ``g`` is built on one copy of it whose batch
+    keeps its rows on the last read-only block (``last_block_memo``), and
+    the gap reduction reads the same rows.  So ``f``'s batch runs once per
+    sweep on a lattice that fits in one block (its cached block is scanned
+    again for every drop) and once per drop and block on a streamed one.
 
     The step must resolve the smallest plateau: ``grid_step <
     sqrt(2*min(delta)/mu)/10`` is required, otherwise the scan error would
@@ -325,22 +329,21 @@ def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float,
             f"half-width {smallest_plateau!r} (need step < {smallest_plateau / 10.0!r})"
         )
     target = FinitePointSet((Point.origin(1),))
-    f, last = families[0].f, [None, None]  # f, the same for every drop, on the last block
+    f = families[0].f
+    f = replace(f, batch=last_block_memo(f.batch))  # shared by every g and the gaps
     rows = []
     for family in families:
         gap = [math.inf, -math.inf]
+        g = Func.clamp_shift(f, family.delta, label=family.g.label)
 
-        def batch(X: np.ndarray, _g=family.g, _gap=gap) -> np.ndarray:
-            # g as the argmin scan reads it, reduced against f (once per block object)
-            if last[0] is not X:
-                last[:] = X, f._rows(X)
-            v = _g.batch(X)
-            diff = last[1] - v
+        def batch(X: np.ndarray, _g=g.batch, _gap=gap) -> np.ndarray:
+            # g as the argmin scan reads it, reduced against f's kept rows
+            v = _g(X)
+            diff = f.batch(X) - v
             _gap[:] = min(_gap[0], float(diff.min())), max(_gap[1], float(diff.max()))
             return v
 
-        g = replace(family.g, batch=batch)
-        ties = grid_argmin(g, grid, threads=threads).rows
+        ties = grid_argmin(replace(g, batch=batch), grid, threads=threads).rows
         dist = dist_to_set_rows(ties, target)
         far = np.flatnonzero(dist == dist.max())
         extreme = far[np.argmax(ties[far, 0])]

@@ -113,7 +113,12 @@ def pos_part(r: float) -> float:
 
 def _pos_part_rows(r: np.ndarray) -> np.ndarray:
     """``pos_part`` on an array; NaN where ``pos_part`` would raise."""
-    return np.where(np.isfinite(r), np.where(r > 0.0, r, 0.0), np.nan)
+    v = np.maximum(r, 0.0)  # NaN stays NaN
+    v += 0.0  # +0.0 for a zero of either sign, as ``pos_part`` gives
+    finite = np.isfinite(r)
+    if not finite.all():
+        v[~finite] = np.nan
+    return v
 
 
 def vertical_distance(f_value: float, t: float) -> float:
@@ -493,6 +498,39 @@ def _fsum_rows(columns: list[np.ndarray]) -> np.ndarray:
         rows = np.stack([c[redo] for c in columns], axis=1).tolist()
         s[redo] = [_fsum_row(r) for r in rows]
     return s
+
+
+def _read_only(X: np.ndarray) -> bool:
+    """True when neither ``X`` nor any array it views can be written."""
+    while isinstance(X, np.ndarray):
+        if X.flags.writeable:
+            return False
+        X = X.base
+    return X is None
+
+
+def last_block_memo(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
+    """``fn`` remembering its result on the last read-only block it saw.
+
+    A call with that same block object returns the kept result, so
+    several consumers of one block share one computation; a writeable
+    block could change between calls and is recomputed every time.  The
+    kept result is shared, so callers must not write into it.  The memo is
+    read once before the identity check, so the wrapper stays safe to call
+    from several threads."""
+    last: Optional[tuple[np.ndarray, object]] = None
+
+    def memo(X: np.ndarray) -> object:
+        nonlocal last
+        hit = last
+        if hit is not None and hit[0] is X:
+            return hit[1]
+        value = fn(X)
+        if _read_only(X):
+            last = (X, value)
+        return value
+
+    return memo
 
 
 def evaluated(blocks: Iterable[np.ndarray], *funcs: Func

@@ -12,6 +12,11 @@ loop in lattice order.  The reductions are exact (max / min of floats) and
 tie lists are assembled in lattice order, so results do not depend on the
 block size.  Argmin ties stay an ``(n, dim)`` array
 (``ArgminResult.rows``); ``Point`` objects are built only on request.
+An argmin scan holds only rows that may still tie: a block whose minimum
+lies more than ``TAU`` above the running minimum is skipped, a held block
+is dropped once the running minimum falls more than ``TAU`` below its
+own, rows are gathered once by index, and only held blocks whose minimum
+is not the final one are filtered again.
 The discrepancy never increases with the level, so the gauge over
 ``B_R x [-M, M]`` is the clipped sup-norm ``|max(f, -M) - max(g, -M)|``
 over the base lattice, and no oracle reads a level lattice value; the
@@ -338,26 +343,34 @@ def _sup_block(fv: np.ndarray, gv: np.ndarray) -> float:
 
 
 class _Argmin:
-    """The running minimum of an argmin scan and, per block, the rows that
-    may still tie with it."""
+    """The running minimum of an argmin scan and, for each block that may
+    still tie with it, the rows within ``TAU`` of the block's minimum as
+    ``(coordinates transposed, values, block minimum)``.  A block whose
+    minimum is the final one holds ties only."""
 
     def __init__(self) -> None:
         self.best = math.inf
-        self.candidates: list[tuple[np.ndarray, np.ndarray]] = []
+        self.candidates: list[tuple[np.ndarray, np.ndarray, float]] = []
 
     def add(self, X: np.ndarray, v: np.ndarray) -> None:
-        block_min = v[np.argmin(v)]
+        block_min = float(v[np.argmin(v)])  # the first minimum, as a scalar loop keeps
         if block_min < self.best:
-            self.best = float(block_min)
-        keep = v <= block_min + TAU
-        self.candidates.append((X[keep], v[keep]))
+            self.best = block_min
+            self.candidates = [c for c in self.candidates if c[2] <= block_min + TAU]
+        elif block_min > self.best + TAU:
+            return
+        keep = np.flatnonzero(v <= block_min + TAU)
+        self.candidates.append((X.T.take(keep, axis=1), v.take(keep), block_min))
 
     def result(self) -> ArgminResult:
         if not self.candidates:
             raise PreconditionError("grid has no points")
-        rows = np.concatenate([X[v <= self.best + TAU] for X, v in self.candidates])
-        rows.setflags(write=False)
-        return ArgminResult(rows=rows, value=self.best)
+        cut = self.best + TAU
+        parts = [C if m == self.best else C.compress(v <= cut, axis=1)
+                 for C, v, m in self.candidates]
+        cols = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        cols.setflags(write=False)
+        return ArgminResult(rows=cols.T, value=self.best)
 
 
 def grid_sup_abs_diff(f: Func, g: Func, grid: Grid, threads: int = 1) -> float:

@@ -60,7 +60,8 @@ from epigauge.constructions import (
     build_strictness_pair,
 )
 from epigauge import oracle
-from epigauge.core import ball_mask, distances, evaluated, in_closed_ball, lattice_point, norms
+from epigauge.core import (_pos_part_rows, _read_only, ball_mask, distances, evaluated,
+                           in_closed_ball, last_block_memo, lattice_point, norms, pos_part)
 from epigauge.oracle import BLOCK_CELLS, LATTICE_CACHE_ENTRIES, dist_to_set_rows, grid_pair_scan
 
 from helpers import clamp_to_band, random_analytic, random_point_in_ball
@@ -466,6 +467,20 @@ def test_falsification_matches_reference():
 # ---------------------------------------------------------------------------
 # Error parity: first failing point in lattice order, same type and message
 # ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+@example([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, -1.0, 2.5])
+def test_pos_part_rows_is_pos_part_or_nan_where_it_raises(values):
+    got = _pos_part_rows(np.array(values, dtype=np.float64)).tolist()
+    for r, v in zip(values, got):
+        try:
+            want = pos_part(r)
+        except PreconditionError:
+            assert math.isnan(v)
+        else:
+            assert v.hex() == want.hex()
 
 
 def test_values_error_parity():
@@ -892,6 +907,70 @@ def test_argmin_result_equality():
     assert a != a.points
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_argmin_ties_within_tau_across_many_blocks(monkeypatch, seed):
+    # Values a fraction of TAU apart on a falling trend, over blocks of 8
+    # points: block minima tie, fall by less and by more than TAU, and
+    # climb again, so held blocks are kept, filtered again and dropped.
+    step, n = 0.01, 201
+    table = np.random.default_rng(seed).integers(0, 6, n) * 0.45 * TAU
+    table -= np.arange(n) // 16 * [0.0, 0.7, 1.3, 0.2][seed % 4] * TAU
+
+    def index(x):
+        return np.rint((x + 1.0) / step).astype(int)
+
+    f = Func(lambda p: float(table[index(p.coords[0])]), label="near-tau",
+             batch=lambda X: table[index(X[:, 0])])
+    monkeypatch.setattr(oracle, "BLOCK_CELLS", 8)
+    grid = Grid(1, 1.0, step)
+    assert len(list(grid.blocks())) == 26
+    result = grid_argmin(f, grid)
+    points, value = naive_argmin(f, grid)
+    assert result.value.hex() == value.hex()
+    assert hexes(result.rows.ravel()) == hexes(c for p in points for c in p.coords)
+    assert _read_only(result.rows)  # nor the array it views
+
+
+def test_argmin_holds_the_running_ties_and_at_most_one_block_more(monkeypatch):
+    # A staircase falling to its one minimizer at x = 1, 66,667 points a
+    # step: a scan that kept every block's lowest step would hold 1,474,230
+    # rows for a single tie.
+    def held(argmin) -> int:
+        return sum(len(c[1]) for c in argmin.candidates)
+
+    stair = Func(lambda p: -math.floor((p.coords[0] + 1.0) * 15.0), label="stair",
+                 batch=lambda X: -np.floor((X[:, 0] + 1.0) * 15.0))
+    add, result = oracle._Argmin.add, oracle._Argmin.result
+    seen: list[np.ndarray] = []
+    excess: list[int] = []
+    final: list[tuple[int, int]] = []
+
+    def tracking_add(self, X, v):
+        add(self, X, v)
+        seen.append(v.copy())
+        running_ties = sum(int(np.count_nonzero(w <= self.best + TAU)) for w in seen)
+        excess.append(held(self) - running_ties)
+
+    def tracking_result(self):
+        out = result(self)
+        final.append((held(self), len(out.rows)))
+        return out
+
+    monkeypatch.setattr(oracle._Argmin, "add", tracking_add)
+    monkeypatch.setattr(oracle._Argmin, "result", tracking_result)
+    grid = Grid(1, 1.0, 1e-6)
+    got = grid_argmin(stair, grid)
+    monkeypatch.undo()
+    assert len(seen) == 31 and sum(map(len, seen)) == 2_000_001
+    assert max(excess) <= BLOCK_CELLS
+    [(rows_held, ties)] = final
+    assert rows_held <= ties + BLOCK_CELLS
+    X = np.concatenate(list(grid.blocks()))
+    v = stair.batch(X)
+    assert got.value == v.min() == -30.0
+    assert hexes(got.rows.ravel()) == hexes(X[v <= v.min() + TAU].ravel())
+
+
 # ---------------------------------------------------------------------------
 # Reuse: one aggregation per cover block, one build per one-block lattice
 # ---------------------------------------------------------------------------
@@ -1025,6 +1104,39 @@ def test_shared_aggregation_matches_scalar_bits():
         W[:] = C
         assert hexes(cert.upper.values(X)) == want[id(C)][1]
         assert hexes(cert.lower.values(X)) == want[id(C)][0]
+
+
+def test_last_block_memo_recomputes_a_writeable_block():
+    calls: list[int] = []
+
+    def total(X):
+        calls.append(len(X))
+        return float(X.sum())
+
+    memo = last_block_memo(total)
+    R = read_only([[1.0], [2.0]])
+    assert (memo(R), memo(R)) == (3.0, 3.0) and calls == [2]
+    W = np.array([[1.0], [2.0], [3.0]])
+    assert memo(W) == 6.0
+    W[0, 0] = 5.0  # changed in place between two calls
+    assert memo(W) == 10.0
+    V = W.view()  # a read-only view of a writeable block
+    V.setflags(write=False)
+    assert memo(V) == 10.0
+    W[1, 0] = 4.0
+    assert memo(V) == 12.0
+    assert calls == [2, 3, 3, 3, 3]
+    assert memo(R) == 3.0 and len(calls) == 5  # writeable blocks displace nothing
+
+    # a shared function under a drop, as the sweep builds it
+    f = Func.quadratic(0.5, label="q")
+    shared = dataclasses.replace(f, batch=last_block_memo(f.batch))
+    g, want = Func.clamp_shift(shared, 0.01), Func.clamp_shift(f, 0.01)
+    W = np.array([[0.1], [0.2], [-0.3]])
+    for _ in range(2):
+        assert hexes(g.values(W)) == hexes(want.values(W))
+        assert hexes(shared.values(W)) == hexes(f.values(W))
+        W *= 1.5
 
 
 def test_shared_aggregation_keeps_scalar_errors():

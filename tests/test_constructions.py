@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 
@@ -11,6 +12,8 @@ import pytest
 from epigauge import (
     TAU,
     ConstructionError,
+    FinitePointSet,
+    Func,
     OracleCapError,
     Grid,
     LevelGrid,
@@ -20,12 +23,15 @@ from epigauge import (
     build_sharpness_pair,
     build_strictness_pair,
     dist_to_set,
+    grid_argmin,
     grid_gauge,
     grid_sup_abs_diff,
     pointwise_discrepancy,
     sharpness_sweep,
 )
 from epigauge import constructions
+from epigauge.constructions import sweep_lattice
+from epigauge.stability import square_root_rule
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +250,33 @@ def test_sweep_csv_shape():
     assert all("," not in cell or cell == "" for cell in first)
 
 
-@pytest.mark.parametrize("mu,deltas,h", [(2.0, [1e-4, 1e-3, 1e-2], 1e-4),
-                                         (8.0, [2e-3, 2e-3, 5e-2], 2e-6)])  # 3 blocks a drop
+SWEEPS = [(2.0, [1e-4, 1e-3, 1e-2], 1e-4),  # one block
+          (8.0, [2e-3, 2e-3, 5e-2], 2e-6),  # 3 blocks a drop, a repeated drop
+          (3.0, [1e-3, 1e-3, 1e-3], 1e-5),  # one block, every drop the same
+          (2.0, [1e-4, 1e-3, 1e-2], 2e-6)]  # 3 blocks a drop
+
+
+def counting_pairs(monkeypatch) -> list[int]:
+    """Make every sharpness family count the rows of each run of its
+    quadratic's batch, inside its ``g`` too."""
+    runs: list[int] = []
+    build = constructions.build_sharpness_pair
+
+    def counted(mu, delta):
+        fam = build(mu, delta)
+
+        def batch(X, _b=fam.f.batch):
+            runs.append(len(X))
+            return _b(X)
+
+        f = dataclasses.replace(fam.f, batch=batch)
+        return dataclasses.replace(fam, f=f, g=Func.clamp_shift(f, delta, label=fam.g.label))
+
+    monkeypatch.setattr(constructions, "build_sharpness_pair", counted)
+    return runs
+
+
+@pytest.mark.parametrize("mu,deltas,h", SWEEPS)
 def test_sweep_gaps_are_the_sandwich_extremes_of_one_scan_per_drop(monkeypatch, mu, deltas, h):
     calls: dict[str, int] = {}
     rows = constructions.Func._rows
@@ -254,16 +285,19 @@ def test_sweep_gaps_are_the_sandwich_extremes_of_one_scan_per_drop(monkeypatch, 
         calls[self.label] = calls.get(self.label, 0) + 1
         return rows(self, X)
 
+    runs = counting_pairs(monkeypatch)
     monkeypatch.setattr(constructions.Func, "_rows", counted)
     sweep = sharpness_sweep(mu, deltas, h)
     monkeypatch.undo()
     grid = Grid(1, sweep.radius, h)
-    blocks = len(list(grid.blocks()))
+    sizes = [len(X) for X in grid.blocks()]
+    # f's batch runs once per sweep on a one-block lattice, whose one block
+    # every drop scans again, and once per drop and block on a streamed one
+    assert runs == (sizes if len(sizes) == 1 else sizes * len(deltas))
+    # each drop's g once per block, and f inside each g
     f = build_sharpness_pair(mu, deltas[0]).f
-    # each drop's g once per block; f inside each g, and once more per block
-    # object for all drops: once on a one-block lattice, per drop on a streamed one
-    assert calls.pop(f.label) == blocks * (len(deltas) + (1 if blocks == 1 else len(deltas)))
-    assert calls == {build_sharpness_pair(mu, d).g.label: blocks * deltas.count(d)
+    assert calls.pop(f.label) == len(sizes) * len(deltas)
+    assert calls == {build_sharpness_pair(mu, d).g.label: len(sizes) * deltas.count(d)
                      for d in deltas}
     fv = f.values(np.concatenate(list(grid.blocks())))
     for row in sweep.rows:
@@ -271,3 +305,31 @@ def test_sweep_gaps_are_the_sandwich_extremes_of_one_scan_per_drop(monkeypatch, 
         assert (row.gap_min.hex(), row.gap_max.hex()) == (float(diff.min()).hex(),
                                                           float(diff.max()).hex())
         assert 0.0 <= row.gap_min <= row.gap_max <= row.delta + TAU
+
+
+def reference_sweep(mu: float, deltas: list[float], h: float) -> list[list[str]]:
+    """Every ``SweepRow`` field and the slope as hex, each drop from a fresh
+    family, a plain ``grid_argmin`` of its ``g`` and a scalar extreme pick."""
+    grid = sweep_lattice(mu, deltas[-1], h, len(deltas))
+    X = np.concatenate(list(grid.blocks()))
+    target = FinitePointSet((Point.origin(1),))
+    out = []
+    for delta in deltas:
+        fam = build_sharpness_pair(mu, delta)
+        # the farthest tie, then the lexicographically last
+        dist, p = max((dist_to_set(p, target), p) for p in grid_argmin(fam.g, grid).points)
+        diff = fam.f.values(X) - fam.g.values(X)
+        bound, slack = square_root_rule(delta, mu, h)
+        out.append([delta, p.coords[0], dist, bound, slack, diff.min(), diff.max()])
+    coeffs, _, rank, _, _ = np.polyfit(np.log([r[0] for r in out]),
+                                       np.log([r[2] for r in out]), 1, full=True)
+    slope = float(coeffs[0]) if rank == 2 else math.nan
+    return [[float(v).hex() for v in r] for r in out] + [[slope.hex(), grid.radius.hex()]]
+
+
+@pytest.mark.parametrize("mu,deltas,h", SWEEPS + [(2.0, [0.02], 1e-3)])
+def test_sweep_matches_a_sweep_of_fresh_families(mu, deltas, h):
+    sweep = sharpness_sweep(mu, deltas, h)
+    got = [[float(getattr(r, k)).hex() for k in ("delta", "argmin", "dist", "bound", "slack",
+                                                 "gap_min", "gap_max")] for r in sweep.rows]
+    assert got + [[sweep.slope.hex(), sweep.radius.hex()]] == reference_sweep(mu, deltas, h)

@@ -66,6 +66,9 @@ CASES = {
     "demo-sharpness-csv": (["demo", "sharpness", "--csv"], None, None),
     "sweep-out": (["sweep", "--mu", "2", "--num-deltas", "3", "--delta-min", "1e-4",
                    "--out", "<tmp>/sweep.csv"], None, "sweep.csv"),
+    # 150,001 points, so each drop streams its lattice in 3 blocks
+    "sweep-streamed": (["sweep", "--mu", "2", "--grid-step", "2e-6", "--num-deltas", "3",
+                        "--delta-min", "1e-4"], None, None),
 }
 
 
