@@ -373,12 +373,11 @@ class AggregatedEnvelope:
         ``max`` / ``min`` do.
 
         Each certificate is evaluated on its active rows, gathered
-        column-major, and merged into full-length buffers under its ball
-        mask; a row stays NaN where a certificate fails, no certificate is
+        column-major, and merged into the running extremes at those rows
+        only; a row stays NaN where a certificate fails, no certificate is
         active or the envelopes cross."""
         n = len(X)
         lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
-        L, U = np.zeros(n), np.zeros(n)
         covered, failed = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
         for c in self.cover.certs:
             mask = ball_mask(X, c.radius, c.center)
@@ -390,9 +389,10 @@ class AggregatedEnvelope:
             ok = np.isfinite(cl) & np.isfinite(cu)
             if not ok.all():
                 failed[idx[~ok]] = True
-            L[idx], U[idx] = cl, cu
-            np.copyto(lo, L, where=mask & (L > lo))
-            np.copyto(hi, U, where=mask & (U < hi))
+            up = cl > lo[idx]
+            lo[idx[up]] = cl[up]
+            down = cu < hi[idx]
+            hi[idx[down]] = cu[down]
             covered |= mask
         bad = failed | ~covered | (lo > hi)
         lo[bad] = np.nan

@@ -288,8 +288,7 @@ def sweep_lattice(mu: float, delta_max: float, grid_step: float, drops: int) -> 
     return grid
 
 
-def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float,
-                    threads: int = 1) -> SweepResult:
+def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float) -> SweepResult:
     """Run the displacement experiment for each drop size.
 
     For each ``delta`` the surrogate's lattice argmin plateau is scanned;
@@ -343,7 +342,7 @@ def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float,
             _gap[:] = min(_gap[0], float(diff.min())), max(_gap[1], float(diff.max()))
             return v
 
-        ties = grid_argmin(replace(g, batch=batch), grid, threads=threads).rows
+        ties = grid_argmin(replace(g, batch=batch), grid).rows
         dist = dist_to_set_rows(ties, target)
         far = np.flatnonzero(dist == dist.max())
         extreme = far[np.argmax(ties[far, 0])]

@@ -363,8 +363,10 @@ class Func:
         ``evaluated`` writes replayed values into."""
         if self.batch is None or X.shape[1] != self.dim:
             return np.full(len(X), np.nan)
+        values = self.batch(X)  # before ``v`` exists, so that its temporaries never overlap it
         v = np.empty(len(X))
-        v[...] = self.batch(X)  # a copy: the batch may return a shared array
+        v[...] = values  # a copy: the batch may return a shared array
+        del values
         bad = ~np.isfinite(v)
         if not math.isinf(self.domain_radius):
             bad |= ~ball_mask(X, self.domain_radius)

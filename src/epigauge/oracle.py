@@ -21,8 +21,8 @@ The discrepancy never increases with the level, so the gauge over
 ``B_R x [-M, M]`` is the clipped sup-norm ``|max(f, -M) - max(g, -M)|``
 over the base lattice, and no oracle reads a level lattice value; the
 tolerance scan of ``certificates`` is the only scan that reads levels.
-The ``threads`` arguments are accepted for compatibility and ignored: the
-numpy blocks run single-threaded.
+The ``threads`` argument of ``grid_argmin`` is accepted for compatibility
+and ignored: the numpy blocks run single-threaded.
 
 Each kernel's per-block reduction is written once and shared with
 ``grid_pair_scan``, which computes ``grid_gauge``, ``grid_sup_abs_diff``
@@ -178,20 +178,19 @@ class Grid:
     def cube_size(self) -> int:
         return (2 * self._kmax + 1) ** self.dim
 
-    def blocks(self, cells_per_point: int = 1) -> Iterator[np.ndarray]:
+    def blocks(self) -> Iterator[np.ndarray]:
         """The lattice points as read-only, column-major ``(n, dim)``
         float64 arrays, in lexicographic order (last coordinate fastest).
 
-        Each block is cut from at most ``BLOCK_CELLS // cells_per_point``
-        consecutive cube nodes (at least one) and then filtered to the ball
-        with the same ``slack_radius`` as ``in_closed_ball``; empty blocks
-        are skipped.  A lattice whose cube fits in one block is built once
-        and then served from the ``LATTICE_CACHE_ENTRIES``-entry LRU;
-        larger lattices are built block by block on every call."""
-        step = max(1, BLOCK_CELLS // cells_per_point)
-        if self.cube_size() <= step:
-            return iter(_one_block_lattice(self, step))
-        return self._build(step)
+        Each block is cut from at most ``BLOCK_CELLS`` consecutive cube
+        nodes and then filtered to the ball with the same ``slack_radius``
+        as ``in_closed_ball``; empty blocks are skipped.  A lattice whose
+        cube fits in one block is built once and then served from the
+        ``LATTICE_CACHE_ENTRIES``-entry LRU; larger lattices are built
+        block by block on every call."""
+        if self.cube_size() <= BLOCK_CELLS:
+            return iter(_one_block_lattice(self, BLOCK_CELLS))
+        return self._build(BLOCK_CELLS)
 
     def _build(self, step: int) -> Iterator[np.ndarray]:
         # A run of n consecutive cube nodes shares all but the last
@@ -373,7 +372,7 @@ class _Argmin:
         return ArgminResult(rows=cols.T, value=self.best)
 
 
-def grid_sup_abs_diff(f: Func, g: Func, grid: Grid, threads: int = 1) -> float:
+def grid_sup_abs_diff(f: Func, g: Func, grid: Grid) -> float:
     """Max of ``|f - g|`` over the lattice: a lower bound on the true
     supremum over the ball."""
     _check_domains(grid, f, g)
@@ -383,7 +382,7 @@ def grid_sup_abs_diff(f: Func, g: Func, grid: Grid, threads: int = 1) -> float:
     return m
 
 
-def grid_gauge(f: Func, g: Func, grid: Grid, lgrid: LevelGrid, threads: int = 1) -> float:
+def grid_gauge(f: Func, g: Func, grid: Grid, lgrid: LevelGrid) -> float:
     """Max of the pointwise vertical discrepancy over lattice x level
     lattice: a lower bound on the true cylinder gauge.
 

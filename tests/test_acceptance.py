@@ -49,7 +49,7 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 def sweep_result():
     deltas = [float(d) for d in np.logspace(-5, -2, 8)]
     t0 = time.perf_counter()
-    sweep = sharpness_sweep(MU, deltas, SWEEP_H, threads=1)
+    sweep = sharpness_sweep(MU, deltas, SWEEP_H)
     elapsed = time.perf_counter() - t0
     return sweep, elapsed
 

@@ -259,7 +259,7 @@ def test_user_callable_takes_fallback():
 
 
 @pytest.mark.parametrize("dim,step", [(1, 0.01), (2, 1.0 / 32), (3, 0.125), (3, 0.3)])
-def test_blocks_are_lattice_order_and_bounded(dim, step):
+def test_blocks_are_lattice_order_and_bounded(dim, step, monkeypatch):
     grid = Grid(dim, 1.0, step)
     kmax = int(math.floor((1.0 / step) * (1.0 + TAU) + TAU))
     bound = 1.0 * (1.0 + TAU) + TAU
@@ -267,23 +267,25 @@ def test_blocks_are_lattice_order_and_bounded(dim, step):
     assert hexes(grid.axis) == hexes(axis)
     expected = [c for c in itertools.product(axis, repeat=dim)
                 if dim == 1 or math.sqrt(sum(x * x for x in c)) <= bound]
-    levels = 4096
-    blocks = list(grid.blocks(cells_per_point=levels))
+    block = BLOCK_CELLS // 4096
+    monkeypatch.setattr(oracle, "BLOCK_CELLS", block)
+    blocks = list(grid.blocks())
     assert len(blocks) > 1
-    assert all(len(X) <= BLOCK_CELLS // levels for X in blocks)
+    assert all(len(X) <= block for X in blocks)
     coords = [tuple(r) for X in blocks for r in X.tolist()]
     assert [hexes(c) for c in coords] == [hexes(c) for c in expected]
     assert [p.coords for p in grid.points()] == expected
 
 
-def divmod_blocks(grid: Grid, cells_per_point: int) -> list[np.ndarray]:
+def divmod_blocks(grid: Grid, block: int = BLOCK_CELLS) -> list[np.ndarray]:
     """The reference lattice construction: unravel every cube node of a
-    block by ``divmod``, then keep the rows with ``norms(X) <= bound``."""
+    block of ``block`` nodes by ``divmod``, then keep the rows with
+    ``norms(X) <= bound``."""
     kmax = int(math.floor((grid.radius / grid.step) * (1.0 + TAU) + TAU))
     bound = grid.radius * (1.0 + TAU) + TAU
     axis = np.arange(-kmax, kmax + 1) * grid.step
     axis = axis[np.abs(axis) <= bound]
-    size, step = len(axis) ** grid.dim, max(1, BLOCK_CELLS // cells_per_point)
+    size, step = len(axis) ** grid.dim, block
     out = []
     for start in range(0, size, step):
         idx = np.arange(start, min(start + step, size))
@@ -308,23 +310,27 @@ DIFFERENTIAL_LATTICES = [
 ]
 
 
-@pytest.mark.parametrize("cells_per_point", [1, 21])
+# Each lattice at the block size and at a 21st of it (the block size is
+# read when ``blocks`` is called).
+@pytest.mark.parametrize("divisor", [1, 21])
 @pytest.mark.parametrize("dim,radius,step", DIFFERENTIAL_LATTICES)
-def test_blocks_match_the_divmod_construction(dim, radius, step, cells_per_point):
+def test_blocks_match_the_divmod_construction(dim, radius, step, divisor, monkeypatch):
+    block = BLOCK_CELLS // divisor
+    monkeypatch.setattr(oracle, "BLOCK_CELLS", block)
     grid = Grid(dim, radius, step)
-    got = list(grid.blocks(cells_per_point))
-    want = divmod_blocks(grid, cells_per_point)
+    got = list(grid.blocks())
+    want = divmod_blocks(grid, block)
     assert len(got) == len(want)
     for X, Y in zip(got, want):
         assert X.dtype == np.float64 and X.shape == Y.shape and X.tobytes() == Y.tobytes()
         assert not X.flags.writeable
-    # each block comes from at most BLOCK_CELLS // cells_per_point cube nodes
+    # each block comes from at most ``block`` cube nodes
     n = len(grid.axis)
     nodes = [np.ravel_multi_index(tuple((np.rint(X / step).astype(np.intp) + n // 2).T),
                                   (n,) * dim) for X in got]
-    assert all(v[-1] - v[0] < BLOCK_CELLS // cells_per_point for v in nodes)
+    assert all(v[-1] - v[0] < block for v in nodes)
     assert all(a[-1] < b[0] for a, b in zip(nodes, nodes[1:]))
-    if grid.cube_size() > BLOCK_CELLS // cells_per_point:
+    if grid.cube_size() > block:
         assert len(got) > 1
 
 
@@ -1188,17 +1194,19 @@ def test_one_block_lattices_are_built_once_and_read_only():
     assert info.misses == info.currsize == len(ONE_BLOCK_LATTICES)
 
 
-def test_lattices_over_one_block_are_streamed_read_only_and_not_stored():
+def test_lattices_over_one_block_are_streamed_read_only_and_not_stored(monkeypatch):
     oracle._one_block_lattice.cache_clear()
-    for grid, cells_per_point in ((Grid(1, 1.0, 1e-5), 1),  # 200,001 points
-                                  (Grid(3, 1.0, 0.125), 4096),  # one block at 1 cell/point
-                                  (Grid(2, 1.0, 1.0 / 64), 21)):
-        first = list(grid.blocks(cells_per_point))
-        again = list(grid.blocks(cells_per_point))
+    for grid, divisor in ((Grid(1, 1.0, 1e-5), 1),  # 200,001 points
+                          (Grid(3, 1.0, 0.125), 4096),  # one block at the full block size
+                          (Grid(2, 1.0, 1.0 / 64), 21)):
+        monkeypatch.setattr(oracle, "BLOCK_CELLS", BLOCK_CELLS // divisor)
+        first = list(grid.blocks())
+        again = list(grid.blocks())
         assert len(first) > 1
         assert all(X is not Y and np.array_equal(X, Y) for X, Y in zip(first, again))
         assert all(not X.flags.writeable for X in first)
         assert oracle._one_block_lattice.cache_info().currsize == 0
+    monkeypatch.undo()
     list(Grid(3, 1.0, 0.125).blocks())
     assert oracle._one_block_lattice.cache_info().currsize == 1
 
@@ -1232,14 +1240,15 @@ def test_equal_radius_local_certs_report_their_own_crossing():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("cells_per_point", [1, 21])
+@pytest.mark.parametrize("divisor", [1, 21])
 @pytest.mark.parametrize("dim,radius,step", DIFFERENTIAL_LATTICES)
-def test_blocks_are_read_only_and_column_major(dim, radius, step, cells_per_point):
+def test_blocks_are_read_only_and_column_major(dim, radius, step, divisor, monkeypatch):
     oracle._one_block_lattice.cache_clear()
+    monkeypatch.setattr(oracle, "BLOCK_CELLS", BLOCK_CELLS // divisor)
     grid = Grid(dim, radius, step)
-    want = divmod_blocks(grid, cells_per_point)
+    want = divmod_blocks(grid, BLOCK_CELLS // divisor)
     for _ in range(2):  # built, then served from the cache or streamed again
-        got = list(grid.blocks(cells_per_point))
+        got = list(grid.blocks())
         assert len(got) == len(want)
         for X, Y in zip(got, want):
             assert X.flags.f_contiguous and not X.flags.writeable

@@ -13,7 +13,8 @@ import pytest
 
 import epigauge
 from epigauge import Point, SpecParseError
-from epigauge.cli import load_problem, main, parse_problem_text
+from epigauge.cli import main
+from epigauge.problem import load_problem, parse_problem_text
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "src" / "epigauge" / "problems"
 
@@ -320,9 +321,9 @@ def test_certify_checks_the_gauge_cap_before_any_scan(certificate, tmp_path, mon
                                                       capsys):
     blocks = epigauge.Grid.blocks
 
-    def no_fine_scan(self, cells_per_point=1):  # the envelope's validation lattice may run
+    def no_fine_scan(self):  # the envelope's validation lattice may run
         assert self.step != 1e-7, "the over-cap lattice was scanned"
-        return blocks(self, cells_per_point)
+        return blocks(self)
 
     p = tmp_path / "problem.prob"
     p.write_text((PROBLEMS / "sharpness.prob").read_text().replace(
@@ -516,6 +517,14 @@ def test_demo_sharpness_does_not_import_numpy_random():
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_demo_sharpness_under_the_sweep_cap_runs_to_the_end(capsys):
+    # 6 drops x 1,000,001 points is under the sweep's cap; the demo's gauge
+    # comes from the sweep's scans, so no base x level cap applies to it.
+    assert main(["demo", "sharpness", "--grid-step", "3e-7"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("\n5/5 properties passed\n") and captured.err == ""
 
 
 def test_sum_overflow_exits_3_with_one_line(tmp_path, capsys):

@@ -80,7 +80,7 @@ def test_bad_count_or_output_path_exits_2_before_any_scan(argv, tmp_path, capsys
     def no_scan(*args, **kwargs):
         raise AssertionError("a scan ran before the argument check")
 
-    for name in ("sharpness_sweep", "grid_argmin", "grid_gauge", "grid_sup_abs_diff",
+    for name in ("sharpness_sweep", "grid_argmin", "grid_pair_scan", "grid_sup_abs_diff",
                  "load_problem"):
         monkeypatch.setattr(cli, name, no_scan)
     problems = Path(cli.__file__).parent / "problems"

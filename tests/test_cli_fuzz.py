@@ -23,7 +23,8 @@ import warnings
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from epigauge.cli import main, parse_problem_text
+from epigauge.cli import main
+from epigauge.problem import parse_problem_text
 from epigauge.errors import EpigaugeError
 from test_cli_walk import walk_matches_argparse
 

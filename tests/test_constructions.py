@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,8 +31,9 @@ from epigauge import (
     pointwise_discrepancy,
     sharpness_sweep,
 )
-from epigauge import constructions
+from epigauge import cli, constructions
 from epigauge.constructions import sweep_lattice
+from epigauge.oracle import BLOCK_CELLS
 from epigauge.stability import square_root_rule
 
 
@@ -333,3 +336,16 @@ def test_sweep_matches_a_sweep_of_fresh_families(mu, deltas, h):
     got = [[float(getattr(r, k)).hex() for k in ("delta", "argmin", "dist", "bound", "slack",
                                                  "gap_min", "gap_max")] for r in sweep.rows]
     assert got + [[sweep.slope.hex(), sweep.radius.hex()]] == reference_sweep(mu, deltas, h)
+
+
+@pytest.mark.parametrize("h", [1e-4, 2e-6], ids=["one-block", "streamed"])
+@pytest.mark.parametrize("mu", [0.5, 2.0, 7.0])
+def test_demo_gauge_is_the_oracle_gauge_over_the_last_drop(mu, h):
+    args = argparse.Namespace(mu=mu, delta_min=1e-4, delta_max=1e-2, num_deltas=3, grid_step=h)
+    props, sweep = cli._demo_sharpness(args)
+    detail = {p.name: p.detail for p in props}["gauge_bounded_by_delta"]
+    printed = float(re.match(r"oracle gauge = (\S+) ", detail).group(1))
+    fam = build_sharpness_pair(mu, sweep.rows[-1].delta)
+    grid = Grid(1, sweep.radius, h)
+    assert (grid.cube_size() > BLOCK_CELLS) == (h == 2e-6)
+    assert printed.hex() == grid_gauge(fam.f, fam.g, grid, LevelGrid(1.0, 0.02)).hex()

@@ -1,19 +1,23 @@
 """The table-driven problem-file reader: no constructor precondition escapes
 as anything but a line-anchored parse error, [growth] keys follow the
-selected argmin_kind, a huge dimension hits the lattice cap at once, and
-the README's key lists match the tables."""
+selected argmin_kind, a huge dimension hits the lattice cap at once, the
+format is a module of its own that the command line only imports, and the
+README's key lists and module layout match the code."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from epigauge import cli
+from epigauge import cli, problem
 from epigauge.errors import EpigaugeError, PreconditionError, SpecParseError
 from test_cli_fuzz import problem_texts
 
@@ -29,13 +33,26 @@ GROWTH = (
 NEGATIVE_BALL = GROWTH + "argmin_kind = ball\nargmin_center = 0.0\nargmin_radius = -1\n"
 
 
+def test_the_format_module_stands_apart_from_the_command_line():
+    code = "import sys, epigauge.problem\nprint('epigauge.cli' in sys.modules)\n"
+    src = str(Path(problem.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+    assert cli.load_problem is problem.load_problem
+    assert not any(hasattr(cli, name) for name in ("_SECTIONS", "_tokenize", "_read"))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(problem_texts())
 @example(NEGATIVE_BALL)
 def test_parse_raises_only_epigauge_errors_and_no_precondition_error(text):
     try:
-        cli.parse_problem_text(text, "p.prob")
+        problem.parse_problem_text(text, "p.prob")
     except PreconditionError as e:
         pytest.fail(f"unanchored precondition failure: {e!r}")
     except EpigaugeError:
@@ -51,7 +68,7 @@ def test_parse_raises_only_epigauge_errors_and_no_precondition_error(text):
 ])
 def test_growth_errors_are_line_anchored(tail, line, fragment):
     with pytest.raises(SpecParseError) as exc:
-        cli.parse_problem_text(GROWTH + tail, "p.prob")
+        problem.parse_problem_text(GROWTH + tail, "p.prob")
     assert exc.value.line == line and fragment in str(exc.value)
 
 
@@ -102,10 +119,11 @@ def test_one_point_lattice_in_a_huge_dimension_hits_the_cap_at_once(tmp_path):
 # ---------------------------------------------------------------------------
 
 KIND_WORDS = {
-    cli._float: "number", cli._positive: "number > 0", cli._nonnegative: "number >= 0",
-    cli._version: "integer", cli._dimension: "integer >= 1", cli._bool: "true/false",
-    cli._point: "point", cli._points: "points separated by `;`", cli._func: "function name",
-    cli._funcs: "function names", cli._cert: "`center | radius | lower | upper`, repeated",
+    problem._float: "number", problem._positive: "number > 0",
+    problem._nonnegative: "number >= 0", problem._version: "integer",
+    problem._dimension: "integer >= 1", problem._bool: "true/false", problem._point: "point",
+    problem._points: "points separated by `;`", problem._func: "function name",
+    problem._funcs: "function names", problem._cert: "`center | radius | lower | upper`, repeated",
 }
 
 
@@ -132,9 +150,9 @@ def _section(title: str, schema: dict, discriminator) -> list[str]:
 
 
 def schema_lines() -> list[str]:
-    lines = _section("top level", cli._TOP, None)
-    lines += _section("`[function NAME]`", cli._FUNCTION_KEYS, ("family", cli._FAMILIES))
-    for kind, (schema, discriminator, _build) in cli._SECTIONS.items():
+    lines = _section("top level", problem._TOP, None)
+    lines += _section("`[function NAME]`", problem._FUNCTION_KEYS, ("family", problem._FAMILIES))
+    for kind, (schema, discriminator, _build) in problem._SECTIONS.items():
         lines += _section(f"`[{kind}]`", schema, discriminator)
     return lines
 
@@ -145,3 +163,12 @@ def test_readme_key_lists_match_the_tables():
     block = text.split(begin, 1)[1].split(end, 1)[0].strip().splitlines()
     expected = schema_lines()
     assert block == expected, "README block should read:\n" + "\n".join(expected)
+
+
+def test_readme_layout_names_every_module():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("```\nsrc/epigauge/\n", 1)[1].split("```", 1)[0]
+    named = {words[0] for words in map(str.split, block.splitlines())
+             if words and words[0].endswith(".py")}
+    modules = {p.name for p in Path(problem.__file__).parent.glob("*.py")} - {"__init__.py"}
+    assert named == modules
