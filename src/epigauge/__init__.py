@@ -8,155 +8,26 @@ certificate.  Brute-force lattice oracles provide independent ground truth
 for every bound, and canonical counterexample constructions demonstrate
 the structural limits (strictness, finite-query impossibility, sharpness
 of the square-root rate).
+
+A re-exported module's ``__all__`` is what the package exports from it.
 """
 
-from .core import (
-    TAU,
-    ArgminSet,
-    ClosedBall,
-    Cylinder,
-    FinitePointSet,
-    Func,
-    GaugeBound,
-    Point,
-    Provenance,
-    discrepancy_profile,
-    gauge_from_value_bound,
-    in_closed_ball,
-    pointwise_discrepancy,
-    pos_part,
-    vertical_distance,
-)
-from .certificates import (
-    AggregatedEnvelope,
-    BracketingReport,
-    Cover,
-    EnvelopeCert,
-    LocalCert,
-    ToleranceField,
-    aggregate_cover,
-    envelope_width_bound,
-    gauge_from_tolerance_field,
-    validate_bracketing,
-)
-from .constructions import (
-    ImpossibilityPair,
-    SharpnessFamily,
-    StrictnessPair,
-    SweepResult,
-    SweepRow,
-    build_impossibility_pair,
-    build_sharpness_pair,
-    build_strictness_pair,
-    sharpness_sweep,
-)
-from .errors import (
-    CertificateViolationError,
-    ConstructionError,
-    CoverageError,
-    DomainError,
-    EpigaugeError,
-    EvaluationError,
-    InconsistentCoverError,
-    OracleCapError,
-    PreconditionError,
-    SpecParseError,
-)
-from .oracle import (
-    LATTICE_CAP,
-    ArgminResult,
-    Grid,
-    LevelGrid,
-    dist_to_set,
-    grid_argmin,
-    grid_gauge,
-    grid_sup_abs_diff,
-)
-from .stability import (
-    DisplacementCert,
-    GrowthCert,
-    GrowthFalsificationReport,
-    GrowthViolation,
-    ValueGapResult,
-    WindowCheck,
-    displacement_bound,
-    falsify_quadratic_growth,
-    suboptimality_gap,
-    value_gap_from_gauge,
-    window_check,
-)
+from . import certificates, constructions, core, errors, oracle, stability
+from .certificates import *
+from .constructions import *
+from .core import *
+from .errors import *
+from .oracle import *
+from .stability import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TAU",
-    "LATTICE_CAP",
     "__version__",
-    # core
-    "Point",
-    "Func",
-    "Cylinder",
-    "Provenance",
-    "GaugeBound",
-    "FinitePointSet",
-    "ClosedBall",
-    "ArgminSet",
-    "pos_part",
-    "vertical_distance",
-    "pointwise_discrepancy",
-    "gauge_from_value_bound",
-    "discrepancy_profile",
-    "in_closed_ball",
-    # certificates
-    "EnvelopeCert",
-    "LocalCert",
-    "Cover",
-    "ToleranceField",
-    "AggregatedEnvelope",
-    "BracketingReport",
-    "envelope_width_bound",
-    "validate_bracketing",
-    "aggregate_cover",
-    "gauge_from_tolerance_field",
-    # stability
-    "GrowthCert",
-    "WindowCheck",
-    "ValueGapResult",
-    "DisplacementCert",
-    "GrowthViolation",
-    "GrowthFalsificationReport",
-    "window_check",
-    "value_gap_from_gauge",
-    "displacement_bound",
-    "falsify_quadratic_growth",
-    "suboptimality_gap",
-    # constructions
-    "SharpnessFamily",
-    "StrictnessPair",
-    "ImpossibilityPair",
-    "SweepRow",
-    "SweepResult",
-    "build_sharpness_pair",
-    "build_strictness_pair",
-    "build_impossibility_pair",
-    "sharpness_sweep",
-    # oracle
-    "Grid",
-    "LevelGrid",
-    "ArgminResult",
-    "grid_sup_abs_diff",
-    "grid_gauge",
-    "grid_argmin",
-    "dist_to_set",
-    # errors
-    "EpigaugeError",
-    "PreconditionError",
-    "DomainError",
-    "CoverageError",
-    "EvaluationError",
-    "OracleCapError",
-    "CertificateViolationError",
-    "InconsistentCoverError",
-    "ConstructionError",
-    "SpecParseError",
+    *core.__all__,
+    *certificates.__all__,
+    *stability.__all__,
+    *constructions.__all__,
+    *oracle.__all__,
+    *errors.__all__,
 ]

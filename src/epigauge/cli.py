@@ -55,8 +55,8 @@ from .constructions import (
 )
 from .core import TAU, FinitePointSet, GaugeBound, Point, in_closed_ball
 from .errors import EpigaugeError, PreconditionError, SpecParseError
-# grid_argmin stays bound here for the spans of bench/child.py; certify reads
-# its minimizers from grid_pair_scan.
+# Nothing here calls grid_argmin (certify reads its minimizers from
+# grid_pair_scan); bench/test_bench.py still reads this binding.
 from .oracle import (
     ArgminResult,
     Grid,

@@ -46,7 +46,6 @@ __all__ = [
     "build_strictness_pair",
     "build_impossibility_pair",
     "sharpness_sweep",
-    "sweep_lattice",
 ]
 
 

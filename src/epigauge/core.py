@@ -66,12 +66,6 @@ __all__ = [
     "gauge_from_value_bound",
     "discrepancy_profile",
     "in_closed_ball",
-    "slack_radius",
-    "lattice_point",
-    "norms",
-    "distances",
-    "ball_mask",
-    "evaluated",
 ]
 
 TAU: float = 1e-12

@@ -13,6 +13,19 @@ inconsistency``.
 
 from __future__ import annotations
 
+__all__ = [
+    "EpigaugeError",
+    "PreconditionError",
+    "DomainError",
+    "CoverageError",
+    "EvaluationError",
+    "OracleCapError",
+    "CertificateViolationError",
+    "InconsistentCoverError",
+    "ConstructionError",
+    "SpecParseError",
+]
+
 
 class EpigaugeError(Exception):
     """Base error for this package."""

@@ -81,11 +81,7 @@ __all__ = [
     "grid_sup_abs_diff",
     "grid_gauge",
     "grid_argmin",
-    "grid_pair_scan",
     "dist_to_set",
-    "dist_to_set_rows",
-    "BLOCK_CELLS",
-    "LATTICE_CACHE_ENTRIES",
 ]
 
 LATTICE_CAP: int = 10**8

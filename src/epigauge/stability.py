@@ -58,7 +58,6 @@ __all__ = [
     "GrowthFalsificationReport",
     "window_check",
     "value_gap_from_gauge",
-    "square_root_rule",
     "displacement_bound",
     "falsify_quadratic_growth",
     "suboptimality_gap",
