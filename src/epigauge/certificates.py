@@ -417,9 +417,9 @@ class AggregatedEnvelope:
         """
         rows = last_block_memo(self._rows)
         dim = self.cover.dim
-        lower = Func(lambda p: self.evaluate(p)[0], region_radius, dim, "cover-aggregated lower",
+        lower = Func(self.lower, region_radius, dim, "cover-aggregated lower",
                      batch=lambda X: rows(X)[0])
-        upper = Func(lambda p: self.evaluate(p)[1], region_radius, dim, "cover-aggregated upper",
+        upper = Func(self.upper, region_radius, dim, "cover-aggregated upper",
                      batch=lambda X: rows(X)[1])
         return EnvelopeCert(region_radius=region_radius, lower=lower, upper=upper)
 

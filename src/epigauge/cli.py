@@ -156,7 +156,7 @@ def _run(spec: ProblemSpec, args) -> _Stage:
     bounds = _certified_bounds(spec, grid_step, level_step) if spec.has_certificate() else []
     if spec.pair is None:
         return _Stage(grid_step, level_step, bounds)
-    return _Stage(grid_step, level_step, bounds, *grid_pair_scan(*spec.pair_funcs(), *lattices))
+    return _Stage(grid_step, level_step, bounds, *grid_pair_scan(*spec.pair, *lattices))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def cmd_certify(args) -> int:
     if spec.pair is None:
         raise PreconditionError("certify requires a [pair] section")
     run = _run(spec, args)
-    f, g = spec.pair_funcs()
+    f, g = spec.pair
     source, gauge = _select_gauge(run.bounds)
 
     xstar = _pick_target_minimizer(spec.growth, spec.cylinder.R)
@@ -254,7 +254,7 @@ def cmd_certify(args) -> int:
               ("spec_path", spec.path), ("generated_utc", now)]),
         ("problem", [("dimension", spec.dimension), ("cylinder_R", spec.cylinder.R),
                      ("cylinder_M", spec.cylinder.M), ("grid_step", run.grid_step),
-                     ("level_step", run.level_step), ("f", spec.pair[0]), ("g", spec.pair[1])]),
+                     ("level_step", run.level_step), ("f", f.label), ("g", g.label)]),
         ("gauge", [("source_block", source), ("delta", gauge.delta),
                    ("provenance", gauge.provenance.value), ("certified", gauge.certified),
                    ("detail", gauge.detail)]),
@@ -279,7 +279,8 @@ def cmd_certify(args) -> int:
                           ("valid", cert.valid), ("detail", cert.detail)]),
     ]
     _emit(args, _record(record))
-    failed = [name for name, ok in (("valid", cert.valid), ("value_control_consistent", value_ok),
+    failed = [name for name, ok in (("certified", gauge.certified), ("valid", cert.valid),
+                                    ("value_control_consistent", value_ok),
                                     ("displacement_consistent", displacement_ok)) if not ok]
     if failed:
         sys.stderr.write(f"certificate check failed: {', '.join(failed)} = false in the record\n")

@@ -97,8 +97,8 @@ class SharpnessFamily:
 def build_sharpness_pair(mu: float, delta: float) -> SharpnessFamily:
     require_positive(mu, "mu")
     require_positive(delta, "delta")
-    f = Func.quadratic(mu / 2.0, dim=1, label=f"{mu / 2.0!r}*x^2")
-    g = Func.clamp_shift(f, delta, label=f"pospart({mu / 2.0!r}*x^2 - {delta!r})")
+    f = Func.quadratic(mu / 2.0, label=f"{mu / 2.0!r}*x^2")
+    g = Func.clamp_shift(f, delta)
     return SharpnessFamily(mu=mu, delta=delta, f=f, g=g)
 
 
@@ -133,8 +133,8 @@ def build_strictness_pair(R: float, M: float, A: float) -> StrictnessPair:
         require_positive(v, name)
     f_level = -(M + 1.0)
     g_level = f_level - A
-    f = Func.constant(f_level, dim=1, label=f"const({f_level!r})")
-    g = Func.constant(g_level, dim=1, label=f"const({g_level!r})")
+    f = Func.constant(f_level)
+    g = Func.constant(g_level)
     return StrictnessPair(R=R, M=M, A=A, f=f, g=g)
 
 
@@ -227,7 +227,7 @@ def build_impossibility_pair(R: float, queries: Sequence[Point], A: float,
         raise ConstructionError(
             f"peak point {y} coincides with a query; no positive footprint radius exists"
         )
-    f = Func.constant(0.0, dim=dim, label="const(0.0)")
+    f = Func.constant(0.0, dim=dim)
     g = Func.bump(y, rho, A, label=f"bump(y={y}, rho={rho!r}, A={A!r})")
     return ImpossibilityPair(R=R, queries=queries_t, y=y, rho=rho, A=A, f=f, g=g)
 
@@ -297,18 +297,19 @@ def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float) -> Swe
     The returned slope is the least-squares fit of ``log(dist)`` versus
     ``log(delta)``, NaN when the drops take fewer than two distinct values.
 
-    Each drop's ``g`` is evaluated once, by its argmin scan, which also
-    reduces ``f - g`` to the row's ``gap_min`` and ``gap_max``.  ``f`` is the
-    same for every drop: every ``g`` is built on one copy of it whose batch
-    keeps its rows on the last read-only block (``last_block_memo``), and
-    the gap reduction reads the same rows.  So ``f``'s batch runs once per
-    sweep on a lattice that fits in one block (its cached block is scanned
-    again for every drop) and once per drop and block on a streamed one.
+    Only the smallest drop's family is built: its plateau is checked, and
+    each drop's ``g`` is ``Func.clamp_shift(f, delta)`` on one copy of its
+    ``f`` whose batch keeps its rows on the last read-only block
+    (``last_block_memo``).  Each ``g`` is evaluated once, by its argmin
+    scan, which also reduces ``f - g`` over the same rows to the row's
+    ``gap_min`` and ``gap_max``.  So ``f``'s batch runs once per sweep on a
+    lattice that fits in one block (its cached block is scanned again for
+    every drop) and once per drop and block on a streamed one.
 
     The step must resolve the smallest plateau: ``grid_step <
     sqrt(2*min(delta)/mu)/10`` is required, otherwise the scan error would
     swamp the quantity being measured.  The drops times the lattice points
-    are held to ``LATTICE_CAP`` before any family is built (``sweep_lattice``).
+    are held to ``LATTICE_CAP`` before the family is built (``sweep_lattice``).
     """
     require_positive(mu, "mu")
     deltas_t = tuple(float(d) for d in deltas)
@@ -319,20 +320,19 @@ def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float) -> Swe
     if any(b < a for a, b in zip(deltas_t, deltas_t[1:])):
         raise PreconditionError("deltas must be sorted ascending")
     grid = sweep_lattice(mu, deltas_t[-1], grid_step, len(deltas_t))
-    families = [build_sharpness_pair(mu, delta) for delta in deltas_t]
-    smallest_plateau = families[0].argmin_radius
+    family = build_sharpness_pair(mu, deltas_t[0])
+    smallest_plateau = family.argmin_radius
     if not (grid_step < smallest_plateau / 10.0):
         raise PreconditionError(
             f"grid step {grid_step!r} too coarse to resolve the smallest plateau "
             f"half-width {smallest_plateau!r} (need step < {smallest_plateau / 10.0!r})"
         )
     target = FinitePointSet((Point.origin(1),))
-    f = families[0].f
-    f = replace(f, batch=last_block_memo(f.batch))  # shared by every g and the gaps
+    f = replace(family.f, batch=last_block_memo(family.f.batch))  # shared by every g and the gaps
     rows = []
-    for family in families:
+    for delta in deltas_t:
         gap = [math.inf, -math.inf]
-        g = Func.clamp_shift(f, family.delta, label=family.g.label)
+        g = Func.clamp_shift(f, delta)
 
         def batch(X: np.ndarray, _g=g.batch, _gap=gap) -> np.ndarray:
             # g as the argmin scan reads it, reduced against f's kept rows
@@ -345,8 +345,8 @@ def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float) -> Swe
         dist = dist_to_set_rows(ties, target)
         far = np.flatnonzero(dist == dist.max())
         extreme = far[np.argmax(ties[far, 0])]
-        bound, slack = square_root_rule(family.delta, mu, grid_step)
-        rows.append(SweepRow(delta=family.delta, argmin=float(ties[extreme, 0]),
+        bound, slack = square_root_rule(delta, mu, grid_step)
+        rows.append(SweepRow(delta=delta, argmin=float(ties[extreme, 0]),
                              dist=float(dist[extreme]), bound=bound, slack=slack,
                              gap_min=gap[0], gap_max=gap[1]))
 

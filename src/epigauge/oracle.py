@@ -185,14 +185,14 @@ class Grid:
         ``LATTICE_CACHE_ENTRIES``-entry LRU; larger lattices are built
         block by block on every call."""
         if self.cube_size() <= BLOCK_CELLS:
-            return iter(_one_block_lattice(self, BLOCK_CELLS))
-        return self._build(BLOCK_CELLS)
+            return iter(_one_block_lattice(self))
+        return self._build()
 
-    def _build(self, step: int) -> Iterator[np.ndarray]:
+    def _build(self) -> Iterator[np.ndarray]:
         # A run of n consecutive cube nodes shares all but the last
         # coordinate; its sum of squares plus the last square, in coordinate
         # order, makes the ball test ``norms(X) <= bound`` bit for bit.
-        k, n, size = self._kmax, 2 * self._kmax + 1, self.cube_size()
+        k, n, size, step = self._kmax, 2 * self._kmax + 1, self.cube_size(), BLOCK_CELLS
         if self.dim == 1:  # the axis is the lattice
             for start in range(0, size, step):
                 yield _axis_values(self.step, start - k, min(start + step, size) - k)[:, None]
@@ -234,9 +234,9 @@ class Grid:
 
 
 @functools.lru_cache(maxsize=LATTICE_CACHE_ENTRIES)
-def _one_block_lattice(grid: Grid, step: int) -> tuple[np.ndarray, ...]:
-    # Grid equality is (dim, radius, step), everything the blocks depend on.
-    return tuple(grid._build(step))
+def _one_block_lattice(grid: Grid) -> tuple[np.ndarray, ...]:
+    # Grid equality is (dim, radius, step), all that one block depends on.
+    return tuple(grid._build())
 
 
 @dataclass(frozen=True)

@@ -282,11 +282,11 @@ def _tolerance(c: _Context, family, **values) -> ToleranceField:
 
 _TOP = {"version": (_version, SCHEMA_VERSION), "dimension": _dimension}
 
-# section -> (schema, discriminator, builder), in the order sections are built
+# section -> (schema, discriminator, builder), in the order sections are
+# built; ProblemSpec holds each built object ([grid]'s as its two steps)
 _SECTIONS = {
     "cylinder": ({"R": _float, "M": _float}, None, lambda c, R, M: Cylinder(R, M)),
-    # a built function is labelled with its name
-    "pair": ({"f": _func, "g": _func}, None, lambda c, f, g: (f.label, g.label)),
+    "pair": ({"f": _func, "g": _func}, None, lambda c, f, g: (f, g)),
     "envelope": ({"region_radius": _float, "lower": _func, "upper": _func,
                   "grid_exact": (_bool, False)}, None, lambda c, **v: EnvelopeCert(**v)),
     "cover": ({"cert": _cert}, None, lambda c, cert: Cover(cert)),  # cert repeats
@@ -357,25 +357,22 @@ def _read_repeated(ctx: _Context, sec: _Section, schema: dict) -> dict:
 @dataclass(frozen=True)
 class ProblemSpec:
     """A fully built in-memory problem: named functions, the comparison
-    cylinder, optional certificate and growth blocks, and grid steps."""
+    cylinder, optional certificate and growth blocks, and grid steps.
+    Each section field holds the object its section builds: ``pair`` holds
+    the very ``Func``s in ``functions``, each labelled with its name."""
 
     path: str
     sha256: str
     dimension: int
     functions: dict[str, Func]
     cylinder: Optional[Cylinder]
-    pair: Optional[tuple[str, str]]
+    pair: Optional[tuple[Func, Func]]
     envelope: Optional[EnvelopeCert]
     cover: Optional[Cover]
     tolerance: Optional[ToleranceField]
     growth: Optional[GrowthCert]
     grid_step: Optional[float]
     level_step: Optional[float]
-
-    def pair_funcs(self) -> tuple[Func, Func]:
-        if self.pair is None:
-            raise PreconditionError("problem has no [pair] block")
-        return self.functions[self.pair[0]], self.functions[self.pair[1]]
 
     def has_certificate(self) -> bool:
         return self.envelope is not None or self.cover is not None or self.tolerance is not None

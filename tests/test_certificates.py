@@ -276,6 +276,12 @@ def test_cover_to_envelope_cert_requires_full_coverage():
         aggregate_cover(gap_cover).to_envelope_cert(1.0)
 
 
+def test_cover_envelopes_evaluate_through_the_aggregation():
+    agg = aggregate_cover(_two_cert_cover())
+    cert = agg.to_envelope_cert(1.0)
+    assert cert.lower.eval == agg.lower and cert.upper.eval == agg.upper
+
+
 # ---------------------------------------------------------------------------
 # Tolerance fields
 # ---------------------------------------------------------------------------

@@ -63,13 +63,19 @@ def test_parse_good_spec():
     spec = parse_problem_text(GOOD_SPEC, "good.prob")
     assert spec.dimension == 1
     assert set(spec.functions) == {"F", "G", "H", "K"}
-    f, g = spec.pair_funcs()
+    f, g = spec.pair
     assert f(Point.of(0.5)) == 0.25
     assert g(Point.of(0.5)) == 0.23
     assert spec.functions["H"](Point.of(0.5)) == 0.48
     assert spec.functions["K"](Point.of(0.5)) == -0.24
     assert spec.cylinder.R == 1.0
     assert spec.grid_step == 0.01
+
+
+def test_the_pair_holds_the_problem_functions_themselves():
+    spec = load_problem(PROBLEMS / "sharpness.prob")
+    assert spec.pair[0] is spec.functions["F"] and spec.pair[1] is spec.functions["G"]
+    assert not hasattr(spec, "pair_funcs")
 
 
 def test_parse_forward_references_resolve():

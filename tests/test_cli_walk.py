@@ -133,19 +133,11 @@ def test_a_well_formed_run_loads_no_locale():
 
 # A reversed log drop range, given or by default, on the walk's spelling and
 # on argparse's: one usage line, exit 2, before any drop is built.  The
-# transcripts sit beside the other usage transcripts; write them with
-# ``PYTHONPATH=src python tests/test_cli_walk.py``.
-REVERSED_DROPS = {
-    "sweep-reversed-drops": ["sweep", "--mu", "2", "--delta-min", "1e-2", "--delta-max", "1e-4",
-                             "--grid-step", "1e-4"],
-    "sweep-reversed-default-min": ["sweep", "--mu", "2", "--delta-max", "1e-6"],
-    "demo-sharpness-reversed-drops": ["demo", "sharpness", "--delta-min=1e-2",
-                                      "--delta-max", "1e-4"],
-    "demo-sharpness-reversed-default-max": ["demo", "sharpness", "--delta-min", "0.05"],
-}
+# cases and their transcripts are the usage golden ones named "*-reversed-*".
+REVERSED_DROPS = sorted(name for name in test_usage_golden.CASES if "-reversed-" in name)
 
 
-@pytest.mark.parametrize("name", sorted(REVERSED_DROPS))
+@pytest.mark.parametrize("name", REVERSED_DROPS)
 def test_a_reversed_drop_range_is_a_usage_error(name, monkeypatch):
     if not test_usage_golden.GOLDEN.is_dir():
         pytest.skip(f"no usage transcripts for this Python version ({test_usage_golden.GOLDEN.name})")
@@ -153,10 +145,9 @@ def test_a_reversed_drop_range_is_a_usage_error(name, monkeypatch):
     def no_drops(*args, **kwargs):
         raise AssertionError("a drop was built")
 
-    assert cli._walk(REVERSED_DROPS[name]) is None
+    assert cli._walk(test_usage_golden.CASES[name]) is None
     monkeypatch.setattr(cli, "_log_deltas", no_drops)
     monkeypatch.setattr(cli, "sharpness_sweep", no_drops)
-    monkeypatch.setitem(test_usage_golden.CASES, name, REVERSED_DROPS[name])
     expected = (test_usage_golden.GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert test_usage_golden.transcript(name) == expected
 
@@ -168,12 +159,3 @@ def test_a_reversed_drop_range_is_a_usage_error(name, monkeypatch):
 ])
 def test_an_equal_or_listed_drop_range_is_taken_by_the_walk(argv):
     assert walk_matches_argparse(argv) is not None
-
-
-if __name__ == "__main__":
-    test_usage_golden.GOLDEN.mkdir(parents=True, exist_ok=True)
-    for case, case_argv in sorted(REVERSED_DROPS.items()):
-        test_usage_golden.CASES[case] = case_argv
-        (test_usage_golden.GOLDEN / f"{case}.txt").write_text(
-            test_usage_golden.transcript(case), encoding="utf-8")
-        print(f"wrote {test_usage_golden.GOLDEN / case}.txt", file=sys.stderr)

@@ -235,6 +235,20 @@ def test_sweep_over_the_lattice_cap_builds_no_family(monkeypatch):
         sharpness_sweep(2.0, [1e-3, 1e-3, 1e-2], 1e-8)
 
 
+def test_sweep_builds_one_family(monkeypatch):
+    built = []
+    build = constructions.build_sharpness_pair
+
+    def counted(mu, delta):
+        built.append(delta)
+        return build(mu, delta)
+
+    monkeypatch.setattr(constructions, "build_sharpness_pair", counted)
+    deltas = [float(d) for d in np.logspace(-4, -2, 6)]
+    assert len(sharpness_sweep(2.0, deltas, 1e-4).rows) == 6
+    assert built == deltas[:1]  # the smallest drop's, for the plateau check and f
+
+
 def test_sweep_rejects_unsorted_deltas():
     with pytest.raises(PreconditionError):
         sharpness_sweep(2.0, [1e-2, 1e-3], 1e-4)

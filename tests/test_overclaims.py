@@ -2,7 +2,8 @@
 
 Every case is a problem file on which a command prints a certificate that a
 closed-form truth contradicts.  When the fix lands the case passes, strict
-mode turns the pass into a failure, and the fix drops the marker.
+mode turns the pass into a failure, and the fix drops the marker; a case
+without a marker is an overclaim already mended.
 """
 
 from __future__ import annotations
@@ -91,3 +92,61 @@ step = 0.3
 level_step = 0.5
 """, capsys)
     assert rc == 3 or _certified_gauge(out) >= 1.0
+
+
+def test_certify_fails_on_a_gauge_that_is_only_a_lattice_estimate(tmp_path, capsys):
+    # The envelope is true, with width sup 1.0: the dip of g below f sits
+    # between the 0.05 lattice nodes, so the lattice estimate of the gauge
+    # is 0 and the displacement window passes.  g's minimizer is near 0.525,
+    # about five times the printed bound_with_slack 0.1 away from X* = {0}.
+    spec = tmp_path / "p.prob"
+    spec.write_text("""dimension = 1
+
+[function F]
+family = quadratic
+coeff = 1
+
+[function BUMP]
+family = bump
+center = 0.525
+rho = 0.02
+amplitude = 1
+
+[function NEG]
+family = scale
+base = BUMP
+factor = -1
+
+[function G]
+family = sum
+terms = F, NEG
+
+[cylinder]
+R = 1
+M = 1
+
+[pair]
+f = F
+g = G
+
+[envelope]
+lower = G
+upper = F
+region_radius = 1
+
+[growth]
+argmin_kind = points
+argmin_points = 0
+mu = 2
+radius = 1
+inf_value = 0
+
+[grid]
+step = 0.05
+level_step = 0.1
+""", encoding="utf-8")
+    rc = main(["certify", "--spec", str(spec)])
+    out, err = capsys.readouterr()
+    assert "\ncertified = false\n" in out and "\nvalid = true\n" in out
+    assert rc == 3
+    assert err == "certificate check failed: certified = false in the record\n"

@@ -40,6 +40,14 @@ CASES = {
     "unknown-demo": ["demo", "bogus"],
     "certify-without-spec": ["certify"],
     "unknown-flag": ["gauge", "--spec", "x.prob", "--bogus"],
+    # a reversed log drop range, given or by default, on the walk's spelling
+    # and on argparse's (test_cli_walk checks that no drop is built)
+    "sweep-reversed-drops": ["sweep", "--mu", "2", "--delta-min", "1e-2", "--delta-max", "1e-4",
+                             "--grid-step", "1e-4"],
+    "sweep-reversed-default-min": ["sweep", "--mu", "2", "--delta-max", "1e-6"],
+    "demo-sharpness-reversed-drops": ["demo", "sharpness", "--delta-min=1e-2",
+                                      "--delta-max", "1e-4"],
+    "demo-sharpness-reversed-default-max": ["demo", "sharpness", "--delta-min", "0.05"],
 }
 
 
