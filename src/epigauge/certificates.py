@@ -11,12 +11,13 @@ a scalar bound on the cylinder gauge:
 - a direct nonnegative tolerance field on the cylinder
   (``ToleranceField``): its supremum bounds the gauge.
 
-Honesty rules baked in: grid suprema are *certified* only for envelope
-families declared grid-exact (the supremum is attained on lattice nodes,
-e.g. constants or affine pieces with lattice breakpoints); anything else
-is recorded as a grid estimate.  Inconsistent input certificates are
-surfaced as errors, never repaired, because repairing would fabricate a
-certificate.
+Honesty rules baked in: the ``constant`` and ``radial_affine`` tolerance
+fields are certified by their closed-form sup, with no scan.  Any other
+grid supremum is *certified* only for a family declared grid-exact (the
+supremum is attained on lattice nodes, e.g. constants or affine pieces
+with lattice breakpoints); anything else is recorded as a grid estimate.
+Inconsistent input certificates are surfaced as errors, never repaired,
+because repairing would fabricate a certificate.
 """
 
 from __future__ import annotations
@@ -180,13 +181,20 @@ class Cover:
 @dataclass(frozen=True)
 class ToleranceField:
     """A certified pointwise bound ``eta(x, t) >= 0`` on the vertical
-    discrepancy over the cylinder.  Negative values found during a scan are
-    a certificate violation, not data to be clamped.
+    discrepancy over the cylinder.  Negative values are a certificate
+    violation, not data to be clamped.
 
     ``batch``, when present, maps base points ``X`` (``(n, dim)``) and
     levels ``T`` (``(L,)``) to an array broadcastable to ``(n, L)`` that
-    agrees with ``eta`` bit for bit; the ``constant`` and ``radial_affine``
-    constructors supply it.  Without it, scans call ``eta`` cell by cell.
+    agrees with ``eta`` bit for bit.  Without it, scans call ``eta`` cell
+    by cell.
+
+    The ``constant`` and ``radial_affine`` constructors also record the
+    exact range ``(min, max)`` of ``eta`` over the base ball, so their
+    sup is certified in closed form, with no scan and whatever
+    ``grid_exact`` says.  Only those constructors set it: a field built
+    from a callable, or rebuilt by ``dataclasses.replace``, has none, and
+    its lattice max is certified only when declared ``grid_exact``.
     """
 
     eta: Callable[[Point, float], float]
@@ -195,6 +203,8 @@ class ToleranceField:
     grid_exact: bool = False
     batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
         default=None, compare=False, repr=False)
+    _range: Optional[tuple[float, float]] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not callable(self.eta):
@@ -205,24 +215,28 @@ class ToleranceField:
             raise PreconditionError(f"dim must be an integer >= 1, got {self.dim!r}")
 
     @classmethod
-    def constant(cls, value: float, cylinder: Cylinder, dim: int = 1,
-                 grid_exact: bool = False) -> "ToleranceField":
-        """``eta(x, t) = value``."""
+    def constant(cls, value: float, cylinder: Cylinder, dim: int = 1) -> "ToleranceField":
+        """``eta(x, t) = value``; its sup is ``value``."""
         value = float(value)
-        return cls(eta=lambda p, t, _v=value: _v, cylinder=cylinder, dim=dim,
-                   grid_exact=grid_exact,
-                   batch=lambda X, T, _v=value: np.full((len(X), 1), _v))
+        tf = cls(eta=lambda p, t, _v=value: _v, cylinder=cylinder, dim=dim,
+                 batch=lambda X, T, _v=value: np.full((len(X), 1), _v))
+        object.__setattr__(tf, "_range", (value, value))
+        return tf
 
     @classmethod
-    def radial_affine(cls, base: float, slope: float, cylinder: Cylinder, dim: int = 1,
-                      grid_exact: bool = False) -> "ToleranceField":
+    def radial_affine(cls, base: float, slope: float, cylinder: Cylinder,
+                      dim: int = 1) -> "ToleranceField":
         """``eta(x, t) = base + slope * ||x|| / R`` with ``R`` the cylinder's
-        base radius."""
+        base radius; its sup over the base ball is ``base + max(slope, 0)``."""
         base, slope, R = float(base), float(slope), cylinder.R
-        return cls(eta=lambda p, t, _b=base, _s=slope, _R=R: _b + _s * (p.norm() / _R),
-                   cylinder=cylinder, dim=dim, grid_exact=grid_exact,
-                   batch=lambda X, T, _b=base, _s=slope, _R=R:
-                       (_b + _s * (norms(X) / _R))[:, None])
+        rim = base + slope * (R / R)  # eta's own operations at a node of norm R
+        tf = cls(eta=lambda p, t, _b=base, _s=slope, _R=R: _b + _s * (p.norm() / _R),
+                 cylinder=cylinder, dim=dim,
+                 batch=lambda X, T, _b=base, _s=slope, _R=R:
+                     (_b + _s * (norms(X) / _R))[:, None])
+        # a NaN end compares false and stays in the range, which then fails the check
+        object.__setattr__(tf, "_range", (base, rim) if base <= rim else (rim, base))
+        return tf
 
     def _cells(self, X: np.ndarray, levels: Sequence[float]) -> np.ndarray:
         """``eta`` on the cells ``X x levels`` as the batch returns it, an
@@ -437,13 +451,19 @@ def aggregate_cover(cover: Cover) -> AggregatedEnvelope:
 
 def gauge_from_tolerance_field(tf: ToleranceField, grid_step_x: float,
                                grid_step_t: float) -> GaugeBound:
-    """Scan a tolerance field over the cylinder lattice and return its max
-    as a gauge bound.
+    """The sup of a tolerance field over the cylinder, as a gauge bound.
 
-    ``eta`` must be nonnegative everywhere on the cylinder; a negative
-    scanned value is a certificate violation.  Certified only when the
-    field is declared grid-exact.  The base x level lattice is held to the
-    oracle's gauge cap before the first block.
+    ``eta`` must be finite and nonnegative everywhere on the cylinder.  The
+    base x level lattice is held to the oracle's gauge cap first, whatever
+    path follows.
+
+    A field from ``ToleranceField.constant`` or ``radial_affine`` whose
+    recorded range is finite and nonnegative returns its closed-form max,
+    certified, without evaluating ``eta`` or ``batch``.  Any other field
+    is scanned over the cylinder lattice: the first non-finite or negative
+    value raises, in lattice order, and the lattice max is certified only
+    when the field is declared grid-exact.  A recorded range that fails
+    the check raises too, even where no lattice node sees the bad value.
 
     The scan walks the base lattice's own blocks (so a one-block lattice is
     the cached one the oracle scans) in consecutive row chunks of at most
@@ -453,6 +473,15 @@ def gauge_from_tolerance_field(tf: ToleranceField, grid_step_x: float,
     grid = Grid(tf.dim, tf.cylinder.R, grid_step_x)
     lgrid = LevelGrid(tf.cylinder.M, grid_step_t)
     _check_gauge_cap(grid, lgrid)
+    closed = tf._range  # (min, max); NaN fails both tests, and min <= max otherwise
+    if closed is not None and 0.0 <= closed[0] and math.isfinite(closed[1]):
+        return GaugeBound(
+            delta=closed[1],
+            cylinder=tf.cylinder,
+            provenance=Provenance.TOLERANCE_FIELD,
+            certified=True,
+            detail="tolerance sup over the base ball in closed form; certified, no lattice scan",
+        )
     levels = lgrid.values
     rows = max(1, BLOCK_CELLS // len(levels))
     best = 0.0
@@ -476,6 +505,13 @@ def gauge_from_tolerance_field(tf: ToleranceField, grid_step_x: float,
         vm = float(V.max())
         if vm > best:
             best = vm
+    if closed is not None:  # the bad value lies between the lattice nodes
+        lo, hi = closed
+        bad = hi if 0.0 <= lo else lo
+        raise CertificateViolationError(
+            f"tolerance field reaches {bad!r} on the base ball (closed form, between "
+            f"lattice nodes); a vertical tolerance must be finite and >= 0"
+        )
     return GaugeBound(
         delta=best,
         cylinder=tf.cylinder,

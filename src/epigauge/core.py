@@ -603,9 +603,10 @@ class GaugeBound:
     pair over ``cylinder``.
 
     ``certified`` is True only when ``delta`` is a guaranteed upper bound
-    (a caller-supplied certificate, or a grid supremum of an envelope family
-    declared grid-exact).  Grid scans of general families produce
-    ``certified=False`` records whose ``detail`` marks them as estimates.
+    (a caller-supplied certificate, a closed-form tolerance sup, or a grid
+    supremum of a family declared grid-exact).  Grid scans of general
+    families produce ``certified=False`` records whose ``detail`` marks
+    them as estimates.
     ``Assumed`` provenance is never certified.
     """
 

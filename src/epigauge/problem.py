@@ -274,7 +274,8 @@ _ARGMIN_KINDS = {
 }
 
 
-def _tolerance(c: _Context, family, **values) -> ToleranceField:
+def _tolerance(c: _Context, family, grid_exact, **values) -> ToleranceField:
+    # grid_exact is accepted and ignored: both families are certified in closed form
     if "cylinder" not in c.found:
         raise PreconditionError("[tolerance] requires a [cylinder] section")
     return family(cylinder=c.found["cylinder"], dim=c.dim, **values)

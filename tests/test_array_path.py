@@ -411,6 +411,75 @@ def test_certificate_scans_match_reference_loops():
                 naive_tolerance(tf, step, 0.25).hex()
 
 
+@st.composite
+def closed_form_fields(draw, radius):
+    """A ``constant`` or ``radial_affine`` field on a cylinder of base
+    radius ``radius`` in dims 1-3: base >= 0, and a slope of either sign
+    with base + slope >= 0."""
+    dim = draw(st.integers(1, 3))
+    cyl = Cylinder(radius, 1.0)
+    base = draw(st.floats(0.0, 4.0))
+    if draw(st.booleans()):
+        return ToleranceField.constant(base, cyl, dim)
+    slope = draw(st.floats(-base, 4.0))
+    return ToleranceField.radial_affine(base, slope, cyl, dim)
+
+
+@st.composite
+def rim_lattices(draw):
+    """A field and a base step whose lattice has a node of norm exactly R:
+    a power-of-two step and R an integer multiple of it, so every node
+    and its norm are exact."""
+    step = draw(st.sampled_from((1.0, 0.5, 0.25, 1.0 / 64)))
+    n = draw(st.integers(1, 4 if step == 1.0 / 64 else 8))
+    return draw(closed_form_fields(n * step)), step
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rim_lattices())
+def test_closed_form_tolerance_is_the_lattice_max_on_a_rim_lattice(case):
+    tf, step = case
+    assert any(p.norm() == tf.cylinder.R for p in Grid(tf.dim, tf.cylinder.R, step).points())
+    bound = gauge_from_tolerance_field(tf, step, 0.5)
+    assert bound.certified and "closed form" in bound.detail
+    assert bound.delta.hex() == naive_tolerance(tf, step, 0.5).hex()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.floats(0.1, 2.0).flatmap(
+    lambda R: st.tuples(closed_form_fields(R), st.floats(R / 6, 2 * R))))
+@example((ToleranceField.radial_affine(0.0, 1.0, Cylinder(0.3, 1.0), 1), 0.1))
+def test_closed_form_tolerance_bounds_every_node_in_the_base_ball(case):
+    # Nodes whose norm rounds past R (0.30000000000000004 at step 0.1 on
+    # R = 0.3) are in the lattice by the ball slack but outside B_R, which
+    # is all the closed form bounds; naive_tolerance reads them too.
+    tf, step = case
+    R = tf.cylinder.R
+    bound = gauge_from_tolerance_field(tf, step, 0.5)
+    inside = [tf.eta(p, 0.0) for p in Grid(tf.dim, R, step).points() if p.norm() <= R]
+    assert bound.certified and bound.delta >= max(inside)
+
+
+def test_closed_form_tolerance_evaluates_no_cell():
+    def no_call(*args):
+        raise AssertionError("a closed-form field was evaluated")
+
+    for dim in (1, 2, 3):
+        cyl = Cylinder(1.0, 1.0)
+        for tf, sup in ((ToleranceField.constant(0.25, cyl, dim), 0.25),
+                        (ToleranceField.radial_affine(0.5, 0.25, cyl, dim), 0.75),
+                        (ToleranceField.radial_affine(0.5, -0.25, cyl, dim), 0.5)):
+            for name in ("eta", "batch"):
+                object.__setattr__(tf, name, no_call)
+            bound = gauge_from_tolerance_field(tf, 0.125, 0.25)
+            assert bound.delta == sup and bound.certified
+            with pytest.raises(OracleCapError):  # the cap still comes first
+                gauge_from_tolerance_field(tf, 1e-5, 1e-5)
+            with pytest.raises(AssertionError, match="was evaluated"):
+                # dataclasses.replace drops the range, so the copy is scanned
+                gauge_from_tolerance_field(dataclasses.replace(tf), 0.125, 0.25)
+
+
 def overlapping_cover(dim: int) -> Cover:
     certs = []
     for k in range(dim):

@@ -71,7 +71,6 @@ step = 0.05
     assert rc == 3 or _certified_gauge(out) >= 1.0
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
 def test_gauge_on_a_radial_tolerance_certifies_at_least_its_sup(tmp_path, capsys):
     # ||x|| / R reaches 1.0 on the rim of the unit disc; the 0.3 lattice's
     # farthest point in the disc is at sqrt(0.9^2 + 0.3^2) = 0.9487.
@@ -92,6 +91,33 @@ step = 0.3
 level_step = 0.5
 """, capsys)
     assert rc == 3 or _certified_gauge(out) >= 1.0
+
+
+def test_gauge_rejects_a_radial_tolerance_that_goes_negative_between_nodes(tmp_path, capsys):
+    # 0.1 - 0.105 * ||x|| is -0.005 on the rim of the unit disc, but the 0.3
+    # lattice's farthest point is at 0.9487, where it reads 0.0004; a scan
+    # alone sees a nonnegative field and certifies its max 0.1.
+    spec = tmp_path / "p.prob"
+    spec.write_text("""dimension = 2
+
+[cylinder]
+R = 1.0
+M = 1.0
+
+[tolerance]
+family = radial_affine
+base = 0.1
+slope = -0.105
+grid_exact = true
+
+[grid]
+step = 0.3
+level_step = 0.5
+""", encoding="utf-8")
+    rc = main(["gauge", "--spec", str(spec)])
+    out, err = capsys.readouterr()
+    assert rc == 5 and out == ""
+    assert err.startswith("certificate inconsistency: ") and err.count("\n") == 1
 
 
 def test_certify_fails_on_a_gauge_that_is_only_a_lattice_estimate(tmp_path, capsys):
