@@ -8,8 +8,9 @@ a scalar bound on the cylinder gauge:
   level band;
 - neighborhood-wise envelopes on a union of balls (``LocalCert`` /
   ``Cover``), aggregated pointwise into a single envelope pair;
-- a direct nonnegative tolerance field on the cylinder
-  (``ToleranceField``): its supremum bounds the gauge.
+- a nonnegative tolerance field on the base ball (``ToleranceField``):
+  ``eta(x)`` bounds the discrepancy at every level, so its supremum
+  bounds the gauge.
 
 Honesty rules baked in: the ``constant`` and ``radial_affine`` tolerance
 fields are certified by their closed-form sup, with no scan.  Any other
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .errors import (
     InconsistentCoverError,
     PreconditionError,
 )
-from .oracle import BLOCK_CELLS, Grid, LevelGrid, _check_gauge_cap
+from .oracle import Grid
 
 __all__ = [
     "EnvelopeCert",
@@ -180,14 +181,17 @@ class Cover:
 
 @dataclass(frozen=True)
 class ToleranceField:
-    """A certified pointwise bound ``eta(x, t) >= 0`` on the vertical
-    discrepancy over the cylinder.  Negative values are a certificate
-    violation, not data to be clamped.
+    """A certified pointwise bound ``eta(x) >= 0`` on the vertical
+    discrepancy at every level of the band above ``x``: the discrepancy
+    never increases with the level, so this is a bound on it at
+    ``t = -M``.  Negative values are a certificate violation, not data to
+    be clamped.
 
-    ``batch``, when present, maps base points ``X`` (``(n, dim)``) and
-    levels ``T`` (``(L,)``) to an array broadcastable to ``(n, L)`` that
-    agrees with ``eta`` bit for bit.  Without it, scans call ``eta`` cell
-    by cell.
+    ``batch``, when present, computes ``eta`` on every row of an
+    ``(n, dim)`` float64 array, as ``Func.batch`` does: it agrees with
+    ``eta`` bit for bit wherever its result is finite, and a non-finite
+    entry only means "ask ``eta``".  Without it, scans call ``eta`` point
+    by point.
 
     The ``constant`` and ``radial_affine`` constructors also record the
     exact range ``(min, max)`` of ``eta`` over the base ball, so their
@@ -197,11 +201,11 @@ class ToleranceField:
     its lattice max is certified only when declared ``grid_exact``.
     """
 
-    eta: Callable[[Point, float], float]
+    eta: Callable[[Point], float]
     cylinder: Cylinder
     dim: int = 1
     grid_exact: bool = False
-    batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
+    batch: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, compare=False, repr=False)
     _range: Optional[tuple[float, float]] = field(
         default=None, init=False, compare=False, repr=False)
@@ -216,39 +220,26 @@ class ToleranceField:
 
     @classmethod
     def constant(cls, value: float, cylinder: Cylinder, dim: int = 1) -> "ToleranceField":
-        """``eta(x, t) = value``; its sup is ``value``."""
+        """``eta(x) = value``; its sup is ``value``."""
         value = float(value)
-        tf = cls(eta=lambda p, t, _v=value: _v, cylinder=cylinder, dim=dim,
-                 batch=lambda X, T, _v=value: np.full((len(X), 1), _v))
+        tf = cls(eta=lambda p, _v=value: _v, cylinder=cylinder, dim=dim,
+                 batch=lambda X, _v=value: np.full(len(X), _v))
         object.__setattr__(tf, "_range", (value, value))
         return tf
 
     @classmethod
     def radial_affine(cls, base: float, slope: float, cylinder: Cylinder,
                       dim: int = 1) -> "ToleranceField":
-        """``eta(x, t) = base + slope * ||x|| / R`` with ``R`` the cylinder's
+        """``eta(x) = base + slope * ||x|| / R`` with ``R`` the cylinder's
         base radius; its sup over the base ball is ``base + max(slope, 0)``."""
         base, slope, R = float(base), float(slope), cylinder.R
         rim = base + slope * (R / R)  # eta's own operations at a node of norm R
-        tf = cls(eta=lambda p, t, _b=base, _s=slope, _R=R: _b + _s * (p.norm() / _R),
+        tf = cls(eta=lambda p, _b=base, _s=slope, _R=R: _b + _s * (p.norm() / _R),
                  cylinder=cylinder, dim=dim,
-                 batch=lambda X, T, _b=base, _s=slope, _R=R:
-                     (_b + _s * (norms(X) / _R))[:, None])
+                 batch=lambda X, _b=base, _s=slope, _R=R: _b + _s * (norms(X) / _R))
         # a NaN end compares false and stays in the range, which then fails the check
         object.__setattr__(tf, "_range", (base, rim) if base <= rim else (rim, base))
         return tf
-
-    def _cells(self, X: np.ndarray, levels: Sequence[float]) -> np.ndarray:
-        """``eta`` on the cells ``X x levels`` as the batch returns it, an
-        array that broadcasts to ``(n, L)`` (a level-free field stays
-        ``(n, 1)``); one NaN without ``batch``."""
-        if self.batch is None:
-            return np.full((1, 1), np.nan)
-        with np.errstate(all="ignore"):
-            V = np.asarray(self.batch(X, np.asarray(levels, dtype=np.float64)),
-                           dtype=np.float64)
-        np.broadcast_to(V, (len(X), len(levels)))  # raises unless it broadcasts
-        return V
 
 
 # ---------------------------------------------------------------------------
@@ -449,30 +440,23 @@ def aggregate_cover(cover: Cover) -> AggregatedEnvelope:
 # ---------------------------------------------------------------------------
 
 
-def gauge_from_tolerance_field(tf: ToleranceField, grid_step_x: float,
-                               grid_step_t: float) -> GaugeBound:
-    """The sup of a tolerance field over the cylinder, as a gauge bound.
+def gauge_from_tolerance_field(tf: ToleranceField, grid_step: float) -> GaugeBound:
+    """The sup of a tolerance field over the base ball, as a gauge bound.
 
-    ``eta`` must be finite and nonnegative everywhere on the cylinder.  The
-    base x level lattice is held to the oracle's gauge cap first, whatever
-    path follows.
+    ``eta`` must be finite and nonnegative everywhere on the base ball.
+    The base lattice is held to the oracle's cap first, whatever path
+    follows.  A field from ``ToleranceField.constant`` or ``radial_affine``
+    whose recorded range is finite and nonnegative returns its closed-form
+    max, certified, without evaluating ``eta`` or ``batch``.
 
-    A field from ``ToleranceField.constant`` or ``radial_affine`` whose
-    recorded range is finite and nonnegative returns its closed-form max,
-    certified, without evaluating ``eta`` or ``batch``.  Any other field
-    is scanned over the cylinder lattice: the first non-finite or negative
-    value raises, in lattice order, and the lattice max is certified only
-    when the field is declared grid-exact.  A recorded range that fails
-    the check raises too, even where no lattice node sees the bad value.
-
-    The scan walks the base lattice's own blocks (so a one-block lattice is
-    the cached one the oracle scans) in consecutive row chunks of at most
-    ``BLOCK_CELLS // len(levels)`` points, which bounds the cells held at
-    once and keeps the lattice order of the replay.
+    Any other field is scanned over the base lattice: rows the batch
+    leaves non-finite or negative (every row without ``batch``) are
+    replayed through ``eta``, the first non-finite or negative value
+    raises, in lattice order, and the lattice max is certified only when
+    the field is declared grid-exact.  A recorded range that fails the
+    check raises too, even where no lattice node sees the bad value.
     """
-    grid = Grid(tf.dim, tf.cylinder.R, grid_step_x)
-    lgrid = LevelGrid(tf.cylinder.M, grid_step_t)
-    _check_gauge_cap(grid, lgrid)
+    grid = Grid(tf.dim, tf.cylinder.R, grid_step)
     closed = tf._range  # (min, max); NaN fails both tests, and min <= max otherwise
     if closed is not None and 0.0 <= closed[0] and math.isfinite(closed[1]):
         return GaugeBound(
@@ -482,29 +466,22 @@ def gauge_from_tolerance_field(tf: ToleranceField, grid_step_x: float,
             certified=True,
             detail="tolerance sup over the base ball in closed form; certified, no lattice scan",
         )
-    levels = lgrid.values
-    rows = max(1, BLOCK_CELLS // len(levels))
     best = 0.0
-    for X in (B[i:i + rows] for B in grid.blocks() for i in range(0, len(B), rows)):
-        V = tf._cells(X, levels)  # checked and reduced as the batch returns it
-        ok = np.isfinite(V) & (V >= 0.0)
-        if not ok.all():  # replay the bad cells through eta, in lattice order
-            shape = (len(X), len(levels))
-            V = np.array(np.broadcast_to(V, shape))
-            ok = np.broadcast_to(ok, shape)
-        for k in np.flatnonzero(~ok).tolist():
-            i, j = divmod(k, len(levels))
-            p, t = Point(tuple(X[i].tolist())), levels[j]
-            v = float(tf.eta(p, t))
+    for X in grid.blocks():
+        V = np.full(len(X), np.nan)
+        if tf.batch is not None:
+            with np.errstate(all="ignore"):
+                V[...] = tf.batch(X)
+        for i in np.flatnonzero(~(np.isfinite(V) & (V >= 0.0))).tolist():
+            p = Point(tuple(X[i].tolist()))
+            v = float(tf.eta(p))
             if not math.isfinite(v) or v < 0:
                 raise CertificateViolationError(
-                    f"tolerance field returned {v!r} at ({p}, t={t!r}); "
+                    f"tolerance field returned {v!r} at {p}; "
                     f"a vertical tolerance must be finite and >= 0"
                 )
-            V[i, j] = v
-        vm = float(V.max())
-        if vm > best:
-            best = vm
+            V[i] = v
+        best = max(best, float(V.max()))
     if closed is not None:  # the bad value lies between the lattice nodes
         lo, hi = closed
         bad = hi if 0.0 <= lo else lo
@@ -518,7 +495,7 @@ def gauge_from_tolerance_field(tf: ToleranceField, grid_step_x: float,
         provenance=Provenance.TOLERANCE_FIELD,
         certified=tf.grid_exact,
         detail=(
-            f"tolerance sup over cylinder lattice (step_x={grid_step_x!r}, "
-            f"step_t={grid_step_t!r}); {_estimate_note(tf.grid_exact, 'tolerance field')}"
+            f"tolerance sup over base lattice (step={grid_step!r}); "
+            f"{_estimate_note(tf.grid_exact, 'tolerance field')}"
         ),
     )

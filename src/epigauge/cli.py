@@ -44,7 +44,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .certificates import aggregate_cover, envelope_width_bound, gauge_from_tolerance_field
+from . import certificates
+from .certificates import aggregate_cover, envelope_width_bound
 from .constructions import (
     SweepResult,
     build_impossibility_pair,
@@ -60,8 +61,6 @@ from .errors import EpigaugeError, PreconditionError, SpecParseError
 from .oracle import (
     ArgminResult,
     Grid,
-    LevelGrid,
-    _check_gauge_cap,
     dist_to_set,
     grid_argmin,
     grid_pair_scan,
@@ -100,8 +99,7 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _certified_bounds(spec: ProblemSpec, grid_step: float,
-                      level_step: float) -> list[tuple[str, GaugeBound]]:
+def _certified_bounds(spec: ProblemSpec, grid_step: float) -> list[tuple[str, GaugeBound]]:
     """Evaluate every certificate block, labeled by its source block."""
     out: list[tuple[str, GaugeBound]] = []
     if spec.envelope is not None:
@@ -111,9 +109,9 @@ def _certified_bounds(spec: ProblemSpec, grid_step: float,
         bound = envelope_width_bound(cert, spec.cylinder, grid_step)
         out.append(("cover",
                     dataclasses.replace(bound, detail="cover-aggregated; " + bound.detail)))
-    if spec.tolerance is not None:
+    if spec.tolerance is not None:  # not bound here: bench/child.py wraps a 3-argument binding
         out.append(("tolerance",
-                    gauge_from_tolerance_field(spec.tolerance, grid_step, level_step)))
+                    certificates.gauge_from_tolerance_field(spec.tolerance, grid_step)))
     return out
 
 
@@ -127,7 +125,6 @@ def _select_gauge(bounds: list[tuple[str, GaugeBound]]) -> tuple[str, GaugeBound
 @dataclass(frozen=True)
 class _Stage:
     grid_step: float
-    level_step: Optional[float]
     bounds: list[tuple[str, GaugeBound]]
     oracle_gauge: Optional[float] = None  # the oracle columns; None without a [pair]
     oracle_sup: Optional[float] = None
@@ -136,27 +133,20 @@ class _Stage:
 
 def _run(spec: ProblemSpec, args) -> _Stage:
     """The stage ``gauge`` and ``certify`` share after their own precondition
-    checks: the lattice steps (an option overrides the [grid] section), every
+    checks: the lattice step (an option overrides the [grid] section), every
     certificate block's bound and, with a [pair], the oracle gauge, sup |f-g|
-    and lattice minimizers of g from one pass over one base lattice.  A
-    [pair] or a [tolerance] needs a level step, and its base x level lattice
-    is held to the gauge cap before any scan."""
+    and lattice minimizers of g from one pass over one base lattice.  The
+    band enters through ``M`` alone.  The base lattice of a [pair] or a
+    [tolerance] is held to the cap before any scan."""
     grid_step = spec.grid_step if args.grid_step is None else args.grid_step
-    level_step = spec.level_step if args.level_step is None else args.level_step
     if grid_step is None:
         raise PreconditionError("no grid step: add a [grid] section or pass --grid-step")
-    lattices = None
-    if spec.pair is not None or spec.tolerance is not None:
-        if level_step is None:
-            raise PreconditionError(
-                "no level step: add level_step to [grid] or pass --level-step")
-        lattices = (Grid(spec.dimension, spec.cylinder.R, grid_step),
-                    LevelGrid(spec.cylinder.M, level_step))
-        _check_gauge_cap(*lattices)
-    bounds = _certified_bounds(spec, grid_step, level_step) if spec.has_certificate() else []
+    grid = (Grid(spec.dimension, spec.cylinder.R, grid_step)
+            if spec.pair is not None or spec.tolerance is not None else None)
+    bounds = _certified_bounds(spec, grid_step) if spec.has_certificate() else []
     if spec.pair is None:
-        return _Stage(grid_step, level_step, bounds)
-    return _Stage(grid_step, level_step, bounds, *grid_pair_scan(*spec.pair, *lattices))
+        return _Stage(grid_step, bounds)
+    return _Stage(grid_step, bounds, *grid_pair_scan(*spec.pair, grid, spec.cylinder.M))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +168,7 @@ def cmd_gauge(args) -> int:
 
     lines = [f"problem = {spec.path}\n",
              f"cylinder = R={_fmt(spec.cylinder.R)} M={_fmt(spec.cylinder.M)}\n",
-             f"grid_step = {_fmt(run.grid_step)}  level_step = {_fmt(run.level_step)}\n",
+             f"grid_step = {_fmt(run.grid_step)}\n",
              "\n", row("quantity", "certified", "oracle (grid lower bound)")]
     gauges = [(f"gauge[{label}]", _fmt(b.delta) + ("" if b.certified else " (estimate)"))
               for label, b in run.bounds] or [("gauge", "n/a")]
@@ -254,7 +244,7 @@ def cmd_certify(args) -> int:
               ("spec_path", spec.path), ("generated_utc", now)]),
         ("problem", [("dimension", spec.dimension), ("cylinder_R", spec.cylinder.R),
                      ("cylinder_M", spec.cylinder.M), ("grid_step", run.grid_step),
-                     ("level_step", run.level_step), ("f", f.label), ("g", g.label)]),
+                     ("f", f.label), ("g", g.label)]),
         ("gauge", [("source_block", source), ("delta", gauge.delta),
                    ("provenance", gauge.provenance.value), ("certified", gauge.certified),
                    ("detail", gauge.detail)]),
@@ -302,9 +292,7 @@ class _Property:
 
 def _demo_strictness(args) -> tuple[list[_Property], None]:
     pair = build_strictness_pair(args.R, args.M, args.A)
-    grid = Grid(1, args.R, args.grid_step)
-    lgrid = LevelGrid(args.M, args.level_step)
-    gauge, sup, _ = grid_pair_scan(pair.f, pair.g, grid, lgrid)
+    gauge, sup, _ = grid_pair_scan(pair.f, pair.g, Grid(1, args.R, args.grid_step), args.M)
     return [
         _Property("cylinder_gauge_exactly_zero", gauge == 0.0,
                   f"oracle gauge = {_fmt(gauge)} (expected exactly 0.0)"),
@@ -594,14 +582,11 @@ def _demo(build, *opts: _Opt) -> _Command:
         1e-4, _Opt("--csv", _SWITCH, False, "write the CSV to stdout", group="out"), *opts))
 
 
-_PROBLEM = (_Opt("--spec", help="problem description file", required=True),
-            _Opt("--level-step", _POSITIVE, None,
-                 "level lattice step (overrides the [grid] section); it changes no bound, "
-                 "oracle value or flag, only the base x level cap"))
+_PROBLEM = _Opt("--spec", help="problem description file", required=True)
 
 _DEMOS = {
     "strictness": _demo(_demo_strictness, _Opt("--R", _POSITIVE, 1.0), _Opt("--M", _POSITIVE, 2.0),
-                        _Opt("--A", _POSITIVE, 5.0), _Opt("--level-step", _POSITIVE, 0.05)),
+                        _Opt("--A", _POSITIVE, 5.0)),
     "impossibility": _demo(
         _demo_impossibility, _Opt("--R", _POSITIVE, 1.0), _Opt("--A", _flag(_nonnegative), 5.0),
         _Opt("--queries", _flags(_float), [-0.5, 0.5], "comma-separated 1-d query coordinates"),
@@ -614,9 +599,9 @@ _DEMOS = {
 # which renders help and usage errors.
 _COMMANDS = {
     "gauge": _Command("evaluate certificate blocks and oracle gauge side by side",
-                      cmd_gauge, _runs(None, *_PROBLEM)),
+                      cmd_gauge, _runs(None, _PROBLEM)),
     "certify": _Command("full pipeline: gauge -> window checks -> displacement certificate "
-                        "record", cmd_certify, _runs(None, *_PROBLEM)),
+                        "record", cmd_certify, _runs(None, _PROBLEM)),
     "demo": _Command("build a counterexample construction and verify its stated properties",
                      demos=_DEMOS),
     "sweep": _Command(

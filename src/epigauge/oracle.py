@@ -19,8 +19,8 @@ own, rows are gathered once by index, and only held blocks whose minimum
 is not the final one are filtered again.
 The discrepancy never increases with the level, so the gauge over
 ``B_R x [-M, M]`` is the clipped sup-norm ``|max(f, -M) - max(g, -M)|``
-over the base lattice, and no oracle reads a level lattice value; the
-tolerance scan of ``certificates`` is the only scan that reads levels.
+over the base lattice: the gauge kernels take the band half-width ``M``
+and scan no level.
 The ``threads`` argument of ``grid_argmin`` is accepted for compatibility
 and ignored: the numpy blocks run single-threaded.
 
@@ -31,12 +31,12 @@ evaluating each function once per block; its results are the three
 kernels' bit for bit, and a failing pair raises what ``grid_gauge`` raises.
 ``certify`` and ``demo strictness`` read their oracle columns from it.
 
-A ``Grid`` knows its axis length, and a ``LevelGrid`` its size, from
-``_axis_kmax`` alone; each builds its values on first use, so the size caps
-reject an over-cap lattice before any coordinate or level exists.  A block
-sums the squares of each cube node in coordinate order, as ``norms`` does,
-and gathers coordinates only for the nodes inside the ball; a 1-d block is
-its own run of axis values, so a 1-d scan never holds the whole axis.
+A ``Grid`` knows its axis length from ``_axis_kmax`` alone and builds its
+axis on first use, so the size cap rejects an over-cap lattice before any
+coordinate exists.  A block sums the squares of each cube node in
+coordinate order, as ``norms`` does, and gathers coordinates only for the
+nodes inside the ball; a 1-d block is its own run of axis values, so a 1-d
+scan never holds the whole axis.
 
 Blocks are read-only and column-major (Fortran order): each coordinate
 is one contiguous run, which is how the row kernels of ``core`` read
@@ -85,14 +85,13 @@ __all__ = [
 ]
 
 LATTICE_CAP: int = 10**8
-"""Hard cap on scanned lattice size (cube count before ball filtering, and
-on the base x level product for gauge scans).  Exceeding it is an error:
-these oracles are exhaustive by design and must not silently subsample."""
+"""Hard cap on scanned lattice size (cube count before ball filtering).
+Exceeding it is an error: these oracles are exhaustive by design and must
+not silently subsample."""
 
 BLOCK_CELLS: int = 65536
-"""Cells per scan block: a block holds at most this many cube nodes, or
-``BLOCK_CELLS // levels`` base points for base x level scans, which bounds
-the memory of every scan independently of the lattice size."""
+"""Cells per scan block: a block holds at most this many cube nodes, which
+bounds the memory of every scan independently of the lattice size."""
 
 LATTICE_CACHE_ENTRIES: int = 8
 """One-block lattices kept by ``Grid.blocks`` (least recently used first
@@ -239,14 +238,13 @@ def _one_block_lattice(grid: Grid) -> tuple[np.ndarray, ...]:
     return tuple(grid._build())
 
 
+# No scan reads a level lattice: bench/test_bench.py and the level sweeps that
+# check the gauge kernels (tests/test_array_path.py) still build this class.
 @dataclass(frozen=True)
 class LevelGrid:
     """Lattice ``k*step_t`` on the level band ``[-M, M]``: the lattice
-    values strictly inside ``(-M, M)``, plus both endpoints.
-
-    ``size`` is known from ``_axis_kmax`` alone; ``values`` is built on
-    first use, so a base x level cap rejects an over-cap band before any
-    level exists."""
+    values strictly inside ``(-M, M)``, plus both endpoints, built on
+    first use; ``size`` is known from ``_axis_kmax`` alone."""
 
     M: float
     step_t: float
@@ -321,14 +319,6 @@ def _check_domains(grid: Grid, *funcs: Func) -> None:
             )
 
 
-def _check_gauge_cap(grid: Grid, lgrid: LevelGrid) -> None:
-    if grid.cube_size() * lgrid.size > LATTICE_CAP:
-        raise OracleCapError(
-            f"gauge scan of {grid.cube_size()} x {lgrid.size} points exceeds "
-            f"cap {LATTICE_CAP}"
-        )
-
-
 # Per-block reducers, shared by the kernels below and by ``grid_pair_scan``.
 
 
@@ -378,19 +368,18 @@ def grid_sup_abs_diff(f: Func, g: Func, grid: Grid) -> float:
     return m
 
 
-def grid_gauge(f: Func, g: Func, grid: Grid, lgrid: LevelGrid) -> float:
-    """Max of the pointwise vertical discrepancy over lattice x level
-    lattice: a lower bound on the true cylinder gauge.
+def grid_gauge(f: Func, g: Func, grid: Grid, M: float) -> float:
+    """Max of the pointwise vertical discrepancy over the lattice times the
+    level band ``[-M, M]``: a lower bound on the true cylinder gauge.
 
     The discrepancy never increases with the level, so its max over the
     band is ``|max(f, -M) - max(g, -M)|`` at each base point, bit for bit
     the case split of ``pointwise_discrepancy`` at ``t = -M``; the scan is
     dominated by ``grid_sup_abs_diff`` on the same base lattice exactly.
-    The size cap still applies to the whole base x level lattice.
     """
+    require_positive(M, "level bound M")
     _check_domains(grid, f, g)
-    _check_gauge_cap(grid, lgrid)
-    floor = -lgrid.M
+    floor = -M
     m = 0.0
     for _, (fa, fb) in evaluated(grid.blocks(), f, g):
         m = max(m, _sup_block(np.maximum(fa, floor), np.maximum(fb, floor)))
@@ -413,14 +402,14 @@ def grid_argmin(f: Func, grid: Grid, threads: int = 1) -> ArgminResult:
 
 
 def grid_pair_scan(f: Func, g: Func, grid: Grid,
-                   lgrid: LevelGrid) -> tuple[float, float, ArgminResult]:
-    """``(grid_gauge(f, g, grid, lgrid), grid_sup_abs_diff(f, g, grid),
+                   M: float) -> tuple[float, float, ArgminResult]:
+    """``(grid_gauge(f, g, grid, M), grid_sup_abs_diff(f, g, grid),
     grid_argmin(g, grid))`` from one walk of the lattice, evaluating each
     function once per block: bit for bit the three kernels' results, and
     on a failing problem the exception ``grid_gauge`` raises."""
+    require_positive(M, "level bound M")
     _check_domains(grid, f, g)
-    _check_gauge_cap(grid, lgrid)
-    floor = -lgrid.M
+    floor = -M
     gauge = sup = 0.0
     argmin = _Argmin()
     for X, (fv, gv) in evaluated(grid.blocks(), f, g):

@@ -284,7 +284,8 @@ def _tolerance(c: _Context, family, grid_exact, **values) -> ToleranceField:
 _TOP = {"version": (_version, SCHEMA_VERSION), "dimension": _dimension}
 
 # section -> (schema, discriminator, builder), in the order sections are
-# built; ProblemSpec holds each built object ([grid]'s as its two steps)
+# built; ProblemSpec holds each built object ([grid]'s as its step: level_step
+# is checked and ignored, as the band enters through M alone)
 _SECTIONS = {
     "cylinder": ({"R": _float, "M": _float}, None, lambda c, R, M: Cylinder(R, M)),
     "pair": ({"f": _func, "g": _func}, None, lambda c, f, g: (f, g)),
@@ -373,7 +374,6 @@ class ProblemSpec:
     tolerance: Optional[ToleranceField]
     growth: Optional[GrowthCert]
     grid_step: Optional[float]
-    level_step: Optional[float]
 
     def has_certificate(self) -> bool:
         return self.envelope is not None or self.cover is not None or self.tolerance is not None
@@ -421,7 +421,6 @@ def parse_problem_text(text: str, path: str = "<spec>") -> ProblemSpec:
         dimension=ctx.dim,
         functions=ctx.functions,
         grid_step=grid.get("step"),
-        level_step=grid.get("level_step"),
         **{kind: ctx.found.get(kind) for kind in _SECTIONS if kind != "grid"},
     )
 

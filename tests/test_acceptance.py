@@ -16,7 +16,6 @@ import pytest
 from epigauge import (
     Cylinder,
     Grid,
-    LevelGrid,
     gauge_from_value_bound,
     grid_gauge,
     grid_sup_abs_diff,
@@ -90,8 +89,7 @@ def test_criterion_2_displacement_bound_never_violated(sweep_result):
 def test_criterion_3_strictness_exact():
     pair = build_strictness_pair(R=1.0, M=2.0, A=5.0)
     grid = Grid(1, 1.0, 0.01)
-    lgrid = LevelGrid(2.0, 0.05)
-    gauge = grid_gauge(pair.f, pair.g, grid, lgrid)
+    gauge = grid_gauge(pair.f, pair.g, grid, 2.0)
     sup = grid_sup_abs_diff(pair.f, pair.g, grid)
     ok = gauge == 0.0 and sup == 5.0
     _report(3, "strictness: gauge exactly 0, value gap exactly 5", ok,
@@ -163,14 +161,12 @@ def test_criterion_7_oracle_consistency_100_pairs():
         f = random_analytic(rng)
         g = random_analytic(rng)
         grid = Grid(1, 1.0, 0.2)
-        lgrid = LevelGrid(1.0, 0.2)
-        prev_gauge = grid_gauge(f, g, grid, lgrid)
+        prev_gauge = grid_gauge(f, g, grid, 1.0)
         prev_sup = grid_sup_abs_diff(f, g, grid)
         dominated = dominated and prev_gauge <= prev_sup
         for _ in range(3):
             grid = grid.refine()
-            lgrid = lgrid.refine()
-            cur_gauge = grid_gauge(f, g, grid, lgrid)
+            cur_gauge = grid_gauge(f, g, grid, 1.0)
             cur_sup = grid_sup_abs_diff(f, g, grid)
             monotone = monotone and cur_gauge >= prev_gauge and cur_sup >= prev_sup
             dominated = dominated and cur_gauge <= cur_sup

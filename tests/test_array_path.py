@@ -133,17 +133,16 @@ def naive_width(cert, cyl, step):
     return width
 
 
-def naive_tolerance(tf, step_x, step_t):
+def naive_tolerance(tf, step):
     best = 0.0
-    for p in Grid(tf.dim, tf.cylinder.R, step_x).points():
-        for t in LevelGrid(tf.cylinder.M, step_t).values:
-            v = float(tf.eta(p, t))
-            if not math.isfinite(v) or v < 0:
-                raise CertificateViolationError(
-                    f"tolerance field returned {v!r} at ({p}, t={t!r}); "
-                    f"a vertical tolerance must be finite and >= 0")
-            if v > best:
-                best = v
+    for p in Grid(tf.dim, tf.cylinder.R, step).points():
+        v = float(tf.eta(p))
+        if not math.isfinite(v) or v < 0:
+            raise CertificateViolationError(
+                f"tolerance field returned {v!r} at {p}; "
+                f"a vertical tolerance must be finite and >= 0")
+        if v > best:
+            best = v
     return best
 
 
@@ -356,10 +355,10 @@ def kernel_pairs():
     return pairs
 
 
-def assert_pass_matches_kernels(f, g, grid, lgrid):
+def assert_pass_matches_kernels(f, g, grid, M):
     """``grid_pair_scan`` against the three kernels it replaces, bit for bit."""
-    gauge, sup, argmin = grid_pair_scan(f, g, grid, lgrid)
-    assert gauge.hex() == grid_gauge(f, g, grid, lgrid).hex()
+    gauge, sup, argmin = grid_pair_scan(f, g, grid, M)
+    assert gauge.hex() == grid_gauge(f, g, grid, M).hex()
     assert sup.hex() == grid_sup_abs_diff(f, g, grid).hex()
     expected = grid_argmin(g, grid)
     assert argmin.value.hex() == expected.value.hex()
@@ -372,13 +371,13 @@ def test_oracle_kernels_match_reference_loops():
         grid = Grid(f.dim, 1.0, {1: 0.01, 2: 0.05, 3: 0.125}[f.dim])
         lgrid = LevelGrid(2.0, 0.1)
         assert grid_sup_abs_diff(f, g, grid).hex() == naive_sup(f, g, grid).hex()
-        assert grid_gauge(f, g, grid, lgrid).hex() == naive_gauge(f, g, grid, lgrid).hex()
+        assert grid_gauge(f, g, grid, lgrid.M).hex() == naive_gauge(f, g, grid, lgrid).hex()
         for h in (f, g):
             result = grid_argmin(h, grid, threads=3)
             points, value = naive_argmin(h, grid)
             assert result.value.hex() == value.hex()
             assert result.points == points
-        assert_pass_matches_kernels(f, g, grid, lgrid)
+        assert_pass_matches_kernels(f, g, grid, lgrid.M)
 
 
 def test_certificate_scans_match_reference_loops():
@@ -401,14 +400,13 @@ def test_certificate_scans_match_reference_loops():
         assert report.failures == tuple(expected) and expected
         for tf in (ToleranceField.constant(0.25, cyl, dim),
                    ToleranceField.radial_affine(0.01, 0.3, cyl, dim),
-                   ToleranceField(lambda p, t: 0.01 + abs(t) * p.norm(), cyl, dim),
-                   # batches of shape (n, L) and (1, L), reduced without broadcasting
-                   ToleranceField(lambda p, t: 0.01 + abs(t) * p.norm(), cyl, dim,
-                                  batch=lambda X, T: 0.01 + np.abs(T) * norms(X)[:, None]),
-                   ToleranceField(lambda p, t: 0.3 + t * t, cyl, dim,
-                                  batch=lambda X, T: (0.3 + T * T)[None, :])):
-            assert gauge_from_tolerance_field(tf, step, 0.25).delta.hex() == \
-                naive_tolerance(tf, step, 0.25).hex()
+                   ToleranceField(lambda p: 0.01 + 1.5 * p.norm(), cyl, dim),
+                   ToleranceField(lambda p: 0.01 + 1.5 * p.norm(), cyl, dim,
+                                  batch=lambda X: 0.01 + 1.5 * norms(X)),
+                   ToleranceField(lambda p: 0.3 + p.coords[0] * p.coords[0], cyl, dim,
+                                  batch=lambda X: 0.3 + X[:, 0] * X[:, 0])):
+            assert gauge_from_tolerance_field(tf, step).delta.hex() == \
+                naive_tolerance(tf, step).hex()
 
 
 @st.composite
@@ -440,9 +438,9 @@ def rim_lattices(draw):
 def test_closed_form_tolerance_is_the_lattice_max_on_a_rim_lattice(case):
     tf, step = case
     assert any(p.norm() == tf.cylinder.R for p in Grid(tf.dim, tf.cylinder.R, step).points())
-    bound = gauge_from_tolerance_field(tf, step, 0.5)
+    bound = gauge_from_tolerance_field(tf, step)
     assert bound.certified and "closed form" in bound.detail
-    assert bound.delta.hex() == naive_tolerance(tf, step, 0.5).hex()
+    assert bound.delta.hex() == naive_tolerance(tf, step).hex()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -455,8 +453,8 @@ def test_closed_form_tolerance_bounds_every_node_in_the_base_ball(case):
     # is all the closed form bounds; naive_tolerance reads them too.
     tf, step = case
     R = tf.cylinder.R
-    bound = gauge_from_tolerance_field(tf, step, 0.5)
-    inside = [tf.eta(p, 0.0) for p in Grid(tf.dim, R, step).points() if p.norm() <= R]
+    bound = gauge_from_tolerance_field(tf, step)
+    inside = [tf.eta(p) for p in Grid(tf.dim, R, step).points() if p.norm() <= R]
     assert bound.certified and bound.delta >= max(inside)
 
 
@@ -471,13 +469,13 @@ def test_closed_form_tolerance_evaluates_no_cell():
                         (ToleranceField.radial_affine(0.5, -0.25, cyl, dim), 0.5)):
             for name in ("eta", "batch"):
                 object.__setattr__(tf, name, no_call)
-            bound = gauge_from_tolerance_field(tf, 0.125, 0.25)
+            bound = gauge_from_tolerance_field(tf, 0.125)
             assert bound.delta == sup and bound.certified
             with pytest.raises(OracleCapError):  # the cap still comes first
-                gauge_from_tolerance_field(tf, 1e-5, 1e-5)
+                gauge_from_tolerance_field(tf, 1e-9)
             with pytest.raises(AssertionError, match="was evaluated"):
                 # dataclasses.replace drops the range, so the copy is scanned
-                gauge_from_tolerance_field(dataclasses.replace(tf), 0.125, 0.25)
+                gauge_from_tolerance_field(dataclasses.replace(tf), 0.125)
 
 
 def overlapping_cover(dim: int) -> Cover:
@@ -676,14 +674,13 @@ def test_kernel_error_is_first_in_lattice_order():
     assert got[0] is EvaluationError and got == want
     assert "early" in got[1]
     # The one pass raises what grid_gauge raises, also mid-lattice in a later block.
-    lgrid = LevelGrid(1.0, 0.5)
-    assert outcome(grid_pair_scan, f, g, grid, lgrid) == outcome(grid_gauge, f, g, grid, lgrid) \
+    assert outcome(grid_pair_scan, f, g, grid, 1.0) == outcome(grid_gauge, f, g, grid, 1.0) \
         == want
     late = _steps([(0.5, 2.0, math.inf)], batched=True)
     for f, g in ((Func.quadratic(1.0), late), (late, Func.quadratic(1.0))):
         grid = Grid(1, 1.0, 1e-5)
-        got = outcome(grid_pair_scan, f, g, grid, lgrid)
-        assert got[0] is EvaluationError and got == outcome(grid_gauge, f, g, grid, lgrid)
+        got = outcome(grid_pair_scan, f, g, grid, 1.0)
+        assert got[0] is EvaluationError and got == outcome(grid_gauge, f, g, grid, 1.0)
         assert "0.50001" in got[1]
 
 
@@ -693,8 +690,8 @@ def test_overflowing_differences_match_the_scalar_scans():
     g = Func.scaled(f, -1.0)
     grid, lgrid, cyl = Grid(1, 1.0, 0.5), LevelGrid(1.0, 0.5), Cylinder(1.0, 1.0)
     assert grid_sup_abs_diff(f, g, grid) == naive_sup(f, g, grid) == math.inf
-    assert grid_gauge(f, g, grid, lgrid) == naive_gauge(f, g, grid, lgrid) == 1e308
-    assert_pass_matches_kernels(f, g, grid, lgrid)
+    assert grid_gauge(f, g, grid, lgrid.M) == naive_gauge(f, g, grid, lgrid) == 1e308
+    assert_pass_matches_kernels(f, g, grid, lgrid.M)
     assert naive_width(EnvelopeCert(1.0, g, f), cyl, 0.5) == math.inf
     with pytest.raises(PreconditionError, match="must be finite"):
         envelope_width_bound(EnvelopeCert(1.0, g, f), cyl, 0.5)
@@ -704,20 +701,82 @@ def test_tolerance_violation_parity():
     cyl = Cylinder(1.0, 1.0)
     fields = [
         ToleranceField.radial_affine(-0.1, 0.2, cyl, 2),
-        ToleranceField(lambda p, t: 0.1 - p.norm() * abs(t), cyl, 2),
-        ToleranceField(lambda p, t: math.inf if t > 0.5 else 0.0, cyl, 2),
-        # batches of shape (n, 1), (n, L) and (1, L) with a NaN or negative cell
-        ToleranceField(lambda p, t: math.nan if p.norm() > 0.5 else 0.1, cyl, 2,
-                       batch=lambda X, T: np.where(norms(X) > 0.5, math.nan, 0.1)[:, None]),
-        ToleranceField(lambda p, t: 0.1 - p.norm() * abs(t), cyl, 2,
-                       batch=lambda X, T: 0.1 - norms(X)[:, None] * np.abs(T)),
-        ToleranceField(lambda p, t: -1.0 if t > 0.5 else 0.0, cyl, 2,
-                       batch=lambda X, T: np.where(T > 0.5, -1.0, 0.0)[None, :]),
+        ToleranceField(lambda p: 0.1 - p.norm(), cyl, 2),
+        ToleranceField(lambda p: math.inf if p.coords[0] > 0.5 else 0.0, cyl, 2),
+        # batches with a NaN or negative row
+        ToleranceField(lambda p: math.nan if p.norm() > 0.5 else 0.1, cyl, 2,
+                       batch=lambda X: np.where(norms(X) > 0.5, math.nan, 0.1)),
+        ToleranceField(lambda p: 0.1 - p.norm(), cyl, 2, batch=lambda X: 0.1 - norms(X)),
+        ToleranceField(lambda p: -1.0 if p.coords[1] > 0.5 else 0.0, cyl, 2,
+                       batch=lambda X: np.where(X[:, 1] > 0.5, -1.0, 0.0)),
     ]
     for tf in fields:
-        got = outcome(gauge_from_tolerance_field, tf, 0.125, 0.25)
-        want = outcome(naive_tolerance, tf, 0.125, 0.25)
+        got = outcome(gauge_from_tolerance_field, tf, 0.125)
+        want = outcome(naive_tolerance, tf, 0.125)
         assert got[0] is CertificateViolationError and got[1] == want[1]
+
+
+@st.composite
+def tolerance_scan_cases(draw):
+    """A callable tolerance field ``base + slope * ||x||`` in dims 1-3 with
+    up to two nodes set to a bad (or signed-zero) value, and a batch that
+    is absent, exact, or NaN at some rows so that ``eta`` replays them."""
+    dim = draw(st.integers(1, 3))
+    R = draw(st.sampled_from((0.5, 1.0, 1.5)))
+    step = draw(st.sampled_from({1: (0.01, 0.1, 0.3), 2: (0.1, 0.25), 3: (0.25, 0.5)}[dim]))
+    nodes = [p.coords for p in Grid(dim, R, step).points()]
+    base, slope = draw(st.floats(0.0, 2.0)), draw(st.floats(-1.0, 1.0))
+    bad = draw(st.dictionaries(st.sampled_from(nodes), st.sampled_from(
+        (-1.0, -5e-324, -0.0, math.inf, -math.inf, math.nan)), max_size=2))
+    mode = draw(st.sampled_from(("none", "exact", "holes")))
+    holes = draw(st.sets(st.sampled_from(nodes), max_size=5)) if mode == "holes" else set()
+
+    def eta(p):
+        return bad.get(p.coords, base + slope * p.norm())
+
+    def batch(X):
+        v = base + slope * norms(X)
+        for i, row in enumerate(X.tolist()):
+            v[i] = math.nan if tuple(row) in holes else bad.get(tuple(row), v[i])
+        return v
+
+    tf = ToleranceField(eta, Cylinder(R, 1.0), dim, grid_exact=draw(st.booleans()),
+                        batch=None if mode == "none" else batch)
+    return tf, step
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tolerance_scan_cases())
+def test_tolerance_scan_matches_the_scalar_loop(case):
+    tf, step = case
+    got = outcome(gauge_from_tolerance_field, tf, step)
+    want = outcome(naive_tolerance, tf, step)
+    if want[0] == "ok":
+        assert got[0] == "ok" and got[1].delta.hex() == want[1].hex()
+        assert got[1].certified == tf.grid_exact
+    else:
+        assert got == want and got[0] is CertificateViolationError
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.floats(0.1, 3.0),
+       st.sampled_from((0.1, 0.3, 1.0)))
+def test_tolerance_of_the_clipped_difference_is_the_oracle_gauge(dim, seed, M, s):
+    """eta(x) = |max(f, -M) - max(g, -M)| certifies exactly the oracle gauge
+    on the same base lattice, which is the full level sweep's max."""
+    rng = np.random.default_rng(seed)
+    f, g = random_analytic(rng, dim), random_analytic(rng, dim)
+    cyl = Cylinder(1.0, M)
+    tf = ToleranceField(
+        lambda p: abs(max(f(p), -M) - max(g(p), -M)), cyl, dim, grid_exact=True,
+        batch=lambda X: np.abs(np.maximum(f.values(X), -M) - np.maximum(g.values(X), -M)))
+    h = {1: 0.05, 2: 0.125, 3: 0.25}[dim]
+    grid = Grid(dim, cyl.R, h)
+    bound = gauge_from_tolerance_field(tf, h)
+    assert bound.certified
+    assert bound.delta.hex() == grid_gauge(f, g, grid, M).hex()
+    _, swept = level_sweep_gauge(f, g, grid, LevelGrid(M, s))
+    assert bound.delta >= swept
 
 
 def test_envelope_violation_parity():
@@ -822,7 +881,7 @@ def test_signed_zero_ties_resolve_in_lattice_order():
         points, value = naive_argmin(f, grid)
         assert result.value.hex() == value.hex() == (0.0).hex()
         assert result.points == points
-        *_, argmin = grid_pair_scan(Func.constant(-0.0), f, grid, LevelGrid(1.0, 0.5))
+        *_, argmin = grid_pair_scan(Func.constant(-0.0), f, grid, 1.0)
         assert argmin.value.hex() == value.hex() and argmin == result
 
     # Aggregated envelopes take the first extremum in certificate order.
@@ -892,8 +951,8 @@ def test_lowest_level_gauge_matches_full_level_sweep(dim):
             disc, expected = level_sweep_gauge(f, g, grid, lgrid)
             # The claim behind the scan: each row is nonincreasing in the level.
             assert np.all(np.diff(disc, axis=1) <= 0.0)
-            assert grid_gauge(f, g, grid, lgrid).hex() == expected.hex()
-            assert grid_gauge(g, f, grid, lgrid).hex() == expected.hex()
+            assert grid_gauge(f, g, grid, lgrid.M).hex() == expected.hex()
+            assert grid_gauge(g, f, grid, lgrid.M).hex() == expected.hex()
 
 
 @st.composite
@@ -921,15 +980,21 @@ def test_level_grid_stays_in_the_band_and_the_gauge_reads_it(case):
     points = [p.coords for p in grid.points()]
     f, g = (Func(lambda p, _v=dict(zip(points, table)): _v[p.coords]) for table in tables)
     _, expected = level_sweep_gauge(f, g, grid, lgrid)
-    assert grid_gauge(f, g, grid, lgrid).hex() == expected.hex()
+    assert grid_gauge(f, g, grid, M).hex() == expected.hex()
 
 
-def test_gauge_keeps_the_base_times_level_cap():
-    grid = Grid(1, 1.0, 1e-5)  # 200,001 points
-    lgrid = LevelGrid(1.0, 1e-3)  # 2,001 levels
-    f = Func.quadratic(1.0)
-    with pytest.raises(OracleCapError, match="gauge scan of 200001 x 2001 points"):
-        grid_gauge(f, f, grid, lgrid)
+@pytest.mark.parametrize("M", [0.0, -1.0, math.nan, math.inf])
+def test_gauge_kernels_reject_a_band_half_width_that_is_not_finite_and_positive(M):
+    grid, f = Grid(1, 1.0, 0.25), Func.quadratic(1.0)
+    for kernel in (grid_gauge, grid_pair_scan):
+        with pytest.raises(PreconditionError, match="level bound M must be finite and > 0"):
+            kernel(f, f, grid, M)
+
+
+def test_gauge_has_no_level_cap():
+    # 200,001 base points, a lattice that 2,001 levels once took over the cap
+    grid = Grid(1, 1.0, 1e-5)
+    assert grid_gauge(Func.constant(0.0), Func.constant(0.3), grid, 1.0) == 0.3
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -328,30 +328,30 @@ def test_certify_checks_the_gauge_cap_before_any_scan(certificate, tmp_path, mon
     blocks = epigauge.Grid.blocks
 
     def no_fine_scan(self):  # the envelope's validation lattice may run
-        assert self.step != 1e-7, "the over-cap lattice was scanned"
+        assert self.step != 1e-9, "the over-cap lattice was scanned"
         return blocks(self)
 
     p = tmp_path / "problem.prob"
     p.write_text((PROBLEMS / "sharpness.prob").read_text().replace(
         "[tolerance]\nfamily = constant\nvalue = 0.02\ngrid_exact = true\n", certificate))
     monkeypatch.setattr(epigauge.Grid, "blocks", no_fine_scan)
-    rc = main(["certify", "--spec", str(p), "--grid-step", "1e-7"])
+    rc = main(["certify", "--spec", str(p), "--grid-step", "1e-9"])
     captured = capsys.readouterr()
     assert rc == 4
     assert captured.out == ""
-    assert captured.err == ("oracle cap exceeded: gauge scan of 20000001 x 201 points "
-                            "exceeds cap 100000000\n")
+    assert captured.err == ("oracle cap exceeded: lattice step 1e-09 on radius 1.0 gives more "
+                            "than 100000000 points per axis\n")
 
 
 def test_over_cap_certify_builds_no_axis(monkeypatch, capsys):
     axis_values = epigauge.oracle._axis_values
 
-    def no_fine_axis(*args):  # the 201-value level lattice may be built
-        assert 1e-7 not in args, "the over-cap axis was built"
+    def no_fine_axis(*args):
+        assert 1e-9 not in args, "the over-cap axis was built"
         return axis_values(*args)
 
     monkeypatch.setattr(epigauge.oracle, "_axis_values", no_fine_axis)
-    rc = main(["certify", "--spec", str(PROBLEMS / "sharpness.prob"), "--grid-step", "1e-7"])
+    rc = main(["certify", "--spec", str(PROBLEMS / "sharpness.prob"), "--grid-step", "1e-9"])
     captured = capsys.readouterr()
     assert rc == 4
     assert captured.out == ""
@@ -359,20 +359,22 @@ def test_over_cap_certify_builds_no_axis(monkeypatch, capsys):
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
-def test_over_cap_level_step_builds_no_level_axis(monkeypatch, capsys):
-    axis_values = epigauge.oracle._axis_values
+@pytest.mark.parametrize("argv", [
+    ["gauge", "--spec", str(PROBLEMS / "sharpness.prob")],
+    ["certify", "--spec", str(PROBLEMS / "sharpness.prob")],
+    ["demo", "strictness"],
+], ids=["gauge", "certify", "demo-strictness"])
+def test_level_step_flag_is_a_usage_error(argv, monkeypatch, capsys):
+    def not_loaded(*args):
+        raise AssertionError("the problem was loaded")
 
-    def no_fine_levels(*args):
-        assert 2e-6 not in args, "the over-cap level axis was built"
-        return axis_values(*args)
-
-    monkeypatch.setattr(epigauge.oracle, "_axis_values", no_fine_levels)
-    rc = main(["certify", "--spec", str(PROBLEMS / "sharpness.prob"), "--level-step", "2e-6"])
+    monkeypatch.setattr(epigauge.cli, "load_problem", not_loaded)
+    rc = main([*argv, "--level-step", "0.01"])
     captured = capsys.readouterr()
-    assert rc == 4
+    assert rc == 2
     assert captured.out == ""
-    assert captured.err == ("oracle cap exceeded: gauge scan of 2001 x 1000001 points "
-                            "exceeds cap 100000000\n")
+    assert captured.err.endswith("error: unrecognized arguments: --level-step 0.01\n")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -434,31 +436,39 @@ def test_certify_sharpness_record(capsys):
     assert sorted(idx.values()) == list(idx.values())
 
 
-_LEVEL_ECHOES = re.compile(r"(?m)(level_step = |step_t=|^generated_utc = )[^,)\s]*")
+_FILE_ECHOES = re.compile(r"(?m)^(problem_sha256|spec_path|generated_utc) = .*$")
 
 
-def _leveled_runs():
-    """``gauge`` on each bundled problem with a [pair] or a [tolerance], and
-    ``certify`` where it also has a [growth]."""
+def _bundled_runs():
+    """``gauge`` on each bundled problem, and ``certify`` where it has a
+    [growth]."""
     for spec in sorted(PROBLEMS.glob("*.prob")):
-        problem = load_problem(spec)
-        if problem.pair is None and problem.tolerance is None:
-            continue
         yield "gauge", spec
-        if problem.growth is not None:
+        if load_problem(spec).growth is not None:
             yield "certify", spec
 
 
-@pytest.mark.parametrize("command, spec", _leveled_runs(), ids=lambda v: getattr(v, "stem", v))
-def test_level_step_changes_nothing_but_its_echo(command, spec, capsys):
-    """From a problem file the oracle reads -M and both tolerance families
-    are level-free, so the level step changes no number or flag."""
+@pytest.mark.parametrize("command, spec", _bundled_runs(), ids=lambda v: getattr(v, "stem", v))
+def test_level_step_changes_nothing_but_its_echo(command, spec, tmp_path, capsys):
+    """``[grid] level_step`` is checked and ignored: with the file's hash and
+    path masked, no output byte depends on it, and a value <= 0 still
+    fails to parse."""
+    text = re.sub(r"(?m)^level_step = .*\n", "", spec.read_text())
+    assert "[" not in text.split("[grid]")[1]  # an appended line lands in [grid]
+    p = tmp_path / spec.name
     outputs = set()
-    for level in ([], ["--level-step", "0.3"], ["--level-step", "0.07"]):
-        rc = main([command, "--spec", str(spec), *level])
+    for level in ("", "level_step = 0.3\n", "level_step = 0.07\n", "level_step = 1e300\n"):
+        p.write_text(text + level)
+        rc = main([command, "--spec", str(p)])
         captured = capsys.readouterr()
-        outputs.add((rc, _LEVEL_ECHOES.sub(r"\1<masked>", captured.out), captured.err))
+        outputs.add((rc, _FILE_ECHOES.sub(r"\1 = <masked>", captured.out), captured.err))
     assert len(outputs) == 1
+    for level in ("0", "-0.5", "nan"):
+        p.write_text(f"{text}level_step = {level}\n")
+        rc = main([command, "--spec", str(p)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith(f"parse error: {p}:") and "level_step" in captured.err
 
 
 def test_certify_window_failure_exit_code(tmp_path, capsys):
@@ -628,9 +638,7 @@ NO_CYLINDER = _without(SHARPNESS, "[cylinder]\nR = 1.0\nM = 1.0\n",
     ("certify", NO_CYLINDER, "certify requires a [cylinder] section"),
     ("certify", _without(SHARPNESS, "[pair]\nf = F\ng = G\n"),
      "certify requires a [pair] section"),
-    ("certify", _without(SHARPNESS, "level_step = 0.01\n"),
-     "no level step: add level_step to [grid] or pass --level-step"),
-], ids=["far-minimizer", "gauge-no-cylinder", "certify-no-cylinder", "no-pair", "no-level-step"])
+], ids=["far-minimizer", "gauge-no-cylinder", "certify-no-cylinder", "no-pair"])
 def test_missing_input_exits_3_with_its_message(command, text, message, tmp_path, capsys):
     p = tmp_path / "problem.prob"
     p.write_text(text)
@@ -639,3 +647,13 @@ def test_missing_input_exits_3_with_its_message(command, text, message, tmp_path
     assert rc == 3
     assert captured.out == ""
     assert captured.err == f"precondition failure: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["gauge", "certify"])
+def test_pair_and_tolerance_need_no_level_step(command, tmp_path, capsys):
+    p = tmp_path / "problem.prob"
+    p.write_text(_without(SHARPNESS, "level_step = 0.01\n"))
+    rc = main([command, "--spec", str(p)])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert "0.02" in captured.out

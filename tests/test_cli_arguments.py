@@ -60,7 +60,7 @@ BAD_BEFORE_ANY_SCAN = [
     ["sweep", "--mu", "2", "--out", "{tmp}/missing/x.csv"],
     ["demo", "sharpness", "--csv", "--out", "{tmp}/missing/x.csv"],
     ["gauge", "--spec", "{problems}/sharpness.prob", "--grid-step", "0"],
-    ["certify", "--spec", "{problems}/sharpness.prob", "--level-step", "nan"],
+    ["certify", "--spec", "{problems}/sharpness.prob", "--grid-step", "nan"],
     ["sweep", "--mu", "-2"],
     ["demo", "strictness", "--R", "-1"],
     ["demo", "impossibility", "--queries", "0,inf"],
@@ -97,7 +97,7 @@ OTHER_DEMOS_FLAG = [
     ["demo", "strictness", "--mu", "2"],
     ["demo", "strictness", "--queries", "0.5"],
     ["demo", "impossibility", "--M", "2"],
-    ["demo", "impossibility", "--level-step", "0.1"],
+    ["demo", "impossibility", "--num-deltas", "3"],
     ["demo", "sharpness", "--R", "2"],
     ["demo", "sharpness", "--A", "1"],
 ]

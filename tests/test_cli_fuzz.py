@@ -213,7 +213,7 @@ def _options(draw, table: dict[str, st.SearchStrategy[str]]) -> list[str]:
 
 
 _RUN_OPTS = {"--threads": _num("1", "2"), "--out": st.sampled_from(OUT)}
-_SPEC_OPTS = {"--grid-step": _num(*STEPS), "--level-step": _num(*STEPS), **_RUN_OPTS}
+_SPEC_OPTS = {"--grid-step": _num(*STEPS), **_RUN_OPTS}
 _SHARPNESS_OPTS = {
     "--mu": _num("1.0", "2.0", "8.0"),
     "--delta-min": _num("1e-4", "1e-3", "1e-2"),
@@ -226,8 +226,7 @@ _DEMO_STEP = {"--grid-step": _num("3e-4", "1e-3", "1e-2")}
 _DEMO_OPTS = {
     "sharpness": {**_SHARPNESS_OPTS, **_DEMO_STEP},
     "strictness": {**_RUN_OPTS, **_DEMO_STEP, "--R": _num(*RADII, "2.0"),
-                   "--M": _num(*RADII, "2.0"), "--A": _num("5.0", "0.5"),
-                   "--level-step": _num("0.02", "0.1", "0.5")},
+                   "--M": _num(*RADII, "2.0"), "--A": _num("5.0", "0.5")},
     "impossibility": {**_RUN_OPTS, **_DEMO_STEP, "--R": _num(*RADII, "2.0"),
                       "--A": _num("5.0", "0.5"), "--queries": _num("-0.5,0.5", "0.25", "0,1,-1"),
                       "--y": _num("0.0", "0.75")},
@@ -275,7 +274,7 @@ SHARPNESS_PROBLEM = (
 @example(["certify", "--spec", "{spec}", "--out", "{tmp}/missing/dir/x"], SHARPNESS_PROBLEM)
 @example(["demo", "sharpness", "--csv", "--out", "{tmp}/missing/x"], SHARPNESS_PROBLEM)
 @example(["sweep", "--mu", "2", "--out", "{tmp}/missing/x"], SHARPNESS_PROBLEM)
-@example(["demo", "strictness", "--M", "1e300", "--level-step", "1e-300"], SHARPNESS_PROBLEM)
+@example(["demo", "strictness", "--M", "1e300"], SHARPNESS_PROBLEM)
 @example(["gauge", "--spec", "{spec}"], b"dimension = 1\n\xd0\n")
 @example(["demo", "sharpness", "--out", "{tmp}"], SHARPNESS_PROBLEM)
 @example(["demo", "sharpness", "--delta-max", "1e-4"], SHARPNESS_PROBLEM)

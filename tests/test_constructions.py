@@ -76,7 +76,7 @@ def test_sharpness_plateau_membership_matches_closed_form():
 def test_sharpness_gauge_bounded_for_any_window():
     fam = build_sharpness_pair(1.0, 0.05)
     for R, M in ((0.5, 0.25), (1.0, 1.0), (3.0, 2.0)):
-        val = grid_gauge(fam.f, fam.g, Grid(1, R, 0.02), LevelGrid(M, 0.05))
+        val = grid_gauge(fam.f, fam.g, Grid(1, R, 0.02), M)
         assert val <= fam.delta + TAU
 
 
@@ -98,7 +98,7 @@ def test_strictness_canonical_instance():
     assert pair.f(Point.of(0.3)) == -3.0
     assert pair.g(Point.of(0.3)) == -8.0
     grid = Grid(1, 1.0, 0.01)
-    assert grid_gauge(pair.f, pair.g, grid, LevelGrid(2.0, 0.05)) == 0.0
+    assert grid_gauge(pair.f, pair.g, grid, 2.0) == 0.0
     assert grid_sup_abs_diff(pair.f, pair.g, grid) == 5.0
 
 
@@ -116,7 +116,7 @@ def test_strictness_boundary_level():
 def test_strictness_tiny_gap_collapses():
     pair = build_strictness_pair(1.0, 2.0, 1e-9)
     grid = Grid(1, 1.0, 0.1)
-    assert grid_gauge(pair.f, pair.g, grid, LevelGrid(2.0, 0.25)) == 0.0
+    assert grid_gauge(pair.f, pair.g, grid, 2.0) == 0.0
     assert abs(grid_sup_abs_diff(pair.f, pair.g, grid) - 1e-9) <= TAU
 
 
@@ -362,4 +362,4 @@ def test_demo_gauge_is_the_oracle_gauge_over_the_last_drop(mu, h):
     fam = build_sharpness_pair(mu, sweep.rows[-1].delta)
     grid = Grid(1, sweep.radius, h)
     assert (grid.cube_size() > BLOCK_CELLS) == (h == 2e-6)
-    assert printed.hex() == grid_gauge(fam.f, fam.g, grid, LevelGrid(1.0, 0.02)).hex()
+    assert printed.hex() == grid_gauge(fam.f, fam.g, grid, 1.0).hex()

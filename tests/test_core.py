@@ -17,7 +17,6 @@ from epigauge import (
     Func,
     GaugeBound,
     Grid,
-    LevelGrid,
     Point,
     PreconditionError,
     Provenance,
@@ -211,7 +210,7 @@ def test_gauge_from_value_bound_confirmed_by_oracle_on_shifted_pair():
     c = 0.3
     g = Func(lambda p: f(p) + c, math.inf, 1, "f+0.3")
     bound = gauge_from_value_bound(abs(c), cyl)
-    oracle = grid_gauge(f, g, Grid(1, cyl.R, 0.02), LevelGrid(cyl.M, 0.02))
+    oracle = grid_gauge(f, g, Grid(1, cyl.R, 0.02), cyl.M)
     assert oracle <= bound.delta + TAU
 
 
@@ -268,9 +267,6 @@ def test_gauge_grid_monotone_under_refinement():
     f = Func.quadratic(1.3, dim=1)
     g = Func.clamp_shift(f, 0.07)
     grid = Grid(1, 1.0, 0.2)
-    lgrid = LevelGrid(1.0, 0.25)
-    coarse = grid_gauge(f, g, grid, lgrid)
-    finer_x = grid_gauge(f, g, grid.refine(), lgrid)
-    finer_t = grid_gauge(f, g, grid, lgrid.refine())
+    coarse = grid_gauge(f, g, grid, 1.0)
+    finer_x = grid_gauge(f, g, grid.refine(), 1.0)
     assert coarse <= finer_x
-    assert coarse <= finer_t

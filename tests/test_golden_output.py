@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from epigauge import oracle
 from epigauge.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -92,6 +93,17 @@ def transcript(name: str, tmp: Path) -> str:
 def test_output_matches_golden(name, tmp_path):
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert transcript(name, tmp_path) == expected
+
+
+def test_no_command_builds_a_level_lattice(tmp_path, monkeypatch):
+    def no_levels(self):
+        raise AssertionError("a level lattice was built")
+
+    monkeypatch.setattr(oracle.LevelGrid, "__post_init__", no_levels)
+    for name in sorted(CASES):
+        case = tmp_path / name
+        case.mkdir()
+        assert transcript(name, case) == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -138,29 +138,28 @@ def test_sup_abs_diff_domain_violation():
 
 def test_grid_gauge_identical_functions():
     f = Func.quadratic(1.0)
-    assert grid_gauge(f, f, Grid(1, 1.0, 0.1), LevelGrid(1.0, 0.1)) == 0.0
+    assert grid_gauge(f, f, Grid(1, 1.0, 0.1), 1.0) == 0.0
 
 
 def test_grid_gauge_strictness_pair_exactly_zero():
     pair = build_strictness_pair(1.0, 2.0, 5.0)
-    assert grid_gauge(pair.f, pair.g, Grid(1, 1.0, 0.01), LevelGrid(2.0, 0.05)) == 0.0
+    assert grid_gauge(pair.f, pair.g, Grid(1, 1.0, 0.01), 2.0) == 0.0
 
 
 def test_grid_gauge_constant_pair_attains_value_gap():
     f = Func.constant(0.0)
     g = Func.constant(0.3)
     # attained at any level at or below both graphs
-    assert grid_gauge(f, g, Grid(1, 1.0, 0.5), LevelGrid(1.0, 0.25)) == 0.3
+    assert grid_gauge(f, g, Grid(1, 1.0, 0.5), 1.0) == 0.3
 
 
 def test_grid_gauge_dominated_by_sup_abs_diff_exactly():
     rng = np.random.default_rng(424242)
     grid = Grid(1, 1.0, 0.05)
-    lgrid = LevelGrid(1.5, 0.1)
     for _ in range(25):
         f = random_analytic(rng)
         g = random_analytic(rng)
-        assert grid_gauge(f, g, grid, lgrid) <= grid_sup_abs_diff(f, g, grid)
+        assert grid_gauge(f, g, grid, 1.5) <= grid_sup_abs_diff(f, g, grid)
 
 
 def test_grid_gauge_matches_scalar_bruteforce():
@@ -176,13 +175,13 @@ def test_grid_gauge_matches_scalar_bruteforce():
             pointwise_discrepancy(f(p), g(p), t)
             for p in grid.points() for t in lgrid.values
         )
-        assert grid_gauge(f, g, grid, lgrid) == brute
+        assert grid_gauge(f, g, grid, lgrid.M) == brute
 
 
 def test_oracle_soundness_sharpness_family():
     fam = build_sharpness_pair(2.0, 0.02)
     for R, M in ((0.5, 0.5), (1.0, 1.0), (2.0, 3.0)):
-        val = grid_gauge(fam.f, fam.g, Grid(1, R, 0.01), LevelGrid(M, 0.05))
+        val = grid_gauge(fam.f, fam.g, Grid(1, R, 0.01), M)
         assert val <= fam.delta + TAU
 
 
@@ -191,14 +190,12 @@ def test_refinement_monotonicity_three_halvings():
     f = random_analytic(rng)
     g = random_analytic(rng)
     grid = Grid(1, 1.0, 0.2)
-    lgrid = LevelGrid(1.0, 0.2)
     prev_sup = grid_sup_abs_diff(f, g, grid)
-    prev_gauge = grid_gauge(f, g, grid, lgrid)
+    prev_gauge = grid_gauge(f, g, grid, 1.0)
     for _ in range(3):
         grid = grid.refine()
-        lgrid = lgrid.refine()
         cur_sup = grid_sup_abs_diff(f, g, grid)
-        cur_gauge = grid_gauge(f, g, grid, lgrid)
+        cur_gauge = grid_gauge(f, g, grid, 1.0)
         assert cur_sup >= prev_sup
         assert cur_gauge >= prev_gauge
         prev_sup, prev_gauge = cur_sup, cur_gauge
