@@ -24,7 +24,7 @@ because repairing would fabricate a certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -40,6 +40,7 @@ from .core import (
     in_closed_ball,
     last_block_memo,
     norms,
+    record,
     require_positive,
     slack_radius,
 )
@@ -86,7 +87,7 @@ def _check_not_crossed(lower: Func, upper: Func, blocks: Iterable[np.ndarray],
             )
 
 
-@dataclass(frozen=True)
+@record
 class EnvelopeCert:
     """Certified bracketing pair ``lower <= target <= upper`` on the ball
     ``||x|| <= region_radius``.
@@ -124,7 +125,7 @@ class EnvelopeCert:
         return self.lower.dim
 
 
-@dataclass(frozen=True)
+@record
 class LocalCert:
     """Bracketing pair certified on the closed ball of ``radius`` around
     ``center`` (one query's neighborhood)."""
@@ -158,7 +159,7 @@ class LocalCert:
         return in_closed_ball(x, self.radius, self.center)
 
 
-@dataclass(frozen=True)
+@record
 class Cover:
     """A nonempty collection of local certificates.  The covered region is
     exactly the union of their closed balls."""
@@ -179,7 +180,7 @@ class Cover:
         return self.certs[0].center.dim
 
 
-@dataclass(frozen=True)
+@record
 class ToleranceField:
     """A certified pointwise bound ``eta(x) >= 0`` on the vertical
     discrepancy at every level of the band above ``x``: the discrepancy
@@ -294,7 +295,7 @@ def envelope_width_bound(cert: EnvelopeCert, cyl: Cylinder, grid_step: float) ->
     )
 
 
-@dataclass(frozen=True)
+@record
 class BracketingReport:
     """Result of checking ``lower <= candidate <= upper`` on a lattice.
     Empty ``failures`` means the sandwich held at every checked point; that
@@ -337,7 +338,7 @@ def validate_bracketing(cert: EnvelopeCert, candidate: Func, cyl: Cylinder,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class AggregatedEnvelope:
     """Pointwise aggregation of a cover: at each covered point, the best
     lower envelope is the max of the active lower envelopes and the best

@@ -18,7 +18,8 @@ value starting with "-", a repeated flag, an unknown token, a value that
 does not convert) goes whole to the argparse parser built from the same
 table (``_build_parser``), which renders help and usage errors; so a
 ``--queries`` list starting with a negative item is written
-``--queries=-0.5,0.5``, as argparse has always needed.
+``--queries=-0.5,0.5``, as argparse has always needed.  Only such an argv
+loads ``argparse``, and only the CSV writers load ``csv``.
 
 Exit codes: 0 all checks pass / record valid; 1 demo property falsified;
 3 a certify record with a false check.  An error ends in the exit code and
@@ -29,15 +30,13 @@ inconsistency); a usage error ends in 2.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import dataclasses
 import functools
 import io
 import math
 import os
 import sys
-from dataclasses import dataclass
+import types
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -54,7 +53,7 @@ from .constructions import (
     sharpness_sweep,
     sweep_lattice,
 )
-from .core import TAU, FinitePointSet, GaugeBound, Point, in_closed_ball
+from .core import TAU, FinitePointSet, GaugeBound, Point, in_closed_ball, record
 from .errors import EpigaugeError, PreconditionError, SpecParseError
 # Nothing here calls grid_argmin (certify reads its minimizers from
 # grid_pair_scan); bench/test_bench.py still reads this binding.
@@ -122,8 +121,11 @@ def _select_gauge(bounds: list[tuple[str, GaugeBound]]) -> tuple[str, GaugeBound
     return min(pool, key=lambda b: b[1].delta)
 
 
-@dataclass(frozen=True)
+@record
 class _Stage:
+    """What ``_run`` found: the lattice step, the certificate blocks' bounds
+    and, with a [pair], the oracle columns."""
+
     grid_step: float
     bounds: list[tuple[str, GaugeBound]]
     oracle_gauge: Optional[float] = None  # the oracle columns; None without a [pair]
@@ -283,8 +285,10 @@ def cmd_certify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class _Property:
+    """One stated property of a demo construction, checked."""
+
     name: str
     passed: bool
     detail: str
@@ -403,6 +407,8 @@ def _csv_text(sweep: Optional[SweepResult], props: Sequence[_Property] = ()) -> 
     if sweep is not None:
         sweep.to_csv(buf)
     else:
+        import csv
+
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["property", "passed", "detail"])
         writer.writerows([p.name, "pass" if p.passed else "fail", p.detail] for p in props)
@@ -457,20 +463,6 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors end in exit code 2 with a single stderr line."""
-
-    def error(self, message: str):
-        self.exit(2, f"{self.prog}: error: {message}\n")
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        reversed_range = _reversed_drops(vars(namespace))
-        if reversed_range:
-            self.error(reversed_range)
-        return namespace, extras
-
-
 def _reversed_drops(values: dict) -> Optional[str]:
     """The usage error of a log drop range whose ``--delta-min``, given or
     by default, exceeds its ``--delta-max``; ``None`` for any other
@@ -488,6 +480,8 @@ def _flag(kind):
         try:
             return kind(text, _Context("<command line>"), 0, "value")
         except SpecParseError as e:
+            import argparse
+
             raise argparse.ArgumentTypeError(e.message) from None
     return parse
 
@@ -497,32 +491,24 @@ def _flags(kind):
     return lambda text: [_flag(kind)(part) for part in text.split(",")]
 
 
-class _Drops(argparse.Action):
-    """A drop-size flag: ``--deltas`` and the log-range flags exclude each other."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        given = getattr(namespace, "drops_flag", None)
-        if given is not None and (given == "--deltas") != (option_string == "--deltas"):
-            raise argparse.ArgumentError(self, f"not allowed with argument {given}")
-        namespace.drops_flag = option_string
-        setattr(namespace, self.dest, values)
-
-
 def _output_path(text: str) -> str:
     """An ``--out`` path that can be created or overwritten, checked at
     parse time so that no scan runs for output that cannot be written."""
     path = Path(text)
     try:
         if path.is_dir():  # also the empty path, which names the working directory
-            raise argparse.ArgumentTypeError(f"{text!r} is not a file path")
-        if not path.parent.is_dir():
-            raise argparse.ArgumentTypeError(f"directory of {text!r} does not exist")
-        writable = os.access(path if path.exists() else path.parent, os.W_OK)
+            problem = f"{text!r} is not a file path"
+        elif not path.parent.is_dir():
+            problem = f"directory of {text!r} does not exist"
+        elif not os.access(path if path.exists() else path.parent, os.W_OK):
+            problem = f"{text!r} is not writable"
+        else:
+            return text
     except OSError as e:  # e.g. a file name longer than the file system allows
-        raise argparse.ArgumentTypeError(f"{text!r}: {e.strerror}") from None
-    if not writable:
-        raise argparse.ArgumentTypeError(f"{text!r} is not writable")
-    return text
+        problem = f"{text!r}: {e.strerror}"
+    import argparse
+
+    raise argparse.ArgumentTypeError(problem)
 
 
 _SWITCH = "store_true"  # the kind of a flag that takes no value
@@ -616,14 +602,14 @@ _COMMANDS = {
 }
 
 
-def _walk(argv: Sequence[str]) -> Optional[argparse.Namespace]:
-    """The namespace ``_build_parser().parse_args(argv)`` returns, for an
-    argv of the form ``COMMAND [DEMO] (--flag VALUE | --csv)*`` in which
-    each flag is one of the command's option strings and appears at most
-    once, no value starts with "-", every value converts, every required
-    flag is given, no two given flags exclude each other and the log drop
-    range is not reversed.  ``None`` for any other argv, which argparse then
-    parses (or rejects)."""
+def _walk(argv: Sequence[str]) -> Optional[types.SimpleNamespace]:
+    """A namespace with the attributes ``_build_parser().parse_args(argv)``
+    gives, for an argv of the form ``COMMAND [DEMO] (--flag VALUE | --csv)*``
+    in which each flag is one of the command's option strings and appears
+    at most once, no value starts with "-", every value converts, every
+    required flag is given, no two given flags exclude each other and the
+    log drop range is not reversed.  ``None`` for any other argv, which
+    argparse then parses (or rejects)."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     values: dict[str, object] = {"command": argv[0]}
@@ -650,7 +636,7 @@ def _walk(argv: Sequence[str]) -> Optional[argparse.Namespace]:
             return None
         try:
             values[opt.dest] = rest[i + 1] if opt.kind is None else opt.kind(rest[i + 1])
-        except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse reports these
+        except Exception:  # argparse reports it, or raises it again
             return None
         if opt.drops:
             values["drops_flag"] = opt.flag
@@ -661,42 +647,67 @@ def _walk(argv: Sequence[str]) -> Optional[argparse.Namespace]:
             or any(opt.required and opt not in given for opt in command.opts)
             or _reversed_drops(values)):
         return None
-    return argparse.Namespace(**values)
+    return types.SimpleNamespace(**values)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """``_COMMANDS`` as an argparse parser."""
-    parser = _Parser(
+    """``_COMMANDS`` as an argparse parser: built, with argparse loaded, only
+    for a command line ``_walk`` does not take."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """Usage errors end in exit code 2 with a single stderr line."""
+
+        def error(self, message: str):
+            self.exit(2, f"{self.prog}: error: {message}\n")
+
+        def parse_known_args(self, args=None, namespace=None):
+            namespace, extras = super().parse_known_args(args, namespace)
+            reversed_range = _reversed_drops(vars(namespace))
+            if reversed_range:
+                self.error(reversed_range)
+            return namespace, extras
+
+    class Drops(argparse.Action):
+        """A drop-size flag: ``--deltas`` and the log-range flags exclude each other."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            given = getattr(namespace, "drops_flag", None)
+            if given is not None and (given == "--deltas") != (option_string == "--deltas"):
+                raise argparse.ArgumentError(self, f"not allowed with argument {given}")
+            namespace.drops_flag = option_string
+            setattr(namespace, self.dest, values)
+
+    def add_commands(parser: argparse.ArgumentParser, dest: str,
+                     commands: dict[str, _Command]) -> None:
+        # Each command builds its own actions: argparse's parents= would share
+        # action objects, so one command's defaults would leak into another's.
+        sub = parser.add_subparsers(dest=dest, required=True)
+        for name, command in commands.items():
+            p = sub.add_parser(name, help=command.help)
+            if command.demos is not None:
+                add_commands(p, "name", command.demos)
+                continue
+            p.set_defaults(func=command.func)
+            groups: dict[str, argparse._MutuallyExclusiveGroup] = {}
+            for opt in command.opts:
+                if opt.group is not None and opt.group not in groups:
+                    groups[opt.group] = p.add_mutually_exclusive_group()
+                target = groups.get(opt.group, p)
+                if opt.kind == _SWITCH:
+                    target.add_argument(opt.flag, action="store_true", help=opt.help)
+                else:
+                    target.add_argument(opt.flag, type=opt.kind, default=opt.default,
+                                        help=opt.help, required=opt.required,
+                                        action=Drops if opt.drops else "store")
+
+    parser = Parser(
         prog="epigauge",
         description="Certified perturbation gauges, displacement certificates, "
                     "and brute-force oracle checks.",
     )
-    _add_commands(parser, "command", _COMMANDS)
+    add_commands(parser, "command", _COMMANDS)
     return parser
-
-
-def _add_commands(parser: argparse.ArgumentParser, dest: str,
-                  commands: dict[str, _Command]) -> None:
-    # Each command builds its own actions: argparse's parents= would share
-    # action objects, so one command's defaults would leak into another's.
-    sub = parser.add_subparsers(dest=dest, required=True)
-    for name, command in commands.items():
-        p = sub.add_parser(name, help=command.help)
-        if command.demos is not None:
-            _add_commands(p, "name", command.demos)
-            continue
-        p.set_defaults(func=command.func)
-        groups: dict[str, argparse._MutuallyExclusiveGroup] = {}
-        for opt in command.opts:
-            if opt.group is not None and opt.group not in groups:
-                groups[opt.group] = p.add_mutually_exclusive_group()
-            target = groups.get(opt.group, p)
-            if opt.kind == _SWITCH:
-                target.add_argument(opt.flag, action="store_true", help=opt.help)
-            else:
-                target.add_argument(opt.flag, type=opt.kind, default=opt.default,
-                                    help=opt.help, required=opt.required,
-                                    action=_Drops if opt.drops else "store")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

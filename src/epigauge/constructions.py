@@ -23,15 +23,14 @@ drops and fits the log-log slope of observed displacement versus drop.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import IO, Optional, Sequence
 
 import numpy as np
 
 from .core import (ClosedBall, FinitePointSet, Func, Point, in_closed_ball, last_block_memo, norms,
-                   require_positive)
+                   record, require_positive)
 from .errors import ConstructionError, OracleCapError, PreconditionError
 from .oracle import LATTICE_CAP, Grid, dist_to_set, dist_to_set_rows, grid_argmin
 from .stability import GrowthCert, square_root_rule
@@ -54,7 +53,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SharpnessFamily:
     """``f(x) = (mu/2) x^2`` on the line and ``g = max(f - delta, 0)``.
 
@@ -107,7 +106,7 @@ def build_sharpness_pair(mu: float, delta: float) -> SharpnessFamily:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class StrictnessPair:
     """Constants ``f = -(M+1)`` and ``g = -(M+1) - A``: both graphs sit
     strictly below the level band ``[-M, M]``, so every vertical gap inside
@@ -143,7 +142,7 @@ def build_strictness_pair(R: float, M: float, A: float) -> StrictnessPair:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ImpossibilityPair:
     """``f = 0`` and ``g`` a tent bump of height ``A`` at ``y`` with
     footprint radius ``rho`` chosen strictly below half the clearance to
@@ -237,7 +236,7 @@ def build_impossibility_pair(R: float, queries: Sequence[Point], A: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SweepRow:
     """One drop size: the extreme lattice minimizer of the clipped
     surrogate, its distance to the target minimizer, the certified
@@ -254,8 +253,12 @@ class SweepRow:
     gap_max: float
 
 
-@dataclass(frozen=True)
+@record
 class SweepResult:
+    """A sweep: one row per drop size and the fitted log-log slope of
+    ``dist`` against ``delta``, on the lattice of ``grid_step`` over
+    ``[-radius, radius]``."""
+
     rows: tuple[SweepRow, ...]
     slope: float
     mu: float
@@ -265,6 +268,8 @@ class SweepResult:
     CSV_COLUMNS = ("delta", "argmin", "dist", "bound", "slack")
 
     def to_csv(self, out: IO[str]) -> None:
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(self.CSV_COLUMNS)
         for r in self.rows:

@@ -42,8 +42,10 @@ points generated by repeated addition are not spuriously rejected.
 from __future__ import annotations
 
 import enum
+import inspect  # loaded by dataclasses already
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -88,6 +90,152 @@ def require_positive(x: float, name: str) -> None:
     """Raise ``PreconditionError`` unless ``x`` is finite and > 0."""
     if not (x > 0) or not math.isfinite(x):
         raise PreconditionError(f"{name} must be finite and > 0, got {x!r}")
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+class _Factory:
+    """The default a ``default_factory`` field shows in ``__init__``'s
+    signature, as ``dataclass`` shows it."""
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+
+
+def record(cls=None, /, *, frozen=True, eq=True, order=False):
+    """``@dataclass(frozen=frozen, eq=eq, order=order)`` with no method
+    compiled per class.
+
+    ``dataclass`` writes each method it adds as source text and compiles it
+    with its own ``exec``; over this package's records that was most of its
+    import time.  Here ``dataclass(init=False, repr=False, eq=False)`` only
+    collects the fields, which compiles nothing and keeps
+    ``dataclasses.fields``, ``replace`` and ``asdict`` working, and each
+    method is a closure over the field names: ``__init__`` (with
+    ``__post_init__`` and the signature ``dataclass`` gives it),
+    ``__repr__``, ``__eq__`` and ``__hash__`` over the compared fields, the
+    four comparisons with ``order``, and with ``frozen`` the
+    ``__setattr__``/``__delattr__`` that raise ``FrozenInstanceError``.
+    A method the class defines itself is kept."""
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen, eq=eq, order=order)
+    own_hash = cls.__dict__.get("__hash__", MISSING)
+    explicit_hash = not (own_hash is MISSING or (own_hash is None and "__eq__" in cls.__dict__))
+    dataclass(cls, init=False, repr=False, eq=False)
+    fs = fields(cls)
+    methods = {"__init__": _init(cls, fs), "__repr__": _repr(tuple(f.name for f in fs if f.repr))}
+    if eq:
+        key = _key([f.name for f in fs if f.compare])
+        methods["__eq__"] = _compare(key, operator.eq)
+        if order:
+            for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                methods[f"__{op.__name__}__"] = _compare(key, op)
+    if frozen:
+        methods.update(_frozen(cls, frozenset(f.name for f in fs)))
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    if eq and not explicit_hash:  # ``dataclass``'s rule without ``unsafe_hash``
+        hash_key = _key([f.name for f in fs if (f.compare if f.hash is None else f.hash)])
+        cls.__hash__ = (lambda self: hash(hash_key(self))) if frozen else None
+    return cls
+
+
+def _init(cls, fs):
+    """``dataclass``'s ``__init__`` for the fields ``fs`` of ``cls``.  The
+    all-positional call sets the fields in order; any other call takes the
+    fields after its positional arguments from the keywords or the
+    defaults, and a bad one raises ``TypeError``."""
+    params = [f for f in fs if f.init]
+    names = tuple(f.name for f in params)
+    slots = tuple(enumerate(names))
+    factories = {f.name: f.default_factory for f in params if f.default_factory is not MISSING}
+    # MISSING marks a required field and _FACTORY a ``default_factory`` one.
+    defaults = tuple(_FACTORY if f.name in factories else f.default for f in params)
+    tails = tuple(tuple(zip(names[k:], defaults[k:])) for k in range(len(names) + 1))
+    # An ``init=False`` field with a plain default reads it from the class.
+    later = tuple((f.name, f.default_factory) for f in fs
+                  if not f.init and f.default_factory is not MISSING)
+    post_init = hasattr(cls, "__post_init__")
+    call = f"{cls.__qualname__}.__init__()"
+    setter = object.__setattr__
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(slots):
+            if len(args) > len(slots):
+                raise TypeError(f"{call} takes {len(slots) + 1} positional arguments "
+                                f"but {len(args) + 1} were given")
+            for i, value in enumerate(args):
+                setter(self, names[i], value)
+            for name, default in tails[len(args)]:
+                value = kwargs.pop(name, default)
+                if value is MISSING:
+                    raise TypeError(f"{call} missing required argument {name!r}")
+                setter(self, name, factories[name]() if value is _FACTORY else value)
+            for name in kwargs:  # left over: not a field, or one given by position
+                raise TypeError(f"{call} got multiple values for argument {name!r}"
+                                if name in names else
+                                f"{call} got an unexpected keyword argument {name!r}")
+        else:
+            for i, name in slots:
+                setter(self, name, args[i])
+        for name, factory in later:
+            setter(self, name, factory())
+        if post_init:
+            self.__post_init__()
+
+    __init__.__signature__ = inspect.Signature([
+        inspect.Parameter("self", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        *(inspect.Parameter(f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                            default=inspect.Parameter.empty if default is MISSING else default,
+                            annotation=f.type) for f, default in zip(params, defaults))],
+        return_annotation=None)
+    return __init__
+
+
+def _repr(names):
+    def __repr__(self):
+        return (self.__class__.__qualname__ + "("
+                + ", ".join(f"{name}={getattr(self, name)!r}" for name in names) + ")")
+    return __repr__
+
+
+def _key(names):
+    """A function from a record to the tuple of its ``names`` attributes."""
+    if len(names) > 1:
+        return operator.attrgetter(*names)
+    if names:
+        name, = names
+        return lambda self: (getattr(self, name),)
+    return lambda self: ()
+
+
+def _compare(key, op):
+    def compare(self, other):
+        if other.__class__ is self.__class__:
+            return op(key(self), key(other))
+        return NotImplemented
+    return compare
+
+
+def _frozen(cls, names):
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    return {"__setattr__": __setattr__, "__delattr__": __delattr__}
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +303,7 @@ def pointwise_discrepancy(fa: float, fb: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class Point:
     """A point of R^n, n >= 1.  Coordinates are finite floats.
 
@@ -287,7 +435,7 @@ def ball_mask(X: np.ndarray, radius: float, center: Point | None = None) -> np.n
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Func:
     """A pure, deterministic scalar function on the closed ball
     ``||x|| <= domain_radius`` in R^dim.
@@ -570,7 +718,7 @@ def evaluated(blocks: Iterable[np.ndarray], *funcs: Func
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Cylinder:
     """Comparison window: base ball ``||x|| <= R`` times level band
     ``|t| <= M``."""
@@ -597,7 +745,7 @@ class Provenance(enum.Enum):
     ASSUMED = "Assumed"
 
 
-@dataclass(frozen=True)
+@record
 class GaugeBound:
     """A scalar ``delta`` bounding the vertical discrepancy of a function
     pair over ``cylinder``.
@@ -662,7 +810,7 @@ def discrepancy_profile(f: Func, g: Func, x: Point,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class FinitePointSet:
     """A nonempty finite set of points (all of one dimension)."""
 
@@ -682,7 +830,7 @@ class FinitePointSet:
         return self.points[0].dim
 
 
-@dataclass(frozen=True)
+@record
 class ClosedBall:
     """A closed ball (in R^1: a closed interval) with exact distance
     formula ``max(0, ||x - center|| - radius)``.  Radius 0 is a point."""

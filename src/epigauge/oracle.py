@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Iterator
 
 import numpy as np
@@ -68,6 +68,7 @@ from .core import (
     distances,
     evaluated,
     lattice_point,
+    record,
     require_positive,
     slack_radius,
 )
@@ -126,7 +127,7 @@ def _axis_values(step: float, lo: int, hi: int) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
+@record
 class Grid:
     """Axis-aligned lattice on the cube ``[-radius, radius]^dim`` filtered
     to the closed ball ``||x|| <= radius``.
@@ -240,7 +241,7 @@ def _one_block_lattice(grid: Grid) -> tuple[np.ndarray, ...]:
 
 # No scan reads a level lattice: bench/test_bench.py and the level sweeps that
 # check the gauge kernels (tests/test_array_path.py) still build this class.
-@dataclass(frozen=True)
+@record
 class LevelGrid:
     """Lattice ``k*step_t`` on the level band ``[-M, M]``: the lattice
     values strictly inside ``(-M, M)``, plus both endpoints, built on
@@ -276,7 +277,7 @@ class LevelGrid:
         return LevelGrid(self.M, self.step_t / 2.0)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ArgminResult:
     """Minimal lattice value and every lattice point attaining it within
     ``TAU``, as the rows of a read-only ``(n, dim)`` float64 array in

@@ -13,12 +13,11 @@ import dataclasses
 import hashlib
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .certificates import Cover, EnvelopeCert, LocalCert, ToleranceField
-from .core import ClosedBall, Cylinder, FinitePointSet, Func, Point
+from .core import ClosedBall, Cylinder, FinitePointSet, Func, Point, record
 from .errors import PreconditionError, SpecParseError
 from .stability import GrowthCert
 
@@ -34,8 +33,11 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record(frozen=False)
 class _Section:
+    """One ``[kind arg]`` section of a problem file, from its header
+    ``line``: the ``(key, value, line)`` entries in file order."""
+
     kind: str                     # "" for the top-level preamble
     arg: str                      # function name when kind == "function"
     line: int
@@ -356,7 +358,7 @@ def _read_repeated(ctx: _Context, sec: _Section, schema: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ProblemSpec:
     """A fully built in-memory problem: named functions, the comparison
     cylinder, optional certificate and growth blocks, and grid steps.

@@ -27,7 +27,6 @@ four flags are true and ``cylinder_R <= slack_radius(growth_radius)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,6 +42,7 @@ from .core import (
     Point,
     evaluated,
     in_closed_ball,
+    record,
     require_positive,
     slack_radius,
 )
@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class GrowthCert:
     """Claimed quadratic growth of a target function: on the ball of
     ``radius``, ``f(x) - inf_value >= (mu/2) * dist(x, argmin_set)^2``.
@@ -92,7 +92,7 @@ class GrowthCert:
             raise PreconditionError(f"inf_value must be finite, got {self.inf_value!r}")
 
 
-@dataclass(frozen=True)
+@record
 class WindowCheck:
     """Raw evaluations of a function pair at one point, plus the cylinder
     they are checked against.
@@ -132,7 +132,7 @@ def window_check(f: Func, g: Func, x: Point, cylinder: Cylinder) -> WindowCheck:
     return WindowCheck(point=x, f_value=f(x), g_value=g(x), cylinder=cylinder)
 
 
-@dataclass(frozen=True)
+@record
 class ValueGapResult:
     """Outcome of converting a gauge bound into a pointwise value bound:
     either a bound, or the name of the failing window condition."""
@@ -172,7 +172,7 @@ def square_root_rule(delta: float, mu: float,
     return 2.0 * math.sqrt(delta / mu), 0.0 if grid_step is None else 2.0 * grid_step
 
 
-@dataclass(frozen=True)
+@record
 class DisplacementCert:
     """The final displacement certificate.
 
@@ -282,7 +282,7 @@ def displacement_bound(gauge: GaugeBound, growth: GrowthCert, xstar: Point,
     return DisplacementCert(gauge, growth, checks, grid_step)
 
 
-@dataclass(frozen=True)
+@record
 class GrowthViolation:
     """One lattice point contradicting the growth claim.
 
@@ -296,7 +296,7 @@ class GrowthViolation:
     required: float
 
 
-@dataclass(frozen=True)
+@record
 class GrowthFalsificationReport:
     """Lattice falsification scan result.
 
