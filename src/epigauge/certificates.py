@@ -223,8 +223,8 @@ class ToleranceField:
     def constant(cls, value: float, cylinder: Cylinder, dim: int = 1) -> "ToleranceField":
         """``eta(x) = value``; its sup is ``value``."""
         value = float(value)
-        tf = cls(eta=lambda p, _v=value: _v, cylinder=cylinder, dim=dim,
-                 batch=lambda X, _v=value: np.full(len(X), _v))
+        tf = cls(lambda p, _v=value: _v, cylinder, dim, False,
+                 lambda X, _v=value: np.full(len(X), _v))
         object.__setattr__(tf, "_range", (value, value))
         return tf
 
@@ -235,9 +235,8 @@ class ToleranceField:
         base radius; its sup over the base ball is ``base + max(slope, 0)``."""
         base, slope, R = float(base), float(slope), cylinder.R
         rim = base + slope * (R / R)  # eta's own operations at a node of norm R
-        tf = cls(eta=lambda p, _b=base, _s=slope, _R=R: _b + _s * (p.norm() / _R),
-                 cylinder=cylinder, dim=dim,
-                 batch=lambda X, _b=base, _s=slope, _R=R: _b + _s * (norms(X) / _R))
+        tf = cls(lambda p, _b=base, _s=slope, _R=R: _b + _s * (p.norm() / _R), cylinder, dim,
+                 False, lambda X, _b=base, _s=slope, _R=R: _b + _s * (norms(X) / _R))
         # a NaN end compares false and stays in the range, which then fails the check
         object.__setattr__(tf, "_range", (base, rim) if base <= rim else (rim, base))
         return tf
@@ -424,10 +423,10 @@ class AggregatedEnvelope:
         rows = last_block_memo(self._rows)
         dim = self.cover.dim
         lower = Func(self.lower, region_radius, dim, "cover-aggregated lower",
-                     batch=lambda X: rows(X)[0])
+                     lambda X: rows(X)[0])
         upper = Func(self.upper, region_radius, dim, "cover-aggregated upper",
-                     batch=lambda X: rows(X)[1])
-        return EnvelopeCert(region_radius=region_radius, lower=lower, upper=upper)
+                     lambda X: rows(X)[1])
+        return EnvelopeCert(region_radius, lower, upper)
 
 
 def aggregate_cover(cover: Cover) -> AggregatedEnvelope:

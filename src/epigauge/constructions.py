@@ -171,8 +171,9 @@ def _auto_peak(R: float, queries: Sequence[Point], search_step: float) -> Point:
     best_key: Optional[tuple[float, float]] = None
     best_p: Optional[Point] = None
     for X in grid.blocks():
-        clearance = dist_to_set_rows(X, FinitePointSet(tuple(queries)))
-        neg_norm = -norms(X)
+        with np.errstate(over="ignore"):  # rounds to inf, as ``Point.dist`` does
+            clearance = dist_to_set_rows(X, FinitePointSet(tuple(queries)))
+            neg_norm = -norms(X)
         # Lexicographic max of (clearance, -norm); the first such point in
         # lattice order is the lexicographically smallest.
         top = np.flatnonzero(clearance == clearance.max())

@@ -97,53 +97,39 @@ def require_positive(x: float, name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _Factory:
-    """The default a ``default_factory`` field shows in ``__init__``'s
-    signature, as ``dataclass`` shows it."""
-
-    def __repr__(self) -> str:
-        return "<factory>"
-
-
-_FACTORY = _Factory()
-
-
-def record(cls=None, /, *, frozen=True, eq=True, order=False):
-    """``@dataclass(frozen=frozen, eq=eq, order=order)`` with no method
+def record(cls=None, /, *, order=False):
+    """A frozen ``@dataclass``, ordered with ``order``, with no method
     compiled per class.
 
     ``dataclass`` writes each method it adds as source text and compiles it
     with its own ``exec``; over this package's records that was most of its
-    import time.  Here ``dataclass(init=False, repr=False, eq=False)`` only
-    collects the fields, which compiles nothing and keeps
-    ``dataclasses.fields``, ``replace`` and ``asdict`` working, and each
-    method is a closure over the field names: ``__init__`` (with
-    ``__post_init__`` and the signature ``dataclass`` gives it),
-    ``__repr__``, ``__eq__`` and ``__hash__`` over the compared fields, the
-    four comparisons with ``order``, and with ``frozen`` the
-    ``__setattr__``/``__delattr__`` that raise ``FrozenInstanceError``.
-    A method the class defines itself is kept."""
+    import time.  Here ``dataclass``, with ``init``, ``repr`` and ``eq`` off,
+    only collects the fields (each default a plain value), which compiles
+    nothing and keeps ``dataclasses.fields``, ``replace`` and ``asdict``
+    working.  ``__setattr__`` and ``__delattr__`` always raise
+    ``FrozenInstanceError``, as no record is subclassed; each other method
+    is a closure over the field names: ``__init__`` (with ``__post_init__``
+    and the signature ``dataclass`` gives it), ``__repr__``, ``__eq__`` and
+    ``__hash__`` over the compared fields, and the four comparisons with
+    ``order``.  A method the class defines itself is kept."""
     if cls is None:
-        return lambda cls: record(cls, frozen=frozen, eq=eq, order=order)
-    own_hash = cls.__dict__.get("__hash__", MISSING)
-    explicit_hash = not (own_hash is MISSING or (own_hash is None and "__eq__" in cls.__dict__))
+        return lambda cls: record(cls, order=order)
     dataclass(cls, init=False, repr=False, eq=False)
     fs = fields(cls)
-    methods = {"__init__": _init(cls, fs), "__repr__": _repr(tuple(f.name for f in fs if f.repr))}
-    if eq:
-        key = _key([f.name for f in fs if f.compare])
-        methods["__eq__"] = _compare(key, operator.eq)
-        if order:
-            for op in (operator.lt, operator.le, operator.gt, operator.ge):
-                methods[f"__{op.__name__}__"] = _compare(key, op)
-    if frozen:
-        methods.update(_frozen(cls, frozenset(f.name for f in fs)))
+    own_hash = cls.__dict__.get("__hash__", MISSING)
+    if own_hash is MISSING or (own_hash is None and "__eq__" in cls.__dict__):  # as ``dataclass``
+        hash_key = _key([f.name for f in fs if (f.compare if f.hash is None else f.hash)])
+        cls.__hash__ = lambda self: hash(hash_key(self))
+    key = _key([f.name for f in fs if f.compare])
+    methods = {"__init__": _init(cls, fs), "__repr__": _repr(tuple(f.name for f in fs if f.repr)),
+               "__eq__": _compare(key, operator.eq), "__setattr__": _frozen_setattr,
+               "__delattr__": _frozen_delattr}
+    if order:
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            methods[f"__{op.__name__}__"] = _compare(key, op)
     for name, method in methods.items():
         if name not in cls.__dict__:
             setattr(cls, name, method)
-    if eq and not explicit_hash:  # ``dataclass``'s rule without ``unsafe_hash``
-        hash_key = _key([f.name for f in fs if (f.compare if f.hash is None else f.hash)])
-        cls.__hash__ = (lambda self: hash(hash_key(self))) if frozen else None
     return cls
 
 
@@ -155,13 +141,8 @@ def _init(cls, fs):
     params = [f for f in fs if f.init]
     names = tuple(f.name for f in params)
     slots = tuple(enumerate(names))
-    factories = {f.name: f.default_factory for f in params if f.default_factory is not MISSING}
-    # MISSING marks a required field and _FACTORY a ``default_factory`` one.
-    defaults = tuple(_FACTORY if f.name in factories else f.default for f in params)
+    defaults = tuple(f.default for f in params)  # MISSING marks a required field
     tails = tuple(tuple(zip(names[k:], defaults[k:])) for k in range(len(names) + 1))
-    # An ``init=False`` field with a plain default reads it from the class.
-    later = tuple((f.name, f.default_factory) for f in fs
-                  if not f.init and f.default_factory is not MISSING)
     post_init = hasattr(cls, "__post_init__")
     call = f"{cls.__qualname__}.__init__()"
     setter = object.__setattr__
@@ -177,7 +158,7 @@ def _init(cls, fs):
                 value = kwargs.pop(name, default)
                 if value is MISSING:
                     raise TypeError(f"{call} missing required argument {name!r}")
-                setter(self, name, factories[name]() if value is _FACTORY else value)
+                setter(self, name, value)
             for name in kwargs:  # left over: not a field, or one given by position
                 raise TypeError(f"{call} got multiple values for argument {name!r}"
                                 if name in names else
@@ -185,8 +166,6 @@ def _init(cls, fs):
         else:
             for i, name in slots:
                 setter(self, name, args[i])
-        for name, factory in later:
-            setter(self, name, factory())
         if post_init:
             self.__post_init__()
 
@@ -207,13 +186,12 @@ def _repr(names):
 
 
 def _key(names):
-    """A function from a record to the tuple of its ``names`` attributes."""
+    """A function from a record to the tuple of its ``names`` attributes
+    (one at least)."""
     if len(names) > 1:
         return operator.attrgetter(*names)
-    if names:
-        name, = names
-        return lambda self: (getattr(self, name),)
-    return lambda self: ()
+    name, = names
+    return lambda self: (getattr(self, name),)
 
 
 def _compare(key, op):
@@ -224,18 +202,12 @@ def _compare(key, op):
     return compare
 
 
-def _frozen(cls, names):
-    def __setattr__(self, name, value):
-        if type(self) is cls or name in names:
-            raise FrozenInstanceError(f"cannot assign to field {name!r}")
-        super(cls, self).__setattr__(name, value)
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name):
-        if type(self) is cls or name in names:
-            raise FrozenInstanceError(f"cannot delete field {name!r}")
-        super(cls, self).__delattr__(name)
 
-    return {"__setattr__": __setattr__, "__delattr__": __delattr__}
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +494,7 @@ class Func:
                  label: str = "") -> "Func":
         value = _require_finite(value, "value")
         return cls(lambda _p, _v=value: _v, domain_radius, dim, label or f"const({value!r})",
-                   batch=lambda X, _v=value: np.full(len(X), _v))
+                   lambda X, _v=value: np.full(len(X), _v))
 
     @classmethod
     def quadratic(cls, coeff: float, dim: int = 1, domain_radius: float = math.inf,
@@ -537,7 +509,7 @@ class Func:
             return _c * s
 
         return cls(_eval, domain_radius, dim, label or f"{coeff!r}*|x|^2",
-                   batch=lambda X, _c=coeff: _c * _sum_squares(X))
+                   lambda X, _c=coeff: _c * _sum_squares(X))
 
     @classmethod
     def affine(cls, slope: Sequence[float], intercept: float,
@@ -561,7 +533,7 @@ class Func:
             return acc
 
         return cls(_eval, domain_radius, len(slope_t),
-                   label or f"affine({slope_t!r}, {intercept!r})", batch=_batch)
+                   label or f"affine({slope_t!r}, {intercept!r})", _batch)
 
     @classmethod
     def bump(cls, center: Point, rho: float, amplitude: float,
@@ -583,7 +555,7 @@ class Func:
 
         return cls(_eval, domain_radius, center.dim,
                    label or f"bump(center={center}, rho={rho!r}, amp={amplitude!r})",
-                   batch=_batch)
+                   _batch)
 
     @classmethod
     def clamp_shift(cls, base: "Func", shift: float, label: str = "") -> "Func":
@@ -593,7 +565,7 @@ class Func:
         return cls(lambda p, _b=base, _s=shift: pos_part(_b(p) - _s),
                    base.domain_radius, base.dim,
                    label or f"pospart({base.label or 'f'} - {shift!r})",
-                   batch=lambda X, _b=base, _s=shift: _pos_part_rows(_b._rows(X) - _s))
+                   lambda X, _b=base, _s=shift: _pos_part_rows(_b._rows(X) - _s))
 
     @classmethod
     def sum_of(cls, *terms: "Func", label: str = "") -> "Func":
@@ -605,7 +577,7 @@ class Func:
         radius = min(t.domain_radius for t in terms)
         return cls(lambda p, _ts=terms: _fsum_row([t(p) for t in _ts]),
                    radius, dim, label or "sum(" + ", ".join(t.label or "f" for t in terms) + ")",
-                   batch=lambda X, _ts=terms: _fsum_rows([t._rows(X) for t in _ts]))
+                   lambda X, _ts=terms: _fsum_rows([t._rows(X) for t in _ts]))
 
     @classmethod
     def scaled(cls, base: "Func", factor: float, label: str = "") -> "Func":
@@ -613,7 +585,7 @@ class Func:
         return cls(lambda p, _b=base, _k=factor: _k * _b(p),
                    base.domain_radius, base.dim,
                    label or f"{factor!r}*{base.label or 'f'}",
-                   batch=lambda X, _b=base, _k=factor: _k * _b._rows(X))
+                   lambda X, _b=base, _k=factor: _k * _b._rows(X))
 
 
 def _fsum_row(values: list[float]) -> float:

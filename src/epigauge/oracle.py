@@ -198,7 +198,8 @@ class Grid:
                 yield _axis_values(self.step, start - k, min(start + step, size) - k)[:, None]
             return
         axis = self._axis
-        squares = axis * axis
+        with np.errstate(over="ignore"):  # rounds to inf, as ``Point.norm`` does
+            squares = axis * axis
         bound = slack_radius(self.radius)
         for start in range(0, size, step):
             stop = min(start + step, size)
@@ -207,11 +208,12 @@ class Grid:
             for _ in range(self.dim - 1):
                 runs, digit = np.divmod(runs, n)
                 digits.insert(0, digit)
-            s = squares[digits[0]]
-            for digit in digits[1:]:
-                s = s + squares[digit]
             lo, hi = start - first * n, stop - first * n
-            node = np.flatnonzero(np.sqrt(s[:, None] + squares).ravel()[lo:hi] <= bound) + lo
+            with np.errstate(over="ignore"):  # so do the sums; ended before the yield
+                s = squares[digits[0]]
+                for digit in digits[1:]:
+                    s = s + squares[digit]
+                node = np.flatnonzero(np.sqrt(s[:, None] + squares).ravel()[lo:hi] <= bound) + lo
             run, last = np.divmod(node, n)
             X = np.empty((len(node), self.dim), order="F")
             for c, digit in enumerate(digits):
@@ -277,7 +279,7 @@ class LevelGrid:
         return LevelGrid(self.M, self.step_t / 2.0)
 
 
-@record(eq=False)
+@record
 class ArgminResult:
     """Minimal lattice value and every lattice point attaining it within
     ``TAU``, as the rows of a read-only ``(n, dim)`` float64 array in
@@ -356,7 +358,7 @@ class _Argmin:
                  for C, v, m in self.candidates]
         cols = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         cols.setflags(write=False)
-        return ArgminResult(rows=cols.T, value=self.best)
+        return ArgminResult(cols.T, self.best)
 
 
 def grid_sup_abs_diff(f: Func, g: Func, grid: Grid) -> float:

@@ -33,7 +33,7 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=False)
+@record
 class _Section:
     """One ``[kind arg]`` section of a problem file, from its header
     ``line``: the ``(key, value, line)`` entries in file order."""

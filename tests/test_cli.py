@@ -319,6 +319,44 @@ def test_oracle_cap_exit_code(capsys):
     assert rc == 4
 
 
+HUGE_PAIR = """\
+dimension = 2
+[function F]
+family = quadratic
+coeff = 1.0
+[cylinder]
+R = {R}
+M = 1.0
+[pair]
+f = F
+g = F
+[grid]
+step = {step}
+"""
+
+
+# Overflow in the array path rounds to inf, as the scalar path does, with no
+# RuntimeWarning (an error under this suite's filterwarnings).
+@pytest.mark.parametrize("argv, problem, code", [
+    (["demo", "impossibility", "--R", "1e300", "--grid-step", "1e299"], None, 3),
+    (["demo", "impossibility", "--queries=1,-1", "--y", "0", "--A", "1e308",
+      "--grid-step", "0.5"], None, 0),
+    (["gauge", "--spec"], HUGE_PAIR.format(R="1e200", step="1e199"), 0),  # squares overflow
+    (["gauge", "--spec"], HUGE_PAIR.format(R="1.3e154", step="1.3e153"), 0),  # their sums do
+], ids=["impossibility-peak", "impossibility-slope", "gauge-squares", "gauge-sums"])
+def test_overflow_in_the_array_path_warns_nothing(argv, problem, code, tmp_path, capsys):
+    if problem is not None:
+        p = tmp_path / "huge.prob"
+        p.write_text(problem)
+        argv = [*argv, str(p)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == code
+    if code == 3:
+        assert captured.out == ""
+        assert captured.err == "precondition failure: rho must be finite, got inf\n"
+
+
 @pytest.mark.parametrize("certificate", [
     "[tolerance]\nfamily = constant\nvalue = 0.02\ngrid_exact = true\n",
     "[envelope]\nregion_radius = 1.0\nlower = G\nupper = F\n",
