@@ -309,6 +309,10 @@ def _demo_impossibility(args) -> tuple[list[_Property], None]:
     queries = tuple(Point.of(q) for q in args.queries)
     y = None if args.y is None else Point.of(args.y)
     pair = build_impossibility_pair(args.R, queries, args.A, y=y)
+    lip = pair.lipschitz_bound()
+    if not math.isfinite(lip):  # an infinite bound would pass the slope check vacuously
+        raise PreconditionError(
+            f"slope bound A/rho overflows: A = {pair.A!r}, rho = {pair.rho!r}")
     residuals = [max(abs(pair.f(q)), abs(pair.g(q))) for q in queries]
     interp_exact = all(r == 0.0 for r in residuals)
 
@@ -326,7 +330,6 @@ def _demo_impossibility(args) -> tuple[list[_Property], None]:
     with np.errstate(over="ignore"):  # rounds to inf, as the scalar quotient does
         slopes = np.abs(vals[1:] - vals[:-1]) / (xs[1:, 0] - xs[:-1, 0])
     max_slope = float(slopes.max()) if slopes.size else 0.0
-    lip = pair.lipschitz_bound()
 
     return [
         _Property("query_interpolation_exact", interp_exact,

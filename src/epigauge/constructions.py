@@ -201,6 +201,8 @@ def build_impossibility_pair(R: float, queries: Sequence[Point], A: float,
     every query and the zero values there are bit-exact.
     """
     require_positive(R, "R")
+    if not math.isfinite((2.0 * R) * (2.0 * R)):  # squared distances across the ball
+        raise PreconditionError(f"R is too large: (2R)^2 overflows, got {R!r}")
     if not (A >= 0) or not math.isfinite(A):
         raise PreconditionError(f"A must be finite and >= 0, got {A!r}")
     queries_t = tuple(queries)

@@ -3,8 +3,9 @@
 families plus parameters*, never arbitrary expressions: evaluation stays
 pure and auditable.  One reader, ``_read``, parses every section against
 the schema tables below (``_TOP``, ``_FAMILIES``, ``_SECTIONS``, ...); unknown
-sections, unknown or missing keys, malformed values and rejected
-constructor preconditions are line-anchored ``SpecParseError``s.
+sections, unknown, missing or duplicate keys, malformed values and rejected
+constructor preconditions are line-anchored ``SpecParseError``s.  A key may
+repeat only where its schema kind is a list, as ``[cover]``'s ``cert`` is.
 """
 
 from __future__ import annotations
@@ -238,10 +239,11 @@ def _cert(text: str, ctx: _Context, line: int, key: str) -> LocalCert:
 
 
 # ---------------------------------------------------------------------------
-# Schemas.  A schema maps each key to its kind, or to (kind, default) when
-# the key is optional.  A family table maps the value of its discriminator
-# key to (schema, builder).  Builders take the parsed values (most also the
-# context) and look constructors up at call time.
+# Schemas.  A schema maps each key to its kind, to (kind, default) when
+# the key is optional, or to [kind] when the key may repeat.  A family table
+# maps the value of its discriminator key to (schema, builder).  Builders
+# take the parsed values (most also the context) and look constructors up at
+# call time.
 # ---------------------------------------------------------------------------
 
 # [function NAME]: the keys of every family, then the family table.  The
@@ -286,71 +288,65 @@ def _tolerance(c: _Context, family, grid_exact, **values) -> ToleranceField:
 _TOP = {"version": (_version, SCHEMA_VERSION), "dimension": _dimension}
 
 # section -> (schema, discriminator, builder), in the order sections are
-# built; ProblemSpec holds each built object ([grid]'s as its step: level_step
-# is checked and ignored, as the band enters through M alone)
+# built and of ProblemSpec's fields for the built objects ([grid] builds its
+# step: level_step is checked and ignored, as the band enters through M alone)
 _SECTIONS = {
     "cylinder": ({"R": _float, "M": _float}, None, lambda c, R, M: Cylinder(R, M)),
     "pair": ({"f": _func, "g": _func}, None, lambda c, f, g: (f, g)),
     "envelope": ({"region_radius": _float, "lower": _func, "upper": _func,
                   "grid_exact": (_bool, False)}, None, lambda c, **v: EnvelopeCert(**v)),
-    "cover": ({"cert": _cert}, None, lambda c, cert: Cover(cert)),  # cert repeats
+    "cover": ({"cert": [_cert]}, None, lambda c, cert: Cover(cert)),
     "tolerance": ({"grid_exact": (_bool, False)}, ("family", _TOLERANCE_FAMILIES), _tolerance),
     "growth": ({"mu": _float, "radius": _float, "inf_value": _float},
                ("argmin_kind", _ARGMIN_KINDS), lambda c, argmin_kind, **v: argmin_kind(c, **v)),
     "grid": ({"step": (_positive, None), "level_step": (_positive, None)}, None,
-             lambda c, **v: v),
+             lambda c, step, level_step: step),
 }
 
 
 def _read(ctx: _Context, sec: _Section, schema: dict, discriminator=None) -> dict:
     """The values of ``sec`` parsed against ``schema``.  A discriminator
     ``(key, table)`` picks the table entry named by that key's value: its
-    keys join the schema and its builder is returned under the key.
-    Duplicate, unknown and missing keys are checked, in that order, before
-    any value is parsed; values are parsed in schema order."""
-    entries: dict[str, tuple[str, int]] = {}
+    keys join the schema and its builder is returned under the key.  A key
+    whose kind is a one-item list ``[kind]`` may repeat, and its values form
+    a tuple in file order; only a base schema may hold one, since repeats
+    are checked before the discriminator is read.  Duplicate, unknown and
+    missing keys are checked, in that order, before any value is parsed;
+    values are parsed in schema order."""
+    entries: dict[str, list[tuple[str, int]]] = {}
     for key, text, line in sec.entries:
-        if key in entries:
+        if key in entries and not isinstance(schema.get(key), list):
             raise ctx.error(f"duplicate key {key!r}", line)
-        entries[key] = (text, line)
+        entries.setdefault(key, []).append((text, line))
     where = f"section [{sec.title}]"
     values: dict[str, object] = {}
     if discriminator is not None:
         dkey, table = discriminator
         if dkey not in entries:
             raise ctx.error(f"missing key {dkey!r}: required for {where}", sec.line)
-        choice, line = entries.pop(dkey)
+        (choice, line), = entries.pop(dkey)
         if choice not in table:
             raise ctx.error(f"unknown {sec.kind} {dkey} {choice!r} (known: {sorted(table)})",
                             line)
         keys, values[dkey] = table[choice]
         schema = {**schema, **keys}
         where = f"{dkey} {choice!r} in {where}"
-    for key, (_text, line) in entries.items():
+    for key, found in entries.items():
         if key not in schema:
-            raise ctx.error(f"unknown key {key!r}: not valid for {where}", line)
+            raise ctx.error(f"unknown key {key!r}: not valid for {where}", found[0][1])
     for key, kind in schema.items():
         if not isinstance(kind, tuple) and key not in entries:
             raise ctx.error(f"missing key {key!r}: required for {where}", sec.line)
     for key, kind in schema.items():
         kind, default = kind if isinstance(kind, tuple) else (kind, None)
-        values[key] = kind(entries[key][0], ctx, entries[key][1], key) if key in entries \
-            else default
+        if key not in entries:
+            values[key] = default
+        elif isinstance(kind, list):
+            values[key] = tuple(kind[0](text, ctx, line, key) for text, line in entries[key])
+        else:
+            (text, line), = entries[key]
+            values[key] = kind(text, ctx, line, key)
     return values
-
-
-def _read_repeated(ctx: _Context, sec: _Section, schema: dict) -> dict:
-    """The values of a section whose one key may repeat ([cover] cert),
-    as a tuple in file order."""
-    (key, kind), = schema.items()
-    items = []
-    for k, text, line in sec.entries:
-        if k != key:
-            raise ctx.error(f"unknown key {k!r}: not valid for section [{sec.title}]", line)
-        items.append(kind(text, ctx, line, key))
-    if not items:
-        raise ctx.error(f"[{sec.kind}] needs at least one {key} entry", sec.line)
-    return {key: tuple(items)}
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +357,10 @@ def _read_repeated(ctx: _Context, sec: _Section, schema: dict) -> dict:
 @record
 class ProblemSpec:
     """A fully built in-memory problem: named functions, the comparison
-    cylinder, optional certificate and growth blocks, and grid steps.
-    Each section field holds the object its section builds: ``pair`` holds
-    the very ``Func``s in ``functions``, each labelled with its name."""
+    cylinder, optional certificate and growth blocks, and the grid step.
+    The section fields follow ``_SECTIONS``, each holding the object its
+    section builds: ``pair`` holds the very ``Func``s in ``functions``, each
+    labelled with its name."""
 
     path: str
     sha256: str
@@ -412,19 +409,11 @@ def parse_problem_text(text: str, path: str = "<spec>") -> ProblemSpec:
     for kind, (schema, discriminator, build) in _SECTIONS.items():
         if kind in single:
             sec = single[kind]
-            values = (_read_repeated(ctx, sec, schema) if kind == "cover"
-                      else _read(ctx, sec, schema, discriminator))
+            values = _read(ctx, sec, schema, discriminator)
             ctx.found[kind] = ctx.call(sec.line, build, ctx, **values)
 
-    grid = ctx.found.pop("grid", {})
-    return ProblemSpec(
-        path=path,
-        sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        dimension=ctx.dim,
-        functions=ctx.functions,
-        grid_step=grid.get("step"),
-        **{kind: ctx.found.get(kind) for kind in _SECTIONS if kind != "grid"},
-    )
+    return ProblemSpec(path, hashlib.sha256(text.encode("utf-8")).hexdigest(), ctx.dim,
+                       ctx.functions, *(ctx.found.get(kind) for kind in _SECTIONS))
 
 
 def load_problem(path: str | Path) -> ProblemSpec:

@@ -255,10 +255,6 @@ def displacement_bound(gauge: GaugeBound, growth: GrowthCert, xstar: Point,
     sharper growth-aware slack ``2h * (1 + sqrt(mu/delta) * h)`` when
     ``delta > 0``.
     """
-    if not (growth.mu > 0):
-        raise PreconditionError(f"mu must be > 0, got {growth.mu!r}")
-    if gauge.delta < 0:
-        raise PreconditionError(f"delta must be >= 0, got {gauge.delta!r}")
     R = gauge.cylinder.R
     if not in_closed_ball(xstar, R):
         raise PreconditionError(

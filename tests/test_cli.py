@@ -255,7 +255,7 @@ def test_cover_spec_parses_and_gauges(tmp_path, capsys):
     p = tmp_path / "cover.prob"
     p.write_text(COVER_SPEC)
     spec = load_problem(p)
-    assert len(spec.cover.certs) == 2
+    assert [c.center.coords for c in spec.cover.certs] == [(-0.25,), (0.75,)]  # file order
     rc = main(["gauge", "--spec", str(p)])
     out = capsys.readouterr().out
     assert rc == 0
@@ -336,15 +336,18 @@ step = {step}
 
 
 # Overflow in the array path rounds to inf, as the scalar path does, with no
-# RuntimeWarning (an error under this suite's filterwarnings).
-@pytest.mark.parametrize("argv, problem, code", [
-    (["demo", "impossibility", "--R", "1e300", "--grid-step", "1e299"], None, 3),
+# RuntimeWarning (an error under this suite's filterwarnings); where an
+# overflow would void the demo, it exits 3 naming the cause.
+@pytest.mark.parametrize("argv, problem, code, err", [
+    (["demo", "impossibility", "--R", "1e300", "--grid-step", "1e299"], None, 3,
+     "precondition failure: R is too large: (2R)^2 overflows, got 1e+300\n"),
     (["demo", "impossibility", "--queries=1,-1", "--y", "0", "--A", "1e308",
-      "--grid-step", "0.5"], None, 0),
-    (["gauge", "--spec"], HUGE_PAIR.format(R="1e200", step="1e199"), 0),  # squares overflow
-    (["gauge", "--spec"], HUGE_PAIR.format(R="1.3e154", step="1.3e153"), 0),  # their sums do
+      "--grid-step", "0.5"], None, 3,
+     "precondition failure: slope bound A/rho overflows: A = 1e+308, rho = 0.5\n"),
+    (["gauge", "--spec"], HUGE_PAIR.format(R="1e200", step="1e199"), 0, ""),  # squares overflow
+    (["gauge", "--spec"], HUGE_PAIR.format(R="1.3e154", step="1.3e153"), 0, ""),  # sums do
 ], ids=["impossibility-peak", "impossibility-slope", "gauge-squares", "gauge-sums"])
-def test_overflow_in_the_array_path_warns_nothing(argv, problem, code, tmp_path, capsys):
+def test_overflow_in_the_array_path_warns_nothing(argv, problem, code, err, tmp_path, capsys):
     if problem is not None:
         p = tmp_path / "huge.prob"
         p.write_text(problem)
@@ -352,9 +355,9 @@ def test_overflow_in_the_array_path_warns_nothing(argv, problem, code, tmp_path,
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == code
+    assert captured.err == err
     if code == 3:
         assert captured.out == ""
-        assert captured.err == "precondition failure: rho must be finite, got inf\n"
 
 
 @pytest.mark.parametrize("certificate", [

@@ -177,6 +177,20 @@ def test_impossibility_rejects_query_outside_ball():
         build_impossibility_pair(1.0, (Point.of(1.5),), 1.0)
 
 
+@pytest.mark.parametrize("R, ok", [(1e153, True), (6.7e153, True), (6.71e153, False),
+                                   (1e300, False)])
+def test_impossibility_rejects_an_R_whose_squared_diameter_overflows(R, ok):
+    # (2R)^2 is finite up to about 6.7e153; beyond it squared distances
+    # across the ball round to inf, so R is named at once
+    queries = (Point.of(R),)
+    if ok:
+        pair = build_impossibility_pair(R, queries, 1.0, search_step=R / 4.0)
+        assert math.isfinite(pair.rho) and pair.g(pair.y) == 1.0
+    else:
+        with pytest.raises(PreconditionError, match=r"^R is too large: \(2R\)\^2 overflows"):
+            build_impossibility_pair(R, queries, 1.0, search_step=R / 4.0)
+
+
 def test_impossibility_peak_on_query_is_construction_error():
     with pytest.raises(ConstructionError):
         build_impossibility_pair(1.0, (Point.of(0.25),), 1.0, y=Point.of(0.25))

@@ -72,6 +72,29 @@ def test_growth_errors_are_line_anchored(tail, line, fragment):
     assert exc.value.line == line and fragment in str(exc.value)
 
 
+COVER = (
+    "dimension = 1\n"
+    "[function L]\nfamily = constant\nvalue = 0.0\n"
+    "[function U]\nfamily = constant\nvalue = 1.0\n"
+    "[cover]\n"          # line 8
+)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (COVER, 8, "missing key 'cert': required for section [cover]"),
+    # every key is checked before any cert line is parsed
+    (COVER + "cert = 0.0 | 0.5 | L\nradius = 1.0\n", 10,
+     "unknown key 'radius': not valid for section [cover]"),
+    # only a list kind may repeat: a repeat of any other key is a duplicate
+    (COVER + "cert = 0.0 | 0.5 | L | U\nradius = 1.0\nradius = 2.0\n", 11,
+     "duplicate key 'radius'"),
+], ids=["empty", "unknown-before-bad-cert", "repeated-unknown"])
+def test_cover_errors_are_line_anchored(text, line, message):
+    with pytest.raises(SpecParseError) as exc:
+        problem.parse_problem_text(text, "p.prob")
+    assert (exc.value.line, exc.value.message) == (line, message)
+
+
 def _run(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -123,14 +146,16 @@ KIND_WORDS = {
     problem._nonnegative: "number >= 0", problem._version: "integer",
     problem._dimension: "integer >= 1", problem._bool: "true/false", problem._point: "point",
     problem._points: "points separated by `;`", problem._func: "function name",
-    problem._funcs: "function names", problem._cert: "`center | radius | lower | upper`, repeated",
+    problem._funcs: "function names", problem._cert: "`center | radius | lower | upper`",
 }
 
 
 def _keys(schema: dict) -> str:
     out = []
     for key, kind in schema.items():
-        if not isinstance(kind, tuple):
+        if isinstance(kind, list):  # a repeatable key: [kind of each entry]
+            note = f"{KIND_WORDS[kind[0]]}, repeated"
+        elif not isinstance(kind, tuple):
             note = KIND_WORDS[kind]
         elif kind[1] is None:
             note = f"{KIND_WORDS[kind[0]]}, optional"
