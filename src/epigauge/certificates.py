@@ -12,11 +12,14 @@ a scalar bound on the cylinder gauge:
   ``eta(x)`` bounds the discrepancy at every level, so its supremum
   bounds the gauge.
 
-Honesty rules baked in: the ``constant`` and ``radial_affine`` tolerance
-fields are certified by their closed-form sup, with no scan.  Any other
-grid supremum is *certified* only for a family declared grid-exact (the
-supremum is attained on lattice nodes, e.g. constants or affine pieces
-with lattice breakpoints); anything else is recorded as a grid estimate.
+The envelope width and the tolerance field are each a nonnegative
+per-point certificate whose sup over the base ball is the gauge bound; one
+scan, ``_certified_sup``, computes both.  Honesty rules baked in: the
+``constant`` and ``radial_affine`` tolerance fields are certified by their
+closed-form sup, with no scan.  Any other grid supremum is *certified*
+only for a family declared grid-exact (the supremum is attained on lattice
+nodes, e.g. constants or affine pieces with lattice breakpoints); anything
+else is recorded as a grid estimate.
 Inconsistent input certificates are surfaced as errors, never repaired,
 because repairing would fabricate a certificate.
 """
@@ -24,8 +27,9 @@ because repairing would fabricate a certificate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -180,53 +184,55 @@ class Cover:
         return self.certs[0].center.dim
 
 
+class _ClosedForm(NamedTuple):
+    """``eta`` with its exact range over the base ball: only
+    ``ToleranceField.constant`` and ``radial_affine`` build one."""
+    eta: Func
+    range: tuple[float, float]
+
+
 @record
 class ToleranceField:
     """A certified pointwise bound ``eta(x) >= 0`` on the vertical
     discrepancy at every level of the band above ``x``: the discrepancy
     never increases with the level, so this is a bound on it at
-    ``t = -M``.  Negative values are a certificate violation, not data to
-    be clamped.
-
-    ``batch``, when present, computes ``eta`` on every row of an
-    ``(n, dim)`` float64 array, as ``Func.batch`` does: it agrees with
-    ``eta`` bit for bit wherever its result is finite, and a non-finite
-    entry only means "ask ``eta``".  Without it, scans call ``eta`` point
-    by point.
+    ``t = -M``.  ``eta`` is a ``Func`` on the base ball; a negative or
+    non-finite value of it is a certificate violation, not data to be
+    clamped.
 
     The ``constant`` and ``radial_affine`` constructors also record the
     exact range ``(min, max)`` of ``eta`` over the base ball, so their
     sup is certified in closed form, with no scan and whatever
     ``grid_exact`` says.  Only those constructors set it: a field built
-    from a callable, or rebuilt by ``dataclasses.replace``, has none, and
-    its lattice max is certified only when declared ``grid_exact``.
+    from any other ``Func``, or rebuilt by ``dataclasses.replace``, has
+    none, and its lattice max is certified only when declared
+    ``grid_exact``.
     """
 
-    eta: Callable[[Point], float]
+    eta: Func
     cylinder: Cylinder
-    dim: int = 1
     grid_exact: bool = False
-    batch: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, compare=False, repr=False)
     _range: Optional[tuple[float, float]] = field(
         default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not callable(self.eta):
-            raise PreconditionError("eta must be callable")
-        if self.batch is not None and not callable(self.batch):
-            raise PreconditionError("batch must be callable")
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise PreconditionError(f"dim must be an integer >= 1, got {self.dim!r}")
+        if isinstance(self.eta, _ClosedForm):
+            object.__setattr__(self, "_range", self.eta.range)
+            object.__setattr__(self, "eta", self.eta.eta)
+        if not isinstance(self.eta, Func):
+            raise PreconditionError(f"eta must be a Func, got {type(self.eta).__name__}")
+
+    @property
+    def dim(self) -> int:
+        return self.eta.dim
 
     @classmethod
     def constant(cls, value: float, cylinder: Cylinder, dim: int = 1) -> "ToleranceField":
         """``eta(x) = value``; its sup is ``value``."""
         value = float(value)
-        tf = cls(lambda p, _v=value: _v, cylinder, dim, False,
-                 lambda X, _v=value: np.full(len(X), _v))
-        object.__setattr__(tf, "_range", (value, value))
-        return tf
+        eta = Func(lambda p, _v=value: _v, math.inf, dim, "",
+                   lambda X, _v=value: np.full(len(X), _v))
+        return cls(_ClosedForm(eta, (value, value)), cylinder)
 
     @classmethod
     def radial_affine(cls, base: float, slope: float, cylinder: Cylinder,
@@ -235,22 +241,72 @@ class ToleranceField:
         base radius; its sup over the base ball is ``base + max(slope, 0)``."""
         base, slope, R = float(base), float(slope), cylinder.R
         rim = base + slope * (R / R)  # eta's own operations at a node of norm R
-        tf = cls(lambda p, _b=base, _s=slope, _R=R: _b + _s * (p.norm() / _R), cylinder, dim,
-                 False, lambda X, _b=base, _s=slope, _R=R: _b + _s * (norms(X) / _R))
+        eta = Func(lambda p, _b=base, _s=slope, _R=R: _b + _s * (p.norm() / _R), math.inf, dim,
+                   "", lambda X, _b=base, _s=slope, _R=R: _b + _s * (norms(X) / _R))
         # a NaN end compares false and stays in the range, which then fails the check
-        object.__setattr__(tf, "_range", (base, rim) if base <= rim else (rim, base))
-        return tf
+        return cls(_ClosedForm(eta, (base, rim) if base <= rim else (rim, base)), cylinder)
 
 
 # ---------------------------------------------------------------------------
-# Width bounds and bracketing validation
+# Certified suprema
 # ---------------------------------------------------------------------------
 
+# kind -> (provenance, the family a grid-exact declaration names, the message
+# for a bad value v at p, the largest good value: an overflowing width is an
+# inf delta, which ``GaugeBound`` rejects, while a tolerance must be finite)
+_SUP_KINDS = {
+    "width": (Provenance.ENVELOPE, "envelope family",
+              "envelope width negative ({v!r}) at {p}: certificate inconsistent", math.inf),
+    "tolerance": (Provenance.TOLERANCE_FIELD, "tolerance field",
+                  "tolerance field returned {v!r} at {p}; a vertical tolerance must be finite "
+                  "and >= 0", sys.float_info.max),
+}
 
-def _estimate_note(grid_exact: bool, what: str = "envelope family") -> str:
-    if grid_exact:
-        return f"certified: {what} declared grid-exact"
-    return "grid estimate (lower bound of true sup); not a certificate"
+
+def _certified_sup(h: Func, cylinder: Cylinder, grid_step: float, kind: str,
+                   grid_exact: bool, closed: Optional[tuple[float, float]] = None
+                   ) -> GaugeBound:
+    """The sup of the certificate ``h >= 0`` over the base ball of
+    ``cylinder``, as a gauge bound of the ``kind`` in ``_SUP_KINDS``; the
+    base lattice is held to the oracle's cap first, whatever path follows.
+
+    A closed-form range ``(min, max)`` that is finite and nonnegative gives
+    its max, certified, without evaluating ``h``.  Otherwise one
+    ``evaluated`` walk scans ``h``: the first value, in lattice order, that
+    is negative, NaN or above the kind's largest good value raises, and the
+    lattice max is certified only when declared ``grid_exact``.  A range
+    that fails the check raises even where no lattice node sees it.
+    """
+    provenance, family, message, top = _SUP_KINDS[kind]
+    grid = Grid(h.dim, cylinder.R, grid_step)
+    if closed is not None and 0.0 <= closed[0] and math.isfinite(closed[1]):
+        return GaugeBound(closed[1], cylinder, provenance, True,
+                          f"{kind} sup over the base ball in closed form; certified, "
+                          f"no lattice scan")
+    best = 0.0
+    for X, (v,) in evaluated(grid.blocks(), h, finite=False):
+        bad = np.flatnonzero(~((v >= 0.0) & (v <= top)))
+        if bad.size:
+            i = bad[0]
+            raise CertificateViolationError(
+                message.format(v=float(v[i]), p=Point(tuple(X[i].tolist()))))
+        m = float(v.max())
+        if m > best:
+            best = m
+    if closed is not None:  # the bad value lies between the lattice nodes
+        lo, hi = closed
+        raise CertificateViolationError(
+            f"{family} reaches {hi if 0.0 <= lo else lo!r} on the base ball (closed form, "
+            f"between lattice nodes); a vertical tolerance must be finite and >= 0")
+    note = (f"certified: {family} declared grid-exact" if grid_exact
+            else "grid estimate (lower bound of true sup); not a certificate")
+    return GaugeBound(best, cylinder, provenance, grid_exact,
+                      f"{kind} sup over base lattice (step={grid_step!r}); {note}")
+
+
+# ---------------------------------------------------------------------------
+# Gauge bounds from certificates, and bracketing validation
+# ---------------------------------------------------------------------------
 
 
 def _require_in_region(cert: EnvelopeCert, cyl: Cylinder) -> None:
@@ -262,7 +318,7 @@ def _require_in_region(cert: EnvelopeCert, cyl: Cylinder) -> None:
 
 
 def envelope_width_bound(cert: EnvelopeCert, cyl: Cylinder, grid_step: float) -> GaugeBound:
-    """Scan the envelope width ``upper - lower`` over the base lattice.
+    """The sup of the envelope width ``upper - lower`` over the base ball.
 
     The width supremum on the ball bounds the gauge for *every* level band,
     so the returned bound carries ``cyl`` unchanged.  Certified only when
@@ -270,28 +326,18 @@ def envelope_width_bound(cert: EnvelopeCert, cyl: Cylinder, grid_step: float) ->
     as a grid estimate.
     """
     _require_in_region(cert, cyl)
-    grid = Grid(cert.dim, cyl.R, grid_step)
-    width = 0.0
-    for X, (hi, lo) in evaluated(grid.blocks(), cert.upper, cert.lower):
-        with np.errstate(over="ignore"):  # rounds to inf, as the scalar difference does
-            w = hi - lo
-        negative = np.flatnonzero(w < 0)
-        if negative.size:
-            i = negative[0]
-            raise CertificateViolationError(
-                f"envelope width negative ({float(w[i])!r}) at "
-                f"{Point(tuple(X[i].tolist()))}: certificate inconsistent"
-            )
-        wm = float(w.max())
-        if wm > width:
-            width = wm
-    return GaugeBound(
-        delta=width,
-        cylinder=cyl,
-        provenance=Provenance.ENVELOPE,
-        certified=cert.grid_exact,
-        detail=f"width sup over base lattice (step={grid_step!r}); {_estimate_note(cert.grid_exact)}",
-    )
+    upper, lower = cert.upper, cert.lower
+    width = Func(lambda p: upper(p) - lower(p), math.inf, cert.dim, "envelope width",
+                 lambda X: upper._rows(X) - lower._rows(X))
+    return _certified_sup(width, cyl, grid_step, "width", cert.grid_exact)
+
+
+def gauge_from_tolerance_field(tf: ToleranceField, grid_step: float) -> GaugeBound:
+    """The sup of a tolerance field over the base ball, as a gauge bound:
+    in closed form for a field from ``ToleranceField.constant`` or
+    ``radial_affine`` whose range is finite and nonnegative, else scanned
+    over the base lattice (see ``_certified_sup``)."""
+    return _certified_sup(tf.eta, tf.cylinder, grid_step, "tolerance", tf.grid_exact, tf._range)
 
 
 @record
@@ -433,69 +479,3 @@ def aggregate_cover(cover: Cover) -> AggregatedEnvelope:
     """Aggregate a cover into a single evaluable envelope pair on the
     covered region (closed active balls; boundaries count)."""
     return AggregatedEnvelope(cover=cover)
-
-
-# ---------------------------------------------------------------------------
-# Tolerance fields
-# ---------------------------------------------------------------------------
-
-
-def gauge_from_tolerance_field(tf: ToleranceField, grid_step: float) -> GaugeBound:
-    """The sup of a tolerance field over the base ball, as a gauge bound.
-
-    ``eta`` must be finite and nonnegative everywhere on the base ball.
-    The base lattice is held to the oracle's cap first, whatever path
-    follows.  A field from ``ToleranceField.constant`` or ``radial_affine``
-    whose recorded range is finite and nonnegative returns its closed-form
-    max, certified, without evaluating ``eta`` or ``batch``.
-
-    Any other field is scanned over the base lattice: rows the batch
-    leaves non-finite or negative (every row without ``batch``) are
-    replayed through ``eta``, the first non-finite or negative value
-    raises, in lattice order, and the lattice max is certified only when
-    the field is declared grid-exact.  A recorded range that fails the
-    check raises too, even where no lattice node sees the bad value.
-    """
-    grid = Grid(tf.dim, tf.cylinder.R, grid_step)
-    closed = tf._range  # (min, max); NaN fails both tests, and min <= max otherwise
-    if closed is not None and 0.0 <= closed[0] and math.isfinite(closed[1]):
-        return GaugeBound(
-            delta=closed[1],
-            cylinder=tf.cylinder,
-            provenance=Provenance.TOLERANCE_FIELD,
-            certified=True,
-            detail="tolerance sup over the base ball in closed form; certified, no lattice scan",
-        )
-    best = 0.0
-    for X in grid.blocks():
-        V = np.full(len(X), np.nan)
-        if tf.batch is not None:
-            with np.errstate(all="ignore"):
-                V[...] = tf.batch(X)
-        for i in np.flatnonzero(~(np.isfinite(V) & (V >= 0.0))).tolist():
-            p = Point(tuple(X[i].tolist()))
-            v = float(tf.eta(p))
-            if not math.isfinite(v) or v < 0:
-                raise CertificateViolationError(
-                    f"tolerance field returned {v!r} at {p}; "
-                    f"a vertical tolerance must be finite and >= 0"
-                )
-            V[i] = v
-        best = max(best, float(V.max()))
-    if closed is not None:  # the bad value lies between the lattice nodes
-        lo, hi = closed
-        bad = hi if 0.0 <= lo else lo
-        raise CertificateViolationError(
-            f"tolerance field reaches {bad!r} on the base ball (closed form, between "
-            f"lattice nodes); a vertical tolerance must be finite and >= 0"
-        )
-    return GaugeBound(
-        delta=best,
-        cylinder=tf.cylinder,
-        provenance=Provenance.TOLERANCE_FIELD,
-        certified=tf.grid_exact,
-        detail=(
-            f"tolerance sup over base lattice (step={grid_step!r}); "
-            f"{_estimate_note(tf.grid_exact, 'tolerance field')}"
-        ),
-    )

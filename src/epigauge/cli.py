@@ -330,6 +330,7 @@ def _demo_impossibility(args) -> tuple[list[_Property], None]:
     with np.errstate(over="ignore"):  # rounds to inf, as the scalar quotient does
         slopes = np.abs(vals[1:] - vals[:-1]) / (xs[1:, 0] - xs[:-1, 0])
     max_slope = float(slopes.max()) if slopes.size else 0.0
+    slope_bound = lip * (1.0 + TAU) + TAU  # relative: the rounding grows with A/rho
 
     return [
         _Property("query_interpolation_exact", interp_exact,
@@ -339,8 +340,9 @@ def _demo_impossibility(args) -> tuple[list[_Property], None]:
         _Property("sup_reaches_A_on_lattice_with_peak", sup_with_peak >= args.A - 1e-12,
                   f"sup |f-g| over lattice+peak = {_fmt(sup_with_peak)} >= "
                   f"{_fmt(args.A)} - 1e-12"),
-        _Property("finite_difference_slope_bounded", max_slope <= lip + TAU,
-                  f"max lattice slope = {_fmt(max_slope)} <= A/rho + tau = {_fmt(lip + TAU)}"),
+        _Property("finite_difference_slope_bounded", max_slope <= slope_bound,
+                  f"max lattice slope = {_fmt(max_slope)} <= A/rho * (1 + tau) + tau = "
+                  f"{_fmt(slope_bound)}"),
     ], None
 
 

@@ -445,6 +445,16 @@ class Func:
             raise PreconditionError(f"dim must be an integer >= 1, got {self.dim!r}")
 
     def __call__(self, x: Point) -> float:
+        value = self._value(x)
+        if not math.isfinite(value):
+            raise EvaluationError(
+                f"function {self.label or '<unnamed>'} returned non-finite value "
+                f"{value!r} at {x}"
+            )
+        return value
+
+    def _value(self, x: Point) -> float:
+        """The value at ``x`` after the dimension and domain checks, finite or not."""
         if x.dim != self.dim:
             raise DomainError(
                 f"function {self.label or '<unnamed>'} expects dimension {self.dim}, "
@@ -455,13 +465,7 @@ class Func:
                 f"point with norm {x.norm()!r} outside domain ball of radius "
                 f"{self.domain_radius!r} of function {self.label or '<unnamed>'}"
             )
-        value = float(self.eval(x))
-        if not math.isfinite(value):
-            raise EvaluationError(
-                f"function {self.label or '<unnamed>'} returned non-finite value "
-                f"{value!r} at {x}"
-            )
-        return value
+        return float(self.eval(x))
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """The function at every row of the ``(n, dim)`` float64 array
@@ -649,7 +653,7 @@ def last_block_memo(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray]
     return memo
 
 
-def evaluated(blocks: Iterable[np.ndarray], *funcs: Func
+def evaluated(blocks: Iterable[np.ndarray], *funcs: Func, finite: bool = True
               ) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
     """Evaluate ``funcs`` on the rows of each block as the loop ``for x in
     rows: for f in funcs: f(x)`` would, yielding ``(X, values)``: the
@@ -661,11 +665,13 @@ def evaluated(blocks: Iterable[np.ndarray], *funcs: Func
     row (and not yielded if that leaves it empty), and the loop's own
     exception is raised when the caller resumes: a scan checks its own
     per-point conditions on the cut block first, exactly as the scalar
-    loop would have met them.
+    loop would have met them.  With ``finite=False`` the replay calls
+    ``Func._value``: a non-finite value is kept for the caller to judge.
 
     Coordinates are checked for finiteness once per block; the per-row
     check runs only on a block that holds a non-finite coordinate.
     """
+    call = Func.__call__ if finite else Func._value
     for X in blocks:
         with np.errstate(all="ignore"):
             values = [f._rows(X) for f in funcs]
@@ -677,7 +683,7 @@ def evaluated(blocks: Iterable[np.ndarray], *funcs: Func
             try:
                 x = Point(tuple(row))
                 for f, v in zip(funcs, values):
-                    v[i] = f(x)
+                    v[i] = call(f, x)
             except Exception as error:  # raised below, after the cut block
                 if i:
                     yield X[:i], [v[:i] for v in values]

@@ -1,9 +1,11 @@
 """Brute-force lattice oracles: ground truth at desk scale.
 
-Grid suprema reported here are *lower bounds* of the true suprema (a finite
-scan can miss the maximizer); they are never presented as certificates.
-That direction is exactly what makes them useful as independent checks of
-certified bounds: oracle value <= certified bound must always hold.
+Grid suprema reported here are estimates, never presented as certificates.
+A finite scan can miss the maximizer, and the lattice keeps rim nodes whose
+norm rounds just above R (``slack_radius``: R = 0.3 at step 0.1 has one at
+0.30000000000000004), where a function can exceed its sup over B_R.  So a
+grid sup is a lower bound of the true sup, and an independent check of a
+certified bound, only where every node lies in B_R.
 
 Scans walk the lattice in lexicographic blocks (``Grid.blocks``) and reduce
 each block with numpy; function values come from ``core.evaluated``, so
@@ -91,8 +93,10 @@ Exceeding it is an error: these oracles are exhaustive by design and must
 not silently subsample."""
 
 BLOCK_CELLS: int = 65536
-"""Cells per scan block: a block holds at most this many cube nodes, which
-bounds the memory of every scan independently of the lattice size."""
+"""Cells per scan block: a block holds at most this many cube nodes.  That
+bounds the memory of every scan but the argmin's (``grid_argmin``,
+``grid_pair_scan``), which holds every row that may still tie: 2,828,427
+rows for ``certify --grid-step 1e-7`` on ``sharpness.prob``."""
 
 LATTICE_CACHE_ENTRIES: int = 8
 """One-block lattices kept by ``Grid.blocks`` (least recently used first
@@ -362,8 +366,8 @@ class _Argmin:
 
 
 def grid_sup_abs_diff(f: Func, g: Func, grid: Grid) -> float:
-    """Max of ``|f - g|`` over the lattice: a lower bound on the true
-    supremum over the ball."""
+    """Max of ``|f - g|`` over the lattice: an estimate of the supremum
+    over the ball, not a bound (see the module docstring)."""
     _check_domains(grid, f, g)
     m = 0.0
     for _, (fv, gv) in evaluated(grid.blocks(), f, g):
@@ -373,7 +377,8 @@ def grid_sup_abs_diff(f: Func, g: Func, grid: Grid) -> float:
 
 def grid_gauge(f: Func, g: Func, grid: Grid, M: float) -> float:
     """Max of the pointwise vertical discrepancy over the lattice times the
-    level band ``[-M, M]``: a lower bound on the true cylinder gauge.
+    level band ``[-M, M]``: an estimate of the cylinder gauge, not a bound
+    (see the module docstring).
 
     The discrepancy never increases with the level, so its max over the
     band is ``|max(f, -M) - max(g, -M)|`` at each base point, bit for bit

@@ -136,7 +136,7 @@ def naive_width(cert, cyl, step):
 def naive_tolerance(tf, step):
     best = 0.0
     for p in Grid(tf.dim, tf.cylinder.R, step).points():
-        v = float(tf.eta(p))
+        v = float(tf.eta.eval(p))
         if not math.isfinite(v) or v < 0:
             raise CertificateViolationError(
                 f"tolerance field returned {v!r} at {p}; "
@@ -400,11 +400,11 @@ def test_certificate_scans_match_reference_loops():
         assert report.failures == tuple(expected) and expected
         for tf in (ToleranceField.constant(0.25, cyl, dim),
                    ToleranceField.radial_affine(0.01, 0.3, cyl, dim),
-                   ToleranceField(lambda p: 0.01 + 1.5 * p.norm(), cyl, dim),
-                   ToleranceField(lambda p: 0.01 + 1.5 * p.norm(), cyl, dim,
-                                  batch=lambda X: 0.01 + 1.5 * norms(X)),
-                   ToleranceField(lambda p: 0.3 + p.coords[0] * p.coords[0], cyl, dim,
-                                  batch=lambda X: 0.3 + X[:, 0] * X[:, 0])):
+                   ToleranceField(Func(lambda p: 0.01 + 1.5 * p.norm(), dim=dim), cyl),
+                   ToleranceField(Func(lambda p: 0.01 + 1.5 * p.norm(), dim=dim,
+                                       batch=lambda X: 0.01 + 1.5 * norms(X)), cyl),
+                   ToleranceField(Func(lambda p: 0.3 + p.coords[0] * p.coords[0], dim=dim,
+                                       batch=lambda X: 0.3 + X[:, 0] * X[:, 0]), cyl)):
             assert gauge_from_tolerance_field(tf, step).delta.hex() == \
                 naive_tolerance(tf, step).hex()
 
@@ -467,8 +467,7 @@ def test_closed_form_tolerance_evaluates_no_cell():
         for tf, sup in ((ToleranceField.constant(0.25, cyl, dim), 0.25),
                         (ToleranceField.radial_affine(0.5, 0.25, cyl, dim), 0.75),
                         (ToleranceField.radial_affine(0.5, -0.25, cyl, dim), 0.5)):
-            for name in ("eta", "batch"):
-                object.__setattr__(tf, name, no_call)
+            object.__setattr__(tf, "eta", Func(no_call, dim=dim, batch=no_call))
             bound = gauge_from_tolerance_field(tf, 0.125)
             assert bound.delta == sup and bound.certified
             with pytest.raises(OracleCapError):  # the cap still comes first
@@ -701,14 +700,15 @@ def test_tolerance_violation_parity():
     cyl = Cylinder(1.0, 1.0)
     fields = [
         ToleranceField.radial_affine(-0.1, 0.2, cyl, 2),
-        ToleranceField(lambda p: 0.1 - p.norm(), cyl, 2),
-        ToleranceField(lambda p: math.inf if p.coords[0] > 0.5 else 0.0, cyl, 2),
+        ToleranceField(Func(lambda p: 0.1 - p.norm(), dim=2), cyl),
+        ToleranceField(Func(lambda p: math.inf if p.coords[0] > 0.5 else 0.0, dim=2), cyl),
         # batches with a NaN or negative row
-        ToleranceField(lambda p: math.nan if p.norm() > 0.5 else 0.1, cyl, 2,
-                       batch=lambda X: np.where(norms(X) > 0.5, math.nan, 0.1)),
-        ToleranceField(lambda p: 0.1 - p.norm(), cyl, 2, batch=lambda X: 0.1 - norms(X)),
-        ToleranceField(lambda p: -1.0 if p.coords[1] > 0.5 else 0.0, cyl, 2,
-                       batch=lambda X: np.where(X[:, 1] > 0.5, -1.0, 0.0)),
+        ToleranceField(Func(lambda p: math.nan if p.norm() > 0.5 else 0.1, dim=2,
+                            batch=lambda X: np.where(norms(X) > 0.5, math.nan, 0.1)), cyl),
+        ToleranceField(Func(lambda p: 0.1 - p.norm(), dim=2, batch=lambda X: 0.1 - norms(X)),
+                       cyl),
+        ToleranceField(Func(lambda p: -1.0 if p.coords[1] > 0.5 else 0.0, dim=2,
+                            batch=lambda X: np.where(X[:, 1] > 0.5, -1.0, 0.0)), cyl),
     ]
     for tf in fields:
         got = outcome(gauge_from_tolerance_field, tf, 0.125)
@@ -740,8 +740,8 @@ def tolerance_scan_cases(draw):
             v[i] = math.nan if tuple(row) in holes else bad.get(tuple(row), v[i])
         return v
 
-    tf = ToleranceField(eta, Cylinder(R, 1.0), dim, grid_exact=draw(st.booleans()),
-                        batch=None if mode == "none" else batch)
+    tf = ToleranceField(Func(eta, dim=dim, batch=None if mode == "none" else batch),
+                        Cylinder(R, 1.0), grid_exact=draw(st.booleans()))
     return tf, step
 
 
@@ -767,9 +767,10 @@ def test_tolerance_of_the_clipped_difference_is_the_oracle_gauge(dim, seed, M, s
     rng = np.random.default_rng(seed)
     f, g = random_analytic(rng, dim), random_analytic(rng, dim)
     cyl = Cylinder(1.0, M)
-    tf = ToleranceField(
-        lambda p: abs(max(f(p), -M) - max(g(p), -M)), cyl, dim, grid_exact=True,
-        batch=lambda X: np.abs(np.maximum(f.values(X), -M) - np.maximum(g.values(X), -M)))
+    tf = ToleranceField(Func(
+        lambda p: abs(max(f(p), -M) - max(g(p), -M)), dim=dim,
+        batch=lambda X: np.abs(np.maximum(f.values(X), -M) - np.maximum(g.values(X), -M))),
+        cyl, grid_exact=True)
     h = {1: 0.05, 2: 0.125, 3: 0.25}[dim]
     grid = Grid(dim, cyl.R, h)
     bound = gauge_from_tolerance_field(tf, h)

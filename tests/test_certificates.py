@@ -288,7 +288,7 @@ def test_cover_envelopes_evaluate_through_the_aggregation():
 
 
 def test_tolerance_field_constant():
-    tf = ToleranceField(lambda p: 0.05, CYL, dim=1, grid_exact=True)
+    tf = ToleranceField(Func(lambda p: 0.05), CYL, grid_exact=True)
     b = gauge_from_tolerance_field(tf, 0.1)
     assert b.delta == 0.05
     assert b.provenance is Provenance.TOLERANCE_FIELD
@@ -296,19 +296,25 @@ def test_tolerance_field_constant():
 
 
 def test_tolerance_field_zero():
-    tf = ToleranceField(lambda p: 0.0, CYL, dim=1, grid_exact=True)
+    tf = ToleranceField(Func(lambda p: 0.0), CYL, grid_exact=True)
     assert gauge_from_tolerance_field(tf, 0.1).delta == 0.0
 
 
 def test_tolerance_field_radial_affine():
     # 0.01 * (1 + ||x||/R): maximum at the base boundary (frozen: 0.02)
-    tf = ToleranceField(lambda p: 0.01 + 0.01 * (p.norm() / CYL.R), CYL, dim=1)
+    tf = ToleranceField(Func(lambda p: 0.01 + 0.01 * (p.norm() / CYL.R)), CYL)
     b = gauge_from_tolerance_field(tf, 0.05)
     assert b.delta == 0.02
     assert not b.certified
 
 
 def test_tolerance_field_negative_is_violation():
-    tf = ToleranceField(lambda p: -1e-9, CYL, dim=1)
+    tf = ToleranceField(Func(lambda p: -1e-9), CYL)
     with pytest.raises(CertificateViolationError):
         gauge_from_tolerance_field(tf, 0.5)
+
+
+def test_tolerance_field_takes_eta_as_a_func():
+    with pytest.raises(PreconditionError, match="^eta must be a Func, got function$"):
+        ToleranceField(lambda p: 0.05, CYL)
+    assert ToleranceField(Func.constant(0.05, dim=2), CYL).dim == 2

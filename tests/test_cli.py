@@ -360,6 +360,15 @@ def test_overflow_in_the_array_path_warns_nothing(argv, problem, code, err, tmp_
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("A", ["1", "1e6", "1e15", "1e100"])
+def test_impossibility_slope_check_holds_at_every_scale_of_A(A, capsys):
+    # The lattice slope's rounding grows with A/rho, so the slack on it must too.
+    rc = main(["demo", "impossibility", "--queries=1,-1", "--y", "0", "--A", A,
+               "--grid-step", "0.5"])
+    out = capsys.readouterr().out
+    assert rc == 0 and "PASS finite_difference_slope_bounded" in out, out
+
+
 @pytest.mark.parametrize("certificate", [
     "[tolerance]\nfamily = constant\nvalue = 0.02\ngrid_exact = true\n",
     "[envelope]\nregion_radius = 1.0\nlower = G\nupper = F\n",

@@ -1,9 +1,11 @@
-"""Known overclaims, each pinned as a strict xfail that asserts the sound outcome.
+"""Known overclaims and false failures, each pinned as a strict xfail that
+asserts the sound outcome.
 
 Every case is a problem file on which a command prints a certificate that a
-closed-form truth contradicts.  When the fix lands the case passes, strict
-mode turns the pass into a failure, and the fix drops the marker; a case
-without a marker is an overclaim already mended.
+closed-form truth contradicts, or fails a certificate that a closed-form
+truth upholds.  When the fix lands the case passes, strict mode turns the
+pass into a failure, and the fix drops the marker; a case without a marker
+is an overclaim or false failure already mended.
 """
 
 from __future__ import annotations
@@ -37,6 +39,22 @@ def test_certify_rejects_a_growth_modulus_the_target_does_not_have(tmp_path, cap
     assert "mu = 2.0\n" in text
     rc, _ = _run(tmp_path, "certify", text.replace("mu = 2.0\n", "mu = 3.0\n"), capsys)
     assert rc == 3
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 17")
+def test_certify_holds_when_every_value_is_scaled_by_a_power_of_two(tmp_path, capsys):
+    # Scaling coeff, shift, the tolerance, mu and M by 2^-35 is exact and
+    # leaves the displacement bound 2*sqrt(delta/mu) = 0.2 unchanged, yet the
+    # absolute tie window TAU makes hundreds of lattice points argmin ties and
+    # x_tilde lands at -0.233, outside the bound (at 2^-30 certify exits 0).
+    text = (PROBLEMS / "sharpness.prob").read_text(encoding="utf-8")
+    k = 2.0 ** -35
+    for key, value in (("coeff", 1.0), ("shift", 0.02), ("value", 0.02), ("mu", 2.0),
+                       ("M", 1.0)):
+        assert text.count(f"\n{key} = {value!r}\n") == 1
+        text = text.replace(f"\n{key} = {value!r}\n", f"\n{key} = {value * k!r}\n")
+    rc, _ = _run(tmp_path, "certify", text, capsys)
+    assert rc == 0
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 4")

@@ -89,7 +89,7 @@ def _samples():
         EnvelopeCert: [(1.0, zero, one), (1.0, zero, one, True)],
         LocalCert: [(origin, 0.5, zero, one), (half, 0.25, zero, one)],
         Cover: [((local,),), ((local, local2),)],
-        ToleranceField: [(_zero, cyl), (_zero, cyl, 1, True, _zero)],
+        ToleranceField: [(zero, cyl), (one, cyl, True)],
         BracketingReport: [((), 10, 0.1), (((half, 0.0, 0.5, 1.0),), 10, 0.1)],
         AggregatedEnvelope: [(Cover((local,)),), (Cover((local2,)),)],
         GrowthCert: [(2.0, 1.0, FinitePointSet((origin,)), 0.0),
@@ -236,7 +236,7 @@ def test_a_method_of_its_own_is_kept():
 
 
 def test_an_uninit_field_with_a_plain_default_reads_the_class_attribute():
-    tf = ToleranceField(_zero, Cylinder(1.0, 1.0))
+    tf = ToleranceField(Func(_zero), Cylinder(1.0, 1.0))
     assert "_range" not in vars(tf) and tf._range is None
     assert ToleranceField.constant(0.5, Cylinder(1.0, 1.0))._range == (0.5, 0.5)
 
