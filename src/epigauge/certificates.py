@@ -228,8 +228,9 @@ class ToleranceField:
 
     @classmethod
     def constant(cls, value: float, cylinder: Cylinder, dim: int = 1) -> "ToleranceField":
-        """``eta(x) = value``; its sup is ``value``."""
-        value = float(value)
+        """``eta(x) = value``; its sup is ``value``, ``+0.0`` for a zero, as
+        a scanned sup reads."""
+        value = float(value) + 0.0  # -0.0 + 0.0 is +0.0; every other value is kept
         eta = Func(lambda p, _v=value: _v, math.inf, dim, "",
                    lambda X, _v=value: np.full(len(X), _v))
         return cls(_ClosedForm(eta, (value, value)), cylinder)
@@ -238,13 +239,15 @@ class ToleranceField:
     def radial_affine(cls, base: float, slope: float, cylinder: Cylinder,
                       dim: int = 1) -> "ToleranceField":
         """``eta(x) = base + slope * ||x|| / R`` with ``R`` the cylinder's
-        base radius; its sup over the base ball is ``base + max(slope, 0)``."""
+        base radius; its sup over the base ball is ``base + max(slope, 0)``,
+        ``+0.0`` for a zero."""
         base, slope, R = float(base), float(slope), cylinder.R
         rim = base + slope * (R / R)  # eta's own operations at a node of norm R
         eta = Func(lambda p, _b=base, _s=slope, _R=R: _b + _s * (p.norm() / _R), math.inf, dim,
                    "", lambda X, _b=base, _s=slope, _R=R: _b + _s * (norms(X) / _R))
         # a NaN end compares false and stays in the range, which then fails the check
-        return cls(_ClosedForm(eta, (base, rim) if base <= rim else (rim, base)), cylinder)
+        ends = (base, rim) if base <= rim else (rim, base)
+        return cls(_ClosedForm(eta, (ends[0] + 0.0, ends[1] + 0.0)), cylinder)
 
 
 # ---------------------------------------------------------------------------

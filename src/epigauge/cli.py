@@ -58,7 +58,7 @@ from .errors import EpigaugeError, PreconditionError, SpecParseError
 # Nothing here calls grid_argmin (certify reads its minimizers from
 # grid_pair_scan); bench/test_bench.py still reads this binding.
 from .oracle import (
-    ArgminResult,
+    ArgminSummary,
     Grid,
     dist_to_set,
     grid_argmin,
@@ -130,7 +130,7 @@ class _Stage:
     bounds: list[tuple[str, GaugeBound]]
     oracle_gauge: Optional[float] = None  # the oracle columns; None without a [pair]
     oracle_sup: Optional[float] = None
-    argmin: Optional[ArgminResult] = None  # lattice minimizers of g
+    argmin: Optional[ArgminSummary] = None  # lattice minimizers of g
 
 
 def _run(spec: ProblemSpec, args) -> _Stage:
@@ -227,7 +227,7 @@ def cmd_certify(args) -> int:
 
     xstar = _pick_target_minimizer(spec.growth, spec.cylinder.R)
     argmin = run.argmin
-    xtilde = Point(tuple(argmin.rows[0].tolist()))
+    xtilde = Point(argmin.first)
 
     cert = displacement_bound(gauge, spec.growth, xstar, xtilde, f, g, grid_step=run.grid_step)
     names, checks = ("x_star", "x_tilde"), cert.window_checks
@@ -251,7 +251,7 @@ def cmd_certify(args) -> int:
                    ("provenance", gauge.provenance.value), ("certified", gauge.certified),
                    ("detail", gauge.detail)]),
         ("oracle", [("grid_gauge", run.oracle_gauge), ("grid_sup_abs_diff", run.oracle_sup),
-                    ("argmin_tie_count", len(argmin.rows)), ("argmin_value", argmin.value)]),
+                    ("argmin_tie_count", argmin.count), ("argmin_value", argmin.value)]),
         *((f"window_{name}", [(key, getattr(check, key)) for key in
                                ("point", "f_value", "g_value", "in_base", "in_level")])
           for name, check in zip(names, checks)),

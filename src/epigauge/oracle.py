@@ -12,13 +12,18 @@ each block with numpy; function values come from ``core.evaluated``, so
 every result and every raised error is bit-identical to a point-by-point
 loop in lattice order.  The reductions are exact (max / min of floats) and
 tie lists are assembled in lattice order, so results do not depend on the
-block size.  Argmin ties stay an ``(n, dim)`` array
+block size.  ``grid_argmin``'s ties stay an ``(n, dim)`` array
 (``ArgminResult.rows``); ``Point`` objects are built only on request.
-An argmin scan holds only rows that may still tie: a block whose minimum
-lies more than ``TAU`` above the running minimum is skipped, a held block
-is dropped once the running minimum falls more than ``TAU`` below its
-own, rows are gathered once by index, and only held blocks whose minimum
-is not the final one are filtered again.
+An argmin scan holds only blocks that may still tie: a block whose
+minimum lies more than ``TAU`` above the running minimum is skipped, a
+held block is dropped once the running minimum falls more than ``TAU``
+below its own, rows are gathered once by index, and only held blocks
+whose minimum is not the final one are filtered again.
+``grid_argmin`` and the sweep that reads its rows hold every tie.
+``grid_pair_scan`` returns an ``ArgminSummary`` (tie count, first tie,
+value) instead: per block it counts the rows at exactly the block
+minimum and holds only those strictly above it and within ``TAU``, at
+most ``ARGMIN_HELD_CAP`` rows in all (``OracleCapError`` past it).
 The discrepancy never increases with the level, so the gauge over
 ``B_R x [-M, M]`` is the clipped sup-norm ``|max(f, -M) - max(g, -M)|``
 over the base lattice: the gauge kernels take the band half-width ``M``
@@ -94,9 +99,19 @@ not silently subsample."""
 
 BLOCK_CELLS: int = 65536
 """Cells per scan block: a block holds at most this many cube nodes.  That
-bounds the memory of every scan but the argmin's (``grid_argmin``,
-``grid_pair_scan``), which holds every row that may still tie: 2,828,427
-rows for ``certify --grid-step 1e-7`` on ``sharpness.prob``."""
+bounds the memory of every scan but ``grid_argmin``'s, which holds every
+row that may still tie (so does ``sharpness_sweep``, which reads them):
+2,828,427 rows for ``--grid-step 1e-7`` on ``sharpness.prob``.
+``grid_pair_scan`` counts its ties instead: see ``ARGMIN_HELD_CAP``."""
+
+ARGMIN_HELD_CAP: int = BLOCK_CELLS
+"""Rows the argmin summary of ``grid_pair_scan`` may hold at once, beyond
+the block it scans.  It counts the ties at each block's minimum and keeps
+the first; it holds only the rows strictly above a block minimum and
+within ``TAU`` of it: none on a plateau (``certify --grid-step 1e-7`` on
+``sharpness.prob`` holds none of its 2,828,427 ties), a few hundred
+around a smooth minimum.  Past the cap it raises ``OracleCapError``, so
+the scan holds at most two blocks' worth of rows."""
 
 LATTICE_CACHE_ENTRIES: int = 8
 """One-block lattices kept by ``Grid.blocks`` (least recently used first
@@ -307,6 +322,17 @@ class ArgminResult:
         return hash((self.value, self.rows.shape))
 
 
+@record
+class ArgminSummary:
+    """What an argmin scan that holds no ties reports: the number of
+    lattice points within ``TAU`` of the minimal value, the first of them
+    in lattice order, and the value, each as ``ArgminResult`` has it."""
+
+    count: int
+    first: tuple[float, ...]
+    value: float
+
+
 # ---------------------------------------------------------------------------
 # Scan machinery
 # ---------------------------------------------------------------------------
@@ -336,33 +362,66 @@ def _sup_block(fv: np.ndarray, gv: np.ndarray) -> float:
 
 class _Argmin:
     """The running minimum of an argmin scan and, for each block that may
-    still tie with it, the rows within ``TAU`` of the block's minimum as
-    ``(coordinates transposed, values, block minimum)``.  A block whose
-    minimum is the final one holds ties only."""
+    still tie with it, ``(held coordinates transposed, held values, block
+    minimum, rows at the minimum not held, first row at the minimum, held
+    rows before it)``.
 
-    def __init__(self) -> None:
+    With ``keep_ties`` (``grid_argmin``) a block holds every row within
+    ``TAU`` of its minimum.  Without it a block counts the rows at exactly
+    its minimum and keeps the first, and holds only the rows strictly above
+    the minimum and within ``TAU``: none on a plateau.  Those held rows
+    are capped at ``ARGMIN_HELD_CAP`` across blocks."""
+
+    def __init__(self, keep_ties: bool = False) -> None:
+        self.keep_ties = keep_ties
         self.best = math.inf
-        self.candidates: list[tuple[np.ndarray, np.ndarray, float]] = []
+        self.candidates: list[tuple[np.ndarray, np.ndarray, float, int, tuple, int]] = []
 
     def add(self, X: np.ndarray, v: np.ndarray) -> None:
-        block_min = float(v[np.argmin(v)])  # the first minimum, as a scalar loop keeps
+        i = int(np.argmin(v))
+        block_min = float(v[i])  # the first minimum, as a scalar loop keeps
         if block_min < self.best:
             self.best = block_min
             self.candidates = [c for c in self.candidates if c[2] <= block_min + TAU]
         elif block_min > self.best + TAU:
             return
-        keep = np.flatnonzero(v <= block_min + TAU)
-        self.candidates.append((X.T.take(keep, axis=1), v.take(keep), block_min))
+        near = v <= block_min + TAU
+        if self.keep_ties:
+            keep = np.flatnonzero(near)
+            self.candidates.append((X.T.take(keep, axis=1), v.take(keep), block_min, 0, (), 0))
+            return
+        keep = np.flatnonzero(near & (v > block_min))
+        held = len(keep) + sum(len(c[1]) for c in self.candidates)
+        if held > ARGMIN_HELD_CAP:
+            raise OracleCapError(
+                f"argmin scan holds {held} rows strictly above a block minimum and within "
+                f"TAU of it, more than the cap {ARGMIN_HELD_CAP}")
+        at_min = int(np.count_nonzero(v == block_min))
+        self.candidates.append((X.T.take(keep, axis=1), v.take(keep), block_min, at_min,
+                                tuple(X[i].tolist()), int(np.searchsorted(keep, i))))
 
-    def result(self) -> ArgminResult:
+    def _cut(self) -> float:
         if not self.candidates:
             raise PreconditionError("grid has no points")
-        cut = self.best + TAU
+        return self.best + TAU
+
+    def result(self) -> ArgminResult:
+        cut = self._cut()
         parts = [C if m == self.best else C.compress(v <= cut, axis=1)
-                 for C, v, m in self.candidates]
+                 for C, v, m, *_ in self.candidates]
         cols = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         cols.setflags(write=False)
         return ArgminResult(cols.T, self.best)
+
+    def summary(self) -> ArgminSummary:
+        cut = self._cut()
+        count = sum(at_min + int(np.count_nonzero(v <= cut))
+                    for _, v, _, at_min, *_ in self.candidates)
+        C, v, _, _, first, before = self.candidates[0]  # the first tie is in the first block
+        early = np.flatnonzero(v[:before] <= cut)
+        if len(early):
+            first = tuple(C[:, early[0]].tolist())
+        return ArgminSummary(count, first, self.best)
 
 
 def grid_sup_abs_diff(f: Func, g: Func, grid: Grid) -> float:
@@ -403,18 +462,19 @@ def grid_argmin(f: Func, grid: Grid, threads: int = 1) -> ArgminResult:
     minimum as first met in lattice order.
     """
     _check_domains(grid, f)
-    argmin = _Argmin()
+    argmin = _Argmin(keep_ties=True)
     for X, (v,) in evaluated(grid.blocks(), f):
         argmin.add(X, v)
     return argmin.result()
 
 
 def grid_pair_scan(f: Func, g: Func, grid: Grid,
-                   M: float) -> tuple[float, float, ArgminResult]:
+                   M: float) -> tuple[float, float, ArgminSummary]:
     """``(grid_gauge(f, g, grid, M), grid_sup_abs_diff(f, g, grid),
     grid_argmin(g, grid))`` from one walk of the lattice, evaluating each
-    function once per block: bit for bit the three kernels' results, and
-    on a failing problem the exception ``grid_gauge`` raises."""
+    function once per block: bit for bit the three kernels' results, the
+    argmin as its ``ArgminSummary``, and on a failing problem the
+    exception ``grid_gauge`` raises."""
     require_positive(M, "level bound M")
     _check_domains(grid, f, g)
     floor = -M
@@ -424,7 +484,7 @@ def grid_pair_scan(f: Func, g: Func, grid: Grid,
         gauge = max(gauge, _sup_block(np.maximum(fv, floor), np.maximum(gv, floor)))
         sup = max(sup, _sup_block(fv, gv))
         argmin.add(X, gv)
-    return gauge, sup, argmin.result()
+    return gauge, sup, argmin.summary()
 
 
 def dist_to_set(x: Point, argmin_set: ArgminSet) -> float:

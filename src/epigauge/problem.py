@@ -11,7 +11,6 @@ repeat only where its schema kind is a list, as ``[cover]``'s ``cert`` is.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 import re
 from pathlib import Path
@@ -21,6 +20,16 @@ from .certificates import Cover, EnvelopeCert, LocalCert, ToleranceField
 from .core import ClosedBall, Cylinder, FinitePointSet, Func, Point, record
 from .errors import PreconditionError, SpecParseError
 from .stability import GrowthCert
+
+# hashlib loads OpenSSL (3.5 MB, about 4 ms) for one digest; as the standard
+# library's ``random`` does for SHA-512, try CPython's lean module first.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = ["SCHEMA_VERSION", "ProblemSpec", "load_problem", "parse_problem_text"]
 
@@ -412,7 +421,7 @@ def parse_problem_text(text: str, path: str = "<spec>") -> ProblemSpec:
             values = _read(ctx, sec, schema, discriminator)
             ctx.found[kind] = ctx.call(sec.line, build, ctx, **values)
 
-    return ProblemSpec(path, hashlib.sha256(text.encode("utf-8")).hexdigest(), ctx.dim,
+    return ProblemSpec(path, sha256(text.encode("utf-8")).hexdigest(), ctx.dim,
                        ctx.functions, *(ctx.found.get(kind) for kind in _SECTIONS))
 
 

@@ -3,6 +3,7 @@ cover aggregation, tolerance fields."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -298,6 +299,18 @@ def test_tolerance_field_constant():
 def test_tolerance_field_zero():
     tf = ToleranceField(Func(lambda p: 0.0), CYL, grid_exact=True)
     assert gauge_from_tolerance_field(tf, 0.1).delta == 0.0
+
+
+def test_a_closed_form_zero_tolerance_certifies_a_positive_zero():
+    # A scanned field's sup starts at +0.0; the closed forms read the same.
+    for tf in (ToleranceField.constant(-0.0, CYL), ToleranceField.constant(0.0, CYL),
+               ToleranceField.radial_affine(-0.0, -0.0, CYL),
+               ToleranceField.radial_affine(-0.0, 0.0, CYL)):
+        closed = gauge_from_tolerance_field(tf, 0.25)
+        scanned = gauge_from_tolerance_field(dataclasses.replace(tf, grid_exact=True), 0.25)
+        assert "closed form" in closed.detail and "closed form" not in scanned.detail
+        assert closed.delta.hex() == scanned.delta.hex() == (0.0).hex()
+        assert closed.certified and scanned.certified
 
 
 def test_tolerance_field_radial_affine():

@@ -1,12 +1,14 @@
 """The table-driven problem-file reader: no constructor precondition escapes
 as anything but a line-anchored parse error, [growth] keys follow the
 selected argmin_kind, a huge dimension hits the lattice cap at once, the
-format is a module of its own that the command line only imports, and the
-README's key lists and module layout match the code."""
+format is a module of its own that the command line only imports, a
+problem's digest is ``hashlib``'s SHA-256 of its text, and the README's key
+lists and module layout match the code."""
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from epigauge import cli, problem
 from epigauge.errors import EpigaugeError, PreconditionError, SpecParseError
@@ -197,3 +200,22 @@ def test_readme_layout_names_every_module():
              if words and words[0].endswith(".py")}
     modules = {p.name for p in Path(problem.__file__).parent.glob("*.py")} - {"__init__.py"}
     assert named == modules
+
+
+def test_the_digest_is_hashlib_sha256_on_every_bundled_problem():
+    paths = sorted((Path(problem.__file__).parent / "problems").glob("*.prob"))
+    assert len(paths) >= 3
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert problem.load_problem(path).sha256 == hashlib.sha256(text.encode()).hexdigest()
+    text = "dimension = 1\n# é, ∞, 𝔼 in a comment\n"
+    assert problem.parse_problem_text(text, "t").sha256 == hashlib.sha256(text.encode()).hexdigest()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text())
+@example("")
+@example("é∞𝔼\x00")
+def test_the_digest_is_hashlib_sha256_on_any_text(text):
+    data = text.encode("utf-8")
+    assert problem.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()

@@ -1,8 +1,9 @@
 """Start-up: what a well-formed command loads, each in a fresh interpreter.
 
 Neither ``argparse`` nor ``csv`` loads for a command that does not use
-it, the set of ``epigauge`` modules a command loads is pinned, and every
-record class is built by ``core.record``, never by ``@dataclass``.
+it, no command loads OpenSSL (``_hashlib``) on CPython, the set of
+``epigauge`` modules a command loads is pinned, and every record class is
+built by ``core.record``, never by ``@dataclass``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps({"exit": code,
                   "epigauge": sorted(m for m in sys.modules if m.split(".")[0] == "epigauge"),
-                  "unused": [m for m in ("argparse", "csv") if m in sys.modules]}))
+                  "unused": [m for m in ("argparse", "csv") if m in sys.modules],
+                  "openssl": "_hashlib" in sys.modules}))
 """
 
 ALL_MODULES = ["epigauge", "epigauge.certificates", "epigauge.cli", "epigauge.constructions",
@@ -38,11 +40,28 @@ ALL_MODULES = ["epigauge", "epigauge.certificates", "epigauge.cli", "epigauge.co
     ["demo", "sharpness"],
 ], ids=" ".join)
 def test_a_command_loads_neither_argparse_nor_csv(argv):
+    loaded = _loaded(argv)
+    assert (loaded["exit"], loaded["epigauge"], loaded["unused"]) == (0, ALL_MODULES, [])
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython",
+                    reason="the lean SHA-256 module is CPython's")
+@pytest.mark.parametrize("argv", [
+    ["certify", "--spec", str(PROBLEMS / "sharpness.prob")],
+    ["gauge", "--spec", str(PROBLEMS / "sharpness.prob")],
+    ["demo", "sharpness"],
+], ids=" ".join)
+def test_no_command_loads_openssl(argv):
+    loaded = _loaded(argv)
+    assert (loaded["exit"], loaded["openssl"]) == (0, False)
+
+
+def _loaded(argv: list[str]) -> dict:
+    """What ``SCRIPT`` reports after running ``argv`` in a fresh interpreter."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", SCRIPT, *argv], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True)
-    loaded = json.loads(done.stdout.splitlines()[-1])
-    assert loaded == {"exit": 0, "epigauge": ALL_MODULES, "unused": []}
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def test_no_record_is_built_by_dataclass():
