@@ -302,7 +302,7 @@ def _certified_sup(h: Func, cylinder: Cylinder, grid_step: float, kind: str,
             f"{family} reaches {hi if 0.0 <= lo else lo!r} on the base ball (closed form, "
             f"between lattice nodes); a vertical tolerance must be finite and >= 0")
     note = (f"certified: {family} declared grid-exact" if grid_exact
-            else "grid estimate (lower bound of true sup); not a certificate")
+            else "grid estimate; not a certificate")
     return GaugeBound(best, cylinder, provenance, grid_exact,
                       f"{kind} sup over base lattice (step={grid_step!r}); {note}")
 

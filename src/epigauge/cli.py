@@ -2,8 +2,8 @@
 sweeps, and record emission.  Problem files are read by ``problem``.
 
 Certified numbers and oracle scan numbers are printed in separate labeled
-columns in every output: a lattice scan is a lower-bound estimate and is
-never dressed up as a certificate.  ``gauge`` and ``certify`` share one
+columns in every output: a lattice scan is an estimate and is never
+dressed up as a certificate.  ``gauge`` and ``certify`` share one
 stage (``_run``); every value is written by ``_fmt``, the certify record
 through ``_record``, and all output goes through ``_emit``.
 
@@ -171,7 +171,7 @@ def cmd_gauge(args) -> int:
     lines = [f"problem = {spec.path}\n",
              f"cylinder = R={_fmt(spec.cylinder.R)} M={_fmt(spec.cylinder.M)}\n",
              f"grid_step = {_fmt(run.grid_step)}\n",
-             "\n", row("quantity", "certified", "oracle (grid lower bound)")]
+             "\n", row("quantity", "certified", "oracle (grid estimate)")]
     gauges = [(f"gauge[{label}]", _fmt(b.delta) + ("" if b.certified else " (estimate)"))
               for label, b in run.bounds] or [("gauge", "n/a")]
     lines += [row(name, certified, run.oracle_gauge) for name, certified in gauges]

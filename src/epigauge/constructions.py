@@ -29,8 +29,8 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .core import (ClosedBall, FinitePointSet, Func, Point, in_closed_ball, last_block_memo, norms,
-                   record, require_positive)
+from .core import (TAU, ClosedBall, FinitePointSet, Func, Point, in_closed_ball, last_block_memo,
+                   norms, record, require_positive)
 from .errors import ConstructionError, OracleCapError, PreconditionError
 from .oracle import LATTICE_CAP, Grid, dist_to_set, dist_to_set_rows, grid_argmin
 from .stability import GrowthCert, square_root_rule
@@ -132,9 +132,10 @@ def build_strictness_pair(R: float, M: float, A: float) -> StrictnessPair:
         require_positive(v, name)
     f_level = -(M + 1.0)
     g_level = f_level - A
-    f = Func.constant(f_level)
-    g = Func.constant(g_level)
-    return StrictnessPair(R=R, M=M, A=A, f=f, g=g)
+    if abs((f_level - g_level) - A) > TAU:  # the levels round at -(M+1)
+        raise PreconditionError(f"strictness levels -(M+1) and -(M+1)-A differ by "
+                                f"{f_level - g_level!r}, not A = {A!r}, at M = {M!r}")
+    return StrictnessPair(R=R, M=M, A=A, f=Func.constant(f_level), g=Func.constant(g_level))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +353,7 @@ def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float) -> Swe
         ties = grid_argmin(replace(g, batch=batch), grid).rows
         dist = dist_to_set_rows(ties, target)
         far = np.flatnonzero(dist == dist.max())
-        extreme = far[np.argmax(ties[far, 0])]
+        extreme = far[-1]  # the largest x: ties are in lattice order
         bound, slack = square_root_rule(delta, mu, grid_step)
         rows.append(SweepRow(delta=delta, argmin=float(ties[extreme, 0]),
                              dist=float(dist[extreme]), bound=bound, slack=slack,

@@ -14,16 +14,12 @@ loop in lattice order.  The reductions are exact (max / min of floats) and
 tie lists are assembled in lattice order, so results do not depend on the
 block size.  ``grid_argmin``'s ties stay an ``(n, dim)`` array
 (``ArgminResult.rows``); ``Point`` objects are built only on request.
-An argmin scan holds only blocks that may still tie: a block whose
-minimum lies more than ``TAU`` above the running minimum is skipped, a
-held block is dropped once the running minimum falls more than ``TAU``
-below its own, rows are gathered once by index, and only held blocks
-whose minimum is not the final one are filtered again.
-``grid_argmin`` and the sweep that reads its rows hold every tie.
-``grid_pair_scan`` returns an ``ArgminSummary`` (tie count, first tie,
-value) instead: per block it counts the rows at exactly the block
-minimum and holds only those strictly above it and within ``TAU``, at
-most ``ARGMIN_HELD_CAP`` rows in all (``OracleCapError`` past it).
+Each argmin reader has its own reducer.  Both skip a block whose minimum
+lies more than ``TAU`` above the running minimum and drop a held block
+once the running minimum falls more than ``TAU`` below its own.
+``grid_argmin`` (and the sweep that reads its rows) holds every tie;
+``grid_pair_scan``'s ``ArgminSummary`` counts them (see
+``ARGMIN_HELD_CAP``).
 The discrepancy never increases with the level, so the gauge over
 ``B_R x [-M, M]`` is the clipped sup-norm ``|max(f, -M) - max(g, -M)|``
 over the base lattice: the gauge kernels take the band half-width ``M``
@@ -31,12 +27,12 @@ and scan no level.
 The ``threads`` argument of ``grid_argmin`` is accepted for compatibility
 and ignored: the numpy blocks run single-threaded.
 
-Each kernel's per-block reduction is written once and shared with
-``grid_pair_scan``, which computes ``grid_gauge``, ``grid_sup_abs_diff``
-and the ``grid_argmin`` of ``g`` in one walk of one base lattice,
-evaluating each function once per block; its results are the three
-kernels' bit for bit, and a failing pair raises what ``grid_gauge`` raises.
-``certify`` and ``demo strictness`` read their oracle columns from it.
+``grid_pair_scan`` computes ``grid_gauge``, ``grid_sup_abs_diff`` (whose
+per-block reduction it shares) and the argmin summary of ``g`` in one walk
+of one base lattice, evaluating each function once per block; its results
+are the three kernels' bit for bit, and a failing pair raises what
+``grid_gauge`` raises.  ``gauge``, ``certify`` and ``demo strictness`` read
+their oracle columns from it; only ``certify`` reads the summary.
 
 A ``Grid`` knows its axis length from ``_axis_kmax`` alone and builds its
 axis on first use, so the size cap rejects an over-cap lattice before any
@@ -102,16 +98,17 @@ BLOCK_CELLS: int = 65536
 bounds the memory of every scan but ``grid_argmin``'s, which holds every
 row that may still tie (so does ``sharpness_sweep``, which reads them):
 2,828,427 rows for ``--grid-step 1e-7`` on ``sharpness.prob``.
-``grid_pair_scan`` counts its ties instead: see ``ARGMIN_HELD_CAP``."""
+``grid_pair_scan``'s ``ArgminSummary`` counts its ties instead: see
+``ARGMIN_HELD_CAP``."""
 
 ARGMIN_HELD_CAP: int = BLOCK_CELLS
-"""Rows the argmin summary of ``grid_pair_scan`` may hold at once, beyond
-the block it scans.  It counts the ties at each block's minimum and keeps
-the first; it holds only the rows strictly above a block minimum and
-within ``TAU`` of it: none on a plateau (``certify --grid-step 1e-7`` on
-``sharpness.prob`` holds none of its 2,828,427 ties), a few hundred
-around a smooth minimum.  Past the cap it raises ``OracleCapError``, so
-the scan holds at most two blocks' worth of rows."""
+"""Rows an ``ArgminSummary`` may hold beyond the block it scans: those
+strictly above a block minimum and within ``TAU`` of it, none on a plateau
+(``certify --grid-step 1e-7`` on ``sharpness.prob`` holds none of its
+2,828,427 ties).  Past the cap it holds none.  The cap is judged at the
+read: reading ``count`` or ``first`` raises ``OracleCapError``, so
+``gauge`` and ``demo strictness``, which never read them, cannot fail on
+it."""
 
 LATTICE_CACHE_ENTRIES: int = 8
 """One-block lattices kept by ``Grid.blocks`` (least recently used first
@@ -322,17 +319,6 @@ class ArgminResult:
         return hash((self.value, self.rows.shape))
 
 
-@record
-class ArgminSummary:
-    """What an argmin scan that holds no ties reports: the number of
-    lattice points within ``TAU`` of the minimal value, the first of them
-    in lattice order, and the value, each as ``ArgminResult`` has it."""
-
-    count: int
-    first: tuple[float, ...]
-    value: float
-
-
 # ---------------------------------------------------------------------------
 # Scan machinery
 # ---------------------------------------------------------------------------
@@ -352,7 +338,7 @@ def _check_domains(grid: Grid, *funcs: Func) -> None:
             )
 
 
-# Per-block reducers, shared by the kernels below and by ``grid_pair_scan``.
+# Per-block reducers; each argmin reader has its own (``_sup_block`` is shared).
 
 
 def _sup_block(fv: np.ndarray, gv: np.ndarray) -> float:
@@ -360,68 +346,81 @@ def _sup_block(fv: np.ndarray, gv: np.ndarray) -> float:
         return float(np.abs(fv - gv).max())
 
 
-class _Argmin:
-    """The running minimum of an argmin scan and, for each block that may
-    still tie with it, ``(held coordinates transposed, held values, block
-    minimum, rows at the minimum not held, first row at the minimum, held
-    rows before it)``.
+class _TieList:
+    """``grid_argmin``'s reducer: the running minimum and, for each block
+    that may still tie with it, ``(coordinates transposed, values, block
+    minimum)`` of every row within ``TAU`` of the block minimum."""
 
-    With ``keep_ties`` (``grid_argmin``) a block holds every row within
-    ``TAU`` of its minimum.  Without it a block counts the rows at exactly
-    its minimum and keeps the first, and holds only the rows strictly above
-    the minimum and within ``TAU``: none on a plateau.  Those held rows
-    are capped at ``ARGMIN_HELD_CAP`` across blocks."""
-
-    def __init__(self, keep_ties: bool = False) -> None:
-        self.keep_ties = keep_ties
+    def __init__(self) -> None:
         self.best = math.inf
-        self.candidates: list[tuple[np.ndarray, np.ndarray, float, int, tuple, int]] = []
+        self.candidates: list[tuple[np.ndarray, np.ndarray, float]] = []
 
     def add(self, X: np.ndarray, v: np.ndarray) -> None:
-        i = int(np.argmin(v))
-        block_min = float(v[i])  # the first minimum, as a scalar loop keeps
+        block_min = float(v[int(np.argmin(v))])  # the first minimum, as a scalar loop keeps
         if block_min < self.best:
             self.best = block_min
             self.candidates = [c for c in self.candidates if c[2] <= block_min + TAU]
         elif block_min > self.best + TAU:
             return
-        near = v <= block_min + TAU
-        if self.keep_ties:
-            keep = np.flatnonzero(near)
-            self.candidates.append((X.T.take(keep, axis=1), v.take(keep), block_min, 0, (), 0))
-            return
-        keep = np.flatnonzero(near & (v > block_min))
-        held = len(keep) + sum(len(c[1]) for c in self.candidates)
-        if held > ARGMIN_HELD_CAP:
-            raise OracleCapError(
-                f"argmin scan holds {held} rows strictly above a block minimum and within "
-                f"TAU of it, more than the cap {ARGMIN_HELD_CAP}")
-        at_min = int(np.count_nonzero(v == block_min))
-        self.candidates.append((X.T.take(keep, axis=1), v.take(keep), block_min, at_min,
-                                tuple(X[i].tolist()), int(np.searchsorted(keep, i))))
-
-    def _cut(self) -> float:
-        if not self.candidates:
-            raise PreconditionError("grid has no points")
-        return self.best + TAU
+        keep = np.flatnonzero(v <= block_min + TAU)
+        self.candidates.append((X.T.take(keep, axis=1), v.take(keep), block_min))
 
     def result(self) -> ArgminResult:
-        cut = self._cut()
+        cut = self.best + TAU  # a Grid holds its origin, so some block was kept
         parts = [C if m == self.best else C.compress(v <= cut, axis=1)
-                 for C, v, m, *_ in self.candidates]
+                 for C, v, m in self.candidates]
         cols = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         cols.setflags(write=False)
         return ArgminResult(cols.T, self.best)
 
-    def summary(self) -> ArgminSummary:
+
+class ArgminSummary:
+    """``grid_pair_scan``'s argmin reducer: the minimal ``value``, and the
+    ``count`` and ``first`` of the lattice points within ``TAU`` of it, as
+    ``grid_argmin``'s rows give them.  Per block that may still tie it
+    keeps ``(held coordinates transposed, held values, block minimum, rows
+    at the minimum, first row at the minimum, held rows before it)``."""
+
+    def __init__(self) -> None:
+        self.value = math.inf
+        self._overflow = 0  # the held count past ARGMIN_HELD_CAP, raised at the read
+        self._blocks: list[tuple[np.ndarray, np.ndarray, float, int, tuple, int]] = []
+
+    def add(self, X: np.ndarray, v: np.ndarray) -> None:
+        i = int(np.argmin(v))
+        block_min = float(v[i])  # the first minimum, as a scalar loop keeps
+        if block_min < self.value:
+            self.value = block_min
+            self._blocks = [b for b in self._blocks if b[2] <= block_min + TAU]
+        if block_min > self.value + TAU or self._overflow:
+            return
+        keep = np.flatnonzero((v <= block_min + TAU) & (v > block_min))
+        held = len(keep) + sum(len(b[1]) for b in self._blocks)
+        if held > ARGMIN_HELD_CAP:
+            self._overflow, self._blocks = held, []
+            return
+        self._blocks.append((X.T.take(keep, axis=1), v.take(keep), block_min,
+                             int(np.count_nonzero(v == block_min)), tuple(X[i].tolist()),
+                             int(np.searchsorted(keep, i))))
+
+    def _cut(self) -> float:
+        if self._overflow:
+            raise OracleCapError(
+                f"argmin scan holds {self._overflow} rows strictly above a block minimum and "
+                f"within TAU of it, more than the cap {ARGMIN_HELD_CAP}")
+        return self.value + TAU
+
+    @property
+    def count(self) -> int:
         cut = self._cut()
-        count = sum(at_min + int(np.count_nonzero(v <= cut))
-                    for _, v, _, at_min, *_ in self.candidates)
-        C, v, _, _, first, before = self.candidates[0]  # the first tie is in the first block
+        return sum(at_min + int(np.count_nonzero(v <= cut)) for _, v, _, at_min, *_ in self._blocks)
+
+    @property
+    def first(self) -> tuple[float, ...]:
+        cut = self._cut()
+        C, v, _, _, first, before = self._blocks[0]  # the first tie is in the first block
         early = np.flatnonzero(v[:before] <= cut)
-        if len(early):
-            first = tuple(C[:, early[0]].tolist())
-        return ArgminSummary(count, first, self.best)
+        return tuple(C[:, early[0]].tolist()) if len(early) else first
 
 
 def grid_sup_abs_diff(f: Func, g: Func, grid: Grid) -> float:
@@ -462,10 +461,10 @@ def grid_argmin(f: Func, grid: Grid, threads: int = 1) -> ArgminResult:
     minimum as first met in lattice order.
     """
     _check_domains(grid, f)
-    argmin = _Argmin(keep_ties=True)
+    ties = _TieList()
     for X, (v,) in evaluated(grid.blocks(), f):
-        argmin.add(X, v)
-    return argmin.result()
+        ties.add(X, v)
+    return ties.result()
 
 
 def grid_pair_scan(f: Func, g: Func, grid: Grid,
@@ -479,12 +478,12 @@ def grid_pair_scan(f: Func, g: Func, grid: Grid,
     _check_domains(grid, f, g)
     floor = -M
     gauge = sup = 0.0
-    argmin = _Argmin()
+    argmin = ArgminSummary()
     for X, (fv, gv) in evaluated(grid.blocks(), f, g):
         gauge = max(gauge, _sup_block(np.maximum(fv, floor), np.maximum(gv, floor)))
         sup = max(sup, _sup_block(fv, gv))
         argmin.add(X, gv)
-    return gauge, sup, argmin.summary()
+    return gauge, sup, argmin
 
 
 def dist_to_set(x: Point, argmin_set: ArgminSet) -> float:

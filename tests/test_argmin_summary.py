@@ -1,6 +1,7 @@
 """The argmin summary of ``grid_pair_scan``: its tie count, first tie and
 value against ``grid_argmin``'s rows, bit for bit; the cap on the rows it
-holds; and a traced peak that does not grow with the tie count.
+holds, judged when the count or first tie is read, so that only ``certify``
+can exit 4 on it; and a traced peak that does not grow with the tie count.
 
 Floats are compared by ``float.hex`` so that a ``-0.0`` in place of a
 ``0.0`` counts as a difference.
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epigauge import TAU, Func, Grid, OracleCapError, grid_argmin
+from epigauge import TAU, Func, Grid, OracleCapError, grid_argmin, grid_gauge, grid_sup_abs_diff
 from epigauge import oracle
 from epigauge.cli import main
 from epigauge.constructions import build_sharpness_pair
@@ -126,9 +127,13 @@ def test_held_rows_past_the_cap_raise(monkeypatch):
     *_, summary = grid_pair_scan(g, g, grid, 1.0)
     assert summary.count == 21
     monkeypatch.setattr(oracle, "ARGMIN_HELD_CAP", 19)
-    with pytest.raises(OracleCapError, match=r"^argmin scan holds 20 rows strictly above a "
-                       r"block minimum and within TAU of it, more than the cap 19$"):
-        grid_pair_scan(g, g, grid, 1.0)
+    gauge, sup, summary = grid_pair_scan(g, g, grid, 1.0)  # the scan itself completes
+    assert (gauge, sup, summary.value) == (0.0, 0.0, 0.0)
+    assert summary._blocks == []  # past the cap it holds no row
+    for read in ("count", "first"):
+        with pytest.raises(OracleCapError, match=r"^argmin scan holds 20 rows strictly above a "
+                           r"block minimum and within TAU of it, more than the cap 19$"):
+            getattr(summary, read)
     assert len(grid_argmin(g, grid).rows) == 21
 
 
@@ -156,19 +161,33 @@ argmin_points = 0.0
 """
 
 
-# At step 1e-4 the scan stays under the cap; certify then exits 3, as every
-# node ties within TAU and x_tilde is the rim node -1.0 (ROADMAP item 17).
-@pytest.mark.parametrize("command,coarse_exit", [("certify", 3), ("gauge", 0)])
-def test_a_command_past_the_cap_exits_4_with_one_line(tmp_path, capsys, command, coarse_exit):
+def test_certify_past_the_cap_exits_4_with_one_line(tmp_path, capsys):
     # 200,000 of the 200,001 nodes lie strictly above the minimum and within TAU
     spec = tmp_path / "near.prob"
     spec.write_text(NEAR_TIES)
-    assert main([command, "--spec", str(spec), "--grid-step", "1e-5"]) == 4
+    assert main(["certify", "--spec", str(spec), "--grid-step", "1e-5"]) == 4
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("oracle cap exceeded: argmin scan holds 131070 rows strictly above a block "
                    f"minimum and within TAU of it, more than the cap {oracle.ARGMIN_HELD_CAP}\n")
-    assert main([command, "--spec", str(spec), "--grid-step", "1e-4"]) == coarse_exit
+    # At step 1e-4 the scan stays under the cap; certify then exits 3, as every
+    # node ties within TAU and x_tilde is the rim node -1.0 (ROADMAP item 17).
+    assert main(["certify", "--spec", str(spec), "--grid-step", "1e-4"]) == 3
+
+
+@pytest.mark.parametrize("step", ["1e-5", "1e-4"])
+def test_gauge_past_the_cap_prints_its_oracle_columns(tmp_path, capsys, step):
+    # gauge never reads the argmin summary, so its cap cannot fail it
+    spec = tmp_path / "near.prob"
+    spec.write_text(NEAR_TIES)
+    assert main(["gauge", "--spec", str(spec), "--grid-step", step]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    f, g = load_problem(spec).pair
+    grid = Grid(1, 1.0, float(step))
+    gauge, sup = grid_gauge(f, g, grid, 1.0), grid_sup_abs_diff(f, g, grid)
+    assert f"gauge[tolerance]         0.0                        {gauge!r:<26}\n" in out
+    assert f"sup |f-g|                n/a                        {sup!r:<26}\n" in out
 
 
 def test_traced_peak_does_not_grow_with_the_tie_count():

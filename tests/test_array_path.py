@@ -1082,7 +1082,7 @@ def test_argmin_holds_the_running_ties_and_at_most_one_block_more(monkeypatch):
 
     stair = Func(lambda p: -math.floor((p.coords[0] + 1.0) * 15.0), label="stair",
                  batch=lambda X: -np.floor((X[:, 0] + 1.0) * 15.0))
-    add, result = oracle._Argmin.add, oracle._Argmin.result
+    add, result = oracle._TieList.add, oracle._TieList.result
     seen: list[np.ndarray] = []
     excess: list[int] = []
     final: list[tuple[int, int]] = []
@@ -1098,8 +1098,8 @@ def test_argmin_holds_the_running_ties_and_at_most_one_block_more(monkeypatch):
         final.append((held(self), len(out.rows)))
         return out
 
-    monkeypatch.setattr(oracle._Argmin, "add", tracking_add)
-    monkeypatch.setattr(oracle._Argmin, "result", tracking_result)
+    monkeypatch.setattr(oracle._TieList, "add", tracking_add)
+    monkeypatch.setattr(oracle._TieList, "result", tracking_result)
     grid = Grid(1, 1.0, 1e-6)
     got = grid_argmin(stair, grid)
     monkeypatch.undo()

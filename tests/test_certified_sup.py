@@ -55,7 +55,7 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "src" / "epigauge" / "proble
 def _estimate_note(grid_exact: bool, what: str = "envelope family") -> str:
     if grid_exact:
         return f"certified: {what} declared grid-exact"
-    return "grid estimate (lower bound of true sup); not a certificate"
+    return "grid estimate; not a certificate"
 
 
 def old_envelope_width_bound(cert: EnvelopeCert, cyl: Cylinder, grid_step: float) -> GaugeBound:

@@ -476,7 +476,7 @@ def test_certify_sharpness_record(capsys):
     assert fields["displacement_consistent"] == "true"
     assert fields["provenance"] == "ToleranceField"
     assert abs(float(fields["oracle_dist"]) - math.sqrt(0.02)) <= 1e-3
-    # the oracle scan is a lower bound of the true gauge: certified + slack
+    # the oracle scan estimates the gauge: no more than certified + slack
     assert float(fields["grid_gauge"]) <= 0.02 + 1e-12
     # fixed section order
     idx = {name: out.find(f"[{name}]") for name in

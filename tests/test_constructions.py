@@ -125,6 +125,29 @@ def test_strictness_rejects_bad_parameters():
         build_strictness_pair(1.0, 2.0, 0.0)
 
 
+# Below the float spacing at -(M+1) the parked levels round, and the pair
+# would falsify its own gap A: the command exits 3 before any scan.
+@pytest.mark.parametrize("argv, gap", [
+    (["--M", "1e6", "--A", "1e-9"], "1.0477378964424133e-09, not A = 1e-09, at M = 1000000.0"),
+    (["--M", "1e8", "--A", "1e-9"], "0.0, not A = 1e-09, at M = 100000000.0"),
+    (["--M", "1e16"], "4.0, not A = 5.0, at M = 1e+16"),
+], ids=["spacing-1e6", "spacing-1e8", "default-A-1e16"])
+def test_strictness_levels_that_lose_the_gap_exit_3_before_any_scan(argv, gap, capsys,
+                                                                      monkeypatch):
+    monkeypatch.setattr(cli, "grid_pair_scan", None)  # a scan would raise TypeError
+    assert cli.main(["demo", "strictness", *argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"precondition failure: strictness levels -(M+1) and -(M+1)-A differ by {gap}\n"
+
+
+def test_strictness_levels_that_keep_the_gap_within_tau_pass(capsys):
+    assert cli.main(["demo", "strictness", "--M", "1e4", "--A", "1e-9"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "PASS uniform_gap_equals_A: oracle sup |f-g| = 1.000444171950221e-09 " in out
+
+
 # ---------------------------------------------------------------------------
 # Impossibility pair
 # ---------------------------------------------------------------------------

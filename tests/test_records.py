@@ -30,7 +30,7 @@ from epigauge.constructions import (ImpossibilityPair, SharpnessFamily, Strictne
                                     SweepResult, SweepRow)
 from epigauge.core import (ClosedBall, Cylinder, FinitePointSet, Func, GaugeBound, Point,
                            Provenance, record)
-from epigauge.oracle import ArgminResult, ArgminSummary, Grid, LevelGrid
+from epigauge.oracle import ArgminResult, Grid, LevelGrid
 from epigauge.stability import (DisplacementCert, GrowthCert, GrowthFalsificationReport,
                                 GrowthViolation, ValueGapResult, WindowCheck)
 
@@ -86,7 +86,6 @@ def _samples():
         Grid: [(1, 1.0, 0.5), (2, 1.0, 0.5)],
         LevelGrid: [(1.0, 0.5), (1.0, 0.25)],
         ArgminResult: [(np.zeros((1, 1)), 0.0), (np.ones((1, 1)), 0.0)],
-        ArgminSummary: [(2, (0.0, 0.5), 0.0), (2, (0.5, 0.0), 0.0)],
         EnvelopeCert: [(1.0, zero, one), (1.0, zero, one, True)],
         LocalCert: [(origin, 0.5, zero, one), (half, 0.25, zero, one)],
         Cover: [((local,),), ((local, local2),)],
@@ -218,7 +217,7 @@ def test_a_record_behaves_as_its_dataclass_twin(cls):
 
 def test_every_record_has_samples():
     assert set(RECORDS) == set(SAMPLES) - {_Probe}
-    assert len(RECORDS) == 31
+    assert len(RECORDS) == 30
 
 
 def test_a_frozen_record_raises_frozen_instance_error():
