@@ -366,7 +366,10 @@ def _capped_log_deltas(args, mu: float) -> list[float]:
 
 
 def _demo_sharpness(args) -> tuple[list[_Property], SweepResult]:
-    sweep = sharpness_sweep(args.mu, _capped_log_deltas(args, args.mu), args.grid_step)
+    deltas = _capped_log_deltas(args, args.mu)
+    if len(set(deltas)) < 2:  # the log-log slope it checks is undefined
+        raise PreconditionError(f"the slope fit needs two distinct drops, all are {deltas[0]!r}")
+    sweep = sharpness_sweep(args.mu, deltas, args.grid_step)
     props: list[_Property] = []
 
     # The sandwich is checked on the lattice the sweep's argmin scans, from

@@ -163,12 +163,12 @@ class ImpossibilityPair:
         return self.A / self.rho
 
 
-def _auto_peak(R: float, queries: Sequence[Point], search_step: float) -> Point:
-    """Deterministic peak selection: lattice point of the ball maximizing
-    the minimum distance to the queries; ties broken by smaller norm, then
-    lexicographically."""
+def _auto_peak(R: float, queries: Sequence[Point]) -> Point:
+    """Deterministic peak selection: the point of the ball's lattice of
+    step ``R/64`` maximizing the minimum distance to the queries; ties
+    broken by smaller norm, then lexicographically."""
     dim = queries[0].dim
-    grid = Grid(dim, R, search_step)
+    grid = Grid(dim, R, R / 64.0)
     best_key: Optional[tuple[float, float]] = None
     best_p: Optional[Point] = None
     for X in grid.blocks():
@@ -186,24 +186,25 @@ def _auto_peak(R: float, queries: Sequence[Point], search_step: float) -> Point:
     if best_key[0] <= 0.0:
         raise ConstructionError(
             "no lattice point with positive clearance from the queries; the queries "
-            "fill the search grid (try a finer search_step)"
+            "fill the search lattice of step R/64"
         )
     return best_p
 
 
 def build_impossibility_pair(R: float, queries: Sequence[Point], A: float,
-                             y: Optional[Point] = None,
-                             search_step: Optional[float] = None) -> ImpossibilityPair:
+                             y: Optional[Point] = None) -> ImpossibilityPair:
     """Build the indistinguishable-from-queries pair.
 
-    With ``y=None`` the peak is picked on a search lattice (step defaults
-    to ``R/64``) by maximizing the clearance to the queries.  The footprint
+    With ``y=None`` the peak is picked on the search lattice of step
+    ``R/64`` by maximizing the clearance to the queries.  The footprint
     radius is half the clearance, so the bump vanishes on a neighborhood of
     every query and the zero values there are bit-exact.
     """
     require_positive(R, "R")
     if not math.isfinite((2.0 * R) * (2.0 * R)):  # squared distances across the ball
         raise PreconditionError(f"R is too large: (2R)^2 overflows, got {R!r}")
+    if (R / 64.0) ** 2 < np.finfo(float).tiny:  # squared search steps round to subnormals
+        raise PreconditionError(f"R is too small: (R/64)^2 is subnormal, got {R!r}")
     if not (A >= 0) or not math.isfinite(A):
         raise PreconditionError(f"A must be finite and >= 0, got {A!r}")
     queries_t = tuple(queries)
@@ -217,7 +218,7 @@ def build_impossibility_pair(R: float, queries: Sequence[Point], A: float,
             raise PreconditionError(f"query {q} lies outside the ball of radius {R!r}")
 
     if y is None:
-        y = _auto_peak(R, queries_t, search_step if search_step is not None else R / 64.0)
+        y = _auto_peak(R, queries_t)
     else:
         if y.dim != dim:
             raise PreconditionError("peak point dimension does not match the queries")

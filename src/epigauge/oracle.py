@@ -102,13 +102,13 @@ row that may still tie (so does ``sharpness_sweep``, which reads them):
 ``ARGMIN_HELD_CAP``."""
 
 ARGMIN_HELD_CAP: int = BLOCK_CELLS
-"""Rows an ``ArgminSummary`` may hold beyond the block it scans: those
-strictly above a block minimum and within ``TAU`` of it, none on a plateau
-(``certify --grid-step 1e-7`` on ``sharpness.prob`` holds none of its
-2,828,427 ties).  Past the cap it holds none.  The cap is judged at the
-read: reading ``count`` or ``first`` raises ``OracleCapError``, so
-``gauge`` and ``demo strictness``, which never read them, cannot fail on
-it."""
+"""Rows an ``ArgminSummary`` may hold beyond the block it scans and one
+row at each block minimum: those strictly above a block minimum and within
+``TAU`` of it, none on a plateau (``certify --grid-step 1e-7`` on
+``sharpness.prob`` holds no such row among its 2,828,427 ties).  Past the
+cap it holds none.  The cap is judged at the read: reading ``count`` or
+``first`` raises ``OracleCapError``, so ``gauge`` and ``demo strictness``,
+which never read them, cannot fail on it."""
 
 LATTICE_CACHE_ENTRIES: int = 8
 """One-block lattices kept by ``Grid.blocks`` (least recently used first
@@ -378,13 +378,14 @@ class ArgminSummary:
     """``grid_pair_scan``'s argmin reducer: the minimal ``value``, and the
     ``count`` and ``first`` of the lattice points within ``TAU`` of it, as
     ``grid_argmin``'s rows give them.  Per block that may still tie it
-    keeps ``(held coordinates transposed, held values, block minimum, rows
-    at the minimum, first row at the minimum, held rows before it)``."""
+    keeps ``(held coordinates transposed, held values, block minimum, other
+    rows at the minimum)``, holding the first row at the minimum and the
+    rows above it within ``TAU``."""
 
     def __init__(self) -> None:
         self.value = math.inf
         self._overflow = 0  # the held count past ARGMIN_HELD_CAP, raised at the read
-        self._blocks: list[tuple[np.ndarray, np.ndarray, float, int, tuple, int]] = []
+        self._blocks: list[tuple[np.ndarray, np.ndarray, float, int]] = []
 
     def add(self, X: np.ndarray, v: np.ndarray) -> None:
         i = int(np.argmin(v))
@@ -394,14 +395,14 @@ class ArgminSummary:
             self._blocks = [b for b in self._blocks if b[2] <= block_min + TAU]
         if block_min > self.value + TAU or self._overflow:
             return
-        keep = np.flatnonzero((v <= block_min + TAU) & (v > block_min))
-        held = len(keep) + sum(len(b[1]) for b in self._blocks)
-        if held > ARGMIN_HELD_CAP:
+        near = (v <= block_min + TAU) & (v > block_min)
+        held = int(np.count_nonzero(near)) + sum(len(b[1]) - 1 for b in self._blocks)
+        if held > ARGMIN_HELD_CAP:  # one row at each block minimum is not counted
             self._overflow, self._blocks = held, []
             return
-        self._blocks.append((X.T.take(keep, axis=1), v.take(keep), block_min,
-                             int(np.count_nonzero(v == block_min)), tuple(X[i].tolist()),
-                             int(np.searchsorted(keep, i))))
+        near[i] = True
+        self._blocks.append((X.T.compress(near, axis=1), v.compress(near), block_min,
+                             int(np.count_nonzero(v == block_min)) - 1))
 
     def _cut(self) -> float:
         if self._overflow:
@@ -413,14 +414,13 @@ class ArgminSummary:
     @property
     def count(self) -> int:
         cut = self._cut()
-        return sum(at_min + int(np.count_nonzero(v <= cut)) for _, v, _, at_min, *_ in self._blocks)
+        return sum(int(np.count_nonzero(v <= cut)) + others for _, v, _, others in self._blocks)
 
     @property
     def first(self) -> tuple[float, ...]:
         cut = self._cut()
-        C, v, _, _, first, before = self._blocks[0]  # the first tie is in the first block
-        early = np.flatnonzero(v[:before] <= cut)
-        return tuple(C[:, early[0]].tolist()) if len(early) else first
+        C, v, _, _ = self._blocks[0]  # the first tie is in the first block
+        return tuple(C[:, int(np.argmax(v <= cut))].tolist())
 
 
 def grid_sup_abs_diff(f: Func, g: Func, grid: Grid) -> float:

@@ -224,17 +224,12 @@ class DisplacementCert:
 
     @property
     def detail(self) -> str:
-        h, delta = self.grid_step, self.gauge.delta
+        h = self.grid_step
         if h is None:
             detail = "surrogate minimizer caller-certified exact; no grid slack"
         else:
             detail = (f"surrogate minimizer from lattice scan (step={h!r}); default slack "
                       f"2h={self.slack!r}")
-            if delta > 0:
-                aware = 2.0 * h * (1.0 + math.sqrt(self.growth.mu / delta) * h)
-                detail += f"; growth-aware slack 2h*(1+sqrt(mu/delta)*h)={aware!r}"
-            else:
-                detail += " (delta=0: growth-aware form degenerate)"
         if not self.growth_covers_base:
             detail += (f"; growth radius {self.growth.radius!r} does not cover the base ball "
                        f"of radius {self.gauge.cylinder.R!r}: no displacement claim")
@@ -251,9 +246,7 @@ def displacement_bound(gauge: GaugeBound, growth: GrowthCert, xstar: Point,
     ``xtilde`` is a minimizer of ``g`` over the base ball, either exact
     (caller-certified, ``grid_step=None``) or found by a lattice scan with
     the given step.  The slack convention (``square_root_rule``) is a
-    reporting decision spelled out in ``detail``, which also records the
-    sharper growth-aware slack ``2h * (1 + sqrt(mu/delta) * h)`` when
-    ``delta > 0``.
+    reporting decision spelled out in ``detail``.
     """
     R = gauge.cylinder.R
     if not in_closed_ball(xstar, R):

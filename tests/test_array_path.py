@@ -507,14 +507,14 @@ def test_cover_aggregation_matches_reference(dim):
 
 def test_constructions_scans_match_reference():
     queries = (Point.of(-0.3, 0.2), Point.of(0.4, -0.1), Point.of(0.0, 0.6))
-    grid = Grid(2, 1.0, 1.0 / 16)
     best_key, best_p = None, None
-    for p in grid.points():
+    for p in Grid(2, 1.0, 1.0 / 64).points():  # the search lattice of step R/64
         key = (min(p.dist(q) for q in queries), -p.norm())
         if best_key is None or key > best_key:
             best_key, best_p = key, p
-    assert _auto_peak(1.0, queries, 1.0 / 16) == best_p
+    assert _auto_peak(1.0, queries) == best_p
 
+    grid = Grid(2, 1.0, 1.0 / 16)
     X = rows(grid.points())
     for s in (FinitePointSet(queries), ClosedBall(Point.of(0.1, 0.2), 0.3)):
         assert hexes(dist_to_set_rows(X, s)) == hexes(dist_to_set(p, s) for p in grid.points())

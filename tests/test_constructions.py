@@ -207,11 +207,11 @@ def test_impossibility_rejects_an_R_whose_squared_diameter_overflows(R, ok):
     # across the ball round to inf, so R is named at once
     queries = (Point.of(R),)
     if ok:
-        pair = build_impossibility_pair(R, queries, 1.0, search_step=R / 4.0)
+        pair = build_impossibility_pair(R, queries, 1.0)
         assert math.isfinite(pair.rho) and pair.g(pair.y) == 1.0
     else:
         with pytest.raises(PreconditionError, match=r"^R is too large: \(2R\)\^2 overflows"):
-            build_impossibility_pair(R, queries, 1.0, search_step=R / 4.0)
+            build_impossibility_pair(R, queries, 1.0)
 
 
 def test_impossibility_peak_on_query_is_construction_error():
@@ -219,12 +219,48 @@ def test_impossibility_peak_on_query_is_construction_error():
         build_impossibility_pair(1.0, (Point.of(0.25),), 1.0, y=Point.of(0.25))
 
 
+@pytest.mark.parametrize("R, ok", [(1e-150, True), (1e-152, True), (1e-155, False),
+                                   (1e-160, False), (1e-170, False)])
+def test_impossibility_rejects_an_R_whose_squared_search_step_is_subnormal(R, ok):
+    # (R/64)^2 is a normal float down to about R = 9.5e-153; below it squared
+    # distances on the search lattice round to subnormals, so R is named at once
+    queries = (Point.of(0.0),)
+    if ok:
+        pair = build_impossibility_pair(R, queries, 1.0)
+        assert pair.rho > 0 and pair.g(pair.y) == 1.0
+    else:
+        with pytest.raises(PreconditionError,
+                           match=rf"^R is too small: \(R/64\)\^2 is subnormal, got {R!r}$"):
+            build_impossibility_pair(R, queries, 1.0)
+
+
 def test_impossibility_saturated_grid_reports_failure():
-    # queries at every node of the search lattice: no clearance anywhere
-    step = 1.0 / 4.0
-    queries = tuple(Point.of(k * step) for k in range(-4, 5))
-    with pytest.raises(ConstructionError):
-        build_impossibility_pair(1.0, queries, 1.0, search_step=step)
+    # queries at all 129 nodes of the search lattice of step R/64: no clearance anywhere
+    queries = tuple(Point.of(k / 64.0) for k in range(-64, 65))
+    with pytest.raises(ConstructionError, match="fill the search lattice of step R/64$"):
+        build_impossibility_pair(1.0, queries, 1.0)
+
+
+@pytest.mark.parametrize("R", ["1e-155", "1e-160", "1e-170"])
+def test_impossibility_with_a_subnormal_search_step_exits_3_before_any_scan(R, capsys,
+                                                                           monkeypatch):
+    # subnormal squared distances would falsify the construction's slope
+    # check, so the command exits 3 before any scan
+    monkeypatch.setattr(constructions, "_auto_peak", None)  # a scan would raise TypeError
+    monkeypatch.setattr(cli, "grid_sup_abs_diff", None)
+    step = repr(float(R) / 4.0)
+    assert cli.main(["demo", "impossibility", "--R", R, "--queries=0", "--grid-step", step]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"precondition failure: R is too small: (R/64)^2 is subnormal, got {R}\n"
+
+
+@pytest.mark.parametrize("R", ["1e-150", "1e-152"])
+def test_impossibility_with_a_normal_search_step_passes(R, capsys):
+    step = repr(float(R) / 4.0)
+    assert cli.main(["demo", "impossibility", "--R", R, "--queries=0", "--grid-step", step]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "FAIL" not in out
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +275,24 @@ def test_sweep_single_delta_matches_closed_form_within_h():
     row = sweep.rows[0]
     assert abs(row.dist - math.sqrt(0.02)) <= h
     assert math.isnan(sweep.slope)
+
+
+@pytest.mark.parametrize("argv", [["--num-deltas", "1"], ["--delta-max", "1e-4"]],
+                         ids=["one-drop", "six-equal-drops"])
+def test_sharpness_with_one_distinct_drop_exits_3_before_the_sweep(argv, capsys, monkeypatch):
+    # one distinct drop leaves the log-log slope undefined, so the command
+    # exits 3 before the sweep
+    monkeypatch.setattr(cli, "sharpness_sweep", None)  # a sweep would raise TypeError
+    assert cli.main(["demo", "sharpness", *argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "precondition failure: the slope fit needs two distinct drops, all are 0.0001\n"
+
+
+def test_sweep_with_one_drop_reports_a_nan_slope_and_exits_0(capsys):
+    assert cli.main(["sweep", "--mu", "2", "--num-deltas", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "slope = nan\n" and out.startswith("delta,argmin,dist,bound,slack\n")
 
 
 def test_sweep_bound_dominates_dist():

@@ -106,6 +106,40 @@ def test_no_command_builds_a_level_lattice(tmp_path, monkeypatch):
         assert transcript(name, case) == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
+NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d*)?(?:e[-+]?\d+)?(?![\w.])")
+
+
+def certify_records() -> list[tuple[str, str]]:
+    """``(name, stdout)`` of every certify golden and of ``certify`` on
+    every bundled problem."""
+    records = []
+    for path in sorted(GOLDEN.glob("certify-*.txt")):
+        text = path.read_text(encoding="utf-8")
+        records.append((path.name, text[text.index("--- stdout\n"):text.index("--- stderr\n")]))
+    for prob in sorted(PROBLEMS.glob("*.prob")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            main(["certify", "--spec", str(prob)])
+        records.append((prob.name, out.getvalue()))
+    return records
+
+
+def test_every_number_in_the_displacement_detail_is_a_printed_field():
+    # an unbacked number in the detail would be a claim no field states
+    checked = 0
+    for name, stdout in certify_records():
+        if "\n[displacement]\n" not in stdout:
+            continue
+        fields = dict(line.split(" = ", 1) for line in stdout.splitlines() if " = " in line)
+        displacement = stdout.split("\n[displacement]\n", 1)[1]
+        detail = re.search(r"(?m)^detail = (.*)$", displacement).group(1)
+        printed = {float(v) for v in fields.values() if NUMBER.fullmatch(v)}
+        for number in NUMBER.findall(detail):
+            assert float(number) in printed, (name, number, detail)
+            checked += 1
+    assert checked >= 6  # step and slack in each of two goldens and sharpness.prob
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in sorted(CASES):
