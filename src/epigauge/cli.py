@@ -138,13 +138,13 @@ def _run(spec: ProblemSpec, args) -> _Stage:
     checks: the lattice step (an option overrides the [grid] section), every
     certificate block's bound and, with a [pair], the oracle gauge, sup |f-g|
     and lattice minimizers of g from one pass over one base lattice.  The
-    band enters through ``M`` alone.  The base lattice of a [pair] or a
-    [tolerance] is held to the cap before any scan."""
+    band enters through ``M`` alone.  The base lattice is held to the cap
+    first, for every problem, so an over-cap step exits 4 before any
+    certificate block is read."""
     grid_step = spec.grid_step if args.grid_step is None else args.grid_step
     if grid_step is None:
         raise PreconditionError("no grid step: add a [grid] section or pass --grid-step")
-    grid = (Grid(spec.dimension, spec.cylinder.R, grid_step)
-            if spec.pair is not None or spec.tolerance is not None else None)
+    grid = Grid(spec.dimension, spec.cylinder.R, grid_step)
     bounds = _certified_bounds(spec, grid_step) if spec.has_certificate() else []
     if spec.pair is None:
         return _Stage(grid_step, bounds)
@@ -404,9 +404,17 @@ def _demo_sharpness(args) -> tuple[list[_Property], SweepResult]:
         "displacement_bound_holds", displacement_ok,
         "dist <= 2 sqrt(delta/mu) + 2h at every delta"))
 
+    # With every extreme argmin within h of its plateau half-width, the fit
+    # can miss 1/2 only through the lattice's quantization of dist: the drops
+    # are too close together for this step to resolve their slope.
+    slope_ok = 0.48 <= sweep.slope <= 0.52
+    if not slope_ok and all(p.passed for p in props):
+        raise PreconditionError(
+            f"grid step {args.grid_step!r} does not resolve the log-log slope of these "
+            f"drops: fitted slope = {_fmt(sweep.slope)} with every extreme argmin within h "
+            f"of sqrt(2 delta/mu)")
     props.append(_Property(
-        "loglog_slope_one_half", 0.48 <= sweep.slope <= 0.52,
-        f"fitted slope = {_fmt(sweep.slope)} in [0.48, 0.52]"))
+        "loglog_slope_one_half", slope_ok, f"fitted slope = {_fmt(sweep.slope)} in [0.48, 0.52]"))
     return props, sweep
 
 

@@ -393,11 +393,7 @@ def distances(X: np.ndarray, center: Point) -> np.ndarray:
 
 
 def ball_mask(X: np.ndarray, radius: float, center: Point | None = None) -> np.ndarray:
-    """``in_closed_ball`` of every row of ``X``."""
-    if radius < 0:
-        return np.zeros(len(X), dtype=bool)
-    if math.isinf(radius):
-        return np.ones(len(X), dtype=bool)
+    """``in_closed_ball`` of every row of ``X``, for a finite radius > 0."""
     d = norms(X) if center is None else distances(X, center)
     return d <= slack_radius(radius)
 

@@ -43,13 +43,14 @@ scan never holds the whole axis.
 
 Blocks are read-only and column-major (Fortran order): each coordinate
 is one contiguous run, which is how the row kernels of ``core`` read
-them, one column at a time.  A lattice that fits in one block is built once and
-served again from a process-wide LRU of ``LATTICE_CACHE_ENTRIES`` entries
-(keyed on dimension, radius, step and block size), so repeated scans of
-one small lattice, such as the validation lattices of equal-radius local
-certificates, do not rebuild it; larger lattices are streamed block by
-block and never stored.  The cache holds at most
-``LATTICE_CACHE_ENTRIES * BLOCK_CELLS * dim * 8`` bytes of coordinates.
+them, one column at a time.  The last lattice scanned that fits in one
+block is kept (a one-entry cache keyed on the ``Grid``: dimension, radius
+and step), so back-to-back scans of it, such as the validation lattices of
+equal-radius local certificates, do not rebuild it; larger lattices are
+streamed block by block and never stored.  So the cache holds at most
+``BLOCK_CELLS * dim * 8`` bytes of coordinates.  No command reuses an older
+lattice, except with both [envelope] and [cover]: the envelope's scans fall
+between the cover's, so the cover rebuilds two of its lattices.
 """
 
 from __future__ import annotations
@@ -109,10 +110,6 @@ row at each block minimum: those strictly above a block minimum and within
 cap it holds none.  The cap is judged at the read: reading ``count`` or
 ``first`` raises ``OracleCapError``, so ``gauge`` and ``demo strictness``,
 which never read them, cannot fail on it."""
-
-LATTICE_CACHE_ENTRIES: int = 8
-"""One-block lattices kept by ``Grid.blocks`` (least recently used first
-out)."""
 
 
 def _axis_kmax(radius: float, step: float) -> int:
@@ -197,9 +194,9 @@ class Grid:
         Each block is cut from at most ``BLOCK_CELLS`` consecutive cube
         nodes and then filtered to the ball with the same ``slack_radius``
         as ``in_closed_ball``; empty blocks are skipped.  A lattice whose
-        cube fits in one block is built once and then served from the
-        ``LATTICE_CACHE_ENTRIES``-entry LRU; larger lattices are built
-        block by block on every call."""
+        cube fits in one block is built once and served again while no other
+        one-block lattice is scanned; larger lattices are built block by
+        block on every call."""
         if self.cube_size() <= BLOCK_CELLS:
             return iter(_one_block_lattice(self))
         return self._build()
@@ -251,7 +248,7 @@ class Grid:
         return Grid(self.dim, self.radius, self.step / 2.0)
 
 
-@functools.lru_cache(maxsize=LATTICE_CACHE_ENTRIES)
+@functools.lru_cache(maxsize=1)
 def _one_block_lattice(grid: Grid) -> tuple[np.ndarray, ...]:
     # Grid equality is (dim, radius, step), all that one block depends on.
     return tuple(grid._build())

@@ -62,9 +62,10 @@ from epigauge.constructions import (
 from epigauge import oracle
 from epigauge.core import (_pos_part_rows, _read_only, ball_mask, distances, evaluated,
                            in_closed_ball, last_block_memo, lattice_point, norms, pos_part)
-from epigauge.oracle import BLOCK_CELLS, LATTICE_CACHE_ENTRIES, dist_to_set_rows, grid_pair_scan
+from epigauge.oracle import BLOCK_CELLS, dist_to_set_rows, grid_pair_scan
 
 from helpers import clamp_to_band, random_analytic, random_point_in_ball
+from test_golden_output import COVER_1D, PROBLEMS
 
 
 def hexes(values) -> list[str]:
@@ -1327,7 +1328,7 @@ def test_one_block_lattices_are_built_once_and_read_only():
             with pytest.raises(ValueError):
                 X[0, 0] = 1.0
     info = oracle._one_block_lattice.cache_info()
-    assert info.misses == info.currsize == len(ONE_BLOCK_LATTICES)
+    assert info.hits == info.misses == len(ONE_BLOCK_LATTICES) and info.currsize == 1
 
 
 def test_lattices_over_one_block_are_streamed_read_only_and_not_stored(monkeypatch):
@@ -1349,12 +1350,28 @@ def test_lattices_over_one_block_are_streamed_read_only_and_not_stored(monkeypat
 
 def test_lattice_cache_is_bounded():
     oracle._one_block_lattice.cache_clear()
-    assert oracle._one_block_lattice.cache_info().maxsize == LATTICE_CACHE_ENTRIES
-    for k in range(LATTICE_CACHE_ENTRIES + 5):
+    assert oracle._one_block_lattice.cache_info().maxsize == 1
+    for k in range(5):
         X = next(Grid(2, 1.0, 1.0 / (4 + k)).blocks())
-        assert oracle._one_block_lattice.cache_info().currsize == \
-            min(k + 1, LATTICE_CACHE_ENTRIES)
+        assert oracle._one_block_lattice.cache_info().currsize == 1
         assert len(X) == len(expected_rows(2, 1.0, 1.0 / (4 + k)))
+    list(Grid(2, 1.0, 1.0 / 4).blocks())  # evicted by the later lattices: built again
+    assert oracle._one_block_lattice.cache_info()[:2] == (0, 6)
+
+
+@pytest.mark.parametrize("argv,hits,misses", [
+    (["certify", "--spec", str(PROBLEMS / "sharpness.prob"), "--out", "record.txt"], 0, 1),
+    (["demo", "sharpness"], 5, 1),
+    (["gauge", "--spec", "cover.prob"], 1, 3),
+], ids=["certify", "demo-sharpness", "gauge-cover"])
+def test_each_command_reuses_only_the_lattice_it_scanned_last(argv, hits, misses, tmp_path,
+                                                             monkeypatch):
+    # one cache slot suffices: these are every hit an unbounded cache would give
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cover.prob").write_text(COVER_1D)
+    oracle._one_block_lattice.cache_clear()
+    assert main(argv) == 0
+    assert oracle._one_block_lattice.cache_info()[:2] == (hits, misses)
 
 
 def test_equal_radius_local_certs_report_their_own_crossing():

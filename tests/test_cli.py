@@ -409,6 +409,34 @@ def test_over_cap_certify_builds_no_axis(monkeypatch, capsys):
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
+CAP_ERROR = ("oracle cap exceeded: lattice step 1e-09 on radius 1.0 gives more than "
+             "100000000 points per axis\n")
+
+
+def test_over_cap_cover_gauge_packages_no_cover(tmp_path, monkeypatch, capsys):
+    def not_packaged(*args):
+        raise AssertionError("the cover was packaged before the cap check")
+
+    p = tmp_path / "cover.prob"
+    p.write_text(COVER_SPEC)
+    monkeypatch.setattr(epigauge.certificates.AggregatedEnvelope, "to_envelope_cert",
+                        not_packaged)
+    rc = main(["gauge", "--spec", str(p), "--grid-step", "1e-9"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (4, "", CAP_ERROR)
+
+
+def test_the_cap_is_reported_before_the_certified_region(tmp_path, capsys):
+    p = tmp_path / "envelope.prob"
+    p.write_text((PROBLEMS / "envelope.prob").read_text().replace(
+        "region_radius = 1.0", "region_radius = 0.5"))
+    assert main(["gauge", "--spec", str(p)]) == 3
+    assert capsys.readouterr().err.startswith("precondition failure: cylinder base radius")
+    rc = main(["gauge", "--spec", str(p), "--grid-step", "1e-9"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (4, "", CAP_ERROR)
+
+
 @pytest.mark.parametrize("argv", [
     ["gauge", "--spec", str(PROBLEMS / "sharpness.prob")],
     ["certify", "--spec", str(PROBLEMS / "sharpness.prob")],

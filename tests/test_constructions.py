@@ -289,6 +289,33 @@ def test_sharpness_with_one_distinct_drop_exits_3_before_the_sweep(argv, capsys,
     assert err == "precondition failure: the slope fit needs two distinct drops, all are 0.0001\n"
 
 
+@pytest.mark.parametrize("delta_max,slope", [("1.0000000000000002e-4", "nan"),
+                                             ("1.001e-4", "3.1754611637869566e-13"),
+                                             ("1.03e-4", "0.3366283509006172")])
+def test_sharpness_with_an_unresolved_slope_exits_3(delta_max, slope, capsys):
+    # every extreme argmin lies within h of its plateau half-width, so the fit
+    # misses 1/2 through the lattice alone: the drops are too close for h
+    assert cli.main(["demo", "sharpness", "--num-deltas", "2", "--delta-max", delta_max]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("precondition failure: grid step 0.0001 does not resolve the log-log slope "
+                   f"of these drops: fitted slope = {slope} with every extreme argmin within h "
+                   "of sqrt(2 delta/mu)\n")
+
+
+@pytest.mark.parametrize("argv,code,out", [
+    (["--num-deltas", "2", "--delta-max", "2e-4"], 0, "5/5 properties passed\n"),
+    # a slope miss beside other failing properties is still a falsification
+    (["--delta-min", "1e-200", "--delta-max", "1e-198", "--grid-step", "1e-103"], 1,
+     "2/5 properties passed\n"),
+], ids=["resolved", "falsified"])
+def test_sharpness_slope_is_judged_as_before_elsewhere(argv, code, out, capsys):
+    assert cli.main(["demo", "sharpness", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out.endswith(out)
+    assert "loglog_slope_one_half" in captured.out
+
+
 def test_sweep_with_one_drop_reports_a_nan_slope_and_exits_0(capsys):
     assert cli.main(["sweep", "--mu", "2", "--num-deltas", "1"]) == 0
     out, err = capsys.readouterr()
