@@ -51,7 +51,6 @@ from .core import (
 from .errors import (
     CertificateViolationError,
     CoverageError,
-    DomainError,
     InconsistentCoverError,
     PreconditionError,
 )
@@ -63,9 +62,7 @@ __all__ = [
     "Cover",
     "ToleranceField",
     "AggregatedEnvelope",
-    "BracketingReport",
     "envelope_width_bound",
-    "validate_bracketing",
     "aggregate_cover",
     "gauge_from_tolerance_field",
 ]
@@ -341,44 +338,6 @@ def gauge_from_tolerance_field(tf: ToleranceField, grid_step: float) -> GaugeBou
     ``radial_affine`` whose range is finite and nonnegative, else scanned
     over the base lattice (see ``_certified_sup``)."""
     return _certified_sup(tf.eta, tf.cylinder, grid_step, "tolerance", tf.grid_exact, tf._range)
-
-
-@record
-class BracketingReport:
-    """Result of checking ``lower <= candidate <= upper`` on a lattice.
-    Empty ``failures`` means the sandwich held at every checked point; that
-    is a grid statement, not a certificate."""
-
-    failures: tuple[tuple[Point, float, float, float], ...]  # (point, lower, value, upper)
-    points_checked: int
-    grid_step: float
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def validate_bracketing(cert: EnvelopeCert, candidate: Func, cyl: Cylinder,
-                        grid_step: float) -> BracketingReport:
-    """Check a candidate surrogate against the envelope sandwich on the
-    base lattice of the cylinder."""
-    _require_in_region(cert, cyl)
-    if candidate.dim != cert.dim:
-        raise DomainError("candidate dimension does not match the certificate")
-    if cyl.R > slack_radius(candidate.domain_radius):
-        raise DomainError(
-            f"candidate domain radius {candidate.domain_radius!r} does not cover the base disk"
-        )
-    grid = Grid(cert.dim, cyl.R, grid_step)
-    failures = []
-    checked = 0
-    for X, (lo, hi, v) in evaluated(grid.blocks(), cert.lower, cert.upper, candidate):
-        checked += len(X)
-        for i in np.flatnonzero(~((lo <= v) & (v <= hi))).tolist():
-            failures.append((Point(tuple(X[i].tolist())), float(lo[i]), float(v[i]),
-                             float(hi[i])))
-    return BracketingReport(failures=tuple(failures), points_checked=checked,
-                            grid_step=grid_step)
 
 
 # ---------------------------------------------------------------------------

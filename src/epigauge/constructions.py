@@ -29,11 +29,11 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .core import (TAU, ClosedBall, FinitePointSet, Func, Point, in_closed_ball, last_block_memo,
+from .core import (TAU, FinitePointSet, Func, Point, in_closed_ball, last_block_memo,
                    norms, record, require_positive)
 from .errors import ConstructionError, OracleCapError, PreconditionError
 from .oracle import LATTICE_CAP, Grid, dist_to_set, dist_to_set_rows, grid_argmin
-from .stability import GrowthCert, square_root_rule
+from .stability import square_root_rule
 
 __all__ = [
     "SharpnessFamily",
@@ -59,8 +59,8 @@ class SharpnessFamily:
 
     ``g`` vanishes exactly on the plateau ``|x| <= sqrt(2*delta/mu)`` and
     the pair's vertical discrepancy is at most ``delta`` on any cylinder.
-    ``argmin_radius`` is the plateau half-width; ``extreme_minimizer`` is
-    the plateau's right endpoint, realizing the worst displacement.
+    ``argmin_radius`` is the plateau half-width: the plateau's endpoints
+    realize the worst displacement.
     """
 
     mu: float
@@ -71,26 +71,6 @@ class SharpnessFamily:
     @property
     def argmin_radius(self) -> float:
         return math.sqrt(2.0 * self.delta / self.mu)
-
-    @property
-    def extreme_minimizer(self) -> Point:
-        return Point((self.argmin_radius,))
-
-    @property
-    def surrogate_argmin(self) -> ClosedBall:
-        return ClosedBall(center=Point.origin(1), radius=self.argmin_radius)
-
-    @property
-    def target_argmin(self) -> FinitePointSet:
-        return FinitePointSet((Point.origin(1),))
-
-    def growth_cert(self, radius: float) -> GrowthCert:
-        """Growth certificate of the target quadratic (exact: equality case)."""
-        return GrowthCert(mu=self.mu, radius=radius, argmin_set=self.target_argmin,
-                          inf_value=0.0)
-
-    def displacement_bound_value(self) -> float:
-        return square_root_rule(self.delta, self.mu)[0]
 
 
 def build_sharpness_pair(mu: float, delta: float) -> SharpnessFamily:

@@ -7,8 +7,8 @@ This module holds the vocabulary everything else builds on:
   declared ball is a hard error, never an extrapolation.
 - ``Cylinder``: the comparison window (base radius ``R``, level band
   ``[-M, M]``).
-- ``pos_part`` / ``vertical_distance`` / ``pointwise_discrepancy``: the
-  elementary vertical maps.  ``vertical_distance(f, t)`` is the gap from a
+- ``pos_part`` / ``pointwise_discrepancy``: the elementary vertical maps.
+  For a value ``fa`` at ``x``, ``pos_part(fa - t)`` is the gap from the
   point ``(x, t)`` straight up to the region above the graph at that ``x``;
   the discrepancy compares two such gaps at a shared level.
 - ``GaugeBound``: a scalar bound on the vertical discrepancy over a
@@ -63,10 +63,8 @@ __all__ = [
     "ClosedBall",
     "ArgminSet",
     "pos_part",
-    "vertical_distance",
     "pointwise_discrepancy",
     "gauge_from_value_bound",
-    "discrepancy_profile",
     "in_closed_ball",
 ]
 
@@ -235,19 +233,11 @@ def _pos_part_rows(r: np.ndarray) -> np.ndarray:
     return v
 
 
-def vertical_distance(f_value: float, t: float) -> float:
-    """Vertical gap from level ``t`` up to the closed half-line above
-    ``f_value``: zero when ``t >= f_value``, else ``f_value - t``."""
-    f_value = _require_finite(f_value, "f_value")
-    t = _require_finite(t, "t")
-    return pos_part(f_value - t)
-
-
 def pointwise_discrepancy(fa: float, fb: float, t: float) -> float:
     """Absolute difference of the two vertical gaps at a shared level ``t``.
 
-    Equal to ``|vertical_distance(fa, t) - vertical_distance(fb, t)|`` in
-    exact arithmetic, computed by case split::
+    Equal to ``|pos_part(fa - t) - pos_part(fb - t)|`` in exact arithmetic,
+    computed by case split::
 
         t >= max(fa, fb)  ->  0
         t <= min(fa, fb)  ->  |fa - fb|
@@ -540,7 +530,8 @@ class Func:
              domain_radius: float = math.inf, label: str = "") -> "Func":
         """Tent bump ``x -> amplitude * max(0, 1 - ||x - center|| / rho)``.
 
-        Exactly zero (bit-exact ``+0.0``) wherever ``||x - center|| >= rho``.
+        Exactly ``amplitude * 0.0`` wherever ``||x - center|| >= rho``, also
+        where its quotient by ``rho`` overflows; an overflowing distance raises.
         """
         rho = _require_finite(rho, "rho")
         if rho <= 0:
@@ -548,7 +539,8 @@ class Func:
         amplitude = _require_finite(amplitude, "amplitude")
 
         def _eval(p: Point, _c=center, _r=rho, _a=amplitude) -> float:
-            return _a * pos_part(1.0 - p.dist(_c) / _r)
+            d = p.dist(_c)
+            return _a * (0.0 if _r <= d < math.inf else pos_part(1.0 - d / _r))
 
         def _batch(X: np.ndarray, _c=center, _r=rho, _a=amplitude) -> np.ndarray:
             return _a * _pos_part_rows(1.0 - distances(X, _c) / _r)
@@ -560,9 +552,11 @@ class Func:
     @classmethod
     def clamp_shift(cls, base: "Func", shift: float, label: str = "") -> "Func":
         """``x -> max(base(x) - shift, 0)``: the graph dropped by ``shift``
-        and clipped at level zero."""
+        and clipped at level zero.  A difference that rounds to ``-inf`` clips
+        to ``+0.0`` like any other; one that rounds to ``+inf`` raises."""
         shift = _require_finite(shift, "shift")
-        return cls(lambda p, _b=base, _s=shift: pos_part(_b(p) - _s),
+        # max(r, -1.0) clips -inf with every other r <= 0 and keeps +inf
+        return cls(lambda p, _b=base, _s=shift: pos_part(max(_b(p) - _s, -1.0)),
                    base.domain_radius, base.dim,
                    label or f"pospart({base.label or 'f'} - {shift!r})",
                    lambda X, _b=base, _s=shift: _pos_part_rows(_b._rows(X) - _s))
@@ -765,18 +759,6 @@ def gauge_from_value_bound(eps: float, cylinder: Cylinder) -> GaugeBound:
         certified=True,
         detail=f"caller-certified sup|f-g| <= {eps!r} on the base ball of radius {cylinder.R!r}",
     )
-
-
-def discrepancy_profile(f: Func, g: Func, x: Point,
-                        t_samples: Iterable[float]) -> list[float]:
-    """Vertical discrepancy of ``(f, g)`` at ``x`` along listed levels.
-
-    Inspection/plot helper: evaluates both functions once and returns one
-    discrepancy per sample, in input order.
-    """
-    fa = f(x)
-    fb = g(x)
-    return [pointwise_discrepancy(fa, fb, t) for t in t_samples]
 
 
 # ---------------------------------------------------------------------------

@@ -288,9 +288,6 @@ class LevelGrid:
         inside = _axis_values(self.step_t, -self._kin, self._kin + 1).tolist()
         return (-self.M, *inside, self.M)
 
-    def refine(self) -> "LevelGrid":
-        return LevelGrid(self.M, self.step_t / 2.0)
-
 
 @record
 class ArgminResult:

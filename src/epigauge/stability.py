@@ -60,7 +60,6 @@ __all__ = [
     "value_gap_from_gauge",
     "displacement_bound",
     "falsify_quadratic_growth",
-    "suboptimality_gap",
 ]
 
 
@@ -346,10 +345,3 @@ def falsify_quadratic_growth(f: Func, growth: GrowthCert, cyl: Cylinder,
     )
     return GrowthFalsificationReport(header=header, violations=tuple(violations),
                                      points_checked=checked, grid_step=grid_step)
-
-
-def suboptimality_gap(f: Func, x: Point, inf_value: float) -> float:
-    """``f(x) - inf_value``: how far above the claimed infimum a point sits."""
-    if not math.isfinite(inf_value):
-        raise PreconditionError(f"inf_value must be finite, got {inf_value!r}")
-    return f(x) - inf_value

@@ -50,7 +50,6 @@ from epigauge import (
     grid_gauge,
     grid_sup_abs_diff,
     pointwise_discrepancy,
-    validate_bracketing,
 )
 from epigauge.cli import main
 from epigauge.constructions import (
@@ -174,8 +173,13 @@ def family_zoo(dim: int) -> dict[str, Func]:
         "affine": aff,
         "bump": bump,
         "bump_neg_amp": neg_bump,
+        # ||x - c|| / rho overflows off the center: amplitude * 0.0 there
+        "bump_subnormal_rho": Func.bump(c, 1e-310, 0.75),
+        "bump_subnormal_rho_neg_amp": Func.bump(c, 1e-310, -2.0),
         "clamp_shift": Func.clamp_shift(quad, 0.3),
         "clamp_shift_neg": Func.clamp_shift(neg_bump, -0.5),
+        # base - shift rounds to -inf from a finite base: clipped to +0.0
+        "clamp_shift_to_neg_inf": Func.clamp_shift(Func.affine((0.0,) * dim, -1e308), 1e308),
         "scaled": Func.scaled(aff, -1.5),
         "scaled_zero": Func.scaled(quad, -0.0),
         "sum2": Func.sum_of(quad, bump),
@@ -393,12 +397,6 @@ def test_certificate_scans_match_reference_loops():
         step = 0.02 if dim == 1 else 0.1
         assert envelope_width_bound(cert, cyl, step).delta.hex() == \
             naive_width(cert, cyl, step).hex()
-        candidate = clamp_to_band(random_analytic(rng, dim), target, 0.1)
-        report = validate_bracketing(cert, candidate, cyl, step)
-        expected = [(p, lower(p), candidate(p), upper(p))
-                    for p in Grid(dim, 1.0, step).points()
-                    if not (lower(p) <= candidate(p) <= upper(p))]
-        assert report.failures == tuple(expected) and expected
         for tf in (ToleranceField.constant(0.25, cyl, dim),
                    ToleranceField.radial_affine(0.01, 0.3, cyl, dim),
                    ToleranceField(Func(lambda p: 0.01 + 1.5 * p.norm(), dim=dim), cyl),

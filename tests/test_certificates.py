@@ -1,4 +1,4 @@
-"""Certificate patterns: construction validation, width bounds, bracketing,
+"""Certificate patterns: construction validation, width bounds,
 cover aggregation, tolerance fields."""
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from epigauge import (
     envelope_width_bound,
     gauge_from_tolerance_field,
     grid_sup_abs_diff,
-    validate_bracketing,
 )
 
 from helpers import random_polyquad
@@ -111,47 +110,6 @@ def test_width_bound_nonnegative_and_zero_iff_equal_on_grid():
             assert b.delta == 0.0
 
 
-# ---------------------------------------------------------------------------
-# validate_bracketing
-# ---------------------------------------------------------------------------
-
-
-def _band_cert() -> EnvelopeCert:
-    lo = Func(lambda p: p.coords[0] ** 2 - 0.05, math.inf, 1)
-    hi = Func(lambda p: p.coords[0] ** 2 + 0.05, math.inf, 1)
-    return EnvelopeCert(1.0, lower=lo, upper=hi)
-
-
-def test_bracketing_boundary_candidate_passes():
-    cert = _band_cert()
-    report = validate_bracketing(cert, cert.lower, CYL, 0.05)
-    assert report.passed
-    assert report.points_checked == 41
-
-
-def test_bracketing_midpoint_passes():
-    cert = _band_cert()
-    mid = Func(lambda p: p.coords[0] ** 2, math.inf, 1)
-    assert validate_bracketing(cert, mid, CYL, 0.05).passed
-
-
-def test_bracketing_violator_fails_everywhere():
-    cert = _band_cert()
-    above = Func(lambda p: p.coords[0] ** 2 + 0.05 + 0.01, math.inf, 1)
-    report = validate_bracketing(cert, above, CYL, 0.05)
-    assert not report.passed
-    assert len(report.failures) == report.points_checked
-
-
-def test_bracketing_domain_mismatch():
-    from epigauge import DomainError
-
-    cert = _band_cert()
-    small = Func.quadratic(1.0, domain_radius=0.25)
-    with pytest.raises(DomainError):
-        validate_bracketing(cert, small, CYL, 0.05)
-
-
 def test_chaining_value_gap_bounded_by_width_exactly():
     # Any two sandwiched functions differ by at most the width, pointwise in
     # floating point (monotone rounding), hence on shared grids exactly.
@@ -166,8 +124,6 @@ def test_chaining_value_gap_bounded_by_width_exactly():
         cand_a = Func(lambda p: max(lo(p), min(hi(p), truth(p))), math.inf, 1)
         cand_b = lo
         grid_step = 0.05
-        assert validate_bracketing(cert, cand_a, CYL, grid_step).passed
-        assert validate_bracketing(cert, cand_b, CYL, grid_step).passed
         width = envelope_width_bound(cert, CYL, grid_step).delta
         observed = grid_sup_abs_diff(cand_a, cand_b, Grid(1, CYL.R, grid_step))
         assert observed <= width

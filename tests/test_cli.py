@@ -632,6 +632,42 @@ def test_sum_overflow_exits_3_with_one_line(tmp_path, capsys):
     assert len(err) == 1 and "function G returned non-finite value" in err[0]
 
 
+TINY_PAIR = """\
+dimension = 1
+{functions}[function Z]
+family = constant
+value = 0.0
+[cylinder]
+R = 1.0
+M = 1.0
+[pair]
+f = Z
+g = {g}
+[tolerance]
+family = constant
+value = 1.0
+[grid]
+step = 0.25
+"""
+
+
+def test_a_quotient_or_difference_that_rounds_to_minus_inf_clips_to_zero(tmp_path, capsys):
+    # ||x|| / 1e-310 overflows off the bump's center, and -1e308 - 1e308
+    # rounds to -inf: both lie outside the positive part, as in exact arithmetic.
+    bump = "[function F]\nfamily = bump\ncenter = 0.0\nrho = 1e-310\namplitude = 1.0\n"
+    clamp = ("[function F]\nfamily = affine\nslope = 0.0\nintercept = -1e308\n"
+             "[function G]\nfamily = clamp_shift\nbase = F\nshift = 1e308\n")
+    for functions, g, oracle in [(bump, "F", "1.0"), (clamp, "G", "0.0")]:
+        spec = tmp_path / "tiny.prob"
+        spec.write_text(TINY_PAIR.format(functions=functions, g=g))
+        assert main(["gauge", "--spec", str(spec)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = {line[:25].strip(): line.split()[-1] for line in captured.out.splitlines()
+                if line.startswith(("gauge[", "sup "))}
+        assert rows == {"gauge[tolerance]": oracle, "sup |f-g|": oracle}
+
+
 def test_demo_emits_pass_lines(capsys):
     main(["demo", "strictness", "--grid-step", "0.05"])
     out = capsys.readouterr().out

@@ -45,8 +45,9 @@ from epigauge.stability import square_root_rule
 def test_sharpness_canonical_instance():
     fam = build_sharpness_pair(2.0, 0.02)
     assert abs(fam.argmin_radius - 0.1414213562373095) <= 1e-15
-    assert dist_to_set(fam.extreme_minimizer, fam.target_argmin) == fam.argmin_radius
-    assert fam.displacement_bound_value() == 0.2
+    assert dist_to_set(Point.of(fam.argmin_radius), FinitePointSet((Point.origin(1),))) \
+        == fam.argmin_radius
+    assert square_root_rule(fam.delta, fam.mu)[0] == 0.2
 
 
 def test_sharpness_shrinks_with_delta():

@@ -20,22 +20,19 @@ from epigauge import (
     Point,
     PreconditionError,
     Provenance,
-    discrepancy_profile,
     gauge_from_value_bound,
     grid_gauge,
     in_closed_ball,
     pointwise_discrepancy,
     pos_part,
-    vertical_distance,
 )
-from epigauge.constructions import build_strictness_pair
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 moderate = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
-# pos_part / vertical_distance
+# pos_part
 # ---------------------------------------------------------------------------
 
 
@@ -66,18 +63,6 @@ def test_pos_part_dominates(r):
     v = pos_part(r)
     assert v >= 0.0
     assert v >= r
-
-
-def test_vertical_distance_examples():
-    assert vertical_distance(3.0, 1.0) == 2.0
-    assert vertical_distance(-2.0, 0.0) == 0.0
-    assert vertical_distance(1.5, 1.5) == 0.0
-
-
-@given(moderate, moderate)
-def test_vertical_distance_zero_iff_level_in_epigraph(f, t):
-    d = vertical_distance(f, t)
-    assert (d == 0.0) == (t >= f)
 
 
 # ---------------------------------------------------------------------------
@@ -225,37 +210,6 @@ def test_assumed_provenance_is_never_certified():
 def test_gauge_bound_rejects_negative_delta():
     with pytest.raises(PreconditionError):
         GaugeBound(-1e-9, Cylinder(1.0, 1.0), Provenance.VALUE_BOUND)
-
-
-# ---------------------------------------------------------------------------
-# Discrepancy profile
-# ---------------------------------------------------------------------------
-
-
-def test_discrepancy_profile_identical_functions():
-    f = Func.quadratic(1.0)
-    ts = [-1.0, -0.5, 0.0, 0.5, 1.0]
-    assert discrepancy_profile(f, f, Point.of(0.3), ts) == [0.0] * 5
-
-
-def test_discrepancy_profile_strictness_pair_all_zero_inside_band():
-    pair = build_strictness_pair(1.0, 2.0, 5.0)
-    ts = [-2.0, -1.0, 0.0, 1.0, 2.0]
-    prof = discrepancy_profile(pair.f, pair.g, Point.of(0.5), ts)
-    assert prof == [0.0] * 5
-
-
-def test_discrepancy_profile_constant_pair():
-    f = Func.constant(0.0)
-    g = Func.constant(0.3)
-    assert discrepancy_profile(f, g, Point.of(0.0), [-1.0]) == [0.3]
-
-
-def test_discrepancy_profile_outside_domain_errors():
-    f = Func.quadratic(1.0, domain_radius=0.5)
-    g = Func.quadratic(1.0)
-    with pytest.raises(DomainError):
-        discrepancy_profile(f, g, Point.of(0.75), [0.0])
 
 
 # ---------------------------------------------------------------------------

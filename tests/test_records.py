@@ -24,8 +24,8 @@ import numpy as np
 import pytest
 
 from epigauge import certificates, cli, constructions, core, oracle, problem, stability
-from epigauge.certificates import (AggregatedEnvelope, BracketingReport, Cover, EnvelopeCert,
-                                   LocalCert, ToleranceField)
+from epigauge.certificates import (AggregatedEnvelope, Cover, EnvelopeCert, LocalCert,
+                                   ToleranceField)
 from epigauge.constructions import (ImpossibilityPair, SharpnessFamily, StrictnessPair,
                                     SweepResult, SweepRow)
 from epigauge.core import (ClosedBall, Cylinder, FinitePointSet, Func, GaugeBound, Point,
@@ -90,7 +90,6 @@ def _samples():
         LocalCert: [(origin, 0.5, zero, one), (half, 0.25, zero, one)],
         Cover: [((local,),), ((local, local2),)],
         ToleranceField: [(zero, cyl), (one, cyl, True)],
-        BracketingReport: [((), 10, 0.1), (((half, 0.0, 0.5, 1.0),), 10, 0.1)],
         AggregatedEnvelope: [(Cover((local,)),), (Cover((local2,)),)],
         GrowthCert: [(2.0, 1.0, FinitePointSet((origin,)), 0.0),
                      (3.0, 1.0, ClosedBall(origin, 0.5), 0.0)],
@@ -217,7 +216,7 @@ def test_a_record_behaves_as_its_dataclass_twin(cls):
 
 def test_every_record_has_samples():
     assert set(RECORDS) == set(SAMPLES) - {_Probe}
-    assert len(RECORDS) == 30
+    assert len(RECORDS) == 29
 
 
 def test_a_frozen_record_raises_frozen_instance_error():

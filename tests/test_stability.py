@@ -26,7 +26,6 @@ from epigauge import (
     falsify_quadratic_growth,
     gauge_from_value_bound,
     grid_argmin,
-    suboptimality_gap,
     value_gap_from_gauge,
     window_check,
 )
@@ -146,12 +145,12 @@ def test_displacement_sharpness_family_with_oracle_argmin():
     h = 1e-3
     res = grid_argmin(fam.g, Grid(1, 1.0, h))
     xtilde = res.points[-1]  # extreme positive tie
-    cert = displacement_bound(gauge, fam.growth_cert(1.0), Point.of(0.0), xtilde,
+    cert = displacement_bound(gauge, _simple_growth(fam.mu), Point.of(0.0), xtilde,
                               fam.f, fam.g, grid_step=h)
     assert cert.bound == 0.2
     assert cert.valid
     true_extreme = math.sqrt(2.0 * fam.delta / fam.mu)  # ~0.1414
-    d = dist_to_set(xtilde, fam.target_argmin)
+    d = dist_to_set(xtilde, FinitePointSet((Point.of(0.0),)))
     assert abs(d - true_extreme) <= h
     assert d <= cert.bound_with_slack
     assert cert.slack == 2.0 * h
@@ -179,7 +178,7 @@ def test_displacement_invalid_when_window_fails():
     fam = build_sharpness_pair(2.0, 0.02)
     cyl = Cylinder(1.0, 0.001)
     gauge = gauge_from_value_bound(fam.delta, cyl)
-    cert = displacement_bound(gauge, fam.growth_cert(1.0), Point.of(0.0),
+    cert = displacement_bound(gauge, _simple_growth(fam.mu), Point.of(0.0),
                               Point.of(0.14), fam.f, fam.g)
     assert not cert.valid
     assert cert.reverify() == cert.valid
@@ -190,7 +189,7 @@ def test_valid_flag_reverifies_from_stored_values():
     fam = build_sharpness_pair(2.0, 0.02)
     cyl = Cylinder(1.0, 1.0)
     gauge = gauge_from_value_bound(fam.delta, cyl)
-    cert = displacement_bound(gauge, fam.growth_cert(1.0), Point.of(0.0),
+    cert = displacement_bound(gauge, _simple_growth(fam.mu), Point.of(0.0),
                               Point.of(0.1), fam.f, fam.g)
     assert cert.valid
     assert cert.reverify()
@@ -275,26 +274,10 @@ def test_falsify_catches_wrong_argmin_value():
 
 def test_falsify_ball_argmin_plateau():
     fam = build_sharpness_pair(2.0, 0.02)
-    growth = GrowthCert(mu=0.5, radius=1.0, argmin_set=fam.surrogate_argmin,
-                        inf_value=0.0)
+    plateau = ClosedBall(Point.of(0.0), fam.argmin_radius)
+    growth = GrowthCert(mu=0.5, radius=1.0, argmin_set=plateau, inf_value=0.0)
     report = falsify_quadratic_growth(fam.g, growth, Cylinder(1.0, 1.0), 0.01)
     assert not report.falsified  # g does grow at least (0.5/2) d^2 off its plateau
-
-
-# ---------------------------------------------------------------------------
-# Suboptimality gaps
-# ---------------------------------------------------------------------------
-
-
-def test_suboptimality_examples():
-    fam = build_sharpness_pair(2.0, 0.02)
-    xt = Point.of(math.sqrt(2.0 * fam.delta / fam.mu))
-    gap = suboptimality_gap(fam.f, xt, 0.0)
-    assert abs(gap - fam.delta) <= TAU
-    assert gap <= 2.0 * fam.delta
-    assert suboptimality_gap(fam.f, Point.of(0.0), 0.0) == 0.0
-    q = Func.quadratic(1.0)
-    assert suboptimality_gap(q, Point.of(0.3), 0.0) == 0.09
 
 
 def test_growth_cert_validation():
