@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import field
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -155,10 +155,6 @@ class LocalCert:
         _check_not_crossed(self.lower, self.upper, (center + off for off in offsets.blocks()),
                            "local certificate")
 
-    def is_active(self, x: Point) -> bool:
-        """Closed-ball membership: boundary points count as covered."""
-        return in_closed_ball(x, self.radius, self.center)
-
 
 @record
 class Cover:
@@ -179,13 +175,6 @@ class Cover:
     @property
     def dim(self) -> int:
         return self.certs[0].center.dim
-
-
-class _ClosedForm(NamedTuple):
-    """``eta`` with its exact range over the base ball: only
-    ``ToleranceField.constant`` and ``radial_affine`` build one."""
-    eta: Func
-    range: tuple[float, float]
 
 
 @record
@@ -213,9 +202,6 @@ class ToleranceField:
         default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.eta, _ClosedForm):
-            object.__setattr__(self, "_range", self.eta.range)
-            object.__setattr__(self, "eta", self.eta.eta)
         if not isinstance(self.eta, Func):
             raise PreconditionError(f"eta must be a Func, got {type(self.eta).__name__}")
 
@@ -230,7 +216,9 @@ class ToleranceField:
         value = float(value) + 0.0  # -0.0 + 0.0 is +0.0; every other value is kept
         eta = Func(lambda p, _v=value: _v, math.inf, dim, "",
                    lambda X, _v=value: np.full(len(X), _v))
-        return cls(_ClosedForm(eta, (value, value)), cylinder)
+        tf = cls(eta, cylinder)
+        object.__setattr__(tf, "_range", (value, value))
+        return tf
 
     @classmethod
     def radial_affine(cls, base: float, slope: float, cylinder: Cylinder,
@@ -244,7 +232,9 @@ class ToleranceField:
                    "", lambda X, _b=base, _s=slope, _R=R: _b + _s * (norms(X) / _R))
         # a NaN end compares false and stays in the range, which then fails the check
         ends = (base, rim) if base <= rim else (rim, base)
-        return cls(_ClosedForm(eta, (ends[0] + 0.0, ends[1] + 0.0)), cylinder)
+        tf = cls(eta, cylinder)
+        object.__setattr__(tf, "_range", (ends[0] + 0.0, ends[1] + 0.0))
+        return tf
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +354,9 @@ class AggregatedEnvelope:
     cover: Cover
 
     def active(self, x: Point) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.cover.certs) if c.is_active(x))
+        """The certificates whose closed ball holds ``x``, boundary included."""
+        return tuple(i for i, c in enumerate(self.cover.certs)
+                     if in_closed_ball(x, c.radius, c.center))
 
     def evaluate(self, x: Point) -> tuple[float, float]:
         idx = self.active(x)

@@ -420,13 +420,15 @@ def _demo_sharpness(args) -> tuple[list[_Property], SweepResult]:
 
 def _csv_text(sweep: Optional[SweepResult], props: Sequence[_Property] = ()) -> str:
     """The sweep table as CSV, or without a sweep the property table."""
-    buf = io.StringIO()
-    if sweep is not None:
-        sweep.to_csv(buf)
-    else:
-        import csv
+    import csv
 
-        writer = csv.writer(buf, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if sweep is not None:
+        writer.writerow(["delta", "argmin", "dist", "bound", "slack"])
+        writer.writerows([repr(r.delta), repr(r.argmin), repr(r.dist), repr(r.bound),
+                          repr(r.slack)] for r in sweep.rows)
+    else:
         writer.writerow(["property", "passed", "detail"])
         writer.writerows([p.name, "pass" if p.passed else "fail", p.detail] for p in props)
     return buf.getvalue()

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import IO, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -97,14 +97,6 @@ class StrictnessPair:
     A: float
     f: Func
     g: Func
-
-    @property
-    def f_level(self) -> float:
-        return -(self.M + 1.0)
-
-    @property
-    def g_level(self) -> float:
-        return -(self.M + 1.0) - self.A
 
 
 def build_strictness_pair(R: float, M: float, A: float) -> StrictnessPair:
@@ -249,17 +241,6 @@ class SweepResult:
     mu: float
     grid_step: float
     radius: float
-
-    CSV_COLUMNS = ("delta", "argmin", "dist", "bound", "slack")
-
-    def to_csv(self, out: IO[str]) -> None:
-        import csv
-
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(self.CSV_COLUMNS)
-        for r in self.rows:
-            writer.writerow([repr(r.delta), repr(r.argmin), repr(r.dist),
-                             repr(r.bound), repr(r.slack)])
 
 
 def sweep_lattice(mu: float, delta_max: float, grid_step: float, drops: int) -> Grid:

@@ -480,15 +480,13 @@ class Func:
     # -- named analytic families -------------------------------------------
 
     @classmethod
-    def constant(cls, value: float, dim: int = 1, domain_radius: float = math.inf,
-                 label: str = "") -> "Func":
+    def constant(cls, value: float, dim: int = 1, label: str = "") -> "Func":
         value = _require_finite(value, "value")
-        return cls(lambda _p, _v=value: _v, domain_radius, dim, label or f"const({value!r})",
+        return cls(lambda _p, _v=value: _v, math.inf, dim, label or f"const({value!r})",
                    lambda X, _v=value: np.full(len(X), _v))
 
     @classmethod
-    def quadratic(cls, coeff: float, dim: int = 1, domain_radius: float = math.inf,
-                  label: str = "") -> "Func":
+    def quadratic(cls, coeff: float, dim: int = 1, label: str = "") -> "Func":
         """``x -> coeff * ||x||^2``."""
         coeff = _require_finite(coeff, "coeff")
 
@@ -498,12 +496,11 @@ class Func:
                 s += c * c
             return _c * s
 
-        return cls(_eval, domain_radius, dim, label or f"{coeff!r}*|x|^2",
+        return cls(_eval, math.inf, dim, label or f"{coeff!r}*|x|^2",
                    lambda X, _c=coeff: _c * _sum_squares(X))
 
     @classmethod
-    def affine(cls, slope: Sequence[float], intercept: float,
-               domain_radius: float = math.inf, label: str = "") -> "Func":
+    def affine(cls, slope: Sequence[float], intercept: float, label: str = "") -> "Func":
         """``x -> <slope, x> + intercept``."""
         slope_t = tuple(_require_finite(s, "slope") for s in slope)
         if not slope_t:
@@ -522,16 +519,17 @@ class Func:
                 acc += si * X[:, k]
             return acc
 
-        return cls(_eval, domain_radius, len(slope_t),
+        return cls(_eval, math.inf, len(slope_t),
                    label or f"affine({slope_t!r}, {intercept!r})", _batch)
 
     @classmethod
-    def bump(cls, center: Point, rho: float, amplitude: float,
-             domain_radius: float = math.inf, label: str = "") -> "Func":
+    def bump(cls, center: Point, rho: float, amplitude: float, label: str = "") -> "Func":
         """Tent bump ``x -> amplitude * max(0, 1 - ||x - center|| / rho)``.
 
         Exactly ``amplitude * 0.0`` wherever ``||x - center|| >= rho``, also
-        where its quotient by ``rho`` overflows; an overflowing distance raises.
+        where its quotient by ``rho`` overflows.  An overflowing distance does
+        not show ``||x - center|| >= rho`` once ``rho`` passes about 1.3e154,
+        so the value there is ``inf`` and the call raises.
         """
         rho = _require_finite(rho, "rho")
         if rho <= 0:
@@ -540,12 +538,14 @@ class Func:
 
         def _eval(p: Point, _c=center, _r=rho, _a=amplitude) -> float:
             d = p.dist(_c)
-            return _a * (0.0 if _r <= d < math.inf else pos_part(1.0 - d / _r))
+            if d == math.inf:
+                return d
+            return _a * (0.0 if _r <= d else max(0.0, 1.0 - d / _r))
 
         def _batch(X: np.ndarray, _c=center, _r=rho, _a=amplitude) -> np.ndarray:
             return _a * _pos_part_rows(1.0 - distances(X, _c) / _r)
 
-        return cls(_eval, domain_radius, center.dim,
+        return cls(_eval, math.inf, center.dim,
                    label or f"bump(center={center}, rho={rho!r}, amp={amplitude!r})",
                    _batch)
 
@@ -553,10 +553,11 @@ class Func:
     def clamp_shift(cls, base: "Func", shift: float, label: str = "") -> "Func":
         """``x -> max(base(x) - shift, 0)``: the graph dropped by ``shift``
         and clipped at level zero.  A difference that rounds to ``-inf`` clips
-        to ``+0.0`` like any other; one that rounds to ``+inf`` raises."""
+        to ``+0.0`` like any other; one that rounds to ``+inf`` is the value,
+        so the call raises."""
         shift = _require_finite(shift, "shift")
-        # max(r, -1.0) clips -inf with every other r <= 0 and keeps +inf
-        return cls(lambda p, _b=base, _s=shift: pos_part(max(_b(p) - _s, -1.0)),
+        # max(0.0, r) is +0.0 for every r <= 0, -0.0 and -inf included
+        return cls(lambda p, _b=base, _s=shift: max(0.0, _b(p) - _s),
                    base.domain_radius, base.dim,
                    label or f"pospart({base.label or 'f'} - {shift!r})",
                    lambda X, _b=base, _s=shift: _pos_part_rows(_b._rows(X) - _s))

@@ -143,12 +143,14 @@ def _axis_values(step: float, lo: int, hi: int) -> np.ndarray:
 @record
 class Grid:
     """Axis-aligned lattice on the cube ``[-radius, radius]^dim`` filtered
-    to the closed ball ``||x|| <= radius``.
+    to the closed ball ``||x|| <= radius``.  Its axis ``k*step`` holds the
+    origin always, and ``+/-radius`` itself whenever ``radius/step`` is
+    integral (up to float slack); in 1-d the axis is the lattice.
 
     The size cap is checked on the unfiltered cube count (the scan upper
-    bound), from the axis length alone: the axis itself is built on first
-    use, by ``blocks`` or ``axis``, so an over-cap grid costs nothing.
-    Iteration is lexicographic in coordinates.
+    bound), from the axis length alone: the axis itself is built by
+    ``blocks``, so an over-cap grid costs nothing.  Iteration is
+    lexicographic in coordinates.
     """
 
     dim: int
@@ -172,17 +174,6 @@ class Grid:
         if self.dim >= 64:
             raise OracleCapError(f"lattice dimension {self.dim} exceeds the limit of 63")
         object.__setattr__(self, "_kmax", kmax)
-
-    @functools.cached_property
-    def _axis(self) -> np.ndarray:
-        return _axis_values(self.step, -self._kmax, self._kmax + 1)
-
-    @property
-    def axis(self) -> tuple[float, ...]:
-        """The symmetric 1-d lattice ``k*step`` covering ``[-radius,
-        radius]``: the origin always, and ``+/-radius`` itself whenever
-        ``radius/step`` is integral (up to float slack)."""
-        return tuple(self._axis.tolist())
 
     def cube_size(self) -> int:
         return (2 * self._kmax + 1) ** self.dim
@@ -210,7 +201,7 @@ class Grid:
             for start in range(0, size, step):
                 yield _axis_values(self.step, start - k, min(start + step, size) - k)[:, None]
             return
-        axis = self._axis
+        axis = _axis_values(self.step, -k, k + 1)
         with np.errstate(over="ignore"):  # rounds to inf, as ``Point.norm`` does
             squares = axis * axis
         bound = slack_radius(self.radius)
@@ -240,12 +231,6 @@ class Grid:
         for X in self.blocks():
             for row in X.tolist():
                 yield lattice_point(tuple(row))
-
-    def refine(self) -> "Grid":
-        """Halve the step.  The refined lattice contains this one exactly
-        (bit-identical coordinates), so scan suprema are monotone under
-        refinement."""
-        return Grid(self.dim, self.radius, self.step / 2.0)
 
 
 @functools.lru_cache(maxsize=1)

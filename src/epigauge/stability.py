@@ -18,7 +18,7 @@ Claims are always derived from stored raw values, never asserted by
 callers: a ``DisplacementCert`` stores its gauge bound, growth certificate,
 window checks and grid step, and derives ``bound``, ``slack``,
 ``bound_with_slack``, ``valid`` and ``detail`` from them.  So ``valid`` can
-be re-verified from the record alone: ``epigauge certify`` writes every
+be recomputed from the record alone: ``epigauge certify`` writes every
 input of it, the ``in_base``/``in_level`` flags of both window sections,
 ``cylinder_R`` and ``growth_radius``, and ``valid`` holds exactly when all
 four flags are true and ``cylinder_R <= slack_radius(growth_radius)``.
@@ -140,9 +140,6 @@ class ValueGapResult:
     bound: Optional[float]
     reason: str
 
-    def __bool__(self) -> bool:
-        return self.valid
-
 
 def value_gap_from_gauge(gauge: GaugeBound, check: WindowCheck) -> ValueGapResult:
     """Pointwise value control from vertical control.
@@ -179,7 +176,7 @@ class DisplacementCert:
     the target and surrogate minimizers, and the step of the lattice scan
     that found the surrogate minimizer (``None``: caller-certified exact).
     Derived: ``bound`` and ``slack`` (``square_root_rule``), their sum
-    ``bound_with_slack``, ``detail``, and ``valid``, which is ``reverify()``:
+    ``bound_with_slack``, ``detail``, and ``valid``, recomputed on every read:
     both points lie in the base ball, all four stored values lie in the
     level band, and the growth ball contains the base ball (otherwise the
     growth claim says nothing about a surrogate minimizer outside it).
@@ -214,10 +211,7 @@ class DisplacementCert:
 
     @property
     def valid(self) -> bool:
-        return self.reverify()
-
-    def reverify(self) -> bool:
-        """Recompute the validity flag from stored raw values."""
+        """The validity flag, recomputed from the stored raw values."""
         return self.growth_covers_base and all(c.in_base and c.in_level
                                                for c in self.window_checks)
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from epigauge import Func, Point
+from epigauge import Func, Grid, Point
 
 
 def random_polyquad(rng: np.random.Generator, dim: int = 1) -> Func:
@@ -52,6 +52,11 @@ def clamp_to_band(base: Func, reference: Func, delta: float) -> Func:
 
     return Func(_eval, min(base.domain_radius, reference.domain_radius), base.dim,
                 f"clamp({base.label}, {reference.label} +/- {delta:.3g})")
+
+
+def axis_of(grid: Grid) -> tuple[float, ...]:
+    """The lattice of a 1-d ``grid``, which is its axis."""
+    return tuple(x for X in grid.blocks() for x in X[:, 0].tolist())
 
 
 def random_point_in_ball(rng: np.random.Generator, radius: float, dim: int = 1) -> Point:

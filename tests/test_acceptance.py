@@ -165,7 +165,7 @@ def test_criterion_7_oracle_consistency_100_pairs():
         prev_sup = grid_sup_abs_diff(f, g, grid)
         dominated = dominated and prev_gauge <= prev_sup
         for _ in range(3):
-            grid = grid.refine()
+            grid = Grid(grid.dim, grid.radius, grid.step / 2.0)
             cur_gauge = grid_gauge(f, g, grid, 1.0)
             cur_sup = grid_sup_abs_diff(f, g, grid)
             monotone = monotone and cur_gauge >= prev_gauge and cur_sup >= prev_sup

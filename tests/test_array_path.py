@@ -63,7 +63,7 @@ from epigauge.core import (_pos_part_rows, _read_only, ball_mask, distances, eva
                            in_closed_ball, last_block_memo, lattice_point, norms, pos_part)
 from epigauge.oracle import BLOCK_CELLS, dist_to_set_rows, grid_pair_scan
 
-from helpers import clamp_to_band, random_analytic, random_point_in_ball
+from helpers import axis_of, clamp_to_band, random_analytic, random_point_in_ball
 from test_golden_output import COVER_1D, PROBLEMS
 
 
@@ -268,7 +268,7 @@ def test_blocks_are_lattice_order_and_bounded(dim, step, monkeypatch):
     kmax = int(math.floor((1.0 / step) * (1.0 + TAU) + TAU))
     bound = 1.0 * (1.0 + TAU) + TAU
     axis = [k * step for k in range(-kmax, kmax + 1) if abs(k * step) <= bound]
-    assert hexes(grid.axis) == hexes(axis)
+    assert hexes(axis_of(Grid(1, 1.0, step))) == hexes(axis)
     expected = [c for c in itertools.product(axis, repeat=dim)
                 if dim == 1 or math.sqrt(sum(x * x for x in c)) <= bound]
     block = BLOCK_CELLS // 4096
@@ -329,7 +329,7 @@ def test_blocks_match_the_divmod_construction(dim, radius, step, divisor, monkey
         assert X.dtype == np.float64 and X.shape == Y.shape and X.tobytes() == Y.tobytes()
         assert not X.flags.writeable
     # each block comes from at most ``block`` cube nodes
-    n = len(grid.axis)
+    n = len(axis_of(Grid(1, radius, step)))
     nodes = [np.ravel_multi_index(tuple((np.rint(X / step).astype(np.intp) + n // 2).T),
                                   (n,) * dim) for X in got]
     assert all(v[-1] - v[0] < block for v in nodes)
@@ -556,19 +556,20 @@ def test_pos_part_rows_is_pos_part_or_nan_where_it_raises(values):
 
 def test_values_error_parity():
     huge = Func.affine((1e308,), 0.0, label="huge")
-    inner = Func.quadratic(1.0, domain_radius=0.5, label="inner")
+    inner = dataclasses.replace(Func.quadratic(1.0, label="inner"), domain_radius=0.5)
     cases = [
         # DomainError: outside the ball, and from a nested term
-        (Func.quadratic(1.0, domain_radius=1.0, label="q"), [0.5, 1.0, 1.5, 2.0]),
+        (dataclasses.replace(Func.quadratic(1.0, label="q"), domain_radius=1.0),
+         [0.5, 1.0, 1.5, 2.0]),
         (dataclasses.replace(Func.sum_of(inner, Func.constant(1.0)), domain_radius=2.0),
          [0.25, 0.75, 1.0]),
         # EvaluationError: non-finite value
         (Func.quadratic(1e300, label="big"), [1.0, 1e5, 1e6]),
         (Func.scaled(huge, 10.0), [0.5, 1.0, -1.0]),
         (Func(lambda p: math.nan if p.coords[0] > 0.5 else 1.0, label="user"), [0.0, 0.6, 0.7]),
-        # PreconditionError from pos_part (base - shift overflows)
+        # EvaluationError: base - shift overflows to +inf
         (Func.clamp_shift(huge, -1.7e308), [0.0, 1.0, 2.0]),
-        # PreconditionError from pos_part inside a bump (distance overflows)
+        # EvaluationError: a bump's distance overflows
         (Func.bump(Point.of(0.0), 0.5, 1.0, label="far"), [0.0, 1e200]),
         # EvaluationError: fsum's intermediate overflow makes the sum NaN
         (Func.sum_of(huge, huge), [0.5, 1.0]),
@@ -655,7 +656,7 @@ def test_batch_returning_a_shared_array_is_replayed_not_written(writeable):
 
 
 def test_finite_domain_sends_out_of_domain_rows_to_the_scalar_call():
-    f = Func.quadratic(2.0, dim=2, domain_radius=1.0, label="disc")
+    f = dataclasses.replace(Func.quadratic(2.0, dim=2, label="disc"), domain_radius=1.0)
     g = Func.affine((1.0, -1.0), 0.25)  # an infinite domain
     X = read_only([[0.0, 0.5], [0.6, 0.6], [0.9, 0.9], [0.1, 0.0]])  # row 2 is outside
     got = evaluated_rows(X, g, f)
@@ -902,7 +903,8 @@ def test_threads_argument_is_ignored():
     grid = Grid(1, 1.0, 1e-3)
     assert grid_argmin(fam.g, grid, threads=1) == grid_argmin(fam.g, grid, threads=8)
     with pytest.raises(DomainError):
-        grid_sup_abs_diff(Func.quadratic(1.0, domain_radius=0.5), fam.g, grid)
+        grid_sup_abs_diff(dataclasses.replace(Func.quadratic(1.0), domain_radius=0.5),
+                          fam.g, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def test_envelope_rejects_crossed_envelopes():
 
 
 def test_envelope_rejects_region_beyond_domains():
-    small = Func.quadratic(1.0, domain_radius=0.5)
+    small = dataclasses.replace(Func.quadratic(1.0), domain_radius=0.5)
     with pytest.raises(PreconditionError):
         EnvelopeCert(1.0, lower=small, upper=const(10.0))
 

@@ -668,6 +668,22 @@ def test_a_quotient_or_difference_that_rounds_to_minus_inf_clips_to_zero(tmp_pat
         assert rows == {"gauge[tolerance]": oracle, "sup |f-g|": oracle}
 
 
+def test_an_overflow_to_inf_names_the_function_and_the_point(tmp_path, capsys):
+    # ||x - c|| overflows at |x| = 1e200, which does not show ||x - c|| >= rho
+    # once rho passes about 1.3e154; 1e308 * 1.0 + 1e308 rounds to +inf.
+    bump = "[function G]\nfamily = bump\ncenter = 0.0\nrho = 0.5\namplitude = 1.0\n"
+    clamp = ("[function A]\nfamily = affine\nslope = 1e308\nintercept = 0.0\n"
+             "[function G]\nfamily = clamp_shift\nbase = A\nshift = -1e308\n")
+    for functions, R, step, point in [(bump, "1e200", "1e199", "-1.0000000000000001e+200"),
+                                      (clamp, "1.0", "0.5", "1.0")]:
+        spec = tmp_path / "overflow.prob"
+        text = TINY_PAIR.format(functions=functions, g="G").replace("R = 1.0\n", f"R = {R}\n")
+        spec.write_text(text.replace("step = 0.25", f"step = {step}"))
+        assert main(["gauge", "--spec", str(spec)]) == 3
+        assert capsys.readouterr().err == (
+            f"precondition failure: function G returned non-finite value inf at ({point})\n")
+
+
 def test_demo_emits_pass_lines(capsys):
     main(["demo", "strictness", "--grid-step", "0.05"])
     out = capsys.readouterr().out

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import math
 import re
 
@@ -95,7 +94,6 @@ def test_sharpness_rejects_bad_parameters():
 
 def test_strictness_canonical_instance():
     pair = build_strictness_pair(1.0, 2.0, 5.0)
-    assert pair.f_level == -3.0 and pair.g_level == -8.0
     assert pair.f(Point.of(0.3)) == -3.0
     assert pair.g(Point.of(0.3)) == -8.0
     grid = Grid(1, 1.0, 0.01)
@@ -106,12 +104,12 @@ def test_strictness_canonical_instance():
 def test_strictness_every_cylinder_sample_is_exactly_zero():
     pair = build_strictness_pair(1.0, 2.0, 5.0)
     for t in LevelGrid(2.0, 0.25).values:
-        assert pointwise_discrepancy(pair.f_level, pair.g_level, t) == 0.0
+        assert pointwise_discrepancy(pair.f(Point.of(0.0)), pair.g(Point.of(0.0)), t) == 0.0
 
 
 def test_strictness_boundary_level():
     pair = build_strictness_pair(1.0, 2.0, 5.0)
-    assert pointwise_discrepancy(pair.f_level, pair.g_level, -2.0) == 0.0
+    assert pointwise_discrepancy(pair.f(Point.of(0.0)), pair.g(Point.of(0.0)), -2.0) == 0.0
 
 
 def test_strictness_tiny_gap_collapses():
@@ -375,9 +373,7 @@ def test_sweep_rejects_unsorted_deltas():
 
 def test_sweep_csv_shape():
     sweep = sharpness_sweep(2.0, [1e-3, 1e-2], 1e-4)
-    buf = io.StringIO()
-    sweep.to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
+    lines = cli._csv_text(sweep).strip().splitlines()
     assert lines[0] == "delta,argmin,dist,bound,slack"
     assert len(lines) == 3
     first = lines[1].split(",")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from epigauge import (
     pointwise_discrepancy,
     pos_part,
 )
+from epigauge.core import slack_radius
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 moderate = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -122,7 +124,7 @@ def test_point_validation_and_order():
 
 
 def test_func_domain_is_hard_boundary():
-    f = Func.quadratic(1.0, dim=1, domain_radius=1.0)
+    f = dataclasses.replace(Func.quadratic(1.0, dim=1), domain_radius=1.0)
     assert f(Point.of(1.0)) == 1.0
     with pytest.raises(DomainError):
         f(Point.of(1.0001))
@@ -162,6 +164,10 @@ def test_in_closed_ball_boundary_slack():
     assert all(in_closed_ball(p, 1.0) for p in g.points())
     assert not in_closed_ball(Point.of(1.001), 1.0)
     assert in_closed_ball(Point.of(5.0), math.inf)
+    # a negative radius holds no point, even where its slack radius is positive
+    for radius in (-1.0, -0.5 * TAU):
+        assert not in_closed_ball(Point.of(0.0), radius)
+    assert slack_radius(-0.5 * TAU) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -222,5 +228,5 @@ def test_gauge_grid_monotone_under_refinement():
     g = Func.clamp_shift(f, 0.07)
     grid = Grid(1, 1.0, 0.2)
     coarse = grid_gauge(f, g, grid, 1.0)
-    finer_x = grid_gauge(f, g, grid.refine(), 1.0)
+    finer_x = grid_gauge(f, g, Grid(grid.dim, grid.radius, grid.step / 2.0), 1.0)
     assert coarse <= finer_x

@@ -6,6 +6,7 @@ and the step-down of an axis whose rounded length overshoots the radius."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -40,6 +41,9 @@ from epigauge.cli import main
 from epigauge.constructions import sweep_lattice
 from epigauge.core import ClosedBall, distances
 from epigauge.oracle import dist_to_set_rows
+
+from helpers import axis_of
+
 
 # ---------------------------------------------------------------------------
 # Problem-file parse errors, through main
@@ -168,7 +172,7 @@ CHECKS = {
     # oracle
     "grid-dim": (lambda: grid_gauge(QUAD2, QUAD2, Grid(1, 1.0, 0.5), 1.0), DomainError,
                  "grid dimension 1 does not match function 1.0*|x|^2 of dimension 2"),
-    "grid-domain": (lambda: grid_gauge(QUAD, Func.quadratic(1.0, domain_radius=0.5),
+    "grid-domain": (lambda: grid_gauge(QUAD, dataclasses.replace(QUAD, domain_radius=0.5),
                                        Grid(1, 1.0, 0.5), 1.0), DomainError,
                     "grid radius 1.0 exceeds domain radius 0.5 of function 1.0*|x|^2"),
     "LevelGrid-cap": (lambda: LevelGrid(1.0, 1.6e-8), OracleCapError,
@@ -214,4 +218,4 @@ def test_an_axis_whose_rounded_length_overshoots_steps_down():
     # slack_radius(radius): the axis keeps k = 2
     radius, step = 3000.0 - 3.5e-9, 1000.0
     assert math.floor(radius / step * (1 + 1e-12) + 1e-12) == 3
-    assert Grid(1, radius, step).axis == (-2000.0, -1000.0, 0.0, 1000.0, 2000.0)
+    assert axis_of(Grid(1, radius, step)) == (-2000.0, -1000.0, 0.0, 1000.0, 2000.0)

@@ -3,6 +3,7 @@ monotonicity, domination, determinism under threading."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from epigauge import (
 from epigauge.constructions import build_impossibility_pair, build_sharpness_pair, \
     build_strictness_pair
 
-from helpers import random_analytic
+from helpers import axis_of, random_analytic
 
 
 # ---------------------------------------------------------------------------
@@ -38,22 +39,32 @@ from helpers import random_analytic
 
 
 def test_axis_contains_origin_and_endpoints_when_integral():
-    g = Grid(1, 1.0, 0.1)
-    assert 0.0 in g.axis
-    assert g.axis[0] == -1.0 and g.axis[-1] == 1.0
-    assert len(g.axis) == 21
+    axis = axis_of(Grid(1, 1.0, 0.1))
+    assert 0.0 in axis
+    assert axis[0] == -1.0 and axis[-1] == 1.0
+    assert len(axis) == 21
 
 
 def test_axis_no_overshoot_when_not_integral():
-    g = Grid(1, 1.0, 0.3)
-    assert all(abs(v) <= 1.0 + 1e-9 for v in g.axis)
-    assert len(g.axis) == 7  # k in -3..3
+    axis = axis_of(Grid(1, 1.0, 0.3))
+    assert all(abs(v) <= 1.0 + 1e-9 for v in axis)
+    assert len(axis) == 7  # k in -3..3
 
 
 def test_refinement_is_bit_exact_superset():
     g = Grid(1, 1.0, 0.1)
-    fine = g.refine()
-    assert set(g.axis) <= set(fine.axis)
+    fine = Grid(g.dim, g.radius, g.step / 2.0)
+    assert set(axis_of(g)) <= set(axis_of(fine))
+
+
+@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: a lattice in dimension >= 2 "
+                   "drops in-ball nodes whose squared norm overflows")
+def test_a_lattice_whose_squared_norms_overflow_keeps_its_in_ball_nodes():
+    # the nodes k * 1e199 with |k| <= 10: 21 on the axis, and in 2-d the 317
+    # integer points of the disk of radius 10, as at step 1.0
+    assert len(axis_of(Grid(1, 1e200, 1e199))) == 21
+    assert sum(len(X) for X in Grid(2, 10.0, 1.0).blocks()) == 317
+    assert sum(len(X) for X in Grid(2, 1e200, 1e199).blocks()) == 317
 
 
 def test_level_grid_always_includes_endpoints():
@@ -70,7 +81,7 @@ def test_level_grid_always_includes_endpoints():
 def test_level_grid_size_is_its_value_count(M, step_t):
     lg = LevelGrid(M, step_t)
     size = lg.size  # known before any value is built
-    inside = [t for t in Grid(1, M, step_t).axis if abs(t) < M]
+    inside = [t for t in axis_of(Grid(1, M, step_t)) if abs(t) < M]
     assert lg.values == (-M, *inside, M)
     assert size == len(lg.values)
 
@@ -124,7 +135,7 @@ def test_sup_abs_diff_bump_peak_on_lattice():
 
 
 def test_sup_abs_diff_domain_violation():
-    f = Func.quadratic(1.0, domain_radius=0.5)
+    f = dataclasses.replace(Func.quadratic(1.0), domain_radius=0.5)
     with pytest.raises(DomainError):
         grid_sup_abs_diff(f, f, Grid(1, 1.0, 0.1))
 
@@ -191,7 +202,7 @@ def test_refinement_monotonicity_three_halvings():
     prev_sup = grid_sup_abs_diff(f, g, grid)
     prev_gauge = grid_gauge(f, g, grid, 1.0)
     for _ in range(3):
-        grid = grid.refine()
+        grid = Grid(grid.dim, grid.radius, grid.step / 2.0)
         cur_sup = grid_sup_abs_diff(f, g, grid)
         cur_gauge = grid_gauge(f, g, grid, 1.0)
         assert cur_sup >= prev_sup
@@ -227,7 +238,7 @@ def test_argmin_constant_everything_tied():
     f = Func.constant(4.0)
     g = Grid(1, 1.0, 0.25)
     res = grid_argmin(f, g)
-    assert len(res.points) == len(g.axis)
+    assert len(res.points) == len(axis_of(g))
     assert res.value == 4.0
     assert list(res.points) == sorted(res.points)
 
