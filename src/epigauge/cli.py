@@ -22,10 +22,10 @@ table (``_build_parser``), which renders help and usage errors; so a
 loads ``argparse``, and only the CSV writers load ``csv``.
 
 Exit codes: 0 all checks pass / record valid; 1 demo property falsified;
-3 a certify record with a false check.  An error ends in the exit code and
-stderr prefix its class in ``errors.py`` carries (2 parse error, 3
-precondition or window failure, 4 oracle cap exceeded, 5 certificate
-inconsistency); a usage error ends in 2.
+3 a certify record with a false check or a falsified growth claim.  An
+error ends in the exit code and stderr prefix its class in ``errors.py``
+carries (2 parse error, 3 precondition or window failure, 4 oracle cap
+exceeded, 5 certificate inconsistency); a usage error ends in 2.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from .oracle import (
 )
 from .problem import (SCHEMA_VERSION, ProblemSpec, _Context, _dimension, _float, _nonnegative,
                       _positive, load_problem)
-from .stability import GrowthCert, displacement_bound, value_gap_from_gauge
+from .stability import GrowthCert, GrowthScan, displacement_bound, value_gap_from_gauge
 
 __all__ = ["main", "entrypoint"]
 
@@ -130,17 +130,17 @@ class _Stage:
     bounds: list[tuple[str, GaugeBound]]
     oracle_gauge: Optional[float] = None  # the oracle columns; None without a [pair]
     oracle_sup: Optional[float] = None
-    argmin: Optional[ArgminSummary] = None  # lattice minimizers of g
 
 
-def _run(spec: ProblemSpec, args) -> _Stage:
+def _run(spec: ProblemSpec, args, *readers) -> _Stage:
     """The stage ``gauge`` and ``certify`` share after their own precondition
     checks: the lattice step (an option overrides the [grid] section), every
-    certificate block's bound and, with a [pair], the oracle gauge, sup |f-g|
-    and lattice minimizers of g from one pass over one base lattice.  The
-    band enters through ``M`` alone.  The base lattice is held to the cap
-    first, for every problem, so an over-cap step exits 4 before any
-    certificate block is read."""
+    certificate block's bound and, with a [pair], the oracle gauge and sup
+    |f-g| from one pass over one base lattice, which also feeds the
+    ``readers`` of f's and g's values (``grid_pair_scan``).  The band enters
+    through ``M`` alone.  The base lattice is held to the cap first, for
+    every problem, so an over-cap step exits 4 before any certificate block
+    is read."""
     grid_step = spec.grid_step if args.grid_step is None else args.grid_step
     if grid_step is None:
         raise PreconditionError("no grid step: add a [grid] section or pass --grid-step")
@@ -148,7 +148,8 @@ def _run(spec: ProblemSpec, args) -> _Stage:
     bounds = _certified_bounds(spec, grid_step) if spec.has_certificate() else []
     if spec.pair is None:
         return _Stage(grid_step, bounds)
-    return _Stage(grid_step, bounds, *grid_pair_scan(*spec.pair, grid, spec.cylinder.M))
+    return _Stage(grid_step, bounds,
+                  *grid_pair_scan(*spec.pair, grid, spec.cylinder.M, *readers))
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +222,14 @@ def cmd_certify(args) -> int:
         raise PreconditionError("certify requires a [growth] section")
     if spec.pair is None:
         raise PreconditionError("certify requires a [pair] section")
-    run = _run(spec, args)
+    growth, argmin = GrowthScan(spec.growth, spec.cylinder.R), ArgminSummary()
+    run = _run(spec, args, growth, argmin)
     f, g = spec.pair
     source, gauge = _select_gauge(run.bounds)
 
     xstar = _pick_target_minimizer(spec.growth, spec.cylinder.R)
-    argmin = run.argmin
     xtilde = Point(argmin.first)
+    falsification = growth.report(f, run.grid_step)
 
     cert = displacement_bound(gauge, spec.growth, xstar, xtilde, f, g, grid_step=run.grid_step)
     names, checks = ("x_star", "x_tilde"), cert.window_checks
@@ -269,13 +271,18 @@ def cmd_certify(args) -> int:
                           ("oracle_dist", oracle_dist),
                           ("displacement_consistent", displacement_ok),
                           ("valid", cert.valid), ("detail", cert.detail)]),
+        ("growth_check", [*((key, getattr(falsification, key)) for key in (
+            "points_checked", "violations", "worst_point", "worst_gap", "worst_required",
+            "falsified")), ("caveat", falsification.header)]),
     ]
     _emit(args, _record(record))
     failed = [name for name, ok in (("certified", gauge.certified), ("valid", cert.valid),
                                     ("value_control_consistent", value_ok),
                                     ("displacement_consistent", displacement_ok)) if not ok]
-    if failed:
-        sys.stderr.write(f"certificate check failed: {', '.join(failed)} = false in the record\n")
+    checks = ([f"{', '.join(failed)} = false"] if failed else []) + (
+        ["falsified = true"] if falsification.falsified else [])
+    if checks:
+        sys.stderr.write(f"certificate check failed: {'; '.join(checks)} in the record\n")
         return 3
     return 0
 
@@ -296,7 +303,7 @@ class _Property:
 
 def _demo_strictness(args) -> tuple[list[_Property], None]:
     pair = build_strictness_pair(args.R, args.M, args.A)
-    gauge, sup, _ = grid_pair_scan(pair.f, pair.g, Grid(1, args.R, args.grid_step), args.M)
+    gauge, sup = grid_pair_scan(pair.f, pair.g, Grid(1, args.R, args.grid_step), args.M)
     return [
         _Property("cylinder_gauge_exactly_zero", gauge == 0.0,
                   f"oracle gauge = {_fmt(gauge)} (expected exactly 0.0)"),

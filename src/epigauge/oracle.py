@@ -18,8 +18,8 @@ Each argmin reader has its own reducer.  Both skip a block whose minimum
 lies more than ``TAU`` above the running minimum and drop a held block
 once the running minimum falls more than ``TAU`` below its own.
 ``grid_argmin`` (and the sweep that reads its rows) holds every tie;
-``grid_pair_scan``'s ``ArgminSummary`` counts them (see
-``ARGMIN_HELD_CAP``).
+``certify``'s ``ArgminSummary``, fed by ``grid_pair_scan``, counts them
+(see ``ARGMIN_HELD_CAP``).
 The discrepancy never increases with the level, so the gauge over
 ``B_R x [-M, M]`` is the clipped sup-norm ``|max(f, -M) - max(g, -M)|``
 over the base lattice: the gauge kernels take the band half-width ``M``
@@ -27,12 +27,14 @@ and scan no level.
 The ``threads`` argument of ``grid_argmin`` is accepted for compatibility
 and ignored: the numpy blocks run single-threaded.
 
-``grid_pair_scan`` computes ``grid_gauge``, ``grid_sup_abs_diff`` (whose
-per-block reduction it shares) and the argmin summary of ``g`` in one walk
-of one base lattice, evaluating each function once per block; its results
-are the three kernels' bit for bit, and a failing pair raises what
-``grid_gauge`` raises.  ``gauge``, ``certify`` and ``demo strictness`` read
-their oracle columns from it; only ``certify`` reads the summary.
+``grid_pair_scan`` computes ``grid_gauge`` and ``grid_sup_abs_diff``
+(whose per-block reduction it shares) in one walk of one base lattice,
+evaluating each function once per block; its results are the two kernels'
+bit for bit, and a failing pair raises what ``grid_gauge`` raises.
+``gauge``, ``certify`` and ``demo strictness`` read their oracle columns
+from it.  It also feeds each block to the readers its caller passes: only
+``certify`` passes any, the argmin summary of ``g`` and the growth check
+of ``f`` (``stability.GrowthScan``).
 
 A ``Grid`` knows its axis length from ``_axis_kmax`` alone and builds its
 axis on first use, so the size cap rejects an over-cap lattice before any
@@ -99,8 +101,7 @@ BLOCK_CELLS: int = 65536
 bounds the memory of every scan but ``grid_argmin``'s, which holds every
 row that may still tie (so does ``sharpness_sweep``, which reads them):
 2,828,427 rows for ``--grid-step 1e-7`` on ``sharpness.prob``.
-``grid_pair_scan``'s ``ArgminSummary`` counts its ties instead: see
-``ARGMIN_HELD_CAP``."""
+An ``ArgminSummary`` counts its ties instead: see ``ARGMIN_HELD_CAP``."""
 
 ARGMIN_HELD_CAP: int = BLOCK_CELLS
 """Rows an ``ArgminSummary`` may hold beyond the block it scans and one
@@ -108,8 +109,8 @@ row at each block minimum: those strictly above a block minimum and within
 ``TAU`` of it, none on a plateau (``certify --grid-step 1e-7`` on
 ``sharpness.prob`` holds no such row among its 2,828,427 ties).  Past the
 cap it holds none.  The cap is judged at the read: reading ``count`` or
-``first`` raises ``OracleCapError``, so ``gauge`` and ``demo strictness``,
-which never read them, cannot fail on it."""
+``first`` raises ``OracleCapError``, so a scan that fails in a later block
+raises its own error first."""
 
 
 def _axis_kmax(radius: float, step: float) -> int:
@@ -354,7 +355,7 @@ class _TieList:
 
 
 class ArgminSummary:
-    """``grid_pair_scan``'s argmin reducer: the minimal ``value``, and the
+    """``certify``'s argmin reducer: the minimal ``value``, and the
     ``count`` and ``first`` of the lattice points within ``TAU`` of it, as
     ``grid_argmin``'s rows give them.  Per block that may still tie it
     keeps ``(held coordinates transposed, held values, block minimum, other
@@ -446,23 +447,26 @@ def grid_argmin(f: Func, grid: Grid, threads: int = 1) -> ArgminResult:
     return ties.result()
 
 
-def grid_pair_scan(f: Func, g: Func, grid: Grid,
-                   M: float) -> tuple[float, float, ArgminSummary]:
-    """``(grid_gauge(f, g, grid, M), grid_sup_abs_diff(f, g, grid),
-    grid_argmin(g, grid))`` from one walk of the lattice, evaluating each
-    function once per block: bit for bit the three kernels' results, the
-    argmin as its ``ArgminSummary``, and on a failing problem the
-    exception ``grid_gauge`` raises."""
+def grid_pair_scan(f: Func, g: Func, grid: Grid, M: float, f_reader=None,
+                   g_reader=None) -> tuple[float, float]:
+    """``(grid_gauge(f, g, grid, M), grid_sup_abs_diff(f, g, grid))`` from
+    one walk of the lattice, evaluating each function once per block, bit
+    for bit the two kernels' results; on a failing problem it raises what
+    ``grid_gauge`` raises.  Each block and its values of ``f`` (of ``g``)
+    also go to ``f_reader.add`` (``g_reader.add``) when one is given:
+    ``certify`` passes a growth check and an ``ArgminSummary``."""
     require_positive(M, "level bound M")
     _check_domains(grid, f, g)
     floor = -M
     gauge = sup = 0.0
-    argmin = ArgminSummary()
     for X, (fv, gv) in evaluated(grid.blocks(), f, g):
         gauge = max(gauge, _sup_block(np.maximum(fv, floor), np.maximum(gv, floor)))
         sup = max(sup, _sup_block(fv, gv))
-        argmin.add(X, gv)
-    return gauge, sup, argmin
+        if f_reader is not None:
+            f_reader.add(X, fv)
+        if g_reader is not None:
+            g_reader.add(X, gv)
+    return gauge, sup
 
 
 def dist_to_set(x: Point, argmin_set: ArgminSet) -> float:

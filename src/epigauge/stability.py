@@ -11,8 +11,9 @@ The pipeline implemented here:
    was found by a lattice scan (``square_root_rule``, ``displacement_bound``).
 
 The quadratic growth hypothesis is never estimated from data; it can only
-be *falsified* on a lattice (``falsify_quadratic_growth``), and an empty
-falsification report is explicitly not a certificate.
+be *falsified* on a lattice, by a reducer with one block's memory
+(``GrowthScan``) that ``falsify_quadratic_growth`` and ``certify``'s pair
+scan feed; zero violations is explicitly not a certificate.
 
 Claims are always derived from stored raw values, never asserted by
 callers: a ``DisplacementCert`` stores its gauge bound, growth certificate,
@@ -40,6 +41,7 @@ from .core import (
     Func,
     GaugeBound,
     Point,
+    ball_mask,
     evaluated,
     in_closed_ball,
     record,
@@ -54,7 +56,6 @@ __all__ = [
     "WindowCheck",
     "ValueGapResult",
     "DisplacementCert",
-    "GrowthViolation",
     "GrowthFalsificationReport",
     "window_check",
     "value_gap_from_gauge",
@@ -246,11 +247,10 @@ def displacement_bound(gauge: GaugeBound, growth: GrowthCert, xstar: Point,
         raise PreconditionError(
             f"target minimizer {xstar} lies outside the base ball of radius {R!r}"
         )
-    if dist_to_set(xstar, growth.argmin_set) > TAU:
+    dist = dist_to_set(xstar, growth.argmin_set)
+    if dist > TAU:
         raise PreconditionError(
-            f"point {xstar} is not in the claimed minimizer set "
-            f"(distance {dist_to_set(xstar, growth.argmin_set)!r})"
-        )
+            f"point {xstar} is not in the claimed minimizer set (distance {dist!r})")
     f_at_star = f(xstar)
     if abs(f_at_star - growth.inf_value) > TAU:
         raise PreconditionError(
@@ -264,78 +264,77 @@ def displacement_bound(gauge: GaugeBound, growth: GrowthCert, xstar: Point,
     return DisplacementCert(gauge, growth, checks, grid_step)
 
 
-@record
-class GrowthViolation:
-    """One lattice point contradicting the growth claim.
+class GrowthScan:
+    """The falsification scan's reducer, fed the lattice of the base ball of
+    radius ``R`` block by block with f's values.  It checks the rows in the
+    ball of ``growth.radius`` and keeps ``points_checked``, the number of
+    ``violations`` and the worst one, the largest shortfall first in lattice
+    order: a gap ``f(x) - inf_value`` more than ``TAU`` below ``(mu/2) *
+    dist(x, X*)^2`` falls short by the difference, one within ``TAU`` of X*
+    and more than ``TAU`` off 0 by its size."""
 
-    ``kind`` is ``"growth"`` (gap below the required quadratic) or
-    ``"argmin_value"`` (a point of the claimed minimizer set whose value
-    differs from ``inf_value``)."""
+    def __init__(self, growth: GrowthCert, R: float) -> None:
+        self.growth, self.radius, self._clip = growth, min(R, growth.radius), growth.radius < R
+        self.points_checked = self.violations = 0
+        self.worst = (-math.inf, None, None, None)  # (shortfall, point, gap, required)
 
-    kind: str
-    point: Point
-    observed_gap: float
-    required: float
+    def add(self, X: np.ndarray, fv: np.ndarray) -> None:
+        with np.errstate(over="ignore"):  # rounds to inf, as the scalar arithmetic does
+            if self._clip:
+                keep = ball_mask(X, self.radius)
+                X, fv = X.compress(keep, axis=0), fv.compress(keep)
+            d = dist_to_set_rows(X, self.growth.argmin_set)
+            gap = fv - self.growth.inf_value
+            required = 0.5 * self.growth.mu * d * d
+            low = gap < required - TAU
+            bad = np.flatnonzero(low | ((d <= TAU) & (np.abs(gap) > TAU)))
+            shortfall = np.where(low[bad], required[bad] - gap[bad], np.abs(gap[bad]))
+        self.points_checked += len(X)
+        self.violations += len(bad)
+        if len(bad) and shortfall.max() > self.worst[0]:
+            j = int(np.argmax(shortfall))  # the first of equal maxima
+            i = bad[j]
+            self.worst = (float(shortfall[j]), Point(tuple(X[i].tolist())), float(gap[i]),
+                          float(required[i]))
+
+    def report(self, f: Func, grid_step: float) -> GrowthFalsificationReport:
+        """The report, once the listed minimizers the lattice misses are fed
+        to ``add`` (so it is read once, after the walk)."""
+        if isinstance(self.growth.argmin_set, FinitePointSet):
+            off = [p for p in self.growth.argmin_set.points if in_closed_ball(p, self.radius)
+                   and any(c != round(c / grid_step) * grid_step for c in p.coords)]
+            if off:
+                self.add(np.array([p.coords for p in off]), np.array([f(p) for p in off]))
+        _, *worst = self.worst
+        return GrowthFalsificationReport(self.points_checked, self.violations, *worst)
 
 
 @record
 class GrowthFalsificationReport:
-    """Lattice falsification scan result.
+    """A ``GrowthScan``'s counts and worst violation (``None`` without one).
+    Zero violations is NOT a certificate of quadratic growth: ``header``
+    says so, so that the caveat travels with the data."""
 
-    An empty violation list means the claim survived this lattice; it is
-    NOT a certificate of quadratic growth (stated in ``header`` so the
-    caveat travels with the data).
-    """
-
-    header: str
-    violations: tuple[GrowthViolation, ...]
     points_checked: int
-    grid_step: float
+    violations: int
+    worst_point: Optional[Point]
+    worst_gap: Optional[float]
+    worst_required: Optional[float]
+    header: str = ("lattice falsification scan; zero violations means not falsified on this "
+                   "lattice and is NOT a certificate of quadratic growth")
 
     @property
     def falsified(self) -> bool:
-        return bool(self.violations)
+        return self.violations > 0
 
 
 def falsify_quadratic_growth(f: Func, growth: GrowthCert, cyl: Cylinder,
                              grid_step: float) -> GrowthFalsificationReport:
-    """Scan the base lattice for points violating the growth inequality
-    beyond TAU, and for claimed minimizers whose value is off ``inf_value``.
-
-    The scan covers the ball of radius ``min(cyl.R, growth.radius)`` (the
-    claim is only made there).
-    """
+    """``GrowthScan`` over the lattice of the ball of radius ``min(cyl.R,
+    growth.radius)``, where the claim is made."""
     if not (grid_step > 0):
         raise PreconditionError(f"grid_step must be > 0, got {grid_step!r}")
-    radius = min(cyl.R, growth.radius)
-    grid = Grid(f.dim, radius, grid_step)
-    violations: list[GrowthViolation] = []
-    checked = 0
-    for X, (fv,) in evaluated(grid.blocks(), f):
-        # the scalar loop takes dist_to_set(x) right after f(x)
-        d = dist_to_set_rows(X, growth.argmin_set)
-        checked += len(X)
-        gap = fv - growth.inf_value
-        required = 0.5 * growth.mu * d * d
-        low = gap < required - TAU
-        off = ~low & (d <= TAU) & (np.abs(gap) > TAU)
-        for i in np.flatnonzero(low | off).tolist():
-            p = Point(tuple(X[i].tolist()))
-            if low[i]:
-                violations.append(GrowthViolation("growth", p, float(gap[i]),
-                                                  float(required[i])))
-            else:
-                violations.append(GrowthViolation("argmin_value", p, float(gap[i]), 0.0))
-    if isinstance(growth.argmin_set, FinitePointSet):
-        for p in growth.argmin_set.points:
-            if not in_closed_ball(p, radius):
-                continue
-            gap = f(p) - growth.inf_value
-            if abs(gap) > TAU:
-                violations.append(GrowthViolation("argmin_value", p, gap, 0.0))
-    header = (
-        "lattice falsification scan; an empty report means not falsified on this "
-        "lattice and is NOT a certificate of quadratic growth"
-    )
-    return GrowthFalsificationReport(header=header, violations=tuple(violations),
-                                     points_checked=checked, grid_step=grid_step)
+    scan = GrowthScan(growth, min(cyl.R, growth.radius))
+    for X, (fv,) in evaluated(Grid(f.dim, scan.radius, grid_step).blocks(), f):
+        scan.add(X, fv)
+    return scan.report(f, grid_step)

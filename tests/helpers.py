@@ -1,4 +1,5 @@
-"""Shared test utilities: deterministic random analytic function families."""
+"""Shared test utilities: deterministic random analytic function families,
+and the pair scan with the argmin summary ``certify`` feeds it."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import math
 import numpy as np
 
 from epigauge import Func, Grid, Point
+from epigauge.oracle import ArgminSummary, grid_pair_scan
 
 
 def random_polyquad(rng: np.random.Generator, dim: int = 1) -> Func:
@@ -64,3 +66,10 @@ def random_point_in_ball(rng: np.random.Generator, radius: float, dim: int = 1) 
         coords = tuple(float(v) for v in rng.uniform(-radius, radius, size=dim))
         if math.sqrt(sum(c * c for c in coords)) <= radius:
             return Point(coords)
+
+
+def pair_scan(f: Func, g: Func, grid: Grid, M: float) -> tuple[float, float, ArgminSummary]:
+    """``grid_pair_scan``'s oracle gauge and sup |f-g|, and the argmin
+    summary of ``g`` it feeds, as ``certify`` runs it."""
+    summary = ArgminSummary()
+    return (*grid_pair_scan(f, g, grid, M, g_reader=summary), summary)

@@ -1,7 +1,8 @@
-"""The argmin summary of ``grid_pair_scan``: its tie count, first tie and
-value against ``grid_argmin``'s rows, bit for bit; the cap on the rows it
-holds, judged when the count or first tie is read, so that only ``certify``
-can exit 4 on it; and a traced peak that does not grow with the tie count.
+"""The argmin summary that ``grid_pair_scan`` feeds: its tie count, first
+tie and value against ``grid_argmin``'s rows, bit for bit; the cap on the
+rows it holds, judged when the count or first tie is read, so that only
+``certify`` can exit 4 on it; and a traced peak that does not grow with the
+tie count.
 
 Floats are compared by ``float.hex`` so that a ``-0.0`` in place of a
 ``0.0`` counts as a difference.
@@ -22,10 +23,9 @@ from epigauge import TAU, Func, Grid, OracleCapError, grid_argmin, grid_gauge, g
 from epigauge import oracle
 from epigauge.cli import main
 from epigauge.constructions import build_sharpness_pair
-from epigauge.oracle import grid_pair_scan
 from epigauge.problem import load_problem
 
-from helpers import random_analytic
+from helpers import pair_scan, random_analytic
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "src" / "epigauge" / "problems"
 
@@ -36,7 +36,7 @@ def hexes(values) -> list[str]:
 
 def assert_summary_matches_rows(g: Func, grid: Grid) -> None:
     """The pair scan's summary of ``g`` against ``grid_argmin(g)``."""
-    *_, summary = grid_pair_scan(Func.constant(0.0, dim=grid.dim), g, grid, 1.0)
+    *_, summary = pair_scan(Func.constant(0.0, dim=grid.dim), g, grid, 1.0)
     full = grid_argmin(g, grid)
     assert summary.value.hex() == full.value.hex()
     assert summary.count == len(full.rows)
@@ -84,7 +84,7 @@ def test_a_plateau_that_spans_block_boundaries():
     g = build_sharpness_pair(2.0, 0.5).g
     assert len(list(grid.blocks())) == 4
     assert_summary_matches_rows(g, grid)
-    *_, summary = grid_pair_scan(g, g, grid, 1.0)
+    *_, summary = pair_scan(g, g, grid, 1.0)
     assert summary.count == 141_421 and summary.first == (-70710 * 1e-5,)
 
 
@@ -104,7 +104,7 @@ def test_near_ties_of_a_held_block_that_a_lower_minimum_cuts_or_drops():
         g = table_func(table, step)
         with mock.patch.object(oracle, "BLOCK_CELLS", 3):
             assert_summary_matches_rows(g, Grid(1, 1.0, step))
-            *_, summary = grid_pair_scan(g, g, Grid(1, 1.0, step), 1.0)
+            *_, summary = pair_scan(g, g, Grid(1, 1.0, step), 1.0)
         assert summary.first == (first,)
 
 
@@ -124,10 +124,10 @@ def test_held_rows_past_the_cap_raise(monkeypatch):
     # the summary holds all 20 of them; grid_argmin keeps every tie.
     g, grid = Func.quadratic(1e-13), Grid(1, 1.0, 0.1)
     monkeypatch.setattr(oracle, "ARGMIN_HELD_CAP", 20)
-    *_, summary = grid_pair_scan(g, g, grid, 1.0)
+    *_, summary = pair_scan(g, g, grid, 1.0)
     assert summary.count == 21
     monkeypatch.setattr(oracle, "ARGMIN_HELD_CAP", 19)
-    gauge, sup, summary = grid_pair_scan(g, g, grid, 1.0)  # the scan itself completes
+    gauge, sup, summary = pair_scan(g, g, grid, 1.0)  # the scan itself completes
     assert (gauge, sup, summary.value) == (0.0, 0.0, 0.0)
     assert summary._blocks == []  # past the cap it holds no row
     for read in ("count", "first"):
@@ -196,7 +196,7 @@ def test_traced_peak_does_not_grow_with_the_tie_count():
     for step in (1e-6, 5e-7, 2.5e-7):
         tracemalloc.start()
         try:
-            *_, summary = grid_pair_scan(f, g, Grid(1, 1.0, step), 1.0)
+            *_, summary = pair_scan(f, g, Grid(1, 1.0, step), 1.0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

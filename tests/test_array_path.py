@@ -62,8 +62,9 @@ from epigauge import oracle
 from epigauge.core import (_pos_part_rows, _read_only, ball_mask, distances, evaluated,
                            in_closed_ball, last_block_memo, lattice_point, norms, pos_part)
 from epigauge.oracle import BLOCK_CELLS, dist_to_set_rows, grid_pair_scan
+from epigauge.stability import GrowthScan
 
-from helpers import axis_of, clamp_to_band, random_analytic, random_point_in_ball
+from helpers import axis_of, clamp_to_band, pair_scan, random_analytic, random_point_in_ball
 from test_golden_output import COVER_1D, PROBLEMS
 
 
@@ -119,6 +120,35 @@ def naive_argmin(f, grid, tie_tol=TAU):
         if v < best:
             best = v
     return tuple(p for p, v in vals if v <= best + tie_tol), best
+
+
+def naive_growth(f, growth, R, step):
+    """The growth check point by point: ``(points checked, violations,
+    worst row)`` over the lattice of the ball of ``min(R, growth.radius)``
+    in lattice order, then the listed minimizers in that ball that are no
+    lattice point; the worst row, the largest shortfall met first, as
+    ``(coordinate hexes, gap hex, required hex)``."""
+    radius = min(R, growth.radius)
+    points = list(Grid(f.dim, radius, step).points())
+    if isinstance(growth.argmin_set, FinitePointSet):
+        lattice = set(points)
+        points += [p for p in growth.argmin_set.points
+                   if in_closed_ball(p, radius) and p not in lattice]
+    count, worst, largest = 0, None, -math.inf
+    for p in points:
+        gap = f(p) - growth.inf_value
+        d = dist_to_set(p, growth.argmin_set)
+        required = 0.5 * growth.mu * d * d
+        if gap < required - TAU:
+            shortfall = required - gap
+        elif d <= TAU and abs(gap) > TAU:
+            shortfall = abs(gap)
+        else:
+            continue
+        count += 1
+        if shortfall > largest:
+            largest, worst = shortfall, (hexes(p.coords), gap.hex(), required.hex())
+    return len(points), count, worst
 
 
 def naive_width(cert, cyl, step):
@@ -361,8 +391,9 @@ def kernel_pairs():
 
 
 def assert_pass_matches_kernels(f, g, grid, M):
-    """``grid_pair_scan`` against the three kernels it replaces, bit for bit."""
-    gauge, sup, argmin = grid_pair_scan(f, g, grid, M)
+    """``grid_pair_scan`` and the argmin summary it feeds against the three
+    kernels they replace, bit for bit."""
+    gauge, sup, argmin = pair_scan(f, g, grid, M)
     assert gauge.hex() == grid_gauge(f, g, grid, M).hex()
     assert sup.hex() == grid_sup_abs_diff(f, g, grid).hex()
     expected = grid_argmin(g, grid)
@@ -519,20 +550,52 @@ def test_constructions_scans_match_reference():
         assert hexes(dist_to_set_rows(X, s)) == hexes(dist_to_set(p, s) for p in grid.points())
 
 
+def growth_outcome(report):
+    """A report as ``naive_growth`` gives it."""
+    worst = None if report.worst_point is None else (
+        hexes(report.worst_point.coords), report.worst_gap.hex(), report.worst_required.hex())
+    return report.points_checked, report.violations, worst
+
+
 def test_falsification_matches_reference():
     f = Func.sum_of(Func.quadratic(1.0, dim=2), Func.bump(Point.of(0.5, 0.0), 0.3, -0.2))
     growth = GrowthCert(2.0, 1.0, FinitePointSet((Point.of(0.0, 0.0),)), 0.0)
     report = falsify_quadratic_growth(f, growth, Cylinder(1.0, 1.0), 0.05)
-    expected = []
-    for p in Grid(2, 1.0, 0.05).points():
-        gap = f(p) - 0.0
-        d = dist_to_set(p, growth.argmin_set)
-        required = 0.5 * 2.0 * d * d
-        if gap < required - TAU:
-            expected.append(("growth", p, gap.hex(), required.hex()))
-    got = [(v.kind, v.point, v.observed_gap.hex(), v.required.hex()) for v in report.violations]
-    assert got == expected and expected
-    assert report.points_checked == len(list(Grid(2, 1.0, 0.05).points()))
+    want = naive_growth(f, growth, 1.0, 0.05)
+    assert growth_outcome(report) == want
+    assert report.falsified and want[0] == len(list(Grid(2, 1.0, 0.05).points()))
+
+
+GROWTH_CLAIMS = [  # (mu, growth radius, minimizer set, inf_value) at the centre c
+    lambda c: (1.0, 1.0, FinitePointSet((c,)), 0.0),  # holds: no violation
+    lambda c: (2.0, 1.0, FinitePointSet((c,)), 0.0),
+    lambda c: (2.5, 0.6, FinitePointSet((c,)), 0.0),
+    lambda c: (1.5, 0.7, FinitePointSet((c, Point(tuple(-x for x in c.coords)))), 0.01),
+    lambda c: (2.0, 1.0, FinitePointSet((Point((0.0,) * c.dim),)), -0.05),
+    lambda c: (0.5, 0.8, ClosedBall(c, 0.2), 0.0),
+    lambda c: (3.0, 0.45, ClosedBall(c, 0.1), 0.02),
+]
+
+
+@pytest.mark.parametrize("dim,step", [(1, 0.01), (2, 0.05), (3, 0.125)])
+@pytest.mark.parametrize("claim", range(len(GROWTH_CLAIMS)))
+@pytest.mark.parametrize("block", [None, 7])
+def test_growth_check_paths_agree(dim, step, claim, block, monkeypatch):
+    # ||x - c||^2 plus a bump, with c off the lattice: the walk, the reducer
+    # certify feeds from its pair scan of B_R, and the point loop agree.
+    c = Point(tuple(0.013 * (k + 1) for k in range(dim)))
+    f = Func.sum_of(Func.quadratic(1.0, dim=dim),
+                    Func.affine(tuple(-2.0 * x for x in c.coords), c.norm() ** 2),
+                    Func.bump(Point((0.4,) + (0.0,) * (dim - 1)), 0.3, -0.05))
+    mu, radius, argmin_set, inf_value = GROWTH_CLAIMS[claim](c)
+    growth = GrowthCert(mu, radius, argmin_set, inf_value)
+    if block is not None:
+        monkeypatch.setattr(oracle, "BLOCK_CELLS", block)
+    want = naive_growth(f, growth, 1.0, step)
+    assert growth_outcome(falsify_quadratic_growth(f, growth, Cylinder(1.0, 1.0), step)) == want
+    scan = GrowthScan(growth, 1.0)
+    grid_pair_scan(f, Func.constant(0.0, dim=dim), Grid(dim, 1.0, step), 1.0, f_reader=scan)
+    assert growth_outcome(scan.report(f, step)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +945,7 @@ def test_signed_zero_ties_resolve_in_lattice_order():
         points, value = naive_argmin(f, grid)
         assert result.value.hex() == value.hex() == (0.0).hex()
         assert result.points == points
-        *_, argmin = grid_pair_scan(Func.constant(-0.0), f, grid, 1.0)
+        *_, argmin = pair_scan(Func.constant(-0.0), f, grid, 1.0)
         assert argmin.value.hex() == value.hex()
         assert (argmin.count, hexes(argmin.first)) == (len(result.rows), hexes(result.rows[0]))
 

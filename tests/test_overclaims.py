@@ -32,7 +32,6 @@ def _run(tmp_path: Path, command: str, text: str, capsys) -> tuple[int, str]:
     return rc, capsys.readouterr().out
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_certify_rejects_a_growth_modulus_the_target_does_not_have(tmp_path, capsys):
     # f = x^2 grows with mu = 2 around 0; mu = 3 claims more than f gives.
     text = (PROBLEMS / "sharpness.prob").read_text(encoding="utf-8")

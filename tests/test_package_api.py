@@ -20,8 +20,8 @@ PUBLIC = [
     "AggregatedEnvelope", "ArgminResult", "ArgminSet", "CertificateViolationError",
     "ClosedBall", "ConstructionError", "Cover", "CoverageError", "Cylinder", "DisplacementCert",
     "DomainError", "EnvelopeCert", "EpigaugeError", "EvaluationError", "FinitePointSet", "Func",
-    "GaugeBound", "Grid", "GrowthCert", "GrowthFalsificationReport", "GrowthViolation",
-    "ImpossibilityPair", "InconsistentCoverError", "LATTICE_CAP", "LevelGrid", "LocalCert",
+    "GaugeBound", "Grid", "GrowthCert", "GrowthFalsificationReport", "ImpossibilityPair",
+    "InconsistentCoverError", "LATTICE_CAP", "LevelGrid", "LocalCert",
     "OracleCapError", "Point", "PreconditionError", "Provenance", "SharpnessFamily",
     "SpecParseError", "StrictnessPair", "SweepResult", "SweepRow", "TAU", "ToleranceField",
     "ValueGapResult", "WindowCheck", "__version__", "aggregate_cover",

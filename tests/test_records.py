@@ -32,7 +32,7 @@ from epigauge.core import (ClosedBall, Cylinder, FinitePointSet, Func, GaugeBoun
                            Provenance, record)
 from epigauge.oracle import ArgminResult, Grid, LevelGrid
 from epigauge.stability import (DisplacementCert, GrowthCert, GrowthFalsificationReport,
-                                GrowthViolation, ValueGapResult, WindowCheck)
+                                ValueGapResult, WindowCheck)
 
 MODULES = (core, oracle, certificates, stability, constructions, problem, cli)
 
@@ -73,7 +73,6 @@ def _samples():
     check = WindowCheck(origin, 0.0, 0.1, cyl)
     local = LocalCert(origin, 0.5, zero, one)
     local2 = LocalCert(half, 0.25, zero, one)
-    violation = GrowthViolation("growth", half, 0.1, 0.2)
     row = SweepRow(1e-3, 0.1, 0.1, 0.2, 1e-3, 0.0, 1e-3)
     return {
         Point: [((1, 2),), ((1.0, 3.0),)],  # post_init makes the ints floats
@@ -97,8 +96,7 @@ def _samples():
         ValueGapResult: [(True, 0.5, ""), (False, None, "base")],
         DisplacementCert: [(gauge, growth, (check, check), 0.1),
                            (gauge, growth, (check, check), None)],
-        GrowthViolation: [("growth", half, 0.1, 0.2), ("argmin_value", half, 0.1, 0.2)],
-        GrowthFalsificationReport: [("h", (violation,), 10, 0.1), ("h", (), 10, 0.1)],
+        GrowthFalsificationReport: [(10, 1, half, 0.1, 0.2), (10, 0, None, None, None)],
         SharpnessFamily: [(2.0, 1e-2, zero, one), (2.0, 2e-2, zero, one)],
         StrictnessPair: [(1.0, 2.0, 5.0, zero, one), (1.0, 2.0, 4.0, zero, one)],
         ImpossibilityPair: [(1.0, (half,), origin, 0.1, 5.0, zero, one),
@@ -216,7 +214,7 @@ def test_a_record_behaves_as_its_dataclass_twin(cls):
 
 def test_every_record_has_samples():
     assert set(RECORDS) == set(SAMPLES) - {_Probe}
-    assert len(RECORDS) == 29
+    assert len(RECORDS) == 28
 
 
 def test_a_frozen_record_raises_frozen_instance_error():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,34 +253,52 @@ def test_falsify_equality_case_is_clean():
     growth = _simple_growth(mu)
     report = falsify_quadratic_growth(f, growth, Cylinder(1.0, 1.0), 0.05)
     assert not report.falsified
-    assert report.points_checked > 0
+    assert (report.points_checked, report.violations) == (41, 0)
+    assert (report.worst_point, report.worst_gap, report.worst_required) == (None, None, None)
     assert "NOT a certificate" in report.header
 
 
 def test_falsify_quartic_against_claimed_quadratic():
+    # x^4 < x^2/2 for 0 < |x| < 1/sqrt(2): 14 nodes a side at step 0.05.  The
+    # shortfall x^2/2 - x^4 peaks at |x| = 0.5; -0.5 comes first.
     f = Func(lambda p: p.coords[0] ** 4, math.inf, 1, "x^4")
     growth = _simple_growth(1.0)
     report = falsify_quadratic_growth(f, growth, Cylinder(1.0, 1.0), 0.05)
     assert report.falsified
-    at_tenth = [v for v in report.violations if abs(abs(v.point.coords[0]) - 0.1) < 1e-12]
-    assert at_tenth
-    v = at_tenth[0]
-    assert abs(v.observed_gap - 1e-4) < 1e-12
-    assert abs(v.required - 0.005) < 1e-12
+    assert (report.points_checked, report.violations) == (41, 28)
+    assert report.worst_point == Point.of(-0.5)
+    assert report.worst_gap.hex() == (0.5 ** 4).hex()
+    assert report.worst_required.hex() == (0.5 * 0.5 ** 2).hex()
 
 
 def test_falsify_x_squared_with_mu_two_clean():
     f = Func.quadratic(1.0)
     report = falsify_quadratic_growth(f, _simple_growth(2.0), Cylinder(1.0, 1.0), 0.1)
     assert not report.falsified
+    assert (report.points_checked, report.violations, report.worst_point) == (21, 0, None)
 
 
 def test_falsify_catches_wrong_argmin_value():
+    # x^2 + 1 grows as claimed, but the listed minimizer 0 sits 1 above inf 0
     f = Func(lambda p: p.coords[0] ** 2 + 1.0, math.inf, 1, "x^2+1")
     growth = _simple_growth(2.0, inf_value=0.0)  # claims inf 0, actual 1
     report = falsify_quadratic_growth(f, growth, Cylinder(1.0, 1.0), 0.25)
     assert report.falsified
-    assert any(v.kind == "argmin_value" for v in report.violations)
+    assert (report.points_checked, report.violations) == (9, 1)
+    assert (report.worst_point, report.worst_gap, report.worst_required) == \
+        (Point.of(0.0), 1.0, 0.0)
+
+
+def test_falsify_checks_a_listed_minimizer_off_the_lattice():
+    # (x - 0.1)^2 with its minimizer 0.1 between the 0.25 nodes: the claim
+    # holds with inf 0, and inf -1 puts the listed point 1 above it
+    f = Func(lambda p: (p.coords[0] - 0.1) ** 2, math.inf, 1, "(x-0.1)^2")
+    at = FinitePointSet((Point.of(0.1),))
+    for inf_value, violations in ((0.0, 0), (-1.0, 1)):
+        growth = GrowthCert(mu=2.0, radius=1.0, argmin_set=at, inf_value=inf_value)
+        report = falsify_quadratic_growth(f, growth, Cylinder(1.0, 1.0), 0.25)
+        assert (report.points_checked, report.violations) == (10, violations)
+    assert (report.worst_point, report.worst_gap) == (Point.of(0.1), 1.0)
 
 
 def test_falsify_ball_argmin_plateau():
@@ -288,6 +307,24 @@ def test_falsify_ball_argmin_plateau():
     growth = GrowthCert(mu=0.5, radius=1.0, argmin_set=plateau, inf_value=0.0)
     report = falsify_quadratic_growth(fam.g, growth, Cylinder(1.0, 1.0), 0.01)
     assert not report.falsified  # g does grow at least (0.5/2) d^2 off its plateau
+    assert (report.points_checked, report.violations, report.worst_point) == (201, 0, None)
+
+
+def test_falsify_keeps_one_block_of_temporaries():
+    # x^2 against mu = 3 at step 1e-5: 200,001 points in four blocks, every
+    # one but the origin a violation.  A list of them peaked at 67 MB; the
+    # walk alone peaks near 2.7 MB and the reducer adds one block's
+    # temporaries (about 2.2 MB), so 8 MB bounds the scan.
+    growth = _simple_growth(3.0)
+    tracemalloc.start()
+    try:
+        report = falsify_quadratic_growth(Func.quadratic(1.0), growth, Cylinder(1.0, 1.0), 1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.points_checked, report.violations) == (200_001, 200_000)
+    assert report.worst_point == Point.of(-1.0)
+    assert peak < 8 * 2**20, peak
 
 
 def test_growth_cert_validation():
