@@ -340,6 +340,9 @@ def in_closed_ball(point: Point, radius: float, center: Point | None = None) -> 
     if math.isinf(radius):
         return True
     d = point.norm() if center is None else point.dist(center)
+    if d == math.inf:  # judged again as a row
+        return bool(within_bound(np.array([point.coords]), np.array([d]),
+                                 slack_radius(radius), center)[0])
     return d <= slack_radius(radius)
 
 
@@ -382,10 +385,34 @@ def distances(X: np.ndarray, center: Point) -> np.ndarray:
     return np.sqrt(s, out=s)
 
 
+def overflow_can_fit(bound: float) -> bool:
+    """Whether a row whose squared norm overflows to inf can still lie
+    within ``bound``: only where ``bound`` is finite and ``bound**2``
+    overflows too."""
+    return bound < math.inf and bound * bound == math.inf
+
+
+def within_bound(X: np.ndarray, d: np.ndarray, bound: float,
+                 center: Point | None = None) -> np.ndarray:
+    """``d <= bound`` for the norms ``d`` of the rows of ``X`` (their
+    distances to ``center``), except that where ``overflow_can_fit(bound)``
+    a row whose norm overflowed to inf is judged again by its norm scaled
+    by its largest |coordinate| (|difference from ``center``|)."""
+    inside = d <= bound
+    if overflow_can_fit(bound):
+        over = np.flatnonzero(d == math.inf)
+        # a difference that overflows reads nan here: outside, as it is
+        with np.errstate(over="ignore", invalid="ignore"):
+            Y = X[over] if center is None else X[over] - np.asarray(center.coords)
+            m = np.abs(Y).max(axis=1)
+            inside[over] = m * np.sqrt(((Y / m[:, None]) ** 2).sum(axis=1)) <= bound
+    return inside
+
+
 def ball_mask(X: np.ndarray, radius: float, center: Point | None = None) -> np.ndarray:
     """``in_closed_ball`` of every row of ``X``, for a finite radius > 0."""
     d = norms(X) if center is None else distances(X, center)
-    return d <= slack_radius(radius)
+    return within_bound(X, d, slack_radius(radius), center)
 
 
 # ---------------------------------------------------------------------------

@@ -27,20 +27,22 @@ and scan no level.
 The ``threads`` argument of ``grid_argmin`` is accepted for compatibility
 and ignored: the numpy blocks run single-threaded.
 
-``grid_pair_scan`` computes ``grid_gauge`` and ``grid_sup_abs_diff``
-(whose per-block reduction it shares) in one walk of one base lattice,
-evaluating each function once per block; its results are the two kernels'
-bit for bit, and a failing pair raises what ``grid_gauge`` raises.
-``gauge``, ``certify`` and ``demo strictness`` read their oracle columns
-from it.  It also feeds each block to the readers its caller passes: only
-``certify`` passes any, the argmin summary of ``g`` and the growth check
-of ``f`` (``stability.GrowthScan``).
+``grid_pair_scan`` is the one walk of a function pair: it computes the
+gauge and the sup ``|f - g|`` in one walk of one base lattice, evaluating
+each function once per block.  ``grid_gauge`` and ``grid_sup_abs_diff``
+return its two columns, so they raise what it raises.  ``gauge``,
+``certify`` and ``demo strictness`` read both columns from it.  It also
+feeds each block to the readers its caller passes: only ``certify``
+passes any, the argmin summary of ``g`` and the growth check of ``f``
+(``stability.GrowthScan``).
 
 A ``Grid`` knows its axis length from ``_axis_kmax`` alone and builds its
 axis on first use, so the size cap rejects an over-cap lattice before any
 coordinate exists.  A block sums the squares of each cube node in
 coordinate order, as ``norms`` does, and gathers coordinates only for the
-nodes inside the ball; a 1-d block is its own run of axis values, so a 1-d
+nodes inside the ball; where the squared radius overflows, it also gathers
+the nodes whose sum overflows and judges them again by ``core.within_bound``,
+as ``ball_mask`` does.  A 1-d block is its own run of axis values, so a 1-d
 scan never holds the whole axis.
 
 Blocks are read-only and column-major (Fortran order): each coordinate
@@ -74,9 +76,11 @@ from .core import (
     distances,
     evaluated,
     lattice_point,
+    overflow_can_fit,
     record,
     require_positive,
     slack_radius,
+    within_bound,
 )
 from .errors import DomainError, OracleCapError, PreconditionError
 
@@ -184,8 +188,8 @@ class Grid:
         float64 arrays, in lexicographic order (last coordinate fastest).
 
         Each block is cut from at most ``BLOCK_CELLS`` consecutive cube
-        nodes and then filtered to the ball with the same ``slack_radius``
-        as ``in_closed_ball``; empty blocks are skipped.  A lattice whose
+        nodes and then filtered to the ball by the rule of
+        ``in_closed_ball``; empty blocks are skipped.  A lattice whose
         cube fits in one block is built once and served again while no other
         one-block lattice is scanned; larger lattices are built block by
         block on every call."""
@@ -196,7 +200,8 @@ class Grid:
     def _build(self) -> Iterator[np.ndarray]:
         # A run of n consecutive cube nodes shares all but the last
         # coordinate; its sum of squares plus the last square, in coordinate
-        # order, makes the ball test ``norms(X) <= bound`` bit for bit.
+        # order, makes the norms ``norms(X)`` bit for bit, so the ball test is
+        # ``ball_mask``'s: ``norms(X) <= bound`` unless ``overflow_can_fit(bound)``.
         k, n, size, step = self._kmax, 2 * self._kmax + 1, self.cube_size(), BLOCK_CELLS
         if self.dim == 1:  # the axis is the lattice
             for start in range(0, size, step):
@@ -206,6 +211,7 @@ class Grid:
         with np.errstate(over="ignore"):  # rounds to inf, as ``Point.norm`` does
             squares = axis * axis
         bound = slack_radius(self.radius)
+        over = overflow_can_fit(bound)  # False wherever bound**2 is finite
         for start in range(0, size, step):
             stop = min(start + step, size)
             first = start // n
@@ -218,12 +224,18 @@ class Grid:
                 s = squares[digits[0]]
                 for digit in digits[1:]:
                     s = s + squares[digit]
-                node = np.flatnonzero(np.sqrt(s[:, None] + squares).ravel()[lo:hi] <= bound) + lo
+                d = np.sqrt(s[:, None] + squares).ravel()[lo:hi]
+                keep = d <= bound
+                if over:
+                    keep |= d == math.inf
+                node = np.flatnonzero(keep) + lo
             run, last = np.divmod(node, n)
             X = np.empty((len(node), self.dim), order="F")
             for c, digit in enumerate(digits):
                 X[:, c] = axis[digit[run]]
             X[:, -1] = axis[last]
+            if over:  # the rows of inf norm are judged again
+                X = np.asfortranarray(X[within_bound(X, d[node - lo], bound)])
             if len(X):
                 X.setflags(write=False)
                 yield X
@@ -318,7 +330,7 @@ def _check_domains(grid: Grid, *funcs: Func) -> None:
             )
 
 
-# Per-block reducers; each argmin reader has its own (``_sup_block`` is shared).
+# Per-block reducers; each argmin reader has its own (``_sup_block`` serves both pair columns).
 
 
 def _sup_block(fv: np.ndarray, gv: np.ndarray) -> float:
@@ -406,11 +418,7 @@ class ArgminSummary:
 def grid_sup_abs_diff(f: Func, g: Func, grid: Grid) -> float:
     """Max of ``|f - g|`` over the lattice: an estimate of the supremum
     over the ball, not a bound (see the module docstring)."""
-    _check_domains(grid, f, g)
-    m = 0.0
-    for _, (fv, gv) in evaluated(grid.blocks(), f, g):
-        m = max(m, _sup_block(fv, gv))  # the first of equal maxima, as a scalar loop keeps
-    return m
+    return grid_pair_scan(f, g, grid, 1.0)[1]  # the band shapes only the gauge column
 
 
 def grid_gauge(f: Func, g: Func, grid: Grid, M: float) -> float:
@@ -423,13 +431,7 @@ def grid_gauge(f: Func, g: Func, grid: Grid, M: float) -> float:
     the case split of ``pointwise_discrepancy`` at ``t = -M``; the scan is
     dominated by ``grid_sup_abs_diff`` on the same base lattice exactly.
     """
-    require_positive(M, "level bound M")
-    _check_domains(grid, f, g)
-    floor = -M
-    m = 0.0
-    for _, (fa, fb) in evaluated(grid.blocks(), f, g):
-        m = max(m, _sup_block(np.maximum(fa, floor), np.maximum(fb, floor)))
-    return m
+    return grid_pair_scan(f, g, grid, M)[0]
 
 
 def grid_argmin(f: Func, grid: Grid, threads: int = 1) -> ArgminResult:
@@ -450,11 +452,12 @@ def grid_argmin(f: Func, grid: Grid, threads: int = 1) -> ArgminResult:
 def grid_pair_scan(f: Func, g: Func, grid: Grid, M: float, f_reader=None,
                    g_reader=None) -> tuple[float, float]:
     """``(grid_gauge(f, g, grid, M), grid_sup_abs_diff(f, g, grid))`` from
-    one walk of the lattice, evaluating each function once per block, bit
-    for bit the two kernels' results; on a failing problem it raises what
-    ``grid_gauge`` raises.  Each block and its values of ``f`` (of ``g``)
-    also go to ``f_reader.add`` (``g_reader.add``) when one is given:
-    ``certify`` passes a growth check and an ``ArgminSummary``."""
+    one walk of the lattice, evaluating each function once per block: the
+    only pair walk, whose columns the two kernels return, so their results
+    and raised errors are its own bit for bit.  Each block and its values
+    of ``f`` (of ``g``) also go to ``f_reader.add`` (``g_reader.add``) when
+    one is given: ``certify`` passes a growth check and an
+    ``ArgminSummary``."""
     require_positive(M, "level bound M")
     _check_domains(grid, f, g)
     floor = -M

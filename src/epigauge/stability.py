@@ -257,10 +257,8 @@ def displacement_bound(gauge: GaugeBound, growth: GrowthCert, xstar: Point,
             f"claimed minimizer value {f_at_star!r} differs from inf_value "
             f"{growth.inf_value!r} by more than {TAU}"
         )
-    checks = (
-        window_check(f, g, xstar, gauge.cylinder),
-        window_check(f, g, xtilde, gauge.cylinder),
-    )
+    cyl = gauge.cylinder
+    checks = (WindowCheck(xstar, f_at_star, g(xstar), cyl), window_check(f, g, xtilde, cyl))
     return DisplacementCert(gauge, growth, checks, grid_step)
 
 

@@ -344,7 +344,9 @@ step = {step}
     (["demo", "impossibility", "--queries=1,-1", "--y", "0", "--A", "1e308",
       "--grid-step", "0.5"], None, 3,
      "precondition failure: slope bound A/rho overflows: A = 1e+308, rho = 0.5\n"),
-    (["gauge", "--spec"], HUGE_PAIR.format(R="1e200", step="1e199"), 0, ""),  # squares overflow
+    (["gauge", "--spec"], HUGE_PAIR.format(R="1e200", step="1e199"), 3,  # squares overflow
+     "precondition failure: function F returned non-finite value inf at "
+     "(-1.0000000000000001e+200, 0.0)\n"),
     (["gauge", "--spec"], HUGE_PAIR.format(R="1.3e154", step="1.3e153"), 0, ""),  # sums do
 ], ids=["impossibility-peak", "impossibility-slope", "gauge-squares", "gauge-sums"])
 def test_overflow_in_the_array_path_warns_nothing(argv, problem, code, err, tmp_path, capsys):

@@ -29,6 +29,7 @@ from epigauge import (
 )
 from epigauge.constructions import build_impossibility_pair, build_sharpness_pair, \
     build_strictness_pair
+from epigauge.core import ball_mask, in_closed_ball
 
 from helpers import axis_of, random_analytic
 
@@ -57,14 +58,31 @@ def test_refinement_is_bit_exact_superset():
     assert set(axis_of(g)) <= set(axis_of(fine))
 
 
-@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: a lattice in dimension >= 2 "
-                   "drops in-ball nodes whose squared norm overflows")
 def test_a_lattice_whose_squared_norms_overflow_keeps_its_in_ball_nodes():
     # the nodes k * 1e199 with |k| <= 10: 21 on the axis, and in 2-d the 317
     # integer points of the disk of radius 10, as at step 1.0
     assert len(axis_of(Grid(1, 1e200, 1e199))) == 21
     assert sum(len(X) for X in Grid(2, 10.0, 1.0).blocks()) == 317
     assert sum(len(X) for X in Grid(2, 1e200, 1e199).blocks()) == 317
+
+
+def test_ball_tests_agree_on_rows_whose_squared_norms_overflow():
+    # the 4,169 nodes of Grid(3, 10.0, 1.0) scaled by 1e199 are all in the
+    # ball of radius 1e200, though each square rounds to inf once |k| >= 2;
+    # 1% further out, a row is in it where its step-1.0 twin is in B_10
+    Z = np.concatenate(list(Grid(3, 10.0, 1.0).blocks()))
+    X = np.concatenate(list(Grid(3, 1e200, 1e199).blocks()))
+    assert np.array_equal(X, Z * 1e199)
+    origin = Point.of(0.0, 0.0, 0.0)
+    for rows, inside in ((X, [True] * len(Z)), (np.asfortranarray(X * 1.01),
+                                                 ball_mask(Z * 1.01, 10.0).tolist())):
+        assert [in_closed_ball(Point(tuple(r)), 1e200) for r in rows.tolist()] == inside
+        with np.errstate(over="ignore"):  # the norms round to inf, as ``Point.norm``'s do
+            assert ball_mask(rows, 1e200).tolist() == inside
+            assert ball_mask(rows, 1e200, origin).tolist() == inside
+    assert 0 < sum(inside) < len(Z)
+    assert in_closed_ball(Point.of(3e154, 0.0), 1e200)
+    assert not in_closed_ball(Point.of(1e308, 0.0), 1e200, Point.of(-1e308, 0.0))
 
 
 def test_level_grid_always_includes_endpoints():

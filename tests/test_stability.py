@@ -169,6 +169,24 @@ def test_displacement_sharpness_family_with_oracle_argmin():
     assert cert.slack == 2.0 * h
 
 
+def test_displacement_evaluates_each_function_once_per_point():
+    # f(x*) is read for the inf_value check and kept for the x* window check
+    log = []
+
+    def counted(name):
+        def eval_(p):
+            log.append((name, p.coords[0]))
+            return 0.5 * p.coords[0] * p.coords[0]
+        return Func(eval_, label=name)
+
+    f, g = counted("f"), counted("g")
+    cert = displacement_bound(gauge_from_value_bound(0.01, Cylinder(1.0, 1.0)),
+                              _simple_growth(1.0), Point.of(0.0), Point.of(0.1), f, g)
+    assert log == [("f", 0.0), ("g", 0.0), ("f", 0.1), ("g", 0.1)]
+    assert [(c.f_value, c.g_value) for c in cert.window_checks] == [
+        (0.0, 0.0), (0.5 * 0.1 * 0.1, 0.5 * 0.1 * 0.1)]
+
+
 def test_displacement_rejects_fake_minimizer():
     cyl = Cylinder(1.0, 1.0)
     f = Func.quadratic(0.5)
