@@ -47,8 +47,8 @@ from . import certificates
 from .certificates import aggregate_cover, envelope_width_bound
 from .constructions import (
     SweepResult,
+    _plateau_half_width,
     build_impossibility_pair,
-    build_sharpness_pair,
     build_strictness_pair,
     sharpness_sweep,
     sweep_lattice,
@@ -400,7 +400,7 @@ def _demo_sharpness(args) -> tuple[list[_Property], SweepResult]:
         f"oracle gauge = {_fmt(gauge)} <= delta + tau = {_fmt(last.delta + TAU)}"))
 
     argmin_ok = all(
-        abs(r.dist - build_sharpness_pair(args.mu, r.delta).argmin_radius) <= args.grid_step
+        abs(r.dist - _plateau_half_width(args.mu, r.delta)) <= args.grid_step
         for r in sweep.rows)
     props.append(_Property(
         "extreme_argmin_within_h", argmin_ok,

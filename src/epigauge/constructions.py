@@ -70,7 +70,12 @@ class SharpnessFamily:
 
     @property
     def argmin_radius(self) -> float:
-        return math.sqrt(2.0 * self.delta / self.mu)
+        return _plateau_half_width(self.mu, self.delta)
+
+
+def _plateau_half_width(mu: float, delta: float) -> float:
+    """``sqrt(2*delta/mu)``: where ``max((mu/2) x^2 - delta, 0)`` leaves zero."""
+    return math.sqrt(2.0 * delta / mu)
 
 
 def build_sharpness_pair(mu: float, delta: float) -> SharpnessFamily:
@@ -265,8 +270,9 @@ def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float) -> Swe
     the extreme tied point (largest distance to the target minimizer, then
     lexicographically last) is tabulated against the certified bound
     ``2*sqrt(delta/mu)`` with grid slack ``2*grid_step`` (``square_root_rule``).
-    The returned slope is the least-squares fit of ``log(dist)`` versus
-    ``log(delta)``, NaN when the drops take fewer than two distinct values.
+    The returned slope is the least-squares slope of ``math.log(dist)`` on
+    ``math.log(delta)``, computed exactly and rounded once (``_fit_slope``);
+    it is NaN exactly when the logs of the drops hold a single value.
 
     Only the smallest drop's family is built: its plateau is checked, and
     each drop's ``g`` is ``Func.clamp_shift(f, delta)`` on one copy of its
@@ -321,10 +327,29 @@ def sharpness_sweep(mu: float, deltas: Sequence[float], grid_step: float) -> Swe
                              dist=float(dist[extreme]), bound=bound, slack=slack,
                              gap_min=gap[0], gap_max=gap[1]))
 
-    log_d = np.log([r.delta for r in rows])
-    log_dist = np.log([r.dist for r in rows])
-    # full=True reports the rank instead of printing a RankWarning.
-    coeffs, _, rank, _, _ = np.polyfit(log_d, log_dist, 1, full=True)
-    slope = float(coeffs[0]) if rank == 2 else float("nan")
+    slope = _fit_slope([math.log(r.delta) for r in rows], [math.log(r.dist) for r in rows])
     return SweepResult(rows=tuple(rows), slope=slope, mu=mu, grid_step=grid_step,
                        radius=grid.radius)
+
+
+def _as_integers(values: Sequence[float]) -> tuple[list[int], int]:
+    """``(ints, scale)`` with ``values[i] == ints[i] / scale`` exactly: every
+    finite float is an integer over a power of two, the largest of which
+    is ``scale``."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(q for _, q in ratios)
+    return [p * (scale // q) for p, q in ratios], scale
+
+
+def _fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """The least-squares slope of ``ys`` on ``xs``, correctly rounded:
+    ``(n sum(xy) - sum(x) sum(y)) / (n sum(x^2) - sum(x)^2)`` in exact
+    integers, divided once.  NaN when the ``xs`` hold a single value."""
+    X, x_scale = _as_integers(xs)
+    Y, y_scale = _as_integers(ys)
+    n, sum_x = len(X), sum(X)
+    den = n * sum(x * x for x in X) - sum_x * sum_x
+    if den == 0:
+        return math.nan
+    num = n * sum(x * y for x, y in zip(X, Y)) - sum_x * sum(Y)
+    return (num * x_scale) / (den * y_scale)

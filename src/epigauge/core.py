@@ -432,8 +432,9 @@ class Func:
     certificates are only meaningful on certified regions.
 
     ``batch``, when present, computes ``eval`` on every row of an
-    ``(n, dim)`` float64 array and must agree with it bit for bit wherever
-    its result is finite; a non-finite entry only means "ask ``eval``".
+    ``(n, dim)`` float64 array, returning ``n`` float64 values, and must
+    agree with it bit for bit wherever its result is finite; a non-finite
+    entry only means "ask ``eval``".  Its result is read, never written.
     The family constructors supply it.  Without it, ``values`` (like every
     scan) calls the function point by point.
 
@@ -484,25 +485,24 @@ class Func:
         """The function at every row of the ``(n, dim)`` float64 array
         ``X``: bit-identical to calling it on each row in order, and
         raising what that loop raises first (domain, finiteness and
-        ``pos_part`` checks included)."""
+        ``pos_part`` checks included).  The array is the caller's own to
+        write."""
         [(_, (v,))] = evaluated((X,), self)
-        return v
+        return v.copy()  # ``evaluated`` may yield the batch's own array
 
     def _rows(self, X: np.ndarray) -> np.ndarray:
         """The function at every row of ``X``, NaN wherever a call raises
-        (everywhere for a function without ``batch``), as a fresh array that
-        ``evaluated`` writes replayed values into."""
+        (everywhere for a function without ``batch``).  Where every row is
+        finite and inside the domain this is the batch's own float64 array,
+        which may be shared (``last_block_memo``), so callers never write
+        into it; only rows to mark NaN cost a copy."""
         if self.batch is None or X.shape[1] != self.dim:
             return np.full(len(X), np.nan)
-        values = self.batch(X)  # before ``v`` exists, so that its temporaries never overlap it
-        v = np.empty(len(X))
-        v[...] = values  # a copy: the batch may return a shared array
-        del values
-        bad = ~np.isfinite(v)
+        v = np.asarray(self.batch(X), dtype=float)
+        ok = np.isfinite(v)
         if not math.isinf(self.domain_radius):
-            bad |= ~ball_mask(X, self.domain_radius)
-        v[bad] = np.nan
-        return v
+            ok &= ball_mask(X, self.domain_radius)
+        return v if ok.all() else np.where(ok, v, np.nan)
 
     # -- named analytic families -------------------------------------------
 
@@ -687,16 +687,25 @@ def evaluated(blocks: Iterable[np.ndarray], *funcs: Func, finite: bool = True
     ``Func._value``: a non-finite value is kept for the caller to judge.
 
     Coordinates are checked for finiteness once per block; the per-row
-    check runs only on a block that holds a non-finite coordinate.
+    check runs only on a block that holds a non-finite coordinate.  A
+    block whose coordinates and values are all finite is yielded as the
+    batches computed it: the value arrays may be a batch's own, shared
+    ones, so callers never write into them.  Only a block with a row to
+    replay gets copies, which the replay writes into.
     """
     call = Func.__call__ if finite else Func._value
     for X in blocks:
         with np.errstate(all="ignore"):
             values = [f._rows(X) for f in funcs]
-        ok = np.isfinite(X).all() or np.isfinite(X).all(axis=1)
+        finite_X = np.isfinite(X).all()
+        if finite_X and all(np.isfinite(v).all() for v in values):
+            yield X, values
+            continue
+        ok = finite_X or np.isfinite(X).all(axis=1)
         for v in values:
             ok = ok & np.isfinite(v)
         idx = np.flatnonzero(~ok)
+        values = [v.copy() for v in values]  # a batch's own array is never written
         for i, row in zip(idx.tolist(), X[idx].tolist()):
             try:
                 x = Point(tuple(row))

@@ -718,6 +718,21 @@ def test_batch_returning_a_shared_array_is_replayed_not_written(writeable):
     assert shared.flags.writeable == writeable
 
 
+def test_a_read_only_batch_array_is_never_written():
+    own = read_only([1.0, 2.0, 3.0, 4.0])
+    f = Func(lambda p: 4.0 * p.coords[0], label="own", batch=lambda X: own)
+    # g's batch sends its last two rows to the scalar call, which raises at the last
+    g = Func(lambda p: p.coords[0] if p.coords[0] < 0.9 else math.inf, label="replayed",
+             batch=lambda X: np.where(X[:, 0] > 0.6, math.nan, X[:, 0]))
+    X = read_only([[0.25], [0.5], [0.75], [1.0]])
+    got = evaluated_rows(X, f, g)  # a write into ``own`` would raise ValueError
+    assert got == scalar_rows(X, f, g)
+    assert len(got[0]) == 3 and got[1][0] is EvaluationError
+    assert hexes(own) == hexes([1.0, 2.0, 3.0, 4.0]) and not own.flags.writeable
+    v = f.values(X)
+    assert v.flags.writeable and hexes(v) == hexes(own)
+
+
 def test_finite_domain_sends_out_of_domain_rows_to_the_scalar_call():
     f = dataclasses.replace(Func.quadratic(2.0, dim=2, label="disc"), domain_radius=1.0)
     g = Func.affine((1.0, -1.0), 0.25)  # an infinite domain

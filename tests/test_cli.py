@@ -469,7 +469,6 @@ def test_over_cap_sweep_builds_no_drop(argv, monkeypatch, capsys):
 
     # Patched so that a missing check fails fast instead of building 10^8 drops.
     monkeypatch.setattr(epigauge.cli, "_log_deltas", nothing_built)
-    monkeypatch.setattr(epigauge.cli, "build_sharpness_pair", nothing_built)
     monkeypatch.setattr(epigauge.constructions, "build_sharpness_pair", nothing_built)
     rc = main(argv)
     captured = capsys.readouterr()

@@ -6,9 +6,12 @@ import argparse
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epigauge import (
     TAU,
@@ -289,8 +292,8 @@ def test_sharpness_with_one_distinct_drop_exits_3_before_the_sweep(argv, capsys,
 
 
 @pytest.mark.parametrize("delta_max,slope", [("1.0000000000000002e-4", "nan"),
-                                             ("1.001e-4", "3.1754611637869566e-13"),
-                                             ("1.03e-4", "0.3366283509006172")])
+                                             ("1.001e-4", "0.0"),
+                                             ("1.03e-4", "0.33662835090059806")])
 def test_sharpness_with_an_unresolved_slope_exits_3(delta_max, slope, capsys):
     # every extreme argmin lies within h of its plateau half-width, so the fit
     # misses 1/2 through the lattice alone: the drops are too close for h
@@ -439,6 +442,30 @@ def test_sweep_gaps_are_the_sandwich_extremes_of_one_scan_per_drop(monkeypatch, 
         assert 0.0 <= row.gap_min <= row.gap_max <= row.delta + TAU
 
 
+def fraction_slope(xs: list[float], ys: list[float]) -> float:
+    """The least-squares slope of ``ys`` on ``xs`` about their means, in
+    ``Fraction``s, rounded once; NaN when the ``xs`` hold one value."""
+    fx, fy = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    mx, my = sum(fx) / len(fx), sum(fy) / len(fy)
+    sxx = sum((x - mx) ** 2 for x in fx)
+    if sxx == 0:
+        return math.nan
+    return float(sum((x - mx) * (y - my) for x, y in zip(fx, fy)) / sxx)
+
+
+_LOGS = st.one_of(st.floats(5e-324, 1e300).map(math.log),
+                  st.sampled_from([1e-4, 1.0000000000000002e-4, 1.001e-4, 1.0, 1e-2]).map(math.log))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+    st.one_of(st.lists(_LOGS, min_size=n, max_size=n), _LOGS.map(lambda x: [x] * n)),
+    st.lists(_LOGS, min_size=n, max_size=n))))
+def test_fit_slope_is_the_exact_slope_rounded_once(logs):
+    xs, ys = logs
+    assert constructions._fit_slope(xs, ys).hex() == fraction_slope(xs, ys).hex()
+
+
 def reference_sweep(mu: float, deltas: list[float], h: float) -> list[list[str]]:
     """Every ``SweepRow`` field and the slope as hex, each drop from a fresh
     family, a plain ``grid_argmin`` of its ``g`` and a scalar extreme pick."""
@@ -453,9 +480,7 @@ def reference_sweep(mu: float, deltas: list[float], h: float) -> list[list[str]]
         diff = fam.f.values(X) - fam.g.values(X)
         bound, slack = square_root_rule(delta, mu, h)
         out.append([delta, p.coords[0], dist, bound, slack, diff.min(), diff.max()])
-    coeffs, _, rank, _, _ = np.polyfit(np.log([r[0] for r in out]),
-                                       np.log([r[2] for r in out]), 1, full=True)
-    slope = float(coeffs[0]) if rank == 2 else math.nan
+    slope = fraction_slope([math.log(r[0]) for r in out], [math.log(r[2]) for r in out])
     return [[float(v).hex() for v in r] for r in out] + [[slope.hex(), grid.radius.hex()]]
 
 
