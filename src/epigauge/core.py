@@ -26,9 +26,9 @@ the two paths agree bit for bit.  ``evaluated`` is the one scan
 primitive: it evaluates several functions on each block of lattice points,
 cuts a block before the first point, in lattice order, at which the
 point-by-point loop would raise, and raises that loop's own exception once
-the caller has checked the cut block.  Rows a batch evaluator leaves
-non-finite, and every row of a callable without ``batch``, are evaluated
-point by point there.
+the caller has checked the cut block.  It alone judges finiteness: rows
+with a non-finite coordinate or batch value, and every row of a callable
+without ``batch``, are evaluated point by point there.
 
 Numerical discipline
 --------------------
@@ -432,11 +432,11 @@ class Func:
     certificates are only meaningful on certified regions.
 
     ``batch``, when present, computes ``eval`` on every row of an
-    ``(n, dim)`` float64 array, returning ``n`` float64 values, and must
-    agree with it bit for bit wherever its result is finite; a non-finite
-    entry only means "ask ``eval``".  Its result is read, never written.
-    The family constructors supply it.  Without it, ``values`` (like every
-    scan) calls the function point by point.
+    ``(n, dim)`` float64 array as ``n`` float64 values, read and never
+    written, that agree with it bit for bit wherever they are finite; a
+    non-finite entry only means "ask ``eval``", which ``evaluated`` alone
+    judges.  The family constructors supply it.  Without it, ``values``
+    (like every scan) calls the function point by point.
 
     Instances are immutable and safe to share across threads.
     """
@@ -491,18 +491,17 @@ class Func:
         return v.copy()  # ``evaluated`` may yield the batch's own array
 
     def _rows(self, X: np.ndarray) -> np.ndarray:
-        """The function at every row of ``X``, NaN wherever a call raises
-        (everywhere for a function without ``batch``).  Where every row is
-        finite and inside the domain this is the batch's own float64 array,
-        which may be shared (``last_block_memo``), so callers never write
-        into it; only rows to mark NaN cost a copy."""
+        """The batch's values at the rows of ``X`` as they are, for
+        ``evaluated`` to judge, with NaN only at rows outside a finite
+        ``domain_radius`` (everywhere without ``batch``).  Callers never
+        write into it: it may be the batch's own, shared array."""
         if self.batch is None or X.shape[1] != self.dim:
             return np.full(len(X), np.nan)
         v = np.asarray(self.batch(X), dtype=float)
-        ok = np.isfinite(v)
-        if not math.isinf(self.domain_radius):
-            ok &= ball_mask(X, self.domain_radius)
-        return v if ok.all() else np.where(ok, v, np.nan)
+        if math.isinf(self.domain_radius):
+            return v
+        inside = ball_mask(X, self.domain_radius)
+        return v if inside.all() else np.where(inside, v, np.nan)
 
     # -- named analytic families -------------------------------------------
 
@@ -611,7 +610,7 @@ class Func:
 
 
 def _fsum_row(values: list[float]) -> float:
-    """``math.fsum``, or NaN where its partial sums overflow."""
+    """``math.fsum``, or NaN where it raises."""
     try:
         return math.fsum(values)
     except (OverflowError, ValueError):
@@ -619,18 +618,16 @@ def _fsum_row(values: list[float]) -> float:
 
 
 def _fsum_rows(columns: list[np.ndarray]) -> np.ndarray:
-    """Row-wise ``math.fsum`` of the columns, bit for bit.
+    """Row-wise ``_fsum_row`` of the columns, bit for bit where it is finite.
 
     For one or two terms, plain addition is already correctly rounded and
     equals ``fsum`` except in the sign of a zero sum, so only zero rows are
-    redone; three or more terms go through ``fsum`` row by row (it is
-    correctly rounded where sequential addition is not)."""
-    if len(columns) <= 2:
-        s = columns[0] if len(columns) == 1 else columns[0] + columns[1]
-        redo = np.flatnonzero(s == 0.0)
-    else:
-        s = np.full(len(columns[0]), np.nan)
-        redo = np.flatnonzero(np.isfinite(np.stack(columns)).all(axis=0))
+    redone; three or more terms, non-finite ones included, go through
+    ``_fsum_row`` row by row."""
+    if len(columns) > 2:
+        return np.array([_fsum_row(r) for r in np.stack(columns, axis=1).tolist()])
+    s = columns[0] if len(columns) == 1 else columns[0] + columns[1]
+    redo = np.flatnonzero(s == 0.0)
     if redo.size:
         s = s.copy()
         rows = np.stack([c[redo] for c in columns], axis=1).tolist()
@@ -677,14 +674,15 @@ def evaluated(blocks: Iterable[np.ndarray], *funcs: Func, finite: bool = True
     rows: for f in funcs: f(x)`` would, yielding ``(X, values)``: the
     block and one array per function.
 
-    Rows that a batch evaluator leaves non-finite are replayed through
-    ``Func.__call__``, so values, error types and messages are those of the
-    scalar path.  If that loop raises, the block is cut before the raising
-    row (and not yielded if that leaves it empty), and the loop's own
-    exception is raised when the caller resumes: a scan checks its own
-    per-point conditions on the cut block first, exactly as the scalar
-    loop would have met them.  With ``finite=False`` the replay calls
-    ``Func._value``: a non-finite value is kept for the caller to judge.
+    It is the one judge of finiteness: every row with a non-finite
+    coordinate or value is replayed through ``Func.__call__``, so values,
+    error types and messages are those of the scalar path.  If that loop
+    raises, the block is cut before the raising row (and not yielded if
+    that leaves it empty), and the loop's own exception is raised when the
+    caller resumes: a scan checks its own per-point conditions on the cut
+    block first, exactly as the scalar loop would have met them.  With
+    ``finite=False`` the replay calls ``Func._value``: a non-finite value
+    is kept for the caller to judge.
 
     Coordinates are checked for finiteness once per block; the per-row
     check runs only on a block that holds a non-finite coordinate.  A

@@ -619,6 +619,7 @@ def test_pos_part_rows_is_pos_part_or_nan_where_it_raises(values):
 
 def test_values_error_parity():
     huge = Func.affine((1e308,), 0.0, label="huge")
+    neg = Func.affine((-1e308,), 0.0, label="neg")
     inner = dataclasses.replace(Func.quadratic(1.0, label="inner"), domain_radius=0.5)
     cases = [
         # DomainError: outside the ball, and from a nested term
@@ -636,6 +637,10 @@ def test_values_error_parity():
         (Func.bump(Point.of(0.0), 0.5, 1.0, label="far"), [0.0, 1e200]),
         # EvaluationError: fsum's intermediate overflow makes the sum NaN
         (Func.sum_of(huge, huge), [0.5, 1.0]),
+        # ... and with three terms, which fsum adds row by row
+        (Func.sum_of(huge, huge, Func.constant(1.0)), [0.5, 1.0]),
+        # EvaluationError: a term of a three-term sum reaches inf
+        (Func.sum_of(huge, neg, huge), [0.5, 1.0, 1.5, 2.0]),
     ]
     for f, xs in cases:
         pts = [Point.of(x) for x in xs]

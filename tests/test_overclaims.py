@@ -40,6 +40,48 @@ def test_certify_rejects_a_growth_modulus_the_target_does_not_have(tmp_path, cap
     assert rc == 3
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12")
+def test_certify_holds_when_the_band_is_narrower_than_the_plateau(tmp_path, capsys):
+    # With M = 0.01 the gauge is still certified (0.02) and g's minimizers
+    # fill [-0.1414, 0.1414], inside the bound 0.2; yet x_tilde = -0.141 has
+    # f = 0.019881, outside the band [-0.01, 0.01], and certify exits 3 with
+    # valid, displacement_consistent = false.
+    text = (PROBLEMS / "sharpness.prob").read_text(encoding="utf-8")
+    assert text.count("\nM = 1.0\n") == 1
+    rc, _ = _run(tmp_path, "certify", text.replace("\nM = 1.0\n", "\nM = 0.01\n"), capsys)
+    assert rc == 0
+
+
+def test_certify_holds_with_no_margin_on_a_surrogate_that_attains_the_bound(tmp_path, capsys):
+    # g = max(f - 2*delta, 0) + delta keeps |f - g| <= delta = 0.02, and its
+    # minimizers fill {x^2 <= 0.04}: the farthest is at 0.2 = 2*sqrt(delta/mu)
+    # exactly, so the constant 2 is attained.  The nodes +-0.2 read
+    # g = 0.020000000000000007 and tie with the plateau only through TAU, so
+    # a change of rounding or of the tie window shows here first.
+    text = (PROBLEMS / "sharpness.prob").read_text(encoding="utf-8")
+    old = "[function G]\nfamily = clamp_shift\nbase = F\nshift = 0.02\n"
+    assert text.count(old) == 1
+    text = text.replace(old, """[function H]
+family = clamp_shift
+base = F
+shift = 0.04
+
+[function C]
+family = constant
+value = 0.02
+
+[function G]
+family = sum
+terms = H, C
+""")
+    rc, out = _run(tmp_path, "certify", text, capsys)
+    assert rc == 0
+    lines = out.splitlines()
+    for line in ("argmin_tie_count = 401", "x_tilde = -0.2", "bound = 0.2",
+                 "oracle_dist = 0.2"):
+        assert line in lines, line
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 17")
 def test_certify_holds_when_every_value_is_scaled_by_a_power_of_two(tmp_path, capsys):
     # Scaling coeff, shift, the tolerance, mu and M by 2^-35 is exact and
